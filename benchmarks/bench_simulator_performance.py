@@ -24,8 +24,9 @@ from repro.machine.cache import SetAssociativeCache
 from repro.machine.footprint import FootprintCurve, FootprintModel
 from repro.machine.params import SEQUENT_SYMMETRY
 from repro.measure.penalty import PenaltyExperiment
-from repro.measure.runner import compare_policies, run_mix
-from repro.measure.workloads import WorkloadMix
+from repro.measure.runner import run_mix
+from repro.sweep import SweepSpec, run_sweep
+from repro.sweep.cells import mix_comparison
 from tests.core.helpers import flat_job, phased_job
 
 
@@ -476,22 +477,26 @@ def test_scheduling_run_full_mix(benchmark):
 
 
 def test_parallel_replication_speedup():
-    """Wall-clock speedup of the parallel replication runner.
+    """Wall-clock speedup of the sweep fan-out over replications.
 
-    Runs a multi-policy comparison serially and at 4 workers.  The results
-    must be identical (deterministic per-replication seeds, ordered
-    commits); the speedup assertion only applies on machines with >= 4
-    cores — on smaller boxes the ratio is still printed for the record.
+    Runs a multi-policy comparison of Table 2 mix 3 (one MVA, one
+    GRAVITY) serially and at 4 workers.  The results must be identical
+    (deterministic per-cell seeds, ordered commits); the speedup assertion
+    only applies on machines with >= 4 cores — on smaller boxes the ratio
+    is still printed for the record.
     """
-    mix = WorkloadMix(90, {"MVA": 1, "GRAVITY": 1})
-    policies = (EQUIPARTITION, DYNAMIC, DYN_AFF)
-    replications = 8
+    spec = SweepSpec(
+        name="bench-parallel",
+        kind="mix",
+        mixes=(3,),
+        policies=(EQUIPARTITION.name, DYNAMIC.name, DYN_AFF.name),
+        seeds=8,
+    )
 
     def timed(workers):
         start = time.perf_counter()
-        comparison = compare_policies(
-            mix, policies, replications=replications, base_seed=0, workers=workers
-        )
+        sweep = run_sweep(spec, workers=workers)
+        comparison = mix_comparison(spec, sweep.payloads, 3)
         return time.perf_counter() - start, comparison
 
     serial_s, serial = timed(1)
@@ -503,7 +508,7 @@ def test_parallel_replication_speedup():
 
     speedup = serial_s / parallel_s if parallel_s else float("inf")
     print(
-        f"\nparallel replication runner: serial {serial_s:.2f}s, "
+        f"\nparallel sweep fan-out: serial {serial_s:.2f}s, "
         f"4 workers {parallel_s:.2f}s, speedup {speedup:.2f}x "
         f"({os.cpu_count()} cores)"
     )

@@ -20,15 +20,17 @@ from repro.core.policies import (
     DYNAMIC,
     EQUIPARTITION,
 )
-from repro.measure.runner import MixComparison, compare_policies
+from repro.measure.runner import MixComparison
+from repro.sweep import SweepSpec, run_sweep
+from repro.sweep.cells import mix_comparison
 
 #: Replications per (mix, policy) in the benchmark suite.  The paper ran
 #: to 1% confidence half-widths; 3 replications keeps the full suite in
 #: the minutes range while the trends are far larger than the noise.
 REPLICATIONS = 3
 
-#: Worker processes used for the replication fan-out.  Parallel results are
-#: identical to serial ones (replications are seeded deterministically and
+#: Worker processes used for the sweep fan-out.  Parallel results are
+#: identical to serial ones (cells are seeded deterministically and
 #: committed in order), so this only changes the wall clock; set
 #: ``REPRO_BENCH_WORKERS=4`` on a multicore box to speed the suite up.
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
@@ -42,13 +44,15 @@ _POLICY_SETS = {
 @functools.lru_cache(maxsize=None)
 def cached_comparison(mix_id: int, policy_set: str) -> MixComparison:
     """Run (once per session) a mix under a named policy set."""
-    return compare_policies(
-        mix_id,
-        _POLICY_SETS[policy_set],
-        replications=REPLICATIONS,
-        base_seed=0,
-        workers=WORKERS,
+    spec = SweepSpec(
+        name=f"bench-{policy_set}",
+        kind="mix",
+        mixes=(mix_id,),
+        policies=tuple(p.name for p in _POLICY_SETS[policy_set]),
+        seeds=REPLICATIONS,
     )
+    sweep = run_sweep(spec, workers=WORKERS)
+    return mix_comparison(spec, sweep.payloads, mix_id)
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ printing each policy's relative-response-time curve and crossover point.
 Run:  python examples/future_machines.py
 """
 
-from repro import DYN_AFF, DYN_AFF_DELAY, DYNAMIC, EQUIPARTITION, compare_policies
 from repro.model import (
     DEFAULT_PENALTIES,
     FutureMachineModel,
@@ -16,6 +15,8 @@ from repro.model import (
     sweep_relative,
 )
 from repro.reporting.figures import ascii_chart
+from repro.sweep import SweepSpec, run_sweep
+from repro.sweep.cells import mix_comparison
 
 MIX = 5
 POLICIES = ("Dynamic", "Dyn-Aff", "Dyn-Aff-Delay")
@@ -23,9 +24,14 @@ POLICIES = ("Dynamic", "Dyn-Aff", "Dyn-Aff-Delay")
 
 def main() -> None:
     print(f"Parameterizing the model from workload #{MIX} runs ...")
-    comparison = compare_policies(
-        MIX, [EQUIPARTITION, DYNAMIC, DYN_AFF, DYN_AFF_DELAY], replications=3
+    spec = SweepSpec(
+        name="future-machines",
+        kind="mix",
+        mixes=(MIX,),
+        policies=("Equipartition",) + POLICIES,
+        seeds=3,
     )
+    comparison = mix_comparison(spec, run_sweep(spec).payloads, MIX)
     observations = observations_from_comparison(comparison)
     model = FutureMachineModel(DEFAULT_PENALTIES)
 

@@ -1,37 +1,36 @@
 #!/usr/bin/env python3
-"""Compare all five policies on a custom workload mix (Figure 5 style).
+"""Compare all five policies on one workload mix (Figure 5 style).
 
-Builds a workload that is not in the paper's Table 2 — two MVAs plus a
-GRAVITY — and compares every policy with replications and confidence
-intervals, printing a relative-response-time table against Equipartition
-and the Table 3 style affinity metrics.
+Runs Table 2's workload #6 — one each of MVA, MATRIX and GRAVITY, the
+heaviest mix — under every policy as one sweep (5 policies x 3 seeds,
+each policy on the same seeds), then prints a relative-response-time
+table against Equipartition and the Table 3 style affinity metrics.
+Pass a cache to ``run_sweep`` (``repro.sweep.ResultCache``) and a rerun
+is served from disk.
 
 Run:  python examples/policy_comparison.py
 """
 
-from repro import (
-    DYN_AFF,
-    DYN_AFF_DELAY,
-    DYN_AFF_NOPRI,
-    DYNAMIC,
-    EQUIPARTITION,
-    compare_policies,
-)
-from repro.measure.workloads import WorkloadMix
+from repro import MIXES
 from repro.reporting.tables import render_relative_rt_table, render_table3
+from repro.sweep import SweepSpec, run_sweep
+from repro.sweep.cells import mix_comparison
 
-CUSTOM_MIX = WorkloadMix(
-    mix_id=7, copies={"MVA": 2, "MATRIX": 0, "GRAVITY": 1}, note="custom: 2 MVA + 1 GRAVITY"
-)
+MIX = 6
 
 
 def main() -> None:
-    print(f"Running custom mix {dict(CUSTOM_MIX.copies)} under 5 policies x 3 seeds ...")
-    comparison = compare_policies(
-        CUSTOM_MIX,
-        [EQUIPARTITION, DYNAMIC, DYN_AFF, DYN_AFF_NOPRI, DYN_AFF_DELAY],
-        replications=3,
+    spec = SweepSpec(
+        name="policy-comparison",
+        kind="mix",
+        mixes=(MIX,),
+        policies=(
+            "Equipartition", "Dynamic", "Dyn-Aff", "Dyn-Aff-NoPri", "Dyn-Aff-Delay",
+        ),
+        seeds=3,
     )
+    print(f"Running mix {dict(MIXES[MIX].copies)} under 5 policies x 3 seeds ...")
+    comparison = mix_comparison(spec, run_sweep(spec).payloads, MIX)
     print()
     print(render_relative_rt_table(comparison))
     print()

@@ -40,7 +40,6 @@ from repro.machine import SEQUENT_SYMMETRY, MachineSpec, future_machine
 from repro.measure import (
     MIXES,
     PenaltyExperiment,
-    compare_policies,
     make_jobs,
     run_mix,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "Policy",
     "SEQUENT_SYMMETRY",
     "SchedulingSystem",
-    "compare_policies",
     "future_machine",
     "make_jobs",
     "run_mix",

@@ -29,6 +29,7 @@ self-profile of the simulator and prints it after ``=== profile ===``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import typing
 
@@ -41,7 +42,7 @@ from repro.core.policies import (
     EQUIPARTITION,
 )
 from repro.engine.rng import RngRegistry
-from repro.measure.runner import compare_policies, run_mix
+from repro.measure.runner import run_mix
 from repro.measure.workloads import MIXES
 from repro.model import (
     DEFAULT_PENALTIES,
@@ -132,12 +133,45 @@ def _print_analysis(
             print()
 
 
-def _scale_arg(value: str) -> int:
-    """Fidelity scale: a positive integer (1 = full-fidelity cache)."""
-    scale = int(value)
-    if scale < 1:
-        raise argparse.ArgumentTypeError("scale must be at least 1")
-    return scale
+def _parse_number(value: str, convert: typing.Callable[[str], typing.Any]):
+    """``convert(value)``, with a parse failure as an argparse usage error."""
+    try:
+        return convert(value)
+    except ValueError:
+        what = "an integer" if convert is int else "a number"
+        raise argparse.ArgumentTypeError(
+            f"must be {what}, got {value!r}"
+        ) from None
+
+
+def _positive_int_arg(value: str) -> int:
+    """A count of at least 1 (``-r``, ``--workers``, ``--scale``, ...)."""
+    number = _parse_number(value, int)
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {number}"
+        )
+    return number
+
+
+def _nonnegative_int_arg(value: str) -> int:
+    """A count where 0 means "no limit" (``--max-jobs``)."""
+    number = _parse_number(value, int)
+    if number < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {number}"
+        )
+    return number
+
+
+def _positive_float_arg(value: str) -> float:
+    """A finite divisor greater than 0 (``--time-scale``, ``--work-scale``)."""
+    number = _parse_number(value, float)
+    if not (math.isfinite(number) and number > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {value!r}"
+        )
+    return number
 
 
 def _seeds_arg(value: str) -> typing.Union[int, typing.Tuple[int, ...]]:
@@ -333,17 +367,10 @@ def cmd_table4(args: argparse.Namespace) -> None:
 
 
 def cmd_future(args: argparse.Namespace) -> None:
-    """Figures 8-13: the extended model on future machines."""
+    """Figures 8-13: the extended model on future machines (fig5's cells)."""
     model = FutureMachineModel(DEFAULT_PENALTIES)
-    for mix_id in _mix_ids(args):
-        comparison = compare_policies(
-            mix_id,
-            (EQUIPARTITION,) + _DYNAMIC_POLICIES,
-            replications=args.replications,
-            base_seed=args.seed,
-            workers=getattr(args, "workers", None),
-            collect_metrics=getattr(args, "metrics", False),
-        )
+    policies = (EQUIPARTITION,) + _DYNAMIC_POLICIES
+    for mix_id, comparison in _mix_sweep(args, "future", _mix_ids(args), policies):
         _print_comparison_metrics(comparison)
         observations = observations_from_comparison(comparison)
         for job in comparison.job_names():
@@ -478,31 +505,32 @@ def cmd_trace(args: argparse.Namespace) -> None:
 def cmd_opensys(args: argparse.Namespace) -> None:
     """Open-system (scenario x policy x seed) matrix, or an SWF replay.
 
-    Renders the seed-aggregated cell table; ``--json`` exports it,
-    ``--metrics`` prints per-cell merged snapshots (``--metrics-csv``
-    writes them as one wide CSV under a stable union header), and
-    ``--trace`` additionally runs one fully traced cell (first scenario,
-    first policy, base seed), self-checks the trace against the
-    invariant and replay oracles, and writes it — exiting non-zero if
-    either oracle objects, exactly like ``repro trace``.  ``--progress``
-    streams live per-cell heartbeats to stderr while the sweep runs and
-    prints a ``=== telemetry ===`` summary after the table.
+    Either runs as one sweep (kind ``opensys`` or ``swf``), so
+    ``--cache-dir`` serves both from the result cache.  Renders the
+    seed-aggregated cell table; ``--json`` exports it, ``--metrics``
+    prints per-cell merged snapshots (``--metrics-csv`` writes them as
+    one wide CSV under a stable union header), and ``--trace``
+    additionally runs one fully traced cell (first scenario, first
+    policy, base seed), self-checks the trace against the invariant and
+    replay oracles, and writes it — exiting non-zero if either oracle
+    objects, exactly like ``repro trace``.  ``--progress`` streams live
+    per-cell heartbeats to stderr while the sweep runs and prints a
+    ``=== telemetry ===`` summary after the table.
     """
     from repro.obs.telemetry import TelemetryCollector, progress_line
     from repro.reporting.obs_export import write_artifact
     from repro.reporting.opensys_report import matrix_to_json, render_matrix_table
     from repro.sweep import SweepSpec, normalize_seeds, run_sweep
+    from repro.sweep.cells import matrix_comparison
     from repro.sweep.spec import OPENSYS_SCENARIOS
     from repro.workloads.opensys import (
         SwfScenario,
         built_in_scenarios,
-        run_matrix,
         run_scenario,
     )
 
     seed_values = normalize_seeds(args.seeds, args.seed)
     policy_names = args.policy or sorted(_POLICY_BY_NAME)
-    policies = [_POLICY_BY_NAME[name] for name in policy_names]
     collect_metrics = args.metrics or bool(args.metrics_csv)
 
     collector = None
@@ -515,38 +543,18 @@ def cmd_opensys(args: argparse.Namespace) -> None:
             print(progress_line(snapshot), file=sys.stderr)
 
     if args.swf:
-        # SWF replays are file-shaped, not declaratively keyable: they run
-        # on the direct matrix runner, never through the result cache.
-        scenarios: typing.List[typing.Any] = [
-            SwfScenario.from_file(
-                args.swf,
-                time_scale=args.time_scale,
-                work_scale=args.work_scale,
-                max_jobs=args.max_jobs,
-            )
-        ]
-        on_commit = None
-        if args.progress:
-            def on_commit(index, batch):
-                print(
-                    f"[matrix] seed batch {index + 1}/{len(seed_values)} "
-                    "committed",
-                    file=sys.stderr,
-                )
-
-        comparison = run_matrix(
-            scenarios,
-            policies,
+        spec = SweepSpec(
+            name="opensys-swf",
+            kind="swf",
+            swf=args.swf,
+            time_scale=args.time_scale,
+            work_scale=args.work_scale,
+            max_jobs=args.max_jobs,
+            policies=tuple(policy_names),
             seeds=seed_values,
             n_processors=args.processors,
-            workers=args.workers,
-            collect_metrics=collect_metrics,
-            telemetry=telemetry_sink,
-            on_commit=on_commit,
         )
     else:
-        from repro.sweep.cells import matrix_comparison
-
         spec = SweepSpec(
             name="opensys",
             kind="opensys",
@@ -560,24 +568,23 @@ def cmd_opensys(args: argparse.Namespace) -> None:
             n_processors=args.processors,
             lite=args.lite,
         )
-        on_commit_shard = None
-        if args.progress:
-            def on_commit_shard(index, payloads):
-                print(
-                    f"[sweep] shard {index + 1} committed "
-                    f"({len(payloads)} cells)",
-                    file=sys.stderr,
-                )
+    on_commit = None
+    if args.progress:
+        def on_commit(index, payloads):
+            print(
+                f"[sweep] shard {index + 1} committed ({len(payloads)} cells)",
+                file=sys.stderr,
+            )
 
-        sweep = run_sweep(
-            spec,
-            cache=_sweep_cache(args),
-            workers=args.workers,
-            collect_metrics=collect_metrics,
-            telemetry=telemetry_sink,
-            on_commit=on_commit_shard,
-        )
-        comparison = matrix_comparison(spec, sweep.payloads)
+    sweep = run_sweep(
+        spec,
+        cache=_sweep_cache(args),
+        workers=args.workers,
+        collect_metrics=collect_metrics,
+        telemetry=telemetry_sink,
+        on_commit=on_commit,
+    )
+    comparison = matrix_comparison(spec, sweep.payloads)
     print(render_matrix_table(comparison))
     if collector is not None:
         print(TELEMETRY_MARKER)
@@ -607,7 +614,12 @@ def cmd_opensys(args: argparse.Namespace) -> None:
         from repro.reporting.obs_export import trace_to_jsonl, write_artifact
 
         if args.swf:
-            trace_scenario = scenarios[0]
+            trace_scenario: typing.Any = SwfScenario.from_file(
+                args.swf,
+                time_scale=args.time_scale,
+                work_scale=args.work_scale,
+                max_jobs=args.max_jobs,
+            )
         else:
             trace_scenario = built_in_scenarios(
                 lite=args.lite, n_processors=args.processors
@@ -615,7 +627,7 @@ def cmd_opensys(args: argparse.Namespace) -> None:
         tracer = Tracer()
         result = run_scenario(
             trace_scenario,
-            policies[0],
+            _POLICY_BY_NAME[policy_names[0]],
             seed=args.seed,
             n_processors=args.processors,
             tracer=tracer,
@@ -858,7 +870,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
           f"{sweep.n_computed} computed")
     print(f"journal: {sweep.journal_path}")
     payloads = sweep.payloads
-    if spec.kind == "opensys":
+    if spec.kind in ("opensys", "swf"):
         from repro.reporting.opensys_report import render_matrix_table
         from repro.sweep.cells import matrix_comparison
 
@@ -915,12 +927,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_apps = sub.add_parser("apps", help="Figures 2-4: application profiles")
-    p_apps.add_argument("--processors", type=int, default=16)
+    p_apps.add_argument("--processors", type=_positive_int_arg, default=16)
     p_apps.set_defaults(func=cmd_apps)
 
     p_t1 = sub.add_parser("table1", help="Table 1: cache penalties")
     p_t1.add_argument(
-        "--scale", type=_scale_arg, default=16,
+        "--scale", type=_positive_int_arg, default=16,
         help="fidelity reduction factor (1 = full cache, every touch simulated)",
     )
     p_t1.add_argument(
@@ -950,9 +962,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--mix", type=int, choices=sorted(MIXES), default=None)
-        p.add_argument("-r", "--replications", type=int, default=3)
+        p.add_argument("-r", "--replications", type=_positive_int_arg, default=3)
         p.add_argument(
-            "--workers", type=int, default=None, metavar="N",
+            "--workers", type=_positive_int_arg, default=None, metavar="N",
             help=(
                 "run replications across N worker processes; results are "
                 "identical to a serial run for the same seed (default: serial)"
@@ -986,7 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p_t4 = sub.add_parser("table4", help="Table 4: homogeneous workloads")
-    p_t4.add_argument("-r", "--replications", type=int, default=3)
+    p_t4.add_argument("-r", "--replications", type=_positive_int_arg, default=3)
     p_t4.add_argument(
         "--metrics", action="store_true",
         help="print a JSON metrics snapshot after the table",
@@ -1063,13 +1075,13 @@ def build_parser() -> argparse.ArgumentParser:
         "an explicit comma-separated list; duplicates are rejected",
     )
     p_os.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive_int_arg, default=None, metavar="N",
         help=(
             "run seeds across N worker processes; results are identical "
             "to a serial run (default: serial)"
         ),
     )
-    p_os.add_argument("--processors", type=int, default=16)
+    p_os.add_argument("--processors", type=_positive_int_arg, default=16)
     p_os.add_argument(
         "--lite", action="store_true",
         help="fast synthetic job templates instead of the real app specs",
@@ -1080,15 +1092,15 @@ def build_parser() -> argparse.ArgumentParser:
         "built-in scenario",
     )
     p_os.add_argument(
-        "--time-scale", type=float, default=1.0, metavar="X",
+        "--time-scale", type=_positive_float_arg, default=1.0, metavar="X",
         help="divide SWF submit times by X (default: 1)",
     )
     p_os.add_argument(
-        "--work-scale", type=float, default=1.0, metavar="X",
+        "--work-scale", type=_positive_float_arg, default=1.0, metavar="X",
         help="divide SWF runtimes by X (default: 1)",
     )
     p_os.add_argument(
-        "--max-jobs", type=int, default=0, metavar="N",
+        "--max-jobs", type=_nonnegative_int_arg, default=0, metavar="N",
         help="truncate the SWF trace to its first N jobs (default: all)",
     )
     p_os.add_argument(
@@ -1120,8 +1132,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_os.add_argument(
         "--cache-dir", type=str, default=None, metavar="DIR",
-        help="serve built-in (scenario, policy, seed) cells from this "
-        "content-addressed result cache (ignored for --swf replays)",
+        help="serve (scenario, policy, seed) cells, built-in or --swf, "
+        "from this content-addressed result cache",
     )
     p_os.set_defaults(func=cmd_opensys)
 
@@ -1146,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
         sw_common.append(p)
     p_sw_run = sw_common[0]
     p_sw_run.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive_int_arg, default=None, metavar="N",
         help="compute pending cells across N worker processes; results "
         "are identical to a serial run (default: serial)",
     )
@@ -1239,12 +1251,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_all = sub.add_parser("all", help="run every experiment (slow)")
     p_all.add_argument("--mix", type=int, choices=sorted(MIXES), default=None)
-    p_all.add_argument("-r", "--replications", type=int, default=3)
-    p_all.add_argument("--processors", type=int, default=16)
-    p_all.add_argument("--scale", type=_scale_arg, default=16)
+    p_all.add_argument("-r", "--replications", type=_positive_int_arg, default=3)
+    p_all.add_argument("--processors", type=_positive_int_arg, default=16)
+    p_all.add_argument("--scale", type=_positive_int_arg, default=16)
     p_all.add_argument("--csv", type=str, default=None)
     p_all.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive_int_arg, default=None, metavar="N",
         help="worker processes for the replication-based experiments",
     )
     p_all.set_defaults(func=cmd_all)

@@ -3,46 +3,34 @@
 The engine is deliberately small and dependency free: a virtual clock, a
 cancellable binary-heap event queue with an explicit event lifecycle
 (``PENDING → FIRED | CANCELLED``), a run loop with trace hooks, seeded
-per-component random streams, the sample statistics (mean, confidence
-interval, replication driving) that the paper's methodology requires
-("enough replications of each experiment so that the 95% confidence
-interval is within 1% of the point estimate of the mean"), and a
-process-pool replication executor that parallelizes that stopping rule
-without changing its answers.
+per-component random streams, the sample statistics (mean, 95%
+confidence interval) the replication summaries report, and the ordered
+process-pool fan-out (:func:`~repro.engine.parallel.map_items`) the sweep
+executor runs its shards on.
 """
 
 from repro.engine.clock import VirtualClock
 from repro.engine.events import Event, EventHandle, EventState
-from repro.engine.parallel import (
-    BatchedConvergence,
-    ConvergenceCriterion,
-    map_replications,
-    run_replications,
-)
+from repro.engine.parallel import map_items
 from repro.engine.queue import EventQueue
 from repro.engine.rng import RngRegistry
 from repro.engine.simulator import Simulator
 from repro.engine.stats import (
     ConfidenceInterval,
-    ReplicationDriver,
     SampleStats,
     mean_confidence_interval,
 )
 
 __all__ = [
-    "BatchedConvergence",
     "ConfidenceInterval",
-    "ConvergenceCriterion",
     "Event",
     "EventHandle",
     "EventQueue",
     "EventState",
-    "ReplicationDriver",
     "RngRegistry",
     "SampleStats",
     "Simulator",
     "VirtualClock",
-    "map_replications",
+    "map_items",
     "mean_confidence_interval",
-    "run_replications",
 ]

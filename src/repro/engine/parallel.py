@@ -1,25 +1,12 @@
-"""Parallel replication execution for the experiment harness.
+"""Ordered process-pool fan-out for the experiment harness.
 
-The paper's stopping rule ("enough replications of each experiment so that
-the 95% confidence interval is within 1% of the point estimate of the
-mean") is inherently sequential: whether replication ``r+1`` runs depends
-on the statistics of replications ``0..r``.  This module parallelizes it
-*without changing its answers* by separating execution order from commit
-order:
+:func:`map_items` is the one fan-out primitive: it maps a function over
+independent work items — the sweep executor's shards of cells — across
+up to ``workers`` processes and commits results strictly in item order.
+Every item is deterministic in its own inputs, so ``workers=N`` returns
+exactly what ``workers=1`` returns; only the wall clock changes.
 
-* up to ``workers`` replications run concurrently in a process pool, each
-  seeded deterministically from its replication index;
-* results are *committed* strictly in replication order, and the stopping
-  rule is evaluated after every commit — exactly the prefixes the serial
-  loop would have examined;
-* once some prefix satisfies the rule, later replications (which a serial
-  run would never have executed) are discarded.
-
-Consequently ``workers=N`` produces bit-identical committed results to
-``workers=1`` for the same seeds; parallelism costs at most ``workers-1``
-replications of wasted (discarded) work at the stopping point.
-
-Replication callables must be picklable (module-level functions or
+Callables and items must be picklable (module-level functions or
 ``functools.partial`` over them) when ``workers > 1``, since they cross a
 process boundary.
 """
@@ -27,20 +14,10 @@ process boundary.
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import typing
-
-from repro.engine.stats import ConfidenceInterval, SampleStats
 
 T = typing.TypeVar("T")
 U = typing.TypeVar("U")
-
-#: Default absolute half-width below which a metric counts as converged
-#: regardless of its relative half-width.  This is the escape hatch for
-#: zero-mean metrics, whose relative half-width is infinite: without it a
-#: single all-but-constant metric centred on 0 forces every experiment to
-#: burn ``max_replications``.
-DEFAULT_TARGET_ABSOLUTE = 1e-9
 
 
 def resolve_workers(workers: typing.Optional[int]) -> int:
@@ -56,194 +33,32 @@ def resolve_workers(workers: typing.Optional[int]) -> int:
     return int(workers)
 
 
-class ConvergenceCriterion:
-    """The paper's 1%-relative stopping rule with an absolute escape hatch.
-
-    A confidence interval converges when its half-width is within
-    ``target_relative`` of the mean *or* at most ``target_absolute`` in
-    absolute terms.  The absolute tolerance is what lets zero-mean metrics
-    (infinite relative half-width) terminate.
-    """
-
-    def __init__(
-        self,
-        target_relative: float = 0.01,
-        target_absolute: float = DEFAULT_TARGET_ABSOLUTE,
-    ) -> None:
-        if target_relative < 0 or target_absolute < 0:
-            raise ValueError("convergence tolerances must be non-negative")
-        self.target_relative = target_relative
-        self.target_absolute = target_absolute
-
-    def interval_converged(self, ci: ConfidenceInterval) -> bool:
-        """True when ``ci`` satisfies either tolerance."""
-        if ci.half_width <= self.target_absolute:
-            return True
-        return ci.relative_half_width() <= self.target_relative
-
-
-class BatchedConvergence(typing.Generic[T]):
-    """Incremental stopping-rule check over replication results.
-
-    Parallel execution delivers results in waves; this accumulator folds
-    each newly committed replication into per-metric :class:`SampleStats`
-    via the Chan et al. pairwise merge (the same reduction that combines
-    partial statistics across workers) and answers "has every tracked
-    metric converged?" for each committed prefix.  It is shared by the
-    serial and parallel paths so both stop at the identical replication.
-    """
-
-    def __init__(
-        self,
-        extract: typing.Callable[[T], typing.Mapping[str, float]],
-        criterion: ConvergenceCriterion,
-    ) -> None:
-        self._extract = extract
-        self._criterion = criterion
-        self._samples: typing.Dict[str, SampleStats] = {}
-        self._committed = 0
-
-    @property
-    def samples(self) -> typing.Dict[str, SampleStats]:
-        """Per-metric statistics over every committed replication."""
-        return self._samples
-
-    def __call__(self, committed: typing.Sequence[T]) -> bool:
-        """Fold any new results in ``committed`` and test convergence."""
-        for result in committed[self._committed:]:
-            part_values = self._extract(result)
-            for name, value in part_values.items():
-                part = SampleStats()
-                part.add(float(value))
-                self._samples.setdefault(name, SampleStats()).merge(part)
-            self._committed += 1
-        if not self._samples:
-            return False
-        return all(
-            self._criterion.interval_converged(stats.confidence_interval())
-            for stats in self._samples.values()
-        )
-
-
-def run_replications(
-    run_once: typing.Callable[[int], T],
-    min_replications: int,
-    max_replications: int,
-    converged: typing.Callable[[typing.Sequence[T]], bool],
-    workers: typing.Optional[int] = None,
-    on_commit: typing.Optional[typing.Callable[[int, T], None]] = None,
-) -> typing.List[T]:
-    """Run ``run_once(0..)`` until the serial stopping rule holds.
-
-    ``converged`` is called with the committed prefix after every commit
-    once ``min_replications`` have accumulated; the first prefix it accepts
-    is returned.  With ``workers > 1``, replications execute concurrently
-    in a :class:`~concurrent.futures.ProcessPoolExecutor` but are committed
-    in index order, so the returned list is identical to a serial run.
-
-    ``on_commit(index, result)`` fires after each commit, in commit (==
-    replication) order whatever the worker count — the progress signal
-    the telemetry layer surfaces.  It observes results; it must not
-    mutate them.
-    """
-    if min_replications < 1:
-        raise ValueError("min_replications must be positive")
-    if max_replications < min_replications:
-        raise ValueError("max_replications must be >= min_replications")
-    n_workers = resolve_workers(workers)
-    if n_workers == 1:
-        committed: typing.List[T] = []
-        for replication in range(max_replications):
-            committed.append(run_once(replication))
-            if on_commit is not None:
-                on_commit(replication, committed[-1])
-            if len(committed) >= min_replications and converged(committed):
-                break
-        return committed
-
-    committed = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-        in_flight: typing.Dict[int, "concurrent.futures.Future[T]"] = {}
-        next_index = 0
-        try:
-            while True:
-                while next_index < max_replications and len(in_flight) < n_workers:
-                    in_flight[next_index] = pool.submit(run_once, next_index)
-                    next_index += 1
-                if not in_flight:
-                    break
-                # Block on the lowest outstanding index: commits must happen
-                # in replication order for the stopping rule to see the same
-                # prefixes a serial run would.
-                lowest = min(in_flight)
-                committed.append(in_flight.pop(lowest).result())
-                if on_commit is not None:
-                    on_commit(lowest, committed[-1])
-                if len(committed) >= min_replications and converged(committed):
-                    break
-        finally:
-            for future in in_flight.values():
-                future.cancel()
-    return committed
-
-
-def map_replications(
-    run_once: typing.Callable[[int], T],
-    count: int,
-    workers: typing.Optional[int] = None,
-    on_commit: typing.Optional[typing.Callable[[int, T], None]] = None,
-) -> typing.List[T]:
-    """Run a *fixed* number of replications, optionally in parallel.
-
-    Unlike :func:`run_replications` there is no stopping rule, so this is a
-    plain deterministic fan-out: result ``r`` is always ``run_once(r)``,
-    whatever the worker count.  ``on_commit(index, result)`` fires per
-    result in index order (see :func:`run_replications`).
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    n_workers = resolve_workers(workers)
-    if n_workers == 1 or count <= 1:
-        results: typing.List[T] = []
-        for replication in range(count):
-            results.append(run_once(replication))
-            if on_commit is not None:
-                on_commit(replication, results[-1])
-        return results
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(run_once, replication) for replication in range(count)]
-        results = []
-        for replication, future in enumerate(futures):
-            results.append(future.result())
-            if on_commit is not None:
-                on_commit(replication, results[-1])
-        return results
-
-
-def _apply_item(
-    fn: typing.Callable[[U], T], items: typing.Tuple[U, ...], index: int
-) -> T:
-    """Picklable bridge from an item index to ``fn(items[index])``."""
-    return fn(items[index])
-
-
 def map_items(
     fn: typing.Callable[[U], T],
     items: typing.Sequence[U],
     workers: typing.Optional[int] = None,
     on_commit: typing.Optional[typing.Callable[[int, T], None]] = None,
 ) -> typing.List[T]:
-    """Map ``fn`` over arbitrary items with ordered commits.
+    """Map ``fn`` over ``items``, optionally in a process pool.
 
-    The item-shaped face of :func:`map_replications`: result ``i`` is
-    always ``fn(items[i])`` and ``on_commit`` fires in item order for
-    any worker count.  With ``workers > 1`` both ``fn`` and the items
-    cross a process boundary, so both must pickle.
+    Result ``i`` is always ``fn(items[i])``, and ``on_commit(i, result)``
+    fires per result in item order whatever the worker count — the
+    progress signal the sweep journal and telemetry build on.  It
+    observes results; it must not mutate them.
     """
     item_tuple = tuple(items)
-    return map_replications(
-        functools.partial(_apply_item, fn, item_tuple),
-        len(item_tuple),
-        workers=workers,
-        on_commit=on_commit,
-    )
+    n_workers = resolve_workers(workers)
+    results: typing.List[T] = []
+    if n_workers == 1 or len(item_tuple) <= 1:
+        for index, item in enumerate(item_tuple):
+            results.append(fn(item))
+            if on_commit is not None:
+                on_commit(index, results[-1])
+        return results
+    with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        futures = [pool.submit(fn, item) for item in item_tuple]
+        for index, future in enumerate(futures):
+            results.append(future.result())
+            if on_commit is not None:
+                on_commit(index, results[-1])
+    return results

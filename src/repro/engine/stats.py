@@ -1,9 +1,11 @@
-"""Sample statistics and the replication protocol the paper uses.
+"""Sample statistics: streaming mean/variance and 95% confidence intervals.
 
-Section 6: "The average values shown represent enough replications of each
-experiment so that the 95% confidence interval is within 1% of the point
-estimate of the mean."  :class:`ReplicationDriver` implements exactly that
-stopping rule (with a hard cap so degenerate cases terminate).
+Section 6 of the paper ran "enough replications of each experiment so
+that the 95% confidence interval is within 1% of the point estimate of
+the mean".  This reproduction runs a fixed replication count instead
+(``-r``); every :class:`~repro.measure.runner.JobSummary` still carries
+its response time's interval, so that target can be checked after the
+fact.
 """
 
 from __future__ import annotations
@@ -170,61 +172,3 @@ def mean_confidence_interval(values: typing.Sequence[float]) -> ConfidenceInterv
     stats = SampleStats()
     stats.extend(values)
     return stats.confidence_interval()
-
-
-class ReplicationDriver:
-    """Runs replications of an experiment until the paper's stopping rule.
-
-    The rule: stop when the 95% confidence half-width of every tracked
-    metric's mean is within ``target_relative`` (default 1%) of the mean —
-    or within ``target_absolute`` in absolute terms, the escape hatch for
-    zero-mean metrics whose relative half-width is infinite — or
-    ``max_replications`` is reached.  A ``min_replications`` floor avoids
-    stopping on the meaningless CI of one or two samples.
-
-    With ``workers > 1``, replications execute concurrently in a process
-    pool but the stopping rule is applied to the identical replication
-    prefixes a serial run examines, so the returned intervals do not depend
-    on the worker count.  ``run_once`` must then be picklable (a
-    module-level function or a ``functools.partial`` over one).
-    """
-
-    def __init__(
-        self,
-        run_once: typing.Callable[[int], typing.Mapping[str, float]],
-        target_relative: float = 0.01,
-        min_replications: int = 3,
-        max_replications: int = 50,
-        target_absolute: typing.Optional[float] = None,
-        workers: typing.Optional[int] = None,
-    ) -> None:
-        from repro.engine.parallel import (
-            DEFAULT_TARGET_ABSOLUTE,
-            ConvergenceCriterion,
-            resolve_workers,
-        )
-
-        if min_replications < 2:
-            raise ValueError("need at least 2 replications to form an interval")
-        if max_replications < min_replications:
-            raise ValueError("max_replications must be >= min_replications")
-        self._run_once = run_once
-        self._criterion = ConvergenceCriterion(
-            target_relative,
-            DEFAULT_TARGET_ABSOLUTE if target_absolute is None else target_absolute,
-        )
-        self._min = min_replications
-        self._max = max_replications
-        self._workers = resolve_workers(workers)
-
-    def run(self) -> typing.Dict[str, ConfidenceInterval]:
-        """Execute replications; returns the CI per metric name."""
-        from repro.engine.parallel import BatchedConvergence, run_replications
-
-        check: BatchedConvergence = BatchedConvergence(lambda m: m, self._criterion)
-        run_replications(
-            self._run_once, self._min, self._max, check, workers=self._workers
-        )
-        return {
-            name: stats.confidence_interval() for name, stats in check.samples.items()
-        }

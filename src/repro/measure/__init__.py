@@ -5,8 +5,6 @@ from repro.measure.intervening import InterveningExperiment, InterveningResult
 from repro.measure.penalty import PenaltyExperiment, PenaltyResult, PenaltyTable
 from repro.measure.runner import (
     MixComparison,
-    compare_policies,
-    compare_policies_to_confidence,
     relative_response_times,
     run_mix,
 )
@@ -22,8 +20,6 @@ __all__ = [
     "PenaltyResult",
     "PenaltyTable",
     "WorkloadMix",
-    "compare_policies",
-    "compare_policies_to_confidence",
     "estimate_bus_load",
     "make_jobs",
     "relative_response_times",

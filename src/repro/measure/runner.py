@@ -1,35 +1,27 @@
 """Running workload mixes under policies (the Section 6 experiments).
 
-Replications are independent simulations with deterministic seeds, so the
-comparison drivers fan them out across CPU cores via
-``repro.engine.parallel`` when asked (``workers=N``).  Results are always
-committed in replication order and the paper's confidence stopping rule is
-evaluated on the same prefixes a serial run examines, so worker count
-never changes the summaries — only the wall clock.
+:func:`run_mix` runs one mix once under one policy.  Replications —
+every policy on the same workload seeds — are fanned out, cached and
+resumed by :func:`repro.sweep.run_sweep` (one ``mix`` cell per (mix,
+policy, seed)); :func:`comparison_from_replications` then summarizes
+them, in seed order, into the :class:`MixComparison` the Figure 5/6 and
+Table 3 renderers consume.  Every figure runs a fixed replication count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import typing
 
 from repro.core.policies.base import Policy
 from repro.core.system import JobMetrics, SchedulingSystem, SystemResult
-from repro.engine.parallel import (
-    BatchedConvergence,
-    ConvergenceCriterion,
-    map_replications,
-    resolve_workers,
-    run_replications,
-)
 from repro.engine.rng import RngRegistry
 from repro.engine.stats import ConfidenceInterval, SampleStats
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
 from repro.measure.workloads import MIXES, WorkloadMix, make_jobs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import SpanProfiler
-from repro.obs.telemetry import HeartbeatEmitter, TelemetryChannel, TelemetrySink
+from repro.obs.telemetry import HeartbeatEmitter
 
 #: One replication's outcome: policy name -> job name -> metrics.
 ReplicationResult = typing.Dict[str, typing.Dict[str, JobMetrics]]
@@ -148,57 +140,6 @@ class MixComparison:
         return sum(s.response_time.mean for s in jobs.values()) / len(jobs)
 
 
-def _run_replication(
-    mix: WorkloadMix,
-    policies: typing.Tuple[Policy, ...],
-    base_seed: int,
-    n_processors: int,
-    machine: MachineSpec,
-    collect_metrics: bool,
-    collect_profile: bool,
-    replication: int,
-    telemetry_sink: typing.Optional[TelemetrySink] = None,
-) -> Replication:
-    """One full replication: every policy on the shared seed ``base_seed + r``.
-
-    Module-level (not a closure) so it pickles across the process boundary
-    when the comparison drivers run with ``workers > 1``.  Keeping all
-    policies of a replication in one task preserves the common-random-
-    numbers pairing *within* the worker that runs them.  When metrics or
-    profiles are collected, each policy gets a fresh registry/profiler and
-    the snapshot travels home with the replication (snapshots are plain
-    dicts, so they pickle).
-    """
-    jobs_out: ReplicationResult = {}
-    metrics_out: typing.Dict[str, dict] = {}
-    profile_out: typing.Dict[str, dict] = {}
-    for policy in policies:
-        registry = MetricsRegistry() if collect_metrics else None
-        profiler = SpanProfiler() if collect_profile else None
-        heartbeat = None
-        if telemetry_sink is not None:
-            heartbeat = HeartbeatEmitter(
-                telemetry_sink,
-                label=f"mix{mix.mix_id}/{policy.name}/rep{replication}",
-            )
-        result = run_mix(
-            mix,
-            policy,
-            seed=base_seed + replication,
-            n_processors=n_processors,
-            machine=machine,
-            metrics=registry,
-            profiler=profiler,
-            heartbeat=heartbeat,
-        )
-        jobs_out[policy.name] = dict(result.jobs)
-        if registry is not None:
-            metrics_out[policy.name] = registry.snapshot()
-        if profiler is not None:
-            profile_out[policy.name] = profiler.snapshot()
-    return Replication(jobs=jobs_out, metrics=metrics_out, profile=profile_out)
-
-
 def _collect(
     results: typing.Sequence[Replication],
 ) -> typing.Dict[str, typing.Dict[str, typing.List[JobMetrics]]]:
@@ -228,10 +169,9 @@ def _merged_metrics(
 ) -> typing.Dict[str, dict]:
     """Merge per-replication snapshots, policy by policy.
 
-    ``results`` is already in replication order (the parallel drivers
-    commit in order), and :meth:`MetricsRegistry.merged` folds snapshots
-    in the order given — so a ``workers=N`` comparison merges to exactly
-    the snapshot a serial run produces.
+    ``results`` is in seed order and :meth:`MetricsRegistry.merged` folds
+    snapshots in the order given, so the merged snapshot does not depend
+    on which worker ran which replication.
     """
     per_policy: typing.Dict[str, typing.List[dict]] = {}
     for result in results:
@@ -267,12 +207,10 @@ def comparison_from_replications(
 ) -> MixComparison:
     """Assemble a :class:`MixComparison` from pre-computed replications.
 
-    The sweep layer's entry point: it reconstructs ``Replication``
-    objects from cached cell payloads and summarizes them through the
-    same ``_summaries_from`` / ``_merged_metrics`` / ``_merged_profiles``
-    pipeline :func:`compare_policies` uses, so a cache-served comparison
-    is byte-identical to a freshly run one.  ``replications`` must be in
-    seed order (merge order is part of the determinism contract).
+    The sweep layer's entry point: :func:`repro.sweep.cells.mix_comparison`
+    rebuilds ``Replication`` objects from cell payloads, cached or fresh,
+    and summarizes them here.  ``replications`` must be in seed order
+    (merge order is part of the determinism contract).
     """
     if isinstance(mix, int):
         mix = MIXES[mix]
@@ -282,67 +220,6 @@ def comparison_from_replications(
     return MixComparison(
         mix=mix,
         n_replications=len(results),
-        summaries=_summaries_from(results),
-        metrics=_merged_metrics(results),
-        profiles=_merged_profiles(results),
-    )
-
-
-def compare_policies(
-    mix: typing.Union[int, WorkloadMix],
-    policies: typing.Sequence[Policy],
-    replications: int = 5,
-    base_seed: int = 0,
-    n_processors: int = DEFAULT_PROCESSORS,
-    machine: MachineSpec = SEQUENT_SYMMETRY,
-    workers: typing.Optional[int] = None,
-    collect_metrics: bool = False,
-    collect_profile: bool = False,
-    telemetry: typing.Optional[TelemetrySink] = None,
-    on_commit: typing.Optional[typing.Callable[[int, Replication], None]] = None,
-) -> MixComparison:
-    """Run ``mix`` under each policy for ``replications`` seeds.
-
-    Replication ``r`` of every policy shares workload seed ``base_seed + r``
-    (common random numbers), following the paper's paired comparisons
-    against Equipartition.  ``workers > 1`` fans the replications out over
-    a process pool; each replication is deterministic in its seed, so the
-    result is identical to a serial run.  ``collect_metrics`` attaches a
-    fresh registry to every run and merges the per-replication snapshots
-    (in replication order) into :attr:`MixComparison.metrics`;
-    ``collect_profile`` does the same with a :class:`SpanProfiler` into
-    :attr:`MixComparison.profiles`.
-    """
-    if isinstance(mix, int):
-        mix = MIXES[mix]
-    if replications < 1:
-        raise ValueError("need at least one replication")
-    channel = (
-        TelemetryChannel(resolve_workers(workers), telemetry)
-        if telemetry is not None
-        else None
-    )
-    try:
-        run_once = functools.partial(
-            _run_replication,
-            mix,
-            tuple(policies),
-            base_seed,
-            n_processors,
-            machine,
-            collect_metrics,
-            collect_profile,
-            telemetry_sink=channel.sink if channel is not None else None,
-        )
-        results = map_replications(
-            run_once, replications, workers=workers, on_commit=on_commit
-        )
-    finally:
-        if channel is not None:
-            channel.close()
-    return MixComparison(
-        mix=mix,
-        n_replications=replications,
         summaries=_summaries_from(results),
         metrics=_merged_metrics(results),
         profiles=_merged_profiles(results),
@@ -363,94 +240,6 @@ def _summarize(name: str, samples: typing.List[JobMetrics]) -> JobSummary:
         work=sum(m.work for m in samples) / n,
         waste=sum(m.waste for m in samples) / n,
         average_allocation=sum(m.average_allocation for m in samples) / n,
-    )
-
-
-def _response_times(result: Replication) -> typing.Dict[str, float]:
-    """Flatten one replication into the metrics the stopping rule tracks."""
-    return {
-        f"{policy_name}/{job_name}": metrics.response_time
-        for policy_name, jobs in result.jobs.items()
-        for job_name, metrics in jobs.items()
-    }
-
-
-def compare_policies_to_confidence(
-    mix: typing.Union[int, WorkloadMix],
-    policies: typing.Sequence[Policy],
-    target_relative: float = 0.01,
-    min_replications: int = 3,
-    max_replications: int = 50,
-    base_seed: int = 0,
-    n_processors: int = DEFAULT_PROCESSORS,
-    machine: MachineSpec = SEQUENT_SYMMETRY,
-    workers: typing.Optional[int] = None,
-    target_absolute: typing.Optional[float] = None,
-    collect_metrics: bool = False,
-    collect_profile: bool = False,
-    telemetry: typing.Optional[TelemetrySink] = None,
-    on_commit: typing.Optional[typing.Callable[[int, Replication], None]] = None,
-) -> MixComparison:
-    """Run replications until the paper's confidence criterion is met.
-
-    Section 6: "enough replications of each experiment so that the 95%
-    confidence interval is within 1% of the point estimate of the mean" —
-    applied to every job's response time under every policy (with a cap
-    so pathological cases terminate; the paper does not state one, and an
-    absolute half-width tolerance ``target_absolute`` so that a degenerate
-    zero-mean metric cannot stall convergence forever).
-
-    ``workers > 1`` runs replications concurrently in a process pool while
-    committing results in replication order and checking convergence on
-    exactly the prefixes a serial run would, so the summaries are identical
-    for the same ``base_seed`` regardless of worker count.
-    """
-    if isinstance(mix, int):
-        mix = MIXES[mix]
-    if min_replications < 2:
-        raise ValueError("need at least 2 replications to form an interval")
-    if max_replications < min_replications:
-        raise ValueError("max_replications must be >= min_replications")
-    criterion = (
-        ConvergenceCriterion(target_relative)
-        if target_absolute is None
-        else ConvergenceCriterion(target_relative, target_absolute)
-    )
-    check: BatchedConvergence = BatchedConvergence(_response_times, criterion)
-    channel = (
-        TelemetryChannel(resolve_workers(workers), telemetry)
-        if telemetry is not None
-        else None
-    )
-    try:
-        run_once = functools.partial(
-            _run_replication,
-            mix,
-            tuple(policies),
-            base_seed,
-            n_processors,
-            machine,
-            collect_metrics,
-            collect_profile,
-            telemetry_sink=channel.sink if channel is not None else None,
-        )
-        results = run_replications(
-            run_once,
-            min_replications,
-            max_replications,
-            check,
-            workers=workers,
-            on_commit=on_commit,
-        )
-    finally:
-        if channel is not None:
-            channel.close()
-    return MixComparison(
-        mix=mix,
-        n_replications=len(results),
-        summaries=_summaries_from(results),
-        metrics=_merged_metrics(results),
-        profiles=_merged_profiles(results),
     )
 
 

@@ -6,10 +6,9 @@ Layers: :mod:`repro.sweep.spec` (what to run), :mod:`repro.sweep.cache`
 resumable sharded driver).
 
 Only the leaf ``spec``/``cache`` symbols are imported eagerly; the
-executor and cell runner pull in the full experiment stack — including
-:mod:`repro.workloads.opensys.scenario`, which itself imports
-:func:`~repro.sweep.spec.normalize_seeds` from this package — so they
-load lazily (PEP 562) to keep that edge acyclic.
+executor and cell runner pull in the full experiment stack, so they
+load lazily (PEP 562) and parsing a spec or a ``--seeds`` flag never
+imports the simulator.
 """
 
 from __future__ import annotations

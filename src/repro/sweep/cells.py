@@ -3,7 +3,8 @@
 The executor hands workers nothing but a :class:`~repro.sweep.spec.SweepCell`
 (kind + canonical config); :func:`run_cell` dispatches it to the
 existing experiment drivers — :func:`repro.measure.runner.run_mix`,
-:func:`repro.workloads.opensys.scenario.run_scenario`, or
+:func:`repro.workloads.opensys.scenario.run_scenario` (over a built-in
+scenario or an SWF replay), or
 :class:`repro.measure.penalty.PenaltyExperiment` — and packs the outcome
 into a plain-JSON payload the cache can persist.  Each driver is
 deterministic in the cell's config alone (every RNG stream is re-derived
@@ -41,6 +42,7 @@ from repro.workloads.opensys.scenario import (
     built_in_scenarios,
     run_scenario,
 )
+from repro.workloads.opensys.swf import SwfScenario
 
 #: cell -> result payload, as returned by the executor.
 PayloadMap = typing.Mapping[SweepCell, typing.Dict[str, typing.Any]]
@@ -186,7 +188,9 @@ def run_cell(
     """Compute one cell from scratch; returns its schema-tagged payload.
 
     Deterministic in the cell config: re-running any cell anywhere
-    yields an identical payload (the cache-correctness contract).
+    yields an identical payload (the cache-correctness contract).  An
+    ``swf`` cell re-hashes its trace file and raises ``ValueError`` if
+    the bytes no longer match the digest it was keyed under.
     ``metrics`` snapshots ride inside the payload and are cacheable
     (order-stable merges reassemble the aggregate views); a ``profile``
     snapshot is wall-clock measurement and therefore *transient* — the
@@ -209,12 +213,21 @@ def run_cell(
         data: typing.Dict[str, typing.Any] = {
             "system": system_result_to_dict(result)
         }
-    elif cell.kind == "opensys":
-        scenario = built_in_scenarios(
-            lite=config["lite"],
-            n_processors=config["n_processors"],
-            utilization=config["utilization"],
-        )[config["scenario"]]
+    elif cell.kind in ("opensys", "swf"):
+        if cell.kind == "opensys":
+            scenario: typing.Any = built_in_scenarios(
+                lite=config["lite"],
+                n_processors=config["n_processors"],
+                utilization=config["utilization"],
+            )[config["scenario"]]
+        else:
+            scenario = SwfScenario.from_file(
+                config["swf"],
+                time_scale=config["time_scale"],
+                work_scale=config["work_scale"],
+                max_jobs=config["max_jobs"],
+                sha256=config["sha256"],
+            )
         result = run_scenario(
             scenario,
             POLICIES_BY_NAME[config["policy"]],
@@ -279,8 +292,9 @@ def mix_comparison(
     Rebuilds the per-seed :class:`Replication` objects (all of the
     spec's policies on the shared seed — the common-random-numbers
     pairing survives because every driver derives its streams from the
-    seed alone) and summarizes through the exact code path
-    ``compare_policies`` uses, so the output is byte-identical.
+    seed alone) and summarizes them in seed order through
+    :func:`~repro.measure.runner.comparison_from_replications`, so a
+    cache-served comparison is byte-identical to a freshly run one.
     """
     replications = []
     for seed in spec.seeds:
@@ -313,45 +327,36 @@ def mix_comparison(
 def matrix_comparison(
     spec: SweepSpec, payloads: PayloadMap
 ) -> MatrixComparison:
-    """Assemble the open-system :class:`MatrixComparison` from payloads.
+    """Assemble the :class:`MatrixComparison` of an ``opensys`` or ``swf``
+    sweep from its payloads.
 
-    Iterates seed-major then (scenario, policy) — the same commit order
-    ``run_matrix`` uses — so result tuples, first-seen scenario order,
-    and metric merge order (and therefore every downstream byte) match
-    the direct runner.
+    Walks the expanded cells seed-major, then in (scenario, policy)
+    declaration order, so per-cell result tuples run in seed order and
+    metric snapshots merge in seed order — the order-stable merge makes
+    the assembled matrix independent of worker count and cache state.
+    An SWF sweep is a one-scenario matrix named after its trace file.
     """
+    seed_rank = {seed: rank for rank, seed in enumerate(spec.seeds)}
+    ordered = sorted(spec.expand(), key=lambda c: seed_rank[c.config["seed"]])
     results: typing.Dict[
         typing.Tuple[str, str], typing.List[OpenSystemResult]
     ] = {}
     merged: typing.Dict[typing.Tuple[str, str], MetricsRegistry] = {}
-    for seed in spec.seeds:
-        for scenario in spec.scenarios:
-            for policy in spec.policies:
-                cell = SweepCell.make("opensys", {
-                    "scenario": scenario,
-                    "policy": policy,
-                    "seed": seed,
-                    "n_processors": spec.n_processors,
-                    "lite": spec.lite,
-                    "utilization": spec.utilization,
-                })
-                payload = payloads[cell]
-                key = (scenario, policy)
-                results.setdefault(key, []).append(
-                    opensys_result_from_dict(payload["data"]["opensys"])
-                )
-                snapshot = payload.get("metrics")
-                if snapshot is not None:
-                    merged.setdefault(key, MetricsRegistry()).merge_snapshot(
-                        snapshot
-                    )
+    for cell in ordered:
+        payload = payloads[cell]
+        result = opensys_result_from_dict(payload["data"]["opensys"])
+        key = (result.scenario, result.policy)
+        results.setdefault(key, []).append(result)
+        snapshot = payload.get("metrics")
+        if snapshot is not None:
+            merged.setdefault(key, MetricsRegistry()).merge_snapshot(snapshot)
     cells = {
         key: CellSummary.from_results(cell_results)
         for key, cell_results in results.items()
     }
     return MatrixComparison(
         seeds=spec.seeds,
-        scenarios=spec.scenarios,
+        scenarios=tuple(dict.fromkeys(scenario for scenario, _ in results)),
         policies=spec.policies,
         results={key: tuple(value) for key, value in results.items()},
         cells=cells,

@@ -1,11 +1,12 @@
 """Declarative sweep specs: named axes expanding to deterministic cells.
 
 A :class:`SweepSpec` names *axes* — policies, workload mixes or
-open-system scenarios or measured applications, seeds, machine size,
-engine backend — and :meth:`SweepSpec.expand` multiplies them into a
-stable, deterministically ordered tuple of :class:`SweepCell` work
-units.  Every reproduction target in this repository (Table 1, Figures
-5/6, Table 4, the open-system matrix) is one such spec; the executor in
+open-system scenarios or an SWF trace or measured applications, seeds,
+machine size, engine backend — and :meth:`SweepSpec.expand` multiplies
+them into a stable, deterministically ordered tuple of
+:class:`SweepCell` work units.  Every reproduction target in this
+repository (Table 1, Figures 5/6, Table 4, Figures 8-13, the
+open-system matrix, an SWF replay) is one such spec; the executor in
 :mod:`repro.sweep.executor` runs any of them through the same
 content-addressed cache.
 
@@ -20,7 +21,9 @@ Specs load from TOML (Python 3.11+) or JSON files; see :func:`load_spec`.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import os
 import typing
 
 from repro.core.policies import (
@@ -36,7 +39,7 @@ from repro.measure.workloads import MIXES
 SPEC_SCHEMA = "repro.sweep.spec/1"
 
 #: The cell kinds the executor knows how to run.
-CELL_KINDS = ("mix", "opensys", "table1")
+CELL_KINDS = ("mix", "opensys", "swf", "table1")
 
 #: Policy display name -> policy object (the sweep axes speak names).
 POLICIES_BY_NAME = {
@@ -45,9 +48,8 @@ POLICIES_BY_NAME = {
 }
 
 #: Names of the built-in open-system scenarios.  Hardcoded rather than
-#: imported so this module stays a leaf (the scenario module itself
-#: imports :func:`normalize_seeds` from here); a test pins the two lists
-#: together.
+#: imported so this module stays a leaf that never loads the simulator;
+#: a test pins the two lists together.
 OPENSYS_SCENARIOS = ("steady", "bursty", "cancellations", "failures")
 
 #: The Table 1 applications and rescheduling quanta (paper defaults).
@@ -59,7 +61,7 @@ def normalize_seeds(
     seeds: typing.Union[int, typing.Sequence[int]],
     base_seed: int = 0,
 ) -> typing.Tuple[int, ...]:
-    """The one shared seed-axis validator (CLI, ``run_matrix``, specs).
+    """The one shared seed-axis validator (CLI flags and spec files).
 
     ``seeds`` is either a *count* (``3`` -> ``base_seed .. base_seed+2``)
     or an explicit seed list.  Duplicate seeds are rejected, not deduped:
@@ -117,6 +119,12 @@ def canonical_json(payload: typing.Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def file_sha256(path: str) -> str:
+    """Hex sha256 of a file's bytes (the content identity of an SWF cell)."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 @dataclasses.dataclass(frozen=True, order=True)
 class SweepCell:
     """One unit of sweep work: a kind plus its canonical config.
@@ -153,6 +161,9 @@ class SweepCell:
             return f"mix{c['mix']}/{c['policy']}/seed{c['seed']}"
         if self.kind == "opensys":
             return f"{c['scenario']}/{c['policy']}/seed{c['seed']}"
+        if self.kind == "swf":
+            name = os.path.basename(c["swf"])
+            return f"swf:{name}/{c['policy']}/seed{c['seed']}"
         return f"table1/{c['app']}/q{c['q_s']:g}/seed{c['seed']}"
 
 
@@ -166,6 +177,11 @@ class SweepSpec:
       ``n_processors`` CPUs;
     * ``"opensys"`` — ``scenarios`` (built-in names) x ``policies`` x
       ``seeds``, with ``lite``/``utilization`` shaping the scenario set;
+    * ``"swf"`` — ``policies`` x ``seeds`` replaying the Standard Workload
+      Format trace at path ``swf``, with ``time_scale``/``work_scale``
+      dividing its submit times/runtimes and ``max_jobs`` truncating it
+      (0 = every job).  Each cell also carries the file's sha256, taken
+      at expansion, so an edited trace keys new cells;
     * ``"table1"`` — ``apps`` x ``quanta`` x ``seeds`` single-processor
       penalty measurements at fidelity ``scale``.
 
@@ -192,6 +208,11 @@ class SweepSpec:
     scenarios: typing.Tuple[str, ...] = ()
     lite: bool = False
     utilization: float = 0.5
+    # swf axes
+    swf: typing.Optional[str] = None
+    time_scale: float = 1.0
+    work_scale: float = 1.0
+    max_jobs: int = 0
     # table1 axes
     apps: typing.Tuple[str, ...] = ()
     quanta: typing.Tuple[float, ...] = ()
@@ -218,7 +239,7 @@ class SweepSpec:
             raise ValueError(
                 f"backend must be 'scalar', 'numpy', or omitted, got {self.backend!r}"
             )
-        if self.kind in ("mix", "opensys"):
+        if self.kind in ("mix", "opensys", "swf"):
             if not self.policies:
                 raise ValueError(f"a {self.kind!r} sweep needs at least one policy")
             for policy in self.policies:
@@ -246,6 +267,16 @@ class SweepSpec:
                     )
             if not 0 < self.utilization < 1:
                 raise ValueError("utilization must be in (0, 1)")
+        elif self.kind == "swf":
+            if not self.swf:
+                raise ValueError("an 'swf' sweep needs the trace path in swf")
+            for field in ("time_scale", "work_scale"):
+                value = float(getattr(self, field))
+                if not 0 < value < float("inf"):
+                    raise ValueError(f"{field} must be a positive number")
+                object.__setattr__(self, field, value)
+            if self.max_jobs < 0:
+                raise ValueError("max_jobs must be non-negative")
         elif self.kind == "table1":
             apps = self.apps or TABLE1_APPS
             object.__setattr__(self, "apps", tuple(apps))
@@ -295,6 +326,20 @@ class SweepSpec:
                             "lite": self.lite,
                             "utilization": self.utilization,
                         }))
+        elif self.kind == "swf":
+            digest = file_sha256(typing.cast(str, self.swf))
+            for policy in self.policies:
+                for seed in self.seeds:
+                    cells.append(SweepCell.make("swf", {
+                        "swf": self.swf,
+                        "sha256": digest,
+                        "time_scale": self.time_scale,
+                        "work_scale": self.work_scale,
+                        "max_jobs": self.max_jobs,
+                        "policy": policy,
+                        "seed": seed,
+                        "n_processors": self.n_processors,
+                    }))
         else:  # table1
             for app in self.apps:
                 for q_s in self.quanta:
@@ -320,7 +365,7 @@ class SweepSpec:
             "backend": self.backend,
             "store_traces": self.store_traces,
         }
-        if self.kind in ("mix", "opensys"):
+        if self.kind in ("mix", "opensys", "swf"):
             out["policies"] = list(self.policies)
         if self.kind == "mix":
             out["mixes"] = list(self.mixes)
@@ -328,6 +373,11 @@ class SweepSpec:
             out["scenarios"] = list(self.scenarios)
             out["lite"] = self.lite
             out["utilization"] = self.utilization
+        elif self.kind == "swf":
+            out["swf"] = self.swf
+            out["time_scale"] = self.time_scale
+            out["work_scale"] = self.work_scale
+            out["max_jobs"] = self.max_jobs
         else:
             out["apps"] = list(self.apps)
             out["quanta"] = list(self.quanta)
@@ -338,7 +388,24 @@ class SweepSpec:
 #: Fields accepted by the on-disk spec form (beyond schema/name/kind).
 _SPEC_FIELDS = {
     "policies", "seeds", "n_processors", "backend", "store_traces",
-    "mixes", "scenarios", "lite", "utilization", "apps", "quanta", "scale",
+    "mixes", "scenarios", "lite", "utilization", "swf", "time_scale",
+    "work_scale", "max_jobs", "apps", "quanta", "scale",
+}
+
+#: Scalar spec fields and the JSON/TOML types each accepts.  ``bool`` is
+#: an ``int`` subclass, so it is excluded from the numeric fields by hand:
+#: ``n_processors = true`` must not mean one processor.
+_SCALAR_TYPES: typing.Dict[str, typing.Tuple[str, typing.Tuple[type, ...]]] = {
+    "n_processors": ("an integer", (int,)),
+    "scale": ("an integer", (int,)),
+    "max_jobs": ("an integer", (int,)),
+    "lite": ("a boolean", (bool,)),
+    "store_traces": ("a boolean", (bool,)),
+    "utilization": ("a number", (int, float)),
+    "time_scale": ("a number", (int, float)),
+    "work_scale": ("a number", (int, float)),
+    "backend": ("a string", (str, type(None))),
+    "swf": ("a string", (str,)),
 }
 
 
@@ -373,10 +440,16 @@ def spec_from_dict(
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{source}: {field} must be a list")
             kwargs[field] = tuple(value)
-    for field in ("n_processors", "backend", "store_traces", "lite",
-                  "utilization", "scale"):
-        if field in data:
-            kwargs[field] = data[field]
+    for field, (expected, types) in _SCALAR_TYPES.items():
+        if field not in data:
+            continue
+        value = data[field]
+        is_bool = isinstance(value, bool)
+        if not isinstance(value, types) or (is_bool and bool not in types):
+            raise ValueError(
+                f"{source}: {field} must be {expected}, got {value!r}"
+            )
+        kwargs[field] = value
     try:
         return SweepSpec(
             name=str(data.get("name", "")),

@@ -11,13 +11,15 @@ The layer that takes the simulator beyond the paper's closed mixes:
 * :mod:`~repro.workloads.opensys.swf` — Standard Workload Format trace
   ingestion and replay;
 * :mod:`~repro.workloads.opensys.scenario` — the :class:`Scenario`
-  recipe, the (policy × scenario × seed) matrix runner, and the four
+  recipe, the one-cell runner, the matrix summary types, and the four
   built-in scenario shapes.
 
 Everything is driven by named rng substreams and pre-sampled timelines,
 so a scenario instance is a pure function of (name, seed, machine size):
-identical across policies, worker counts, and backends.  Exposed on the
-command line as ``repro opensys``.
+identical across policies, worker counts, and backends.  The
+(policy × scenario × seed) matrix runs as a sweep
+(:mod:`repro.sweep`, kinds ``opensys`` and ``swf``); on the command line
+it is ``repro opensys``.
 """
 
 from repro.workloads.opensys.arrivals import (
@@ -46,7 +48,6 @@ from repro.workloads.opensys.scenario import (
     ScenarioInstance,
     built_in_scenarios,
     quantile,
-    run_matrix,
     run_scenario,
 )
 from repro.workloads.opensys.swf import (
@@ -82,6 +83,5 @@ __all__ = [
     "load_swf",
     "parse_swf",
     "quantile",
-    "run_matrix",
     "run_scenario",
 ]

@@ -13,30 +13,25 @@ become simulator events against ``cancel_job`` / ``fail_processor`` /
 Determinism contract: the instance depends only on
 ``(scenario name, seed, n_processors)`` — never on the policy (common
 random numbers across the policy axis) or on the worker count of the
-sweep.  :func:`run_matrix` fans the (scenario × policy) grid out over
-seeds with the PR 1 parallel runner; per-cell metrics merge in seed
-order, so ``workers=N`` output is bit-identical to serial.
+sweep.  The (scenario × policy × seed) grid runs as a sweep, one cell
+per :func:`run_scenario` call; :func:`repro.sweep.cells.matrix_comparison`
+folds the cells into a :class:`MatrixComparison`, merging per-cell
+metrics in seed order, so ``workers=N`` output is bit-identical to
+serial.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 import typing
 
 from repro.core.policies.base import Policy
 from repro.core.system import SchedulingSystem, SystemResult
-from repro.engine.parallel import map_replications, resolve_workers
 from repro.engine.rng import RngRegistry
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import (
-    HeartbeatEmitter,
-    TelemetryChannel,
-    TelemetrySink,
-)
-from repro.sweep.spec import normalize_seeds
+from repro.obs.telemetry import HeartbeatEmitter
 from repro.threads.job import Job
 from repro.workloads.opensys.arrivals import (
     ArrivalProcess,
@@ -322,7 +317,7 @@ class CellSummary:
 
 @dataclasses.dataclass(frozen=True)
 class MatrixComparison:
-    """Everything one :func:`run_matrix` sweep produced."""
+    """Everything one open-system or SWF sweep produced."""
 
     seeds: typing.Tuple[int, ...]
     scenarios: typing.Tuple[str, ...]
@@ -332,133 +327,6 @@ class MatrixComparison:
     cells: typing.Dict[typing.Tuple[str, str], CellSummary]
     #: (scenario, policy) -> merged metrics snapshot (collect_metrics only)
     metrics: typing.Dict[typing.Tuple[str, str], typing.Dict[str, object]]
-
-
-def _run_seed_batch(
-    replication: int,
-    scenarios: typing.Tuple[ScenarioLike, ...],
-    policies: typing.Tuple[Policy, ...],
-    seed_values: typing.Tuple[int, ...],
-    n_processors: int,
-    machine: MachineSpec,
-    collect_metrics: bool,
-    telemetry_sink: typing.Optional[TelemetrySink] = None,
-) -> typing.Dict[typing.Tuple[str, str], typing.Tuple[OpenSystemResult, object]]:
-    """All (scenario x policy) cells for one seed (one parallel task).
-
-    Module-level so :func:`~repro.engine.parallel.map_replications` can
-    pickle it into worker processes.  With a ``telemetry_sink``, each
-    cell streams heartbeats home labelled ``scenario/policy/seedN``.
-    """
-    seed = seed_values[replication]
-    out: typing.Dict[
-        typing.Tuple[str, str], typing.Tuple[OpenSystemResult, object]
-    ] = {}
-    for scenario in scenarios:
-        for policy in policies:
-            registry = MetricsRegistry() if collect_metrics else None
-            heartbeat = None
-            if telemetry_sink is not None:
-                heartbeat = HeartbeatEmitter(
-                    telemetry_sink,
-                    label=f"{scenario.name}/{policy.name}/seed{seed}",
-                )
-            result = run_scenario(
-                scenario,
-                policy,
-                seed=seed,
-                n_processors=n_processors,
-                machine=machine,
-                metrics=registry,
-                heartbeat=heartbeat,
-            )
-            snapshot = registry.snapshot() if registry is not None else None
-            out[(result.scenario, policy.name)] = (result, snapshot)
-    return out
-
-
-def run_matrix(
-    scenarios: typing.Sequence[ScenarioLike],
-    policies: typing.Sequence[Policy],
-    seeds: typing.Union[int, typing.Sequence[int]] = 3,
-    base_seed: int = 0,
-    n_processors: int = 16,
-    machine: MachineSpec = SEQUENT_SYMMETRY,
-    workers: typing.Optional[int] = None,
-    collect_metrics: bool = False,
-    telemetry: typing.Optional[TelemetrySink] = None,
-    on_commit: typing.Optional[typing.Callable[[int, object], None]] = None,
-) -> MatrixComparison:
-    """Run the (scenario x policy x seed) grid, optionally in parallel.
-
-    ``seeds`` is either a count (``3`` runs ``base_seed .. base_seed+2``)
-    or an explicit seed list; duplicates are rejected by the shared
-    :func:`~repro.sweep.spec.normalize_seeds` validator, since a repeated
-    seed reruns the identical simulation and double-weights it in every
-    pooled statistic.
-
-    Parallelism is over seeds (one task per seed runs every cell), with
-    results committed in seed order — output is bit-identical for any
-    ``workers``.
-
-    ``telemetry`` receives live :class:`~repro.obs.telemetry.TelemetrySnapshot`
-    heartbeats from every cell (across process boundaries when
-    ``workers > 1``); ``on_commit(seed_index, batch)`` fires as each
-    seed's batch commits, in seed order.  Both are observational only —
-    attaching them never changes the sweep's results.
-    """
-    seed_values = normalize_seeds(seeds, base_seed)
-    if not scenarios or not policies:
-        raise ValueError("need at least one scenario and one policy")
-    channel = (
-        TelemetryChannel(resolve_workers(workers), telemetry)
-        if telemetry is not None
-        else None
-    )
-    try:
-        run_once = functools.partial(
-            _run_seed_batch,
-            scenarios=tuple(scenarios),
-            policies=tuple(policies),
-            seed_values=seed_values,
-            n_processors=n_processors,
-            machine=machine,
-            collect_metrics=collect_metrics,
-            telemetry_sink=channel.sink if channel is not None else None,
-        )
-        batches = map_replications(
-            run_once, len(seed_values), workers=workers, on_commit=on_commit
-        )
-    finally:
-        if channel is not None:
-            channel.close()
-
-    results: typing.Dict[
-        typing.Tuple[str, str], typing.List[OpenSystemResult]
-    ] = {}
-    merged: typing.Dict[typing.Tuple[str, str], MetricsRegistry] = {}
-    scenario_names: typing.List[str] = []
-    for batch in batches:  # seed order == commit order
-        for key, (result, snapshot) in batch.items():
-            results.setdefault(key, []).append(result)
-            if key[0] not in scenario_names:
-                scenario_names.append(key[0])
-            if collect_metrics and snapshot is not None:
-                merged.setdefault(key, MetricsRegistry()).merge_snapshot(
-                    typing.cast(typing.Dict[str, object], snapshot)
-                )
-    cells = {
-        key: CellSummary.from_results(cell_results)
-        for key, cell_results in results.items()
-    }
-    return MatrixComparison(
-        seeds=seed_values,
-        scenarios=tuple(scenario_names),
-        policies=tuple(p.name for p in policies),
-        results={key: tuple(value) for key, value in results.items()},
-        cells=cells,
-        metrics={key: registry.snapshot() for key, registry in merged.items()},
-    )
 
 
 # ---------------------------------------------------------------------- #

@@ -33,6 +33,8 @@ event halfway through their recorded runtime.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import os
 import typing
 
 from repro.machine.footprint import FootprintCurve
@@ -178,12 +180,26 @@ class SwfScenario:
         time_scale: float = 1.0,
         work_scale: float = 1.0,
         max_jobs: int = 0,
+        sha256: typing.Optional[str] = None,
     ) -> "SwfScenario":
-        """Load ``path`` and wrap it as a scenario named after the file."""
-        name = path.rsplit("/", 1)[-1]
+        """Load ``path`` and wrap it as a scenario named after the file.
+
+        With ``sha256``, the bytes read must hash to it, or a
+        ``ValueError`` naming the file is raised: a caller that keyed
+        results by the trace's content never parses a different one.
+        """
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        if sha256 is not None:
+            actual = hashlib.sha256(raw).hexdigest()
+            if actual != sha256:
+                raise ValueError(
+                    f"{path}: SWF trace changed since it was keyed "
+                    f"(sha256 {actual}, expected {sha256})"
+                )
         return cls(
-            name=f"swf:{name}",
-            jobs=tuple(load_swf(path)),
+            name=f"swf:{os.path.basename(path)}",
+            jobs=tuple(parse_swf(raw.decode("utf-8"), source=path)),
             time_scale=time_scale,
             work_scale=work_scale,
             max_jobs=max_jobs,

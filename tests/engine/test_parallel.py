@@ -1,25 +1,13 @@
-"""The process-pool replication executor and its serial equivalence."""
+"""The ordered process-pool fan-out and its serial equivalence."""
 
 import pytest
 
-from repro.engine.parallel import (
-    BatchedConvergence,
-    ConvergenceCriterion,
-    map_replications,
-    resolve_workers,
-    run_replications,
-)
-from repro.engine.stats import ConfidenceInterval, ReplicationDriver, SampleStats
+from repro.engine.parallel import map_items, resolve_workers
 
 
-def _square(replication):
+def _square(item):
     """Module-level so it pickles into pool workers."""
-    return replication * replication
-
-
-def _metric(replication):
-    """Deterministic pseudo-noisy metric keyed only by the replication index."""
-    return {"rt": 100.0 + ((replication * 37) % 11) * 0.01}
+    return item * item
 
 
 class TestResolveWorkers:
@@ -36,113 +24,27 @@ class TestResolveWorkers:
             resolve_workers(-2)
 
 
-class TestConvergenceCriterion:
-    def test_relative_rule(self):
-        criterion = ConvergenceCriterion(target_relative=0.01, target_absolute=0.0)
-        assert criterion.interval_converged(ConfidenceInterval(100.0, 0.5))
-        assert not criterion.interval_converged(ConfidenceInterval(100.0, 5.0))
-
-    def test_absolute_escape_hatch_for_zero_mean(self):
-        criterion = ConvergenceCriterion(target_relative=0.01, target_absolute=1e-6)
-        assert criterion.interval_converged(ConfidenceInterval(0.0, 1e-7))
-        assert not criterion.interval_converged(ConfidenceInterval(0.0, 1e-3))
-
-    def test_negative_tolerances_rejected(self):
-        with pytest.raises(ValueError):
-            ConvergenceCriterion(target_relative=-0.1)
-        with pytest.raises(ValueError):
-            ConvergenceCriterion(target_absolute=-1.0)
-
-
-class TestBatchedConvergence:
-    def test_folds_prefixes_incrementally(self):
-        check = BatchedConvergence(lambda m: m, ConvergenceCriterion(0.5, 0.0))
-        committed = [{"rt": 10.0}, {"rt": 10.5}]
-        check(committed)
-        assert check.samples["rt"].n == 2
-        committed.append({"rt": 9.5})
-        check(committed)
-        assert check.samples["rt"].n == 3  # only the new tail was folded
-
-    def test_matches_serial_welford(self):
-        values = [10.0, 12.0, 11.0, 10.5, 11.5]
-        check = BatchedConvergence(lambda m: m, ConvergenceCriterion())
-        committed = []
-        for value in values:
-            committed.append({"rt": value})
-            check(committed)
-        serial = SampleStats()
-        serial.extend(values)
-        assert check.samples["rt"].n == serial.n
-        assert check.samples["rt"].mean == pytest.approx(serial.mean)
-        assert check.samples["rt"].variance == pytest.approx(serial.variance)
-
-    def test_empty_samples_never_converged(self):
-        check = BatchedConvergence(lambda m: m, ConvergenceCriterion(1.0, 1.0))
-        assert check([]) is False
-
-
-class TestRunReplications:
-    def test_serial_stops_at_first_converged_prefix(self):
-        seen = []
-
-        def run_once(replication):
-            seen.append(replication)
-            return replication
-
-        results = run_replications(run_once, 2, 10, lambda c: len(c) >= 4)
-        assert results == [0, 1, 2, 3]
-        assert seen == [0, 1, 2, 3]
-
-    def test_serial_runs_to_cap_when_never_converged(self):
-        results = run_replications(lambda r: r, 2, 5, lambda c: False)
-        assert results == [0, 1, 2, 3, 4]
-
-    def test_parallel_commits_in_replication_order(self):
-        results = run_replications(_square, 2, 8, lambda c: False, workers=3)
-        assert results == [r * r for r in range(8)]
-
-    def test_parallel_stops_at_same_prefix_as_serial(self):
-        converged = lambda committed: len(committed) >= 3
-        serial = run_replications(_square, 2, 10, converged)
-        parallel = run_replications(_square, 2, 10, converged, workers=4)
-        assert parallel == serial == [0, 1, 4]
-
-    def test_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            run_replications(_square, 0, 5, lambda c: True)
-        with pytest.raises(ValueError):
-            run_replications(_square, 5, 3, lambda c: True)
-
-
-class TestMapReplications:
+class TestMapItems:
     def test_serial(self):
-        assert map_replications(_square, 4) == [0, 1, 4, 9]
+        assert map_items(_square, [0, 1, 2, 3]) == [0, 1, 4, 9]
 
     def test_parallel_equals_serial(self):
-        assert map_replications(_square, 6, workers=3) == map_replications(_square, 6)
+        items = [5, 3, 8, 1, 9, 2]
+        assert map_items(_square, items, workers=3) == map_items(_square, items)
 
-    def test_zero_count(self):
-        assert map_replications(_square, 0, workers=2) == []
+    def test_zero_items(self):
+        assert map_items(_square, [], workers=2) == []
 
-    def test_negative_count_rejected(self):
+    def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError):
-            map_replications(_square, -1)
+            map_items(_square, [1], workers=0)
 
-
-class TestReplicationDriverParallel:
-    def test_parallel_intervals_equal_serial(self):
-        serial = ReplicationDriver(
-            _metric, target_relative=0.001, min_replications=3, max_replications=12
-        ).run()
-        parallel = ReplicationDriver(
-            _metric,
-            target_relative=0.001,
-            min_replications=3,
-            max_replications=12,
-            workers=2,
-        ).run()
-        assert serial.keys() == parallel.keys()
-        assert serial["rt"].n == parallel["rt"].n
-        assert serial["rt"].mean == parallel["rt"].mean
-        assert serial["rt"].half_width == parallel["rt"].half_width
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_commits_fire_in_item_order(self, workers):
+        commits = []
+        results = map_items(
+            _square, [4, 2, 7], workers=workers,
+            on_commit=lambda i, r: commits.append((i, r)),
+        )
+        assert results == [16, 4, 49]
+        assert commits == [(0, 16), (1, 4), (2, 49)]

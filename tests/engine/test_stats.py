@@ -1,4 +1,4 @@
-"""Sample statistics and the replication stopping rule."""
+"""Sample statistics: Welford accumulation, merging, confidence intervals."""
 
 import math
 import statistics
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.engine.stats import (
     ConfidenceInterval,
-    ReplicationDriver,
     SampleStats,
     mean_confidence_interval,
     t_critical_95,
@@ -162,88 +161,3 @@ class TestConfidenceInterval:
         ci = mean_confidence_interval([1.0, 2.0, 3.0])
         assert ci.mean == pytest.approx(2.0)
         assert ci.n == 3
-
-
-class TestReplicationDriver:
-    def test_stops_when_converged(self):
-        calls = []
-
-        def run_once(replication):
-            calls.append(replication)
-            return {"rt": 10.0}  # zero variance -> converges at min
-
-        driver = ReplicationDriver(run_once, min_replications=3, max_replications=50)
-        result = driver.run()
-        assert len(calls) == 3
-        assert result["rt"].mean == pytest.approx(10.0)
-
-    def test_runs_to_cap_when_noisy(self):
-        import random
-
-        rng = random.Random(0)
-        calls = []
-
-        def run_once(replication):
-            calls.append(replication)
-            return {"rt": rng.uniform(0, 1000)}
-
-        driver = ReplicationDriver(
-            run_once, target_relative=1e-6, min_replications=2, max_replications=8
-        )
-        driver.run()
-        assert len(calls) == 8
-
-    def test_all_metrics_must_converge(self):
-        values = iter([(1.0, 100.0), (1.0, 200.0), (1.0, 100.0), (1.0, 200.0),
-                       (1.0, 100.0), (1.0, 200.0)])
-
-        def run_once(replication):
-            a, b = next(values)
-            return {"stable": a, "noisy": b}
-
-        driver = ReplicationDriver(run_once, min_replications=2, max_replications=6)
-        result = driver.run()
-        assert result["stable"].n == 6  # kept running because of "noisy"
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ValueError):
-            ReplicationDriver(lambda r: {}, min_replications=1)
-        with pytest.raises(ValueError):
-            ReplicationDriver(lambda r: {}, min_replications=5, max_replications=3)
-        with pytest.raises(ValueError):
-            ReplicationDriver(lambda r: {}, workers=0)
-
-    def test_zero_mean_metric_converges_via_absolute_tolerance(self):
-        """Regression: a mean-zero metric has infinite relative half-width,
-        which used to stall convergence until max_replications every time."""
-        calls = []
-
-        def run_once(replication):
-            calls.append(replication)
-            # mean 0 with tiny float noise: relatively never converged
-            return {"delta": 1e-12 if replication % 2 else -1e-12}
-
-        driver = ReplicationDriver(run_once, min_replications=3, max_replications=50)
-        result = driver.run()
-        assert len(calls) < 50
-        assert result["delta"].mean == pytest.approx(0.0, abs=1e-12)
-
-    def test_absolute_tolerance_can_be_tightened(self):
-        def run_once(replication):
-            return {"delta": 0.5 if replication % 2 else -0.5}  # mean ~0, real noise
-
-        driver = ReplicationDriver(
-            run_once, min_replications=3, max_replications=10, target_absolute=0.0
-        )
-        result = driver.run()
-        assert result["delta"].n == 10  # genuinely unconverged: runs to cap
-
-    def test_absolute_tolerance_escape_hatch_is_adjustable(self):
-        def run_once(replication):
-            return {"delta": 0.5 if replication % 2 else -0.5}
-
-        driver = ReplicationDriver(
-            run_once, min_replications=3, max_replications=10, target_absolute=10.0
-        )
-        result = driver.run()
-        assert result["delta"].n == 3  # wide tolerance: stops at the floor

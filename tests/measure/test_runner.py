@@ -4,11 +4,13 @@ import pytest
 
 from repro.core.policies import DYN_AFF, DYNAMIC, EQUIPARTITION
 from repro.measure.runner import (
-    compare_policies,
+    comparison_from_replications,
     relative_response_times,
     run_mix,
 )
 from repro.measure.workloads import WorkloadMix
+from repro.sweep import SweepSpec, run_sweep
+from repro.sweep.cells import mix_comparison
 
 #: A cut-down heterogeneous mix so runner tests stay fast.
 SMALL_MIX = WorkloadMix(90, {"MVA": 1, "GRAVITY": 0, "MATRIX": 0})
@@ -36,17 +38,22 @@ class TestRunMix:
 
 
 class TestComparePolicies:
+    """Replications of Table 2 mix 1 (two MVAs), summarized per policy."""
+
     @pytest.fixture(scope="class")
     def comparison(self):
-        return compare_policies(
-            SMALL_MIX, [EQUIPARTITION, DYNAMIC], replications=3, base_seed=0
+        spec = SweepSpec(
+            name="runner", kind="mix", mixes=(1,),
+            policies=("Equipartition", "Dynamic"), seeds=3,
         )
+        return mix_comparison(spec, run_sweep(spec).payloads, 1)
 
     def test_summaries_per_policy_per_job(self, comparison):
         assert set(comparison.policies()) == {"Equipartition", "Dynamic"}
-        assert comparison.job_names() == ["MVA"]
+        assert comparison.job_names() == ["MVA", "MVA-1"]
 
     def test_replication_count_respected(self, comparison):
+        assert comparison.n_replications == 3
         assert comparison.summaries["Dynamic"]["MVA"].response_time.n == 3
 
     def test_relative_response_time(self, comparison):
@@ -56,21 +63,22 @@ class TestComparePolicies:
     def test_relative_table_excludes_baseline(self, comparison):
         table = relative_response_times(comparison)
         assert set(table) == {"Dynamic"}
-        assert set(table["Dynamic"]) == {"MVA"}
+        assert set(table["Dynamic"]) == {"MVA", "MVA-1"}
 
     def test_missing_baseline_rejected(self, comparison):
         with pytest.raises(KeyError):
             relative_response_times(comparison, baseline="NoSuchPolicy")
 
     def test_mean_response_time(self, comparison):
+        jobs = comparison.summaries["Dynamic"]
         mean = comparison.mean_response_time("Dynamic")
         assert mean == pytest.approx(
-            comparison.summaries["Dynamic"]["MVA"].response_time.mean
+            (jobs["MVA"].response_time.mean + jobs["MVA-1"].response_time.mean) / 2
         )
 
     def test_invalid_replications(self):
         with pytest.raises(ValueError):
-            compare_policies(SMALL_MIX, [DYNAMIC], replications=0)
+            comparison_from_replications(1, [])
 
     def test_job_summary_app_property(self, comparison):
-        assert comparison.summaries["Dynamic"]["MVA"].app == "MVA"
+        assert comparison.summaries["Dynamic"]["MVA-1"].app == "MVA"

@@ -5,7 +5,7 @@ and the Equipartition vs Dyn-Aff gap lands in the affinity buckets.
 import pytest
 
 from repro.core.policies import DYN_AFF, EQUIPARTITION
-from repro.engine.parallel import map_replications
+from repro.engine.parallel import map_items
 from repro.measure.runner import run_mix
 from repro.obs import Tracer
 from repro.obs.analysis import BUCKETS, diff_traces
@@ -50,8 +50,8 @@ class TestParallelDeterminism:
     """Satellite (d): serial and workers=2 runs diverge nowhere."""
 
     def test_worker_count_never_changes_the_trace(self):
-        serial = map_replications(_replicated_trace, 2, workers=1)
-        parallel = map_replications(_replicated_trace, 2, workers=2)
+        serial = map_items(_replicated_trace, [0, 1], workers=1)
+        parallel = map_items(_replicated_trace, [0, 1], workers=2)
         for r, (text_a, text_b) in enumerate(zip(serial, parallel)):
             diff = diff_traces(
                 trace_from_jsonl(text_a),

@@ -5,13 +5,25 @@ import pytest
 from repro.apps import APPLICATIONS
 from repro.core.policies import DYN_AFF, EQUIPARTITION
 from repro.measure.penalty import PenaltyExperiment
-from repro.measure.runner import compare_policies, run_mix
+from repro.measure.runner import run_mix
 from repro.obs.profiling import (
     PROFILE_SCHEMA,
     NullSpanProfiler,
     SpanProfiler,
     validate_profile,
 )
+from repro.sweep import SweepSpec, run_sweep
+from repro.sweep.cells import mix_comparison
+
+
+def _profiled_comparison(policies, workers=None):
+    """Mix 1, two seeds, every cell profiled."""
+    spec = SweepSpec(
+        name="profiled", kind="mix", mixes=(1,),
+        policies=tuple(p.name for p in policies), seeds=2,
+    )
+    sweep = run_sweep(spec, workers=workers, collect_profile=True)
+    return mix_comparison(spec, sweep.payloads, 1)
 
 
 class FakeClock:
@@ -165,21 +177,15 @@ class TestLiveWiring:
         assert any(name.startswith("penalty/") for name in spans)
 
     def test_comparison_merges_per_replication_profiles(self):
-        comparison = compare_policies(
-            1, [EQUIPARTITION, DYN_AFF], replications=2, collect_profile=True
-        )
+        comparison = _profiled_comparison([EQUIPARTITION, DYN_AFF])
         assert set(comparison.profiles) == {"Equipartition", "Dyn-Aff"}
         for snapshot in comparison.profiles.values():
             validate_profile(snapshot)
             assert snapshot["spans"]["engine/run"]["calls"] == 2
 
     def test_profiles_survive_the_process_pool(self):
-        serial = compare_policies(
-            1, [DYN_AFF], replications=2, collect_profile=True, workers=1
-        )
-        parallel = compare_policies(
-            1, [DYN_AFF], replications=2, collect_profile=True, workers=2
-        )
+        serial = _profiled_comparison([DYN_AFF], workers=1)
+        parallel = _profiled_comparison([DYN_AFF], workers=2)
         # Wall-clock values differ; the deterministic shape must not.
         assert set(serial.profiles["Dyn-Aff"]["spans"]) == \
             set(parallel.profiles["Dyn-Aff"]["spans"])

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.policies import DYN_AFF, DYNAMIC, EQUIPARTITION
-from repro.measure.runner import compare_policies, run_mix
+from repro.measure.runner import run_mix
 from repro.obs import Tracer
 from repro.obs.replay import replay, verify_replay
+from repro.sweep import SweepSpec, run_sweep
+from repro.sweep.cells import mix_comparison
 
 
 class TestReplayExactness:
@@ -46,14 +48,12 @@ class TestSerialParallelDifferential:
     """ISSUE satellite: workers=2 must produce identical metrics snapshots."""
 
     def run(self, workers):
-        return compare_policies(
-            5,
-            (EQUIPARTITION, DYN_AFF),
-            replications=4,
-            base_seed=0,
-            workers=workers,
-            collect_metrics=True,
+        spec = SweepSpec(
+            name="replay-differential", kind="mix", mixes=(5,),
+            policies=(EQUIPARTITION.name, DYN_AFF.name), seeds=4,
         )
+        sweep = run_sweep(spec, workers=workers, collect_metrics=True)
+        return mix_comparison(spec, sweep.payloads, 5)
 
     @pytest.mark.slow
     def test_metrics_identical_across_worker_counts(self):

@@ -19,7 +19,8 @@ from repro.obs.telemetry import (
     TelemetrySnapshot,
     progress_line,
 )
-from repro.workloads.opensys import built_in_scenarios, run_matrix
+from repro.sweep import SweepSpec, run_sweep
+from repro.sweep.cells import matrix_comparison
 
 
 def snap(label="cell", seq=0, wall_s=2.0, sim_s=4.0, events=1000,
@@ -142,12 +143,16 @@ class TestTelemetryChannel:
 
 
 def _matrix(telemetry=None, workers=None, on_commit=None):
-    built = built_in_scenarios(lite=True, n_processors=4)
-    return run_matrix(
-        [built["steady"]], [DYN_AFF, EQUIPARTITION], seeds=2,
-        n_processors=4, workers=workers, telemetry=telemetry,
-        on_commit=on_commit,
+    spec = SweepSpec(
+        name="telemetry", kind="opensys", scenarios=("steady",),
+        policies=(DYN_AFF.name, EQUIPARTITION.name), seeds=2,
+        n_processors=4, lite=True,
     )
+    sweep = run_sweep(
+        spec, workers=workers, telemetry=telemetry, on_commit=on_commit,
+        shard_size=2,
+    )
+    return matrix_comparison(spec, sweep.payloads)
 
 
 class TestMatrixTelemetry:

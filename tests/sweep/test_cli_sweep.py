@@ -5,9 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.sweep import SweepSpec
-from repro.workloads.opensys import built_in_scenarios, run_matrix
 from repro.core.policies import DYN_AFF, EQUIPARTITION
+from repro.sweep import SweepSpec, normalize_seeds, run_sweep
+from repro.sweep.cells import matrix_comparison
 
 
 def _write_spec(tmp_path, **overrides):
@@ -103,34 +103,32 @@ class TestSeedsAxis:
             build_parser().parse_args(["opensys", "--seeds", bad])
 
 
-class TestRunMatrixSeedList:
+def _steady_matrix(seeds):
+    spec = SweepSpec(
+        name="seeds", kind="opensys", scenarios=("steady",),
+        policies=(EQUIPARTITION.name, DYN_AFF.name), seeds=seeds,
+        n_processors=4, lite=True,
+    )
+    return matrix_comparison(spec, run_sweep(spec).payloads)
+
+
+class TestSeedListAxis:
     def test_explicit_seed_list_matches_equivalent_count(self):
-        scenarios = [built_in_scenarios(lite=True, n_processors=4)["steady"]]
-        policies = [EQUIPARTITION, DYN_AFF]
-        by_count = run_matrix(
-            scenarios, policies, seeds=2, base_seed=5, n_processors=4
-        )
-        by_list = run_matrix(
-            scenarios, policies, seeds=[5, 6], n_processors=4
-        )
+        by_count = _steady_matrix(normalize_seeds(2, base_seed=5))
+        by_list = _steady_matrix([5, 6])
         assert by_count.seeds == by_list.seeds == (5, 6)
         assert by_count.results == by_list.results
 
     def test_noncontiguous_seed_list(self):
-        scenarios = [built_in_scenarios(lite=True, n_processors=4)["steady"]]
-        result = run_matrix(
-            scenarios, [DYN_AFF], seeds=[3, 11], n_processors=4
-        )
+        result = _steady_matrix([3, 11])
         assert result.seeds == (3, 11)
         for per_seed in result.results.values():
             assert [r.seed for r in per_seed] == [3, 11]
 
     def test_duplicate_seed_list_rejected(self):
-        scenarios = [built_in_scenarios(lite=True, n_processors=4)["steady"]]
         with pytest.raises(ValueError, match="duplicate seeds"):
-            run_matrix(scenarios, [DYN_AFF], seeds=[1, 1], n_processors=4)
+            _steady_matrix([1, 1])
 
     def test_zero_count_rejected(self):
-        scenarios = [built_in_scenarios(lite=True, n_processors=4)["steady"]]
         with pytest.raises(ValueError, match="at least one seed"):
-            run_matrix(scenarios, [DYN_AFF], seeds=0, n_processors=4)
+            _steady_matrix(0)

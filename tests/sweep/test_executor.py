@@ -5,6 +5,7 @@ enough (~tens of ms each) to run many times per test.
 """
 
 import json
+import os
 
 import pytest
 
@@ -190,3 +191,39 @@ class TestStatusAndClean:
         assert sweep_status(_spec(), cache).n_cached == 0
         assert sweep_status(other, cache).n_cached == 4
         assert sweep_clean(_spec(), cache) == 0  # idempotent
+
+
+class TestSwfCells:
+    """An SWF replay is a sweep cell keyed by the trace's content."""
+
+    SAMPLE = os.path.join(os.path.dirname(__file__), "..", "data", "sample.swf")
+
+    def _swf_spec(self, path):
+        return SweepSpec(
+            name="swf", kind="swf", swf=path, time_scale=2.0,
+            policies=("Dyn-Aff",), seeds=(0, 1), n_processors=8,
+        )
+
+    def test_cell_matches_direct_replay(self):
+        from repro.core.policies import DYN_AFF
+        from repro.sweep.cells import opensys_result_from_dict
+        from repro.workloads.opensys import SwfScenario, run_scenario
+
+        sweep = run_sweep(self._swf_spec(self.SAMPLE))
+        scenario = SwfScenario.from_file(self.SAMPLE, time_scale=2.0)
+        for outcome in sweep.outcomes:
+            seed = outcome.cell.config["seed"]
+            direct = run_scenario(scenario, DYN_AFF, seed=seed, n_processors=8)
+            assert opensys_result_from_dict(
+                outcome.payload["data"]["opensys"]
+            ) == direct
+
+    def test_edited_trace_refused_under_stale_key(self, tmp_path):
+        from repro.sweep.cells import run_cell
+
+        trace = tmp_path / "edited.swf"
+        trace.write_bytes(open(self.SAMPLE, "rb").read())
+        (cell, _) = self._swf_spec(str(trace)).expand()
+        trace.write_bytes(trace.read_bytes().replace(b"4.0", b"4.5", 1))
+        with pytest.raises(ValueError, match=r"edited\.swf: SWF trace changed"):
+            run_cell(cell)

@@ -1,6 +1,8 @@
 """Sweep specs: seed validation, axis validation, expansion, loading."""
 
+import hashlib
 import json
+import os
 import pickle
 import sys
 
@@ -91,6 +93,19 @@ def _opensys_spec(**overrides):
     return SweepSpec(**kwargs)
 
 
+SAMPLE_SWF = os.path.join(
+    os.path.dirname(__file__), "..", "data", "sample.swf"
+)
+
+
+def _swf_spec():
+    return SweepSpec(
+        name="t", kind="swf", swf=SAMPLE_SWF, time_scale=4.0,
+        work_scale=2.0, max_jobs=5, policies=("Dyn-Aff",), seeds=(0, 1),
+        n_processors=8,
+    )
+
+
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown sweep kind"):
@@ -145,6 +160,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="at least one policy"):
             SweepSpec(name="t", kind="opensys", scenarios=("steady",))
 
+    def test_swf_needs_path_and_positive_scales(self):
+        with pytest.raises(ValueError, match="trace path"):
+            SweepSpec(name="t", kind="swf", policies=("Dyn-Aff",))
+        for field in ("time_scale", "work_scale"):
+            for bad in (0, -1.0, float("inf")):
+                with pytest.raises(ValueError, match=field):
+                    SweepSpec(
+                        name="t", kind="swf", swf="x.swf",
+                        policies=("Dyn-Aff",), **{field: bad},
+                    )
+        with pytest.raises(ValueError, match="max_jobs"):
+            SweepSpec(
+                name="t", kind="swf", swf="x.swf", policies=("Dyn-Aff",),
+                max_jobs=-1,
+            )
+
     def test_table1_defaults_paper_axes(self):
         spec = SweepSpec(name="t", kind="table1")
         assert spec.apps == TABLE1_APPS
@@ -191,6 +222,32 @@ class TestExpansion:
         assert "backend" not in mix.config
         assert "backend" not in osys.config
         assert t1.config["backend"] == "scalar"
+
+    def test_swf_cell_config_carries_trace_digest(self):
+        spec = SweepSpec(
+            name="t", kind="swf", swf=SAMPLE_SWF, time_scale=4, work_scale=2,
+            max_jobs=5, policies=("Dyn-Aff",), seeds=(3,), n_processors=8,
+        )
+        (cell,) = spec.expand()
+        with open(SAMPLE_SWF, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert cell.config == {
+            "swf": SAMPLE_SWF, "sha256": digest, "time_scale": 4.0,
+            "work_scale": 2.0, "max_jobs": 5, "policy": "Dyn-Aff",
+            "seed": 3, "n_processors": 8,
+        }
+        assert cell.label == "swf:sample.swf/Dyn-Aff/seed3"
+
+    def test_swf_digest_follows_file_content(self, tmp_path):
+        trace = tmp_path / "t.swf"
+        trace.write_bytes(open(SAMPLE_SWF, "rb").read())
+        spec = SweepSpec(
+            name="t", kind="swf", swf=str(trace), policies=("Dyn-Aff",),
+        )
+        before = spec.expand()
+        trace.write_bytes(trace.read_bytes() + b"\n")
+        after = spec.expand()
+        assert before[0].config["sha256"] != after[0].config["sha256"]
 
     def test_table1_cells_carry_partners(self):
         spec = SweepSpec(name="t", kind="table1", apps=("MVA", "MATRIX"))
@@ -247,6 +304,50 @@ class TestSpecDocuments:
         data["seeds"] = [1, 1]
         with pytest.raises(ValueError, match="spec.json: duplicate seeds"):
             spec_from_dict(data, source="spec.json")
+
+    @pytest.mark.parametrize("field, bad", [
+        ("n_processors", 4.5),
+        ("n_processors", True),
+        ("n_processors", "4"),
+        ("lite", "no"),
+        ("lite", 0),
+        ("store_traces", "false"),
+        ("utilization", "0.5"),
+        ("utilization", True),
+        ("backend", 1),
+    ])
+    def test_mistyped_scalar_rejected_naming_source_and_field(self, field, bad):
+        data = _opensys_spec().to_dict()
+        data[field] = bad
+        with pytest.raises(ValueError, match=rf"my.json: {field} must be"):
+            spec_from_dict(data, source="my.json")
+
+    @pytest.mark.parametrize("field, bad", [
+        ("scale", 2.5),
+        ("scale", False),
+    ])
+    def test_mistyped_table1_scalar_rejected(self, field, bad):
+        data = SweepSpec(name="q", kind="table1").to_dict()
+        data[field] = bad
+        with pytest.raises(ValueError, match=rf"my.json: {field} must be"):
+            spec_from_dict(data, source="my.json")
+
+    @pytest.mark.parametrize("field, bad", [
+        ("max_jobs", 1.5),
+        ("max_jobs", True),
+        ("time_scale", "4"),
+        ("work_scale", None),
+        ("swf", 7),
+    ])
+    def test_mistyped_swf_scalar_rejected(self, field, bad):
+        data = _swf_spec().to_dict()
+        data[field] = bad
+        with pytest.raises(ValueError, match=rf"my.json: {field} must be"):
+            spec_from_dict(data, source="my.json")
+
+    def test_swf_roundtrip_through_dict(self):
+        spec = _swf_spec()
+        assert spec_from_dict(spec.to_dict()) == spec
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ValueError, match="table/object"):

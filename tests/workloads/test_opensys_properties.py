@@ -5,8 +5,8 @@ The contracts under test:
 * a scenario instance is a pure function of (name, seed, machine size) —
   re-instantiating or re-running produces bit-identical timelines,
   traces, and metrics;
-* the seed-parallel matrix runner is chunking-invariant — any worker
-  count produces output bit-identical to a serial sweep;
+* the matrix sweep is chunking-invariant — any worker count produces
+  output bit-identical to a serial sweep;
 * arrival processes are prefix-stable — extending the horizon never
   rewrites history, which is exactly why parallel chunking can work;
 * utilization targeting holds — the offered load of a Poisson stream
@@ -19,12 +19,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.policies import DYN_AFF, EQUIPARTITION
 from repro.engine.rng import RngRegistry
 from repro.obs import MetricsRegistry, Tracer
+from repro.sweep import SweepSpec, normalize_seeds, run_sweep
+from repro.sweep.cells import matrix_comparison
 from repro.workloads.opensys import (
     BurstyArrivals,
     DiurnalArrivals,
     PoissonArrivals,
     built_in_scenarios,
-    run_matrix,
     run_scenario,
 )
 
@@ -99,17 +100,19 @@ def test_instance_is_policy_free(scenario_name, seed):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_matrix_workers_bit_identical_to_serial(names, seeds, workers, base_seed):
-    """run_matrix output is invariant to the worker count (any chunking)."""
-    scenarios = [_scenario(name) for name in sorted(names)]
-    policies = [DYN_AFF, EQUIPARTITION]
-    serial = run_matrix(
-        scenarios, policies, seeds=seeds, base_seed=base_seed,
-        n_processors=P, workers=None, collect_metrics=True,
+    """The matrix sweep is invariant to the worker count (any chunking)."""
+    spec = SweepSpec(
+        name="props", kind="opensys", scenarios=tuple(sorted(names)),
+        policies=(DYN_AFF.name, EQUIPARTITION.name),
+        seeds=normalize_seeds(seeds, base_seed), n_processors=P, lite=True,
     )
-    parallel = run_matrix(
-        scenarios, policies, seeds=seeds, base_seed=base_seed,
-        n_processors=P, workers=workers, collect_metrics=True,
-    )
+
+    def matrix(workers):
+        sweep = run_sweep(spec, workers=workers, collect_metrics=True)
+        return matrix_comparison(spec, sweep.payloads)
+
+    serial = matrix(None)
+    parallel = matrix(workers)
     assert serial.results == parallel.results
     assert serial.cells == parallel.cells
     assert serial.metrics == parallel.metrics
