@@ -128,6 +128,14 @@ class TestGoldens:
         assert main(["future", "--mix", "1", "-r", "2"]) == 0
         assert capsys.readouterr().out == _data("future_mix1_r2.stdout")
 
+    def test_fig5_mix5_metrics_stdout(self, capsys):
+        assert main(["fig5", "--mix", "5", "-r", "1", "--metrics"]) == 0
+        assert capsys.readouterr().out == _data("fig5_mix5_r1_metrics.stdout")
+
+    def test_fig6_mix6_stdout(self, capsys):
+        assert main(["fig6", "--mix", "6", "-r", "1"]) == 0
+        assert capsys.readouterr().out == _data("fig6_mix6_r1.stdout")
+
     def test_opensys_swf_stdout_and_json(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main([
