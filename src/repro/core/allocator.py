@@ -20,6 +20,13 @@ Decision rules implemented here, exactly as Section 5 presents them:
 
 Equipartition bypasses all of the above: it computes allocation numbers on
 job arrival/completion only (Section 5.1).
+
+Every question the rules ask is answered from incrementally kept state
+rather than a rescan (see "Scheduling core state" in
+``docs/architecture.md``): per-job owned/busy counts and owned-cpu masks
+on :class:`~repro.threads.job.Job`, and the free, busy and willing sets
+here as int bitmasks over cpu ids, so lowest-id-first iteration keeps
+the tie-breaks of the processor table order.
 """
 
 from __future__ import annotations
@@ -42,6 +49,8 @@ class ProcessorRecord:
 
     def __init__(self, cpu_id: int, history_depth: int = 1) -> None:
         self.cpu_id = cpu_id
+        #: this processor's bit in the allocator's cpu-id masks
+        self.bit = 1 << cpu_id
         self.job: typing.Optional[Job] = None
         self.worker: typing.Optional[WorkerTask] = None
         #: set while the owning job holds the processor idle
@@ -96,17 +105,35 @@ class Allocator:
         ]
         self.credit = CreditScheduler(n_processors)
         self.jobs: typing.List[Job] = []
+        # Bit i describes processor i.  The scheduling system's four
+        # ProcessorRecord writers keep them (see SchedulingSystem):
+        #: unowned and online (D.1 candidates)
+        self.free_mask = (1 << n_processors) - 1
+        #: running a worker
+        self.busy_mask = 0
+        #: held idle inside a yield-delay window (D.2 candidates)
+        self.willing_mask = 0
 
     # ------------------------------------------------------------------ #
     # queries
 
+    def procs_in(self, mask: int) -> typing.List[ProcessorRecord]:
+        """The processors whose bits are set in ``mask``, in id order."""
+        procs = self.procs
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(procs[low.bit_length() - 1])
+            mask ^= low
+        return out
+
     def allocation(self, job: Job) -> int:
         """Processors currently owned by ``job`` (busy or held idle)."""
-        return sum(1 for p in self.procs if p.job is job)
+        return job.n_owned
 
     def free_processors(self) -> typing.List[ProcessorRecord]:
         """Unallocated processors, in id order."""
-        return [p for p in self.procs if p.is_free]
+        return self.procs_in(self.free_mask)
 
     def online_count(self) -> int:
         """Processors currently online (the machine size policies see)."""
@@ -114,7 +141,7 @@ class Allocator:
 
     def willing_processors(self, exclude: Job) -> typing.List[ProcessorRecord]:
         """Yield-delay-window processors claimable by other jobs (D.2)."""
-        return [p for p in self.procs if p.is_willing_to_yield and p.job is not exclude]
+        return self.procs_in(self.willing_mask & ~exclude.owned_mask)
 
     def requesters(self, exclude: typing.Optional[Job] = None) -> typing.List[Job]:
         """Live jobs that could use additional processors right now."""
@@ -171,7 +198,7 @@ class Allocator:
         return {job.name: self.credit.credit(job) for job in jobs}
 
     def _profiled(
-        self, span: str, call: typing.Callable[[], None]
+        self, span: str, call: typing.Callable[..., None], *args: object
     ) -> None:
         """Run one decision entry point under a ``policy/*`` span.
 
@@ -180,11 +207,11 @@ class Allocator:
         """
         prof = self.system.profiler
         if prof is None or not prof.enabled:  # type: ignore[attr-defined]
-            call()
+            call(*args)
             return
         prof.push(span)  # type: ignore[attr-defined]
         try:
-            call()
+            call(*args)
         finally:
             prof.pop()  # type: ignore[attr-defined]
 
@@ -205,7 +232,7 @@ class Allocator:
         """Remove a finished job and redistribute its processors."""
         self.credit.job_departed(job, self.system.now)
         self.jobs.remove(job)
-        freed = [p for p in self.procs if p.job is job]
+        freed = self.procs_in(job.owned_mask)
         for proc in freed:
             self.system.release_processor(proc)
         if self.policy.is_equipartition:
@@ -248,12 +275,12 @@ class Allocator:
             "allocation numbers recomputed on job arrival/completion",
             allocations=targets,
         )
-        surplus: typing.List[ProcessorRecord] = [p for p in self.procs if p.is_free]
+        surplus = self.free_processors()
         for job in self.jobs:
             excess = self.allocation(job) - targets[job.name]
             if excess <= 0:
                 continue
-            owned = [p for p in self.procs if p.job is job]
+            owned = self.procs_in(job.owned_mask)
             owned.sort(key=lambda p: (p.is_busy, p.cpu_id))  # idle first
             for proc in owned[:excess]:
                 if proc.is_busy:
@@ -275,10 +302,7 @@ class Allocator:
         """A processor became free: apply rule A.1, then priority dispatch."""
         if self.policy.is_equipartition:
             return  # equipartition never reacts to availability mid-run
-        self._profiled(
-            "policy/processor_available",
-            lambda: self._processor_available_impl(proc),
-        )
+        self._profiled("policy/processor_available", self._processor_available_impl, proc)
 
     def _processor_available_impl(self, proc: ProcessorRecord) -> None:
         if not proc.is_free:
@@ -343,7 +367,7 @@ class Allocator:
         """``job`` has new runnable work: apply rules D.1, D.2, D.3 / A.2."""
         if self.policy.is_equipartition:
             return  # its processors were already used by the system
-        self._profiled("policy/new_work", lambda: self._new_work_impl(job))
+        self._profiled("policy/new_work", self._new_work_impl, job)
 
     def _new_work_impl(self, job: Job) -> None:
         while True:
@@ -410,21 +434,21 @@ class Allocator:
         """Rule D.3: preempt from the job(s) with the largest allocation."""
         if not self.policy.respect_priority:
             return None  # Dyn-Aff-NoPri ignores D.3 entirely
-        my_alloc = self.allocation(job)
-        victims = [
-            (self.allocation(other), other)
-            for other in self.jobs
-            if other is not job and not other.finished
-        ]
-        if not victims:
+        victim = min(
+            (other for other in self.jobs if other is not job and not other.finished),
+            key=lambda other: (-other.n_owned, other.name),
+            default=None,
+        )
+        if victim is None:
             return None
-        victims.sort(key=lambda item: (-item[0], item[1].name))
-        victim_alloc, victim = victims[0]
-        self.credit.refresh(job, self.system.now)
-        self.credit.refresh(victim, self.system.now)
+        my_alloc = self.allocation(job)
+        victim_alloc = self.allocation(victim)
+        now = self.system.now
+        self.credit.refresh(job, now)
+        self.credit.refresh(victim, now)
         if not self.credit.may_preempt(job, my_alloc, victim, victim_alloc):
             return None
-        owned_busy = [p for p in self.procs if p.job is victim and p.is_busy]
+        owned_busy = self.procs_in(victim.owned_mask & self.busy_mask)
         if not owned_busy:
             return None
         proc = self.system.rng.choice(owned_busy)

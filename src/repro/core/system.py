@@ -50,7 +50,7 @@ from repro.obs.tracer import Tracer
 from repro.machine.footprint import FootprintModel
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
 from repro.threads.job import Job
-from repro.threads.workers import WorkerState, WorkerTask
+from repro.threads.workers import WorkerTask
 
 #: Event priority for job arrivals: before anything else at that instant.
 _ARRIVAL_PRIORITY = 10
@@ -153,8 +153,6 @@ class SchedulingSystem:
         if len(self._arrivals) != len(self.jobs):
             raise ValueError("arrival_times must match jobs")
         self._alloc_mark: typing.Dict[str, float] = {}
-        self._alloc_count: typing.Dict[str, int] = {}
-        self._busy_count: typing.Dict[str, int] = {}
         self._arrival_handles: typing.Dict[str, object] = {}
         self._finished_jobs = 0
         #: optional allocation-timeline recorder (see repro.core.trace)
@@ -248,8 +246,6 @@ class SchedulingSystem:
     def _arrive(self, job: Job) -> None:
         job.start(self.now)
         self._alloc_mark[job.name] = self.now
-        self._alloc_count[job.name] = 0
-        self._busy_count[job.name] = 0
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(JobArrival(time=self.now, job=job.name))
@@ -295,9 +291,8 @@ class SchedulingSystem:
             return False
         arrived = job.name in self._alloc_mark
         if arrived:
-            for proc in self.allocator.procs:
-                if proc.job is job and proc.worker is not None:
-                    self.preempt_processor(proc)
+            for proc in self.allocator.procs_in(job.owned_mask & self.allocator.busy_mask):
+                self.preempt_processor(proc)
             self._touch_allocation(job)
         else:
             handle = self._arrival_handles.get(job.name)
@@ -335,7 +330,7 @@ class SchedulingSystem:
         if proc.worker is not None:
             self.preempt_processor(proc)
         self.release_processor(proc)
-        proc.online = False
+        self._set_online(proc, False)
         proc.history.clear()
         flush = getattr(self.footprint, "flush_processor", None)
         lost = float(flush(cpu_id)) if flush is not None else 0.0
@@ -356,7 +351,7 @@ class SchedulingSystem:
         proc = self.allocator.procs[cpu_id]
         if proc.online:
             raise RuntimeError(f"processor {cpu_id} is already online")
-        proc.online = True
+        self._set_online(proc, True)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(CpuRecovery(time=self.now, cpu=cpu_id))
@@ -381,28 +376,41 @@ class SchedulingSystem:
         )
 
     # ------------------------------------------------------------------ #
-    # allocation accounting
+    # allocation accounting and the ProcessorRecord writers
+    #
+    # ``job``, ``worker``, ``yield_handle`` and ``online`` of a processor
+    # record change only through _change_owner, _set_worker, _set_yield
+    # and _set_online; each one keeps the counters and cpu-id masks
+    # derived from its field (see "Scheduling core state" in
+    # docs/architecture.md).
 
     def _touch_allocation(self, job: Job) -> None:
         """Integrate allocation x time for ``job`` up to now."""
         mark = self._alloc_mark.get(job.name)
         if mark is None:
             return
-        job.allocation_integral += self._alloc_count[job.name] * (self.now - mark)
+        job.allocation_integral += job.n_owned * (self.now - mark)
         self._alloc_mark[job.name] = self.now
 
     def _change_owner(
         self, proc: ProcessorRecord, job: typing.Optional[Job]
     ) -> None:
+        """Set ``proc.job``; keeps owned counts and masks and the free mask."""
         old = proc.job
         if old is job:
             return
+        bit = proc.bit
         if old is not None:
             self._touch_allocation(old)
-            self._alloc_count[old.name] -= 1
+            old.n_owned -= 1
+            old.owned_mask &= ~bit
         if job is not None:
             self._touch_allocation(job)
-            self._alloc_count[job.name] += 1
+            job.n_owned += 1
+            job.owned_mask |= bit
+            self.allocator.free_mask &= ~bit
+        elif proc.online:
+            self.allocator.free_mask |= bit
         proc.job = job
         if self.trace is not None:
             self.trace.record(self.now, proc.cpu_id, job.name if job else None)
@@ -419,18 +427,41 @@ class SchedulingSystem:
         if self.metrics is not None:
             self.metrics.counter("alloc/changes").inc()
 
-    def _note_busy_change(self, job: Job, delta: int) -> None:
-        """Track busy (actually-executing) processors for the credit scheme.
+    def _set_worker(
+        self, proc: ProcessorRecord, job: Job, worker: typing.Optional[WorkerTask]
+    ) -> None:
+        """Set ``proc.worker``; keeps busy counts and feeds the credit scheme.
 
         Credits reward *using* few processors, so a processor held idle
         (equipartition hold or a yield-delay window) banks credit for its
         owner just as a released one would.
         """
-        count = self._busy_count.get(job.name, 0) + delta
-        if count < 0:
-            raise RuntimeError(f"negative busy count for {job.name}")
-        self._busy_count[job.name] = count
-        self.allocator.credit.set_allocation(job, count, self.now)
+        if (worker is None) is (proc.worker is None):
+            raise RuntimeError(f"processor {proc.cpu_id}: busy state unchanged")
+        proc.worker = worker
+        if worker is None:
+            job.n_busy -= 1
+            self.allocator.busy_mask &= ~proc.bit
+        else:
+            job.n_busy += 1
+            self.allocator.busy_mask |= proc.bit
+        self.allocator.credit.set_allocation(job, job.n_busy, self.now)
+
+    def _set_yield(self, proc: ProcessorRecord, handle: typing.Optional[object]) -> None:
+        """Set ``proc.yield_handle``; keeps the willing-to-yield mask."""
+        proc.yield_handle = handle
+        if handle is None:
+            self.allocator.willing_mask &= ~proc.bit
+        else:
+            self.allocator.willing_mask |= proc.bit
+
+    def _set_online(self, proc: ProcessorRecord, online: bool) -> None:
+        """Set ``proc.online``; an offline processor is never free."""
+        proc.online = online
+        if online and proc.job is None:
+            self.allocator.free_mask |= proc.bit
+        else:
+            self.allocator.free_mask &= ~proc.bit
 
     # ------------------------------------------------------------------ #
     # processor hand-off mechanics (called by the allocator and internally)
@@ -455,7 +486,7 @@ class SchedulingSystem:
         was_held = proc.job is job
         if proc.yield_handle is not None:
             self.sim.cancel(proc.yield_handle)
-            proc.yield_handle = None
+            self._set_yield(proc, None)
         if proc.idle_since is not None:
             job.waste += self.now - proc.idle_since
             proc.idle_since = None
@@ -495,9 +526,8 @@ class SchedulingSystem:
             job.cache_penalty_total += penalty
             job.switch_overhead_total += self.machine.context_switch_s
         worker.note_dispatch(proc.cpu_id, self.now)
-        proc.worker = worker
         proc.history.record(worker.key)
-        self._note_busy_change(job, +1)
+        self._set_worker(proc, job, worker)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
@@ -569,8 +599,7 @@ class SchedulingSystem:
         worker.stint_penalty_charged = 0.0
         duration = worker.note_departure(self.now, suspended=True)
         self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-        proc.worker = None
-        self._note_busy_change(job, -1)
+        self._set_worker(proc, job, None)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
@@ -591,7 +620,7 @@ class SchedulingSystem:
             raise RuntimeError(f"release of busy processor {proc.cpu_id}")
         if proc.yield_handle is not None:
             self.sim.cancel(proc.yield_handle)
-            proc.yield_handle = None
+            self._set_yield(proc, None)
         if proc.idle_since is not None and proc.job is not None:
             proc.job.waste += self.now - proc.idle_since
         proc.idle_since = None
@@ -613,8 +642,7 @@ class SchedulingSystem:
         if job.finished:
             duration = worker.note_departure(self.now, suspended=False)
             self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-            proc.worker = None
-            self._note_busy_change(job, -1)
+            self._set_worker(proc, job, None)
             tr = self.tracer
             if tr is not None and tr.enabled:
                 tr.emit(
@@ -647,18 +675,14 @@ class SchedulingSystem:
         else:
             self._worker_idle(proc, worker, job)
 
-        if job.ready or self._has_waiting_suspended(job):
+        if job.ready or job.n_suspended:
             self._place_new_work(job)
-
-    def _has_waiting_suspended(self, job: Job) -> bool:
-        return any(w.state == WorkerState.SUSPENDED for w in job.workers)
 
     def _worker_idle(self, proc: ProcessorRecord, worker: WorkerTask, job: Job) -> None:
         """The worker found no runnable thread: depart, then hold or yield."""
         duration = worker.note_departure(self.now, suspended=False)
         self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-        proc.worker = None
-        self._note_busy_change(job, -1)
+        self._set_worker(proc, job, None)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
@@ -683,30 +707,30 @@ class SchedulingSystem:
             proc.idle_since = self.now
         elif self.policy.yield_delay_s > 0:
             proc.idle_since = self.now
-            proc.yield_handle = self.sim.schedule(
+            self._set_yield(proc, self.sim.schedule(
                 self.policy.yield_delay_s,
                 lambda: self._yield_now(proc),
                 label=f"yield:{proc.cpu_id}",
-            )
+            ))
         else:
             self.release_processor(proc)
             self.allocator.processor_available(proc)
 
     def _yield_now(self, proc: ProcessorRecord) -> None:
         """Yield-delay expired with no new work: give the processor back."""
-        proc.yield_handle = None
+        self._set_yield(proc, None)
         self.release_processor(proc)
         self.allocator.processor_available(proc)
 
     def _place_new_work(self, job: Job) -> None:
         """New runnable work appeared in ``job``: use held processors, then ask."""
-        for proc in self.allocator.procs:
-            if proc.job is job and proc.is_held_idle:
-                worker = job.select_worker(
-                    proc.cpu_id, prefer_affinity=True,
-                    history_depth=self.policy.history_depth,
-                )
-                if worker is None:
-                    break
-                self.grant_processor(proc, job, worker=worker)
-        self.allocator.new_work(job)
+        allocator = self.allocator
+        for proc in allocator.procs_in(job.owned_mask & ~allocator.busy_mask):
+            worker = job.select_worker(
+                proc.cpu_id, prefer_affinity=True,
+                history_depth=self.policy.history_depth,
+            )
+            if worker is None:
+                break
+            self.grant_processor(proc, job, worker=worker)
+        allocator.new_work(job)

@@ -146,9 +146,7 @@ class TimeSharingSystem:
                 tid = job.take_ready_thread()
                 if tid is None:
                     continue
-                worker.current_thread = tid
-                worker.remaining_service = job.graph.service_time(tid)
-                worker.state = WorkerState.SUSPENDED
+                worker.hold_thread(tid, job.graph.service_time(tid))
             self.run_queue.append(worker)
 
     def _pick_worker(self, cpu: int) -> typing.Optional[WorkerTask]:

@@ -76,13 +76,6 @@ class Event:
         """True once the event has been cancelled (and will never fire)."""
         return self.state is EventState.CANCELLED
 
-    def sort_key(self) -> typing.Tuple[float, int, int]:
-        """Total ordering key used by the event queue."""
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
-
 
 class EventHandle:
     """Opaque handle returned when scheduling, usable to cancel the event.

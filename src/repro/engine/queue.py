@@ -8,12 +8,18 @@ import typing
 from repro.engine.events import DEFAULT_PRIORITY, Event, EventHandle, EventState
 
 
+#: A heap entry.  ``seq`` is unique, so ordering never reaches the
+#: event: every heap comparison is a tuple comparison done in C.
+_Entry = typing.Tuple[float, int, int, Event]
+
+
 class EventQueue:
     """Priority queue of :class:`Event` ordered by ``(time, priority, seq)``.
 
     The queue assigns each pushed event a monotonically increasing sequence
     number so that events scheduled for the same instant and priority fire
-    in scheduling order.  Cancelled events are dropped lazily on pop.
+    in scheduling order.  Heap entries are ``(time, priority, seq, event)``
+    tuples.  Cancelled events are dropped lazily on pop.
 
     The queue is the sole owner of both the live-event count and every
     lifecycle transition: ``push`` creates events ``PENDING``, ``pop``
@@ -23,7 +29,7 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: typing.List[Event] = []
+        self._heap: typing.List[_Entry] = []
         self._seq = 0
         self._live = 0
 
@@ -44,9 +50,10 @@ class EventQueue:
         """Schedule ``action`` at absolute ``time``; returns a cancel handle."""
         if time != time:  # NaN guard: a NaN time would corrupt heap order
             raise ValueError("event time must not be NaN")
-        event = Event(time=time, priority=priority, seq=self._seq, action=action, label=label)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        event = Event(time, priority, seq, action, label)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return EventHandle(event, self._cancel)
 
@@ -56,9 +63,10 @@ class EventQueue:
         Raises:
             IndexError: if the queue holds no live events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
+            if event.state is EventState.CANCELLED:
                 continue
             event.state = EventState.FIRED
             self._live -= 1
@@ -67,11 +75,12 @@ class EventQueue:
 
     def peek_time(self) -> typing.Optional[float]:
         """Time of the earliest live event, or None if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][3].state is EventState.CANCELLED:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]
 
     def _cancel(self, event: Event) -> bool:
         """Cancel ``event`` if it is still pending; returns True on success.
@@ -91,7 +100,7 @@ class EventQueue:
         Always equals ``len(self)``; tests use it to assert the constant-time
         live counter never drifts from ground truth.
         """
-        return sum(1 for event in self._heap if event.pending)
+        return sum(1 for entry in self._heap if entry[3].pending)
 
     def clear(self) -> None:
         """Drop every queued event, cancelling pending ones.
@@ -99,8 +108,8 @@ class EventQueue:
         Marking survivors ``CANCELLED`` (rather than merely forgetting them)
         keeps any outstanding handles truthful: their events will never fire.
         """
-        for event in self._heap:
-            if event.pending:
-                event.state = EventState.CANCELLED
+        for entry in self._heap:
+            if entry[3].pending:
+                entry[3].state = EventState.CANCELLED
         self._heap.clear()
         self._live = 0

@@ -13,7 +13,7 @@ import collections
 import typing
 
 from repro.machine.footprint import FootprintCurve
-from repro.threads.data_affinity import DataAffinitySpec
+from repro.threads.data_affinity import DataAffinitySpec, effective_service, pick_thread
 from repro.threads.graph import ThreadGraph
 from repro.threads.workers import WorkerState, WorkerTask
 
@@ -37,6 +37,15 @@ class Job:
         #: optional user-level thread affinity configuration (Section 9)
         self.data_affinity = data_affinity
         self.workers = [WorkerTask(self, i) for i in range(max_workers)]
+        #: per-state worker counts, kept by WorkerTask's state changes
+        self.n_running = 0
+        self.n_suspended = 0
+        #: processors owned (busy or held idle) and, as a bitmask over cpu
+        #: ids, which ones: kept by SchedulingSystem._change_owner
+        self.n_owned = 0
+        self.owned_mask = 0
+        #: owned processors running a worker: kept by SchedulingSystem._set_worker
+        self.n_busy = 0
         self.ready: typing.Deque[int] = collections.deque()
         self.arrival_time = 0.0
         self.completion_time: typing.Optional[float] = None
@@ -81,18 +90,13 @@ class Job:
     # ------------------------------------------------------------------ #
     # demand reflection (the shared-memory protocol of Section 5.2)
 
-    def runnable_units(self) -> int:
-        """Threads ready to run plus suspended workers holding partial work."""
-        suspended = sum(1 for w in self.workers if w.state == WorkerState.SUSPENDED)
-        return len(self.ready) + suspended
-
-    def running_workers(self) -> typing.List[WorkerTask]:
-        """Workers currently on processors."""
-        return [w for w in self.workers if w.state == WorkerState.RUNNING]
-
     def demand(self) -> int:
-        """Processors the job can use right now, capped by its worker pool."""
-        return min(len(self.workers), self.runnable_units() + len(self.running_workers()))
+        """Processors the job can use right now, capped by its worker pool.
+
+        Ready threads, plus suspended workers holding partial work, plus
+        workers already running.
+        """
+        return min(len(self.workers), len(self.ready) + self.n_suspended + self.n_running)
 
     def additional_request(self, allocated: int) -> int:
         """Extra processors the job would accept given ``allocated`` now."""
@@ -107,15 +111,18 @@ class Job:
         Suspended workers always qualify (they hold a partial thread); idle
         workers qualify only while unclaimed ready threads exist.
         """
-        suspended = [w for w in self.workers if w.state == WorkerState.SUSPENDED]
-        result = list(suspended)
+        if self.n_suspended:
+            result = [w for w in self.workers if w.state is WorkerState.SUSPENDED]
+        else:
+            result = []
         spare_threads = len(self.ready)
-        for worker in self.workers:
-            if spare_threads <= 0:
-                break
-            if worker.state == WorkerState.IDLE:
-                result.append(worker)
-                spare_threads -= 1
+        if spare_threads:
+            for worker in self.workers:
+                if worker.state is WorkerState.IDLE:
+                    result.append(worker)
+                    spare_threads -= 1
+                    if not spare_threads:
+                        break
         return result
 
     def worker_by_key(
@@ -183,8 +190,6 @@ class Job:
         case the spec's dispatch rule applies (see
         :mod:`repro.threads.data_affinity`).
         """
-        from repro.threads.data_affinity import pick_thread
-
         if worker is not None and self.data_affinity is not None:
             return pick_thread(self, worker, self.data_affinity)
         if self.ready:
@@ -193,8 +198,6 @@ class Job:
 
     def thread_service_for(self, worker: WorkerTask, tid: int) -> float:
         """Effective service time of ``tid`` on ``worker`` (warm-data aware)."""
-        from repro.threads.data_affinity import effective_service
-
         return effective_service(self, worker, tid)
 
     def on_thread_complete(self, tid: int) -> typing.List[int]:

@@ -37,7 +37,7 @@ class WorkerTask:
     def __init__(self, job: "Job", index: int) -> None:
         self.job = job
         self.index = index
-        self.state = WorkerState.IDLE
+        self._state = WorkerState.IDLE
         self.processor: typing.Optional[int] = None
         self.last_processor: typing.Optional[int] = None
         #: most-recent-first window of processors this task has run on
@@ -66,6 +66,25 @@ class WorkerTask:
         self.affine_dispatches = 0
 
     @property
+    def state(self) -> WorkerState:
+        """Lifecycle state; changed only by the methods below."""
+        return self._state
+
+    def _enter(self, state: WorkerState) -> None:
+        """Move to ``state``, keeping the job's per-state worker counts."""
+        job = self.job
+        old = self._state
+        if old is WorkerState.RUNNING:
+            job.n_running -= 1
+        elif old is WorkerState.SUSPENDED:
+            job.n_suspended -= 1
+        if state is WorkerState.RUNNING:
+            job.n_running += 1
+        elif state is WorkerState.SUSPENDED:
+            job.n_suspended += 1
+        self._state = state
+
+    @property
     def key(self) -> typing.Tuple[str, int]:
         """Stable hashable identity: (job name, worker index)."""
         return (self.job.name, self.index)
@@ -87,7 +106,7 @@ class WorkerTask:
         self.dispatches += 1
         if affine:
             self.affine_dispatches += 1
-        self.state = WorkerState.RUNNING
+        self._enter(WorkerState.RUNNING)
         self.processor = processor
         self.started_at = now
         self.segment_start = now
@@ -109,11 +128,23 @@ class WorkerTask:
                 self.processor_history.insert(0, self.processor)
                 del self.processor_history[8:]
         self.processor = None
-        self.state = WorkerState.SUSPENDED if suspended else WorkerState.IDLE
+        self._enter(WorkerState.SUSPENDED if suspended else WorkerState.IDLE)
         if not suspended:
             self.current_thread = None
             self.remaining_service = 0.0
         return duration
+
+    def hold_thread(self, tid: int, service: float) -> None:
+        """Hand an idle worker thread ``tid`` before it is dispatched.
+
+        The worker waits SUSPENDED, holding the whole thread, until a
+        processor picks it up (the time-sharing run queue's entry step).
+        """
+        if self._state is not WorkerState.IDLE:
+            raise RuntimeError(f"worker {self.key} is {self._state.value}, not idle")
+        self.current_thread = tid
+        self.remaining_service = service
+        self._enter(WorkerState.SUSPENDED)
 
     def affinity_rate(self) -> float:
         """Fraction of dispatches that landed on the affine processor."""
@@ -123,6 +154,6 @@ class WorkerTask:
 
     def __repr__(self) -> str:
         return (
-            f"WorkerTask({self.job.name}#{self.index}, {self.state.value}, "
+            f"WorkerTask({self.job.name}#{self.index}, {self._state.value}, "
             f"cpu={self.processor}, last={self.last_processor})"
         )

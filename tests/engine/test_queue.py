@@ -114,11 +114,15 @@ class TestCancellation:
 
 
 class TestEventOrdering:
-    def test_sort_key_total_order(self):
-        a = Event(1.0, 100, 0, _noop)
-        b = Event(1.0, 100, 1, _noop)
-        assert a < b
-        assert not b < a
+    def test_heap_orders_by_key_not_event(self):
+        """Events define no order; the queue's (time, priority, seq) key does."""
+        with pytest.raises(TypeError):
+            Event(1.0, 100, 0, _noop) < Event(1.0, 100, 1, _noop)
+        q = EventQueue()
+        for label in "abc":
+            q.push(1.0, _noop, priority=100, label=label)
+        q.push(1.0, _noop, priority=50, label="first")
+        assert [q.pop().label for _ in range(4)] == ["first", "a", "b", "c"]
 
 
 @given(
