@@ -17,6 +17,7 @@ from repro.apps.reference import ReferenceGenerator, ReferenceSpec
 from repro.core.policies import DYN_AFF, DYNAMIC, EQUIPARTITION
 from repro.core.system import SchedulingSystem
 from repro.engine.queue import EventQueue
+from repro.engine.rng import RngRegistry
 from repro.engine.simulator import Simulator
 from repro.machine.backends import numpy_available
 from repro.machine.batching import DEFAULT_CHUNK
@@ -25,6 +26,7 @@ from repro.machine.footprint import FootprintCurve, FootprintModel
 from repro.machine.params import SEQUENT_SYMMETRY
 from repro.measure.penalty import PenaltyExperiment
 from repro.measure.runner import run_mix
+from repro.measure.workloads import make_jobs
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cells import mix_comparison
 from tests.core.helpers import flat_job, phased_job
@@ -474,6 +476,39 @@ def test_scheduling_run_full_mix(benchmark):
         run_mix, args=(5, DYN_AFF), kwargs={"seed": 0}, rounds=3, iterations=1
     )
     assert result.jobs
+
+
+def test_make_jobs_throughput(benchmark):
+    """Build and validate the three job graphs of Table 2 mix 6 (seed 0)."""
+    jobs = benchmark(lambda: make_jobs(6, RngRegistry(0)))
+    assert len(jobs) == 3
+
+
+def test_allocator_new_work(benchmark):
+    """3000 ``Allocator.new_work`` calls on a steady-state closed-mix system.
+
+    Mix 6 under Dyn-Aff, run to t = 10 s: all three jobs are live and
+    want more processors than they hold, so each call runs the D.1-D.3
+    attempt the scheduler makes on almost every thread completion.
+    """
+
+    def steady_system():
+        rng = RngRegistry(0)
+        jobs = make_jobs(6, rng.spawn("workload"))
+        system = SchedulingSystem(jobs, DYN_AFF, seed=0, rng=rng.spawn("system"))
+        system.run(until=10.0)
+        return (system,), {}
+
+    def churn(system):
+        new_work = system.allocator.new_work
+        jobs = system.jobs
+        for _ in range(1000):
+            for job in jobs:
+                new_work(job)
+        return [job.n_owned for job in jobs]
+
+    owned = benchmark.pedantic(churn, setup=steady_system, rounds=10, iterations=1)
+    assert sum(owned) == 16
 
 
 def test_parallel_replication_speedup():

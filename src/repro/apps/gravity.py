@@ -92,6 +92,15 @@ class GravitySpec(AppSpec):
         """Chain of time steps, each: sequential -> 4 barrier-separated phases."""
         p = self.params
         graph = ThreadGraph(name=self.name)
+        random = rng.random
+        shapes = [
+            (
+                phase,
+                CriticalSectionModel(phase.critical_fraction).inflation(phase.n_threads),
+                range(phase.n_threads),
+            )
+            for phase in p.phases
+        ]
         previous_join: typing.Optional[int] = None
         for step in range(p.n_timesteps):
             sequential = graph.add_thread(
@@ -100,24 +109,21 @@ class GravitySpec(AppSpec):
             if previous_join is not None:
                 graph.add_dependency(previous_join, sequential)
             fan_in = sequential
-            for phase in p.phases:
-                contention = CriticalSectionModel(phase.critical_fraction)
-                thread_ids = []
-                for body_partition in range(phase.n_threads):
-                    jitter = 1.0 + phase.service_jitter * (2.0 * rng.random() - 1.0)
-                    service = contention.inflated_service(
-                        phase.mean_service_s * jitter, phase.n_threads
-                    )
-                    # Thread i of every phase and time step works on body
-                    # partition i: the data-affinity tag the user-level
-                    # thread layer can exploit (Section 9 future work).
-                    tid = graph.add_thread(
-                        service,
-                        phase=f"step{step}/{phase.name}",
-                        data_group=body_partition,
-                    )
-                    graph.add_dependency(fan_in, tid)
-                    thread_ids.append(tid)
+            for phase, inflation, partitions in shapes:
+                mean, spread = phase.mean_service_s, phase.service_jitter
+                # One draw per thread, in thread order; each service is
+                # CriticalSectionModel.inflated_service of the jittered
+                # mean, base + inflation * base.
+                services = []
+                for _ in partitions:
+                    base = mean * (1.0 + spread * (2.0 * random() - 1.0))
+                    services.append(base + inflation * base)
+                # Thread i of every phase and time step works on body
+                # partition i: the data-affinity tag the user-level
+                # thread layer can exploit (Section 9 future work).
+                thread_ids = graph.add_fan(
+                    fan_in, services, f"step{step}/{phase.name}", partitions
+                )
                 fan_in = add_barrier(
                     graph, thread_ids, phase=f"step{step}/{phase.name}-barrier"
                 )

@@ -367,25 +367,31 @@ class Allocator:
         """``job`` has new runnable work: apply rules D.1, D.2, D.3 / A.2."""
         if self.policy.is_equipartition:
             return  # its processors were already used by the system
-        self._profiled("policy/new_work", self._new_work_impl, job)
+        if self.system.profiler is None:
+            self._new_work_impl(job)
+        else:
+            self._profiled("policy/new_work", self._new_work_impl, job)
 
     def _new_work_impl(self, job: Job) -> None:
         while True:
-            want = job.additional_request(self.allocation(job))
+            want = job.additional_request(job.n_owned)
             if want <= 0:
                 return
-            rule, reason = "D.1", "granted from the free pool"
-            proc = self._take_free(job)
-            if proc is None:
-                rule, reason = "D.2", "claimed from a yield-delay window"
+            # Each rule is tried only when its candidate set is non-empty,
+            # and a non-empty set always yields a processor.
+            if self.free_mask:
+                proc = self._take_free(job)
+                self._emit_decision("D.1", job, proc.cpu_id, "granted from the free pool")
+            elif self.willing_mask & ~job.owned_mask:
                 proc = self._take_willing(job)
-            if proc is None:
-                rule = "D.3"  # _take_preempt emits its own evidence record
+                self._emit_decision(
+                    "D.2", job, proc.cpu_id, "claimed from a yield-delay window"
+                )
+            else:
+                # _take_preempt emits its own evidence record
                 proc = self._take_preempt(job)
-            if proc is None:
-                return
-            if rule != "D.3":
-                self._emit_decision(rule, job, proc.cpu_id, reason)
+                if proc is None:
+                    return
             worker = job.select_worker(
                 proc.cpu_id, self.policy.use_affinity, self.policy.history_depth
             )
@@ -418,15 +424,17 @@ class Allocator:
         # Table 3: tasks tend to bounce within a stable set of processors.)
         return candidates[0]
 
-    def _take_free(self, job: Job) -> typing.Optional[ProcessorRecord]:
-        """Rule D.1."""
-        return self._pick_with_affinity(job, self.free_processors())
+    def _take_free(self, job: Job) -> ProcessorRecord:
+        """Rule D.1 (called only while a processor is free)."""
+        proc = self._pick_with_affinity(job, self.free_processors())
+        assert proc is not None
+        return proc
 
-    def _take_willing(self, job: Job) -> typing.Optional[ProcessorRecord]:
-        """Rule D.2: claim a processor out of another job's yield window."""
+    def _take_willing(self, job: Job) -> ProcessorRecord:
+        """Rule D.2: claim a processor out of another job's yield window
+        (called only while one is claimable by ``job``)."""
         proc = self._pick_with_affinity(job, self.willing_processors(exclude=job))
-        if proc is None:
-            return None
+        assert proc is not None
         self.system.release_processor(proc)
         return proc
 
@@ -434,16 +442,21 @@ class Allocator:
         """Rule D.3: preempt from the job(s) with the largest allocation."""
         if not self.policy.respect_priority:
             return None  # Dyn-Aff-NoPri ignores D.3 entirely
-        victim = min(
-            (other for other in self.jobs if other is not job and not other.finished),
-            key=lambda other: (-other.n_owned, other.name),
-            default=None,
-        )
+        # The live job minimizing (-n_owned, name): largest allocation,
+        # then lowest name.
+        victim: typing.Optional[Job] = None
+        for other in self.jobs:
+            if other is job or other.finished:
+                continue
+            if victim is None or other.n_owned > victim.n_owned or (
+                other.n_owned == victim.n_owned and other.name < victim.name
+            ):
+                victim = other
         if victim is None:
             return None
-        my_alloc = self.allocation(job)
-        victim_alloc = self.allocation(victim)
-        now = self.system.now
+        my_alloc = job.n_owned
+        victim_alloc = victim.n_owned
+        now = self.system.sim.now
         self.credit.refresh(job, now)
         self.credit.refresh(victim, now)
         if not self.credit.may_preempt(job, my_alloc, victim, victim_alloc):

@@ -72,13 +72,21 @@ class CreditScheduler:
     def refresh(self, job: "Job", now: float) -> None:
         """Integrate the credit of ``job`` up to ``now``."""
         name = job.name
-        if name not in self._credit:
+        credit = self._credit.get(name)
+        if credit is None:
             return
         elapsed = now - self._last_update[name]
         if elapsed > 0:
-            delta = (self.equal_share() - self._allocation[name]) * elapsed
-            credit = self._credit[name] + delta
-            self._credit[name] = max(-self.CREDIT_CAP, min(self.CREDIT_CAP, credit))
+            # equal_share() and the clamp to the credit window, inline
+            live = self._live_jobs
+            share = self.n_processors / live if live else float(self.n_processors)
+            credit += (share - self._allocation[name]) * elapsed
+            cap = self.CREDIT_CAP
+            if credit > cap:
+                credit = cap
+            elif credit < -cap:
+                credit = -cap
+            self._credit[name] = credit
         self._last_update[name] = now
 
     def set_allocation(self, job: "Job", allocation: int, now: float) -> None:

@@ -183,7 +183,7 @@ class SchedulingSystem:
         if tr is not None and tr.enabled:
             tr.emit(
                 RunConfig(
-                    time=self.now,
+                    time=self.sim.now,
                     policy=self.policy.name,
                     n_processors=len(self.allocator.procs),
                     seed=self.seed,
@@ -207,17 +207,17 @@ class SchedulingSystem:
             )
         self.sim.run(until=until)
         if self.trace is not None:
-            self.trace.finish(self.now)
+            self.trace.finish(self.sim.now)
         if tr is not None and tr.enabled:
             tr.emit(
                 RunEnd(
-                    time=self.now,
-                    makespan=self.now,
+                    time=self.sim.now,
+                    makespan=self.sim.now,
                     events_fired=self.sim.events_fired,
                 )
             )
         if self.metrics is not None:
-            self.metrics.gauge("run/makespan_s").set(self.now)
+            self.metrics.gauge("run/makespan_s").set(self.sim.now)
             self.metrics.counter("run/events_fired").inc(self.sim.events_fired)
         unfinished = [
             job.name for job in self.jobs if not job.finished and not job.cancelled
@@ -231,7 +231,7 @@ class SchedulingSystem:
             policy=self.policy.name,
             n_processors=len(self.allocator.procs),
             seed=self.seed,
-            makespan=self.now,
+            makespan=self.sim.now,
             jobs=metrics,
             cancelled={
                 job.name: job.cancelled_time
@@ -244,23 +244,23 @@ class SchedulingSystem:
     # arrival / completion
 
     def _arrive(self, job: Job) -> None:
-        job.start(self.now)
-        self._alloc_mark[job.name] = self.now
+        job.start(self.sim.now)
+        self._alloc_mark[job.name] = self.sim.now
         tr = self.tracer
         if tr is not None and tr.enabled:
-            tr.emit(JobArrival(time=self.now, job=job.name))
+            tr.emit(JobArrival(time=self.sim.now, job=job.name))
         if self.metrics is not None:
             self.metrics.counter("jobs/arrived").inc()
         self.allocator.job_arrived(job)
 
     def _complete_job(self, job: Job) -> None:
-        job.completion_time = self.now
+        job.completion_time = self.sim.now
         self._touch_allocation(job)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
                 JobDeparture(
-                    time=self.now,
+                    time=self.sim.now,
                     job=job.name,
                     response_time=job.response_time,
                     n_reallocations=job.n_reallocations,
@@ -298,11 +298,11 @@ class SchedulingSystem:
             handle = self._arrival_handles.get(job.name)
             if handle is not None:
                 self.sim.cancel(handle)
-        job.cancelled_time = self.now
+        job.cancelled_time = self.sim.now
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
-                JobCancelled(time=self.now, job=job.name, work_done=job.work_done)
+                JobCancelled(time=self.sim.now, job=job.name, work_done=job.work_done)
             )
         if self.metrics is not None:
             self.metrics.counter("jobs/cancelled").inc()
@@ -336,8 +336,8 @@ class SchedulingSystem:
         lost = float(flush(cpu_id)) if flush is not None else 0.0
         tr = self.tracer
         if tr is not None and tr.enabled:
-            tr.emit(CpuFailure(time=self.now, cpu=cpu_id))
-            tr.emit(CacheFlush(time=self.now, cpu=cpu_id, lines=int(lost)))
+            tr.emit(CpuFailure(time=self.sim.now, cpu=cpu_id))
+            tr.emit(CacheFlush(time=self.sim.now, cpu=cpu_id, lines=int(lost)))
         if self.metrics is not None:
             self.metrics.counter("cpu/failures").inc()
             self.metrics.counter("cpu/flushed_lines").inc(int(lost))
@@ -354,7 +354,7 @@ class SchedulingSystem:
         self._set_online(proc, True)
         tr = self.tracer
         if tr is not None and tr.enabled:
-            tr.emit(CpuRecovery(time=self.now, cpu=cpu_id))
+            tr.emit(CpuRecovery(time=self.sim.now, cpu=cpu_id))
         if self.metrics is not None:
             self.metrics.counter("cpu/recoveries").inc()
         if self.policy.is_equipartition:
@@ -389,8 +389,8 @@ class SchedulingSystem:
         mark = self._alloc_mark.get(job.name)
         if mark is None:
             return
-        job.allocation_integral += job.n_owned * (self.now - mark)
-        self._alloc_mark[job.name] = self.now
+        job.allocation_integral += job.n_owned * (self.sim.now - mark)
+        self._alloc_mark[job.name] = self.sim.now
 
     def _change_owner(
         self, proc: ProcessorRecord, job: typing.Optional[Job]
@@ -413,12 +413,12 @@ class SchedulingSystem:
             self.allocator.free_mask |= bit
         proc.job = job
         if self.trace is not None:
-            self.trace.record(self.now, proc.cpu_id, job.name if job else None)
+            self.trace.record(self.sim.now, proc.cpu_id, job.name if job else None)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
                 AllocationChange(
-                    time=self.now,
+                    time=self.sim.now,
                     cpu=proc.cpu_id,
                     job=job.name if job else None,
                     prev=old.name if old else None,
@@ -445,7 +445,7 @@ class SchedulingSystem:
         else:
             job.n_busy += 1
             self.allocator.busy_mask |= proc.bit
-        self.allocator.credit.set_allocation(job, job.n_busy, self.now)
+        self.allocator.credit.set_allocation(job, job.n_busy, self.sim.now)
 
     def _set_yield(self, proc: ProcessorRecord, handle: typing.Optional[object]) -> None:
         """Set ``proc.yield_handle``; keeps the willing-to-yield mask."""
@@ -488,7 +488,7 @@ class SchedulingSystem:
             self.sim.cancel(proc.yield_handle)
             self._set_yield(proc, None)
         if proc.idle_since is not None:
-            job.waste += self.now - proc.idle_since
+            job.waste += self.sim.now - proc.idle_since
             proc.idle_since = None
         self._change_owner(proc, job)
         if worker is None:
@@ -497,7 +497,7 @@ class SchedulingSystem:
             )
         if worker is None:
             # Granted ahead of demand (equipartition): hold it idle.
-            proc.idle_since = self.now
+            proc.idle_since = self.sim.now
             return
         self._dispatch(proc, job, worker, was_held=was_held)
 
@@ -525,14 +525,14 @@ class SchedulingSystem:
                 job.n_affine += 1
             job.cache_penalty_total += penalty
             job.switch_overhead_total += self.machine.context_switch_s
-        worker.note_dispatch(proc.cpu_id, self.now)
+        worker.note_dispatch(proc.cpu_id, self.sim.now)
         proc.history.record(worker.key)
         self._set_worker(proc, job, worker)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
                 Dispatch(
-                    time=self.now,
+                    time=self.sim.now,
                     cpu=proc.cpu_id,
                     job=job.name,
                     worker=worker.index,
@@ -568,7 +568,7 @@ class SchedulingSystem:
         worker.completion_handle = self.sim.schedule(
             overhead + worker.remaining_service,
             lambda: self._on_thread_complete(proc, worker),
-            label=f"complete:{job.name}#{worker.index}",
+            label=worker.completion_label,
         )
 
     def preempt_processor(self, proc: ProcessorRecord) -> None:
@@ -581,7 +581,7 @@ class SchedulingSystem:
         if worker.completion_handle is not None:
             self.sim.cancel(worker.completion_handle)
             worker.completion_handle = None
-        elapsed = self.now - worker.segment_start
+        elapsed = self.sim.now - worker.segment_start
         useful = min(max(0.0, elapsed - worker.stint_overhead), worker.remaining_service)
         job.work_done += useful
         worker.remaining_service -= useful
@@ -597,14 +597,14 @@ class SchedulingSystem:
             )
         worker.stint_switch_charged = 0.0
         worker.stint_penalty_charged = 0.0
-        duration = worker.note_departure(self.now, suspended=True)
+        duration = worker.note_departure(self.sim.now, suspended=True)
         self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
         self._set_worker(proc, job, None)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
                 Undispatch(
-                    time=self.now,
+                    time=self.sim.now,
                     cpu=proc.cpu_id,
                     job=job.name,
                     worker=worker.index,
@@ -622,7 +622,7 @@ class SchedulingSystem:
             self.sim.cancel(proc.yield_handle)
             self._set_yield(proc, None)
         if proc.idle_since is not None and proc.job is not None:
-            proc.job.waste += self.now - proc.idle_since
+            proc.job.waste += self.sim.now - proc.idle_since
         proc.idle_since = None
         self._change_owner(proc, None)
 
@@ -640,14 +640,14 @@ class SchedulingSystem:
         job.on_thread_complete(tid)
 
         if job.finished:
-            duration = worker.note_departure(self.now, suspended=False)
+            duration = worker.note_departure(self.sim.now, suspended=False)
             self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
             self._set_worker(proc, job, None)
             tr = self.tracer
             if tr is not None and tr.enabled:
                 tr.emit(
                     Undispatch(
-                        time=self.now,
+                        time=self.sim.now,
                         cpu=proc.cpu_id,
                         job=job.name,
                         worker=worker.index,
@@ -663,14 +663,14 @@ class SchedulingSystem:
             # free of kernel or cache cost.
             worker.current_thread = next_tid
             worker.remaining_service = job.thread_service_for(worker, next_tid)
-            worker.segment_start = self.now
+            worker.segment_start = self.sim.now
             worker.stint_overhead = 0.0
             worker.stint_switch_charged = 0.0
             worker.stint_penalty_charged = 0.0
             worker.completion_handle = self.sim.schedule(
                 worker.remaining_service,
                 lambda: self._on_thread_complete(proc, worker),
-                label=f"complete:{job.name}#{worker.index}",
+                label=worker.completion_label,
             )
         else:
             self._worker_idle(proc, worker, job)
@@ -680,14 +680,14 @@ class SchedulingSystem:
 
     def _worker_idle(self, proc: ProcessorRecord, worker: WorkerTask, job: Job) -> None:
         """The worker found no runnable thread: depart, then hold or yield."""
-        duration = worker.note_departure(self.now, suspended=False)
+        duration = worker.note_departure(self.sim.now, suspended=False)
         self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
         self._set_worker(proc, job, None)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(
                 Undispatch(
-                    time=self.now,
+                    time=self.sim.now,
                     cpu=proc.cpu_id,
                     job=job.name,
                     worker=worker.index,
@@ -704,9 +704,9 @@ class SchedulingSystem:
             return
 
         if self.policy.is_equipartition:
-            proc.idle_since = self.now
+            proc.idle_since = self.sim.now
         elif self.policy.yield_delay_s > 0:
-            proc.idle_since = self.now
+            proc.idle_since = self.sim.now
             self._set_yield(proc, self.sim.schedule(
                 self.policy.yield_delay_s,
                 lambda: self._yield_now(proc),
@@ -725,12 +725,14 @@ class SchedulingSystem:
     def _place_new_work(self, job: Job) -> None:
         """New runnable work appeared in ``job``: use held processors, then ask."""
         allocator = self.allocator
-        for proc in allocator.procs_in(job.owned_mask & ~allocator.busy_mask):
-            worker = job.select_worker(
-                proc.cpu_id, prefer_affinity=True,
-                history_depth=self.policy.history_depth,
-            )
-            if worker is None:
-                break
-            self.grant_processor(proc, job, worker=worker)
+        held_idle = job.owned_mask & ~allocator.busy_mask
+        if held_idle:
+            for proc in allocator.procs_in(held_idle):
+                worker = job.select_worker(
+                    proc.cpu_id, prefer_affinity=True,
+                    history_depth=self.policy.history_depth,
+                )
+                if worker is None:
+                    break
+                self.grant_processor(proc, job, worker=worker)
         allocator.new_work(job)

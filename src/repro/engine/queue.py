@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.engine.events import DEFAULT_PRIORITY, Event, EventHandle, EventState
+from repro.engine.events import DEFAULT_PRIORITY, Event, EventState
 
 
 #: A heap entry.  ``seq`` is unique, so ordering never reaches the
@@ -21,11 +21,11 @@ class EventQueue:
     in scheduling order.  Heap entries are ``(time, priority, seq, event)``
     tuples.  Cancelled events are dropped lazily on pop.
 
-    The queue is the sole owner of both the live-event count and every
-    lifecycle transition: ``push`` creates events ``PENDING``, ``pop``
-    marks them ``FIRED``, and handle cancellation routes back through
-    :meth:`_cancel` so ``len(queue)`` is exact by construction — there is
-    no external notification protocol to get wrong.
+    ``push`` creates events ``PENDING`` and returns them, ``pop`` marks
+    them ``FIRED``, and :meth:`Event.cancel` marks them ``CANCELLED``
+    and decrements the live count of the queue that created them, so
+    ``len(queue)`` is exact by construction — there is no external
+    notification protocol to get wrong.
     """
 
     def __init__(self) -> None:
@@ -46,16 +46,17 @@ class EventQueue:
         action: typing.Callable[[], None],
         priority: int = DEFAULT_PRIORITY,
         label: str = "",
-    ) -> EventHandle:
-        """Schedule ``action`` at absolute ``time``; returns a cancel handle."""
+    ) -> Event:
+        """Schedule ``action`` at absolute ``time``; returns the event,
+        whose :meth:`~Event.cancel` withdraws it."""
         if time != time:  # NaN guard: a NaN time would corrupt heap order
             raise ValueError("event time must not be NaN")
         seq = self._seq
-        event = Event(time, priority, seq, action, label)
+        event = Event(time, priority, seq, action, label, self)
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
-        return EventHandle(event, self._cancel)
+        return event
 
     def pop(self) -> Event:
         """Remove and return the earliest live event, marking it ``FIRED``.
@@ -82,18 +83,6 @@ class EventQueue:
             return None
         return heap[0][0]
 
-    def _cancel(self, event: Event) -> bool:
-        """Cancel ``event`` if it is still pending; returns True on success.
-
-        Called only through :class:`EventHandle`.  Fired or already-cancelled
-        events are left untouched, so the live count can never underflow.
-        """
-        if not event.pending:
-            return False
-        event.state = EventState.CANCELLED
-        self._live -= 1
-        return True
-
     def pending_events(self) -> int:
         """Count pending events by walking the heap (O(n); for invariants).
 
@@ -106,7 +95,7 @@ class EventQueue:
         """Drop every queued event, cancelling pending ones.
 
         Marking survivors ``CANCELLED`` (rather than merely forgetting them)
-        keeps any outstanding handles truthful: their events will never fire.
+        keeps every event a caller still holds truthful: it will never fire.
         """
         for entry in self._heap:
             if entry[3].pending:

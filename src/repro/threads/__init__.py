@@ -16,7 +16,7 @@ threads), one per allocated processor.  This package provides:
 """
 
 from repro.threads.data_affinity import DataAffinitySpec, effective_service, pick_thread
-from repro.threads.graph import ThreadGraph, ThreadNode
+from repro.threads.graph import ThreadGraph
 from repro.threads.job import Job
 from repro.threads.sync import CriticalSectionModel, add_barrier
 from repro.threads.workers import WorkerState, WorkerTask
@@ -26,7 +26,6 @@ __all__ = [
     "DataAffinitySpec",
     "Job",
     "ThreadGraph",
-    "ThreadNode",
     "WorkerState",
     "WorkerTask",
     "add_barrier",

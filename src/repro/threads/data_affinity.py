@@ -86,9 +86,12 @@ def pick_thread(
     if not warm:
         return job.ready.popleft()
     window = min(spec.search_window, len(job.ready))
+    data_groups = job.graph.data_groups
     for index in range(window):
         tid = job.ready[index]
-        group = job.graph.node(tid).data_group
+        if tid < 0:
+            raise IndexError(f"no such thread: {tid}")
+        group = data_groups[tid]
         if group is not None and group in warm:
             del job.ready[index]
             return tid
@@ -103,20 +106,23 @@ def effective_service(
     Also pushes the thread's group onto the worker's recent-group window,
     so group reuse within the memory horizon chains its warmth.
     """
-    node = job.graph.node(tid)
-    service = node.service_time
+    if tid < 0:
+        raise IndexError(f"no such thread: {tid}")
+    graph = job.graph
+    service = graph.service_times[tid]
+    group = graph.data_groups[tid]
     spec = job.data_affinity
     warm = (
         spec is not None
-        and node.data_group is not None
-        and node.data_group in _warm_groups(worker, spec)
+        and group is not None
+        and group in _warm_groups(worker, spec)
     )
-    worker.last_data_group = node.data_group
-    if node.data_group is not None:
+    worker.last_data_group = group
+    if group is not None:
         recent = worker.recent_data_groups
-        if node.data_group in recent:
-            recent.remove(node.data_group)
-        recent.insert(0, node.data_group)
+        if group in recent:
+            recent.remove(group)
+        recent.insert(0, group)
         del recent[8:]
     if warm:
         assert spec is not None

@@ -36,10 +36,7 @@ def add_barrier(
         The barrier thread id.  Threads of the next phase should declare a
         dependency on it.
     """
-    barrier = graph.add_thread(service_time, phase=phase)
-    for tid in before:
-        graph.add_dependency(tid, barrier)
-    return barrier
+    return graph.add_join(before, service_time, phase=phase)
 
 
 class CriticalSectionModel:
@@ -50,17 +47,23 @@ class CriticalSectionModel:
             raise ValueError("critical_fraction must be in [0, 1)")
         self.critical_fraction = critical_fraction
 
+    def inflation(self, n_concurrent: int) -> float:
+        """Expected lock wait per second of base service among ``n_concurrent``.
+
+        Each thread expects to wait, on average, for half the other
+        threads' critical sections.
+        """
+        if n_concurrent < 1:
+            raise ValueError("n_concurrent must be at least 1")
+        return 0.5 * (n_concurrent - 1) * self.critical_fraction
+
     def inflated_service(self, base_service: float, n_concurrent: int) -> float:
         """Expected service time of one thread among ``n_concurrent`` peers.
 
         With zero contenders or a zero critical fraction this is the base
-        service time.  Otherwise each thread expects to wait, on average,
-        for half the other threads' critical sections.
+        service time.
         """
-        if n_concurrent < 1:
-            raise ValueError("n_concurrent must be at least 1")
+        inflation = self.inflation(n_concurrent)
         if base_service < 0:
             raise ValueError("base_service must be non-negative")
-        others = n_concurrent - 1
-        expected_wait = 0.5 * others * self.critical_fraction * base_service
-        return base_service + expected_wait
+        return base_service + inflation * base_service

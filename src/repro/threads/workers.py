@@ -59,8 +59,10 @@ class WorkerTask:
         #: breakdown of the charged overhead, for refunds on immediate preemption
         self.stint_switch_charged = 0.0
         self.stint_penalty_charged = 0.0
-        #: handle of the pending thread-completion event, owned by the system
+        #: the pending thread-completion event, owned by the system
         self.completion_handle: typing.Optional[object] = None
+        #: label of this worker's thread-completion events
+        self.completion_label = f"complete:{job.name}#{index}"
         #: lifetime dispatch statistics
         self.dispatches = 0
         self.affine_dispatches = 0

@@ -18,8 +18,8 @@ field SWF name                mapped to
 ===== ======================= ==========================================
 
 Parsing is strict where silence would corrupt an experiment: negative
-runtimes, out-of-order submit times, truncated or non-numeric lines all
-raise :class:`SwfFormatError` carrying the 1-based line number.  (Real
+runtimes, out-of-order submit times, truncated lines, and non-numeric or
+non-finite (``nan``, ``inf``, overflowing) fields all raise :class:`SwfFormatError` carrying the 1-based line number.  (Real
 archives use ``-1`` for *unknown* runtimes; an unknown runtime cannot be
 simulated, so it is an error here rather than a silent skip.)
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import os
 import typing
 
@@ -80,7 +81,8 @@ def parse_swf(text: str, source: str = "<swf>") -> typing.List[SwfJob]:
     """Parse SWF ``text`` into job records.
 
     Raises:
-        SwfFormatError: on truncated lines, non-numeric fields, negative
+        SwfFormatError: on truncated lines, non-numeric or non-finite
+            fields, negative
             submit/run times, missing processor counts, duplicate job
             ids, or submit times that go backwards.
     """
@@ -102,6 +104,13 @@ def parse_swf(text: str, source: str = "<swf>") -> typing.List[SwfJob]:
             values = [float(field) for field in fields[:N_FIELDS]]
         except ValueError:
             raise SwfFormatError(source, line_no, f"non-numeric field in {line!r}")
+        for index, value in enumerate(values):
+            if not math.isfinite(value):
+                raise SwfFormatError(
+                    source,
+                    line_no,
+                    f"non-finite field {index + 1}: {fields[index]!r}",
+                )
         job_id = int(values[0])
         submit = values[1]
         run = values[3]

@@ -1,37 +1,64 @@
-"""Virtual clock invariants."""
+"""Virtual clock invariants: ``Simulator.now`` and how the run loop moves it."""
 
 import pytest
 
-from repro.engine.clock import VirtualClock
+from repro.engine.simulator import Simulator
+
+
+def _noop():
+    pass
 
 
 class TestVirtualClock:
     def test_starts_at_zero_by_default(self):
-        assert VirtualClock().now == 0.0
+        assert Simulator().now == 0.0
 
-    def test_starts_at_given_time(self):
-        assert VirtualClock(5.0).now == 5.0
+    def test_run_until_sets_the_start_of_the_next_run(self):
+        sim = Simulator()
+        assert sim.run(until=5.0) == 5.0
+        seen = []
+        sim.schedule(1.0, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [6.0]
 
     def test_advance_moves_forward(self):
-        clock = VirtualClock()
-        clock.advance_to(3.5)
-        assert clock.now == 3.5
+        sim = Simulator()
+        sim.at(3.5, _noop)
+        sim.run()
+        assert sim.now == 3.5
 
     def test_advance_to_same_time_allowed(self):
-        clock = VirtualClock(2.0)
-        clock.advance_to(2.0)
-        assert clock.now == 2.0
+        sim = Simulator()
+        seen = []
+        sim.at(2.0, lambda: sim.schedule(0.0, lambda: seen.append(sim.now)))
+        sim.run()
+        assert seen == [2.0]
+        assert sim.now == 2.0
 
     def test_advance_backwards_raises(self):
-        clock = VirtualClock(10.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(9.999)
+        sim = Simulator()
+        sim.at(10.0, lambda: sim.queue.push(9.999, _noop))
+        with pytest.raises(ValueError, match="backwards"):
+            sim.run()
+        assert sim.now == 10.0
+
+    def test_until_before_now_raises(self):
+        sim = Simulator()
+        sim.at(10.0, _noop)
+        sim.at(20.0, _noop)
+        sim.run(max_events=1)
+        with pytest.raises(ValueError, match="backwards"):
+            sim.run(until=9.0)
+        assert sim.now == 10.0
 
     def test_reset_returns_to_start(self):
-        clock = VirtualClock()
-        clock.advance_to(100.0)
-        clock.reset()
-        assert clock.now == 0.0
+        sim = Simulator()
+        sim.at(100.0, _noop)
+        sim.run()
+        sim.reset()
+        assert sim.now == 0.0
 
     def test_repr_contains_time(self):
-        assert "3.5" in repr(VirtualClock(3.5))
+        sim = Simulator()
+        sim.run(until=3.5)
+        assert "3.5" in repr(sim)

@@ -105,6 +105,21 @@ class TestMalformed:
         assert exc.value.line_no == 1
         assert "non-numeric" in str(exc.value)
 
+    @pytest.mark.parametrize("field", ["run", "submit", "allocated", "status"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_field(self, field, value):
+        later = {"job_id": 2, "submit": "5", field: value}
+        text = _line(job_id=1) + "\n" + _line(**later)
+        with pytest.raises(SwfFormatError) as exc:
+            parse_swf(text, source="bad.swf")
+        assert exc.value.line_no == 2
+        assert "bad.swf:2:" in str(exc.value)
+        assert "non-finite field" in str(exc.value)
+
+    def test_non_finite_job_id(self):
+        with pytest.raises(SwfFormatError, match="non-finite field 1"):
+            parse_swf(_line(job_id="inf"))
+
     def test_duplicate_job_id(self):
         text = _line(job_id=7) + "\n" + _line(job_id=7, submit="5")
         with pytest.raises(SwfFormatError) as exc:
