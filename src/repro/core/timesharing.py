@@ -146,7 +146,7 @@ class TimeSharingSystem:
                 tid = job.take_ready_thread()
                 if tid is None:
                     continue
-                worker.hold_thread(tid, job.graph.service_time(tid))
+                worker.hold_thread(tid, job.graph.service_times[tid])
             self.run_queue.append(worker)
 
     def _pick_worker(self, cpu: int) -> typing.Optional[WorkerTask]:
@@ -273,7 +273,7 @@ class TimeSharingSystem:
         if next_tid is not None and not self.run_queue:
             # Nothing else wants the processor: run on (fresh quantum).
             worker.current_thread = next_tid
-            worker.remaining_service = job.graph.service_time(next_tid)
+            worker.remaining_service = job.graph.service_times[next_tid]
             worker.segment_start = self.now
             worker.stint_overhead = 0.0
             run = worker.remaining_service
@@ -295,7 +295,7 @@ class TimeSharingSystem:
         self.voluntary_switches += 1
         if next_tid is not None:
             worker.current_thread = next_tid
-            worker.remaining_service = job.graph.service_time(next_tid)
+            worker.remaining_service = job.graph.service_times[next_tid]
             self._depart(cpu, suspended=True)
             self.run_queue.append(worker)
         else:

@@ -55,7 +55,7 @@ class TestMva:
     def test_jitter_bounds_service_times(self):
         spec = MvaSpec(MvaParams(mean_service_s=0.1, service_jitter=0.2))
         graph = spec.build_graph(rng())
-        times = [graph.service_time(t) for t in range(graph.n_threads)]
+        times = graph.service_times
         assert all(0.08 <= t <= 0.12 for t in times)
 
     def test_invalid_params(self):

@@ -112,6 +112,15 @@ class TestEffectiveService:
         effective_service(job, worker, 0)
         assert effective_service(job, worker, 1) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("tid", [-1, 2])
+    def test_out_of_range_thread_rejected(self, tid):
+        """A negative id must not wrap to the last thread."""
+        job = grouped_job([5, 6])
+        worker = job.workers[0]
+        with pytest.raises(IndexError):
+            effective_service(job, worker, tid)
+        assert worker.last_data_group is None
+
 
 class TestEndToEnd:
     def run_job(self, spec):
