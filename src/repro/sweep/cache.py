@@ -18,7 +18,10 @@ stale physics.  Results live under ``<root>/<key[:2]>/<key>/``:
 Payloads are plain JSON dicts; because Python's ``repr`` float
 serialization round-trips exactly, a cache hit reconstructs the same
 numbers bit-for-bit and downstream reports are byte-identical to a
-fresh run.
+fresh run.  ``result.json`` keeps the payload's own key order (every
+other file is key-sorted): a mix's per-job metrics are keyed by job
+name in the mix's order, which renderers print and means sum in, so a
+sorted file would hand a hit its jobs in alphabetical order instead.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.sweep.spec import SweepCell, canonical_json
 #: Version of the cache-key recipe and payload layout.  Bump on any
 #: change to what a key covers or what a payload contains; old entries
 #: then simply stop matching.
-CACHE_SCHEMA = "repro.sweep.cache/1"
+CACHE_SCHEMA = "repro.sweep.cache/2"
 
 #: Schema tag carried inside every persisted result payload.
 RESULT_SCHEMA = "repro.sweep.result/1"
@@ -184,7 +187,7 @@ class ResultCache:
         )
         ioutil.atomic_write_text(
             os.path.join(cell_dir, _RESULT_FILE),
-            json.dumps(payload, sort_keys=True) + "\n",
+            json.dumps(payload) + "\n",
         )
 
     def evict(self, key: str) -> bool:

@@ -3,8 +3,11 @@
 import json
 import os
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sweep.cache import (
     RESULT_SCHEMA,
@@ -99,6 +102,39 @@ class TestStoreLoad:
             fh.write("{}")
         assert not cache.has(key)
         assert cache.load(key) is None
+
+
+#: JSON values whose dicts carry keys in whatever order hypothesis drew.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=5),
+    max_leaves=20,
+)
+
+
+class TestKeyOrder:
+    """A hit hands back the payload's key order, not a sorted one: a
+    mix's jobs are keyed by name in mix order, which reports print."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.dictionaries(st.text(max_size=6), _json_values, max_size=6))
+    def test_store_load_preserves_key_order(self, data):
+        payload = {"schema": RESULT_SCHEMA, "kind": "mix", "data": data}
+        with tempfile.TemporaryDirectory() as root:
+            cache = ResultCache(root)
+            key = cell_key(_cell(), FP)
+            cache.store(_cell(), key, payload, FP)
+            assert json.dumps(cache.load(key)) == json.dumps(payload)
+
+    def test_unsorted_jobs_survive(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        key = cell_key(_cell(), FP)
+        payload = {"schema": RESULT_SCHEMA, "kind": "mix",
+                   "data": {"jobs": {"MVA": 1.0, "MATRIX": 2.0}}}
+        cache.store(_cell(), key, payload, FP)
+        assert list(cache.load(key)["data"]["jobs"]) == ["MVA", "MATRIX"]
 
 
 class TestDamage:
