@@ -17,6 +17,15 @@ Usage::
     python -m repro diff TRACE_A TRACE_B        # why do two runs differ?
     python -m repro all                     # everything (slow)
 
+The paper's figure commands (``table1``, ``fig5``, ``fig6``, ``table4``,
+``future``) are entries of one table, :data:`FIGURES`: each pairs a
+function from the parsed arguments to the command's ``SweepSpec`` with a
+renderer of the finished payloads.  One driver, :func:`run_figures`,
+builds the specs, runs them through ``run_sweep`` and renders them, so
+``repro all`` runs the union of every figure's cells as ONE sweep, each
+distinct (mix, policy, seed) cell once, and ``--workers`` spreads over
+all of them.
+
 The replication-based experiments accept ``--metrics``: the run is
 instrumented with a metrics registry and the merged snapshot is printed
 as key-sorted JSON after the experiment's own output, preceded by a
@@ -29,6 +38,7 @@ self-profile of the simulator and prints it after ``=== profile ===``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import typing
@@ -57,13 +67,10 @@ from repro.reporting.tables import (
     render_table3,
     render_table4,
 )
+from repro.sweep.spec import POLICIES_BY_NAME as _POLICY_BY_NAME
+from repro.sweep.spec import SweepSpec
 
-_DYNAMIC_POLICIES = (DYNAMIC, DYN_AFF, DYN_AFF_DELAY)
-
-_ALL_POLICIES = (
-    EQUIPARTITION, DYNAMIC, DYN_AFF, DYN_AFF_DELAY, DYN_AFF_NOPRI,
-)
-_POLICY_BY_NAME = {p.name: p for p in _ALL_POLICIES}
+_FIG5_POLICIES = (EQUIPARTITION, DYNAMIC, DYN_AFF, DYN_AFF_DELAY)
 
 #: Marker line preceding a JSON metrics snapshot on stdout (tests and
 #: scripts split on it to find the machine-readable part).
@@ -95,14 +102,9 @@ def _print_profile(snapshot: typing.Mapping[str, typing.Any], label: str = "") -
     print(render_profile_table(snapshot))
 
 
-def _print_comparison_profiles(comparison) -> None:
-    for policy in sorted(comparison.profiles):
-        _print_profile(comparison.profiles[policy], label=policy)
-
-
 def _print_analysis(
     mix_ids: typing.Sequence[int],
-    policies: typing.Sequence[typing.Any],
+    policies: typing.Sequence[str],
     seed: int,
 ) -> None:
     """Run one traced replication per (mix, policy) and print attributions.
@@ -116,7 +118,7 @@ def _print_analysis(
     from repro.reporting.analysis_report import render_attribution_table
 
     for mix_id in mix_ids:
-        for policy in policies:
+        for policy in map(_POLICY_BY_NAME.get, policies):
             tracer = Tracer()
             run_mix(mix_id, policy, seed=seed, tracer=tracer)
             attribution = attribute_time(tracer.records)
@@ -211,27 +213,37 @@ def cmd_apps(args: argparse.Namespace) -> None:
         print()
 
 
-def cmd_table1(args: argparse.Namespace) -> None:
-    """Table 1: cache penalties per application per Q (one sweep cell
-    per (app, Q) pair; ``--cache-dir`` makes reruns serve from cache)."""
-    from repro.sweep import SweepSpec, run_sweep
-    from repro.sweep.cells import merged_metrics, merged_profile, penalty_table
+def _mix_spec(
+    args: argparse.Namespace,
+    name: str,
+    policies: typing.Sequence[typing.Any],
+    mixes: typing.Optional[typing.Sequence[int]] = None,
+) -> SweepSpec:
+    """A (mixes x policies x seeds) grid: one cached cell per triple, so
+    figures that share a triple share its run (and its cache entry)."""
+    return SweepSpec(
+        name=name,
+        kind="mix",
+        mixes=tuple(mixes or ([args.mix] if args.mix else sorted(MIXES))),
+        policies=tuple(p.name for p in policies),
+        seeds=tuple(args.seed + r for r in range(args.replications)),
+    )
 
-    spec = SweepSpec(
+
+def _table1_spec(args: argparse.Namespace) -> SweepSpec:
+    return SweepSpec(
         name="table1",
         kind="table1",
         seeds=(args.seed,),
         scale=args.scale,
         backend=getattr(args, "backend", None),
     )
-    sweep = run_sweep(
-        spec,
-        cache=_sweep_cache(args),
-        collect_metrics=getattr(args, "metrics", False),
-        collect_profile=getattr(args, "profile", False),
-    )
-    payloads = sweep.payloads
-    print(render_table1(penalty_table(spec, payloads)))
+
+
+def _print_merged(spec: SweepSpec, payloads) -> None:
+    """The sweep's merged metrics and profile snapshots, when collected."""
+    from repro.sweep.cells import merged_metrics, merged_profile
+
     snapshot = merged_metrics(spec, payloads)
     if snapshot is not None:
         _print_snapshot(snapshot)
@@ -240,74 +252,43 @@ def cmd_table1(args: argparse.Namespace) -> None:
         _print_profile(profile)
 
 
-def _mix_ids(args: argparse.Namespace) -> typing.List[int]:
-    return [args.mix] if args.mix else sorted(MIXES)
+def _render_table1(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
+    """Table 1: cache penalties per application per Q."""
+    from repro.sweep.cells import penalty_table
+
+    print(render_table1(penalty_table(spec, payloads)))
+    _print_merged(spec, payloads)
 
 
-def _mix_sweep(
-    args: argparse.Namespace,
-    name: str,
-    mix_ids: typing.Sequence[int],
-    policies: typing.Sequence[typing.Any],
-) -> typing.Iterator[typing.Tuple[int, typing.Any]]:
-    """Run a (mixes x policies x seeds) grid as ONE sweep and yield the
-    per-mix comparisons, in mix order.
-
-    Replaces the per-figure fan-out loops: every (mix, policy, seed)
-    triple is a cached cell, so ``fig5 --cache-dir X`` and a later
-    ``table4 --cache-dir X`` share any overlapping work, and a killed
-    run resumes where it stopped.
-    """
-    from repro.sweep import SweepSpec, run_sweep
+def _render_relative_rt(
+    args: argparse.Namespace, spec: SweepSpec, payloads, table3: bool = False
+) -> None:
+    """Figure 5 (+ Table 3 and ``--csv``) or Figure 6: each policy's
+    response times relative to Equipartition, mix by mix."""
     from repro.sweep.cells import mix_comparison
 
-    spec = SweepSpec(
-        name=name,
-        kind="mix",
-        mixes=tuple(mix_ids),
-        policies=tuple(p.name for p in policies),
-        seeds=tuple(args.seed + r for r in range(args.replications)),
-    )
-    sweep = run_sweep(
-        spec,
-        cache=_sweep_cache(args),
-        workers=getattr(args, "workers", None),
-        collect_metrics=getattr(args, "metrics", False),
-        collect_profile=getattr(args, "profile", False),
-    )
-    payloads = sweep.payloads
-    for mix_id in mix_ids:
-        yield mix_id, mix_comparison(spec, payloads, mix_id)
-
-
-def cmd_fig5(args: argparse.Namespace) -> None:
-    """Figure 5 + Table 3: dynamic policies relative to Equipartition."""
     csv_rows: typing.List[typing.Sequence[object]] = []
-    policies = (EQUIPARTITION,) + _DYNAMIC_POLICIES
-    for mix_id, comparison in _mix_sweep(args, "fig5", _mix_ids(args), policies):
+    for mix_id in spec.mixes:
+        comparison = mix_comparison(spec, payloads, mix_id)
         print(render_relative_rt_table(comparison))
         print()
-        print(render_table3(comparison))
-        print()
+        if table3:
+            print(render_table3(comparison))
+            print()
         _print_comparison_metrics(comparison)
-        _print_comparison_profiles(comparison)
+        for policy in sorted(comparison.profiles):
+            _print_profile(comparison.profiles[policy], label=policy)
         if getattr(args, "analyze", False):
-            _print_analysis([mix_id], policies, args.seed)
-        if args.csv:
-            for policy in comparison.policies():
-                for job, summary in comparison.summaries[policy].items():
-                    csv_rows.append(
-                        [
-                            mix_id,
-                            policy,
-                            job,
-                            summary.response_time.mean,
-                            summary.n_reallocations,
-                            summary.pct_affinity,
-                            summary.average_allocation,
-                        ]
-                    )
-    if args.csv:
+            _print_analysis([mix_id], spec.policies, args.seed)
+        if table3 and args.csv:
+            csv_rows.extend(
+                [mix_id, policy, job, summary.response_time.mean,
+                 summary.n_reallocations, summary.pct_affinity,
+                 summary.average_allocation]
+                for policy in comparison.policies()
+                for job, summary in comparison.summaries[policy].items()
+            )
+    if table3 and args.csv:
         from repro.reporting.export import rows_to_csv
         from repro.reporting.obs_export import write_artifact
 
@@ -319,58 +300,23 @@ def cmd_fig5(args: argparse.Namespace) -> None:
         print(f"wrote {len(csv_rows)} rows to {args.csv}")
 
 
-def cmd_fig6(args: argparse.Namespace) -> None:
-    """Figure 6: Dyn-Aff-NoPri relative to Equipartition."""
-    policies = (EQUIPARTITION, DYN_AFF_NOPRI)
-    for mix_id, comparison in _mix_sweep(args, "fig6", _mix_ids(args), policies):
-        print(render_relative_rt_table(comparison))
-        print()
-        _print_comparison_metrics(comparison)
-        _print_comparison_profiles(comparison)
-        if getattr(args, "analyze", False):
-            _print_analysis([mix_id], policies, args.seed)
-
-
-def cmd_table4(args: argparse.Namespace) -> None:
+def _render_table4(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
     """Table 4: homogeneous workloads, Dyn-Aff vs Dyn-Aff-NoPri."""
-    from repro.sweep import SweepSpec, run_sweep
-    from repro.sweep.cells import (
-        mean_response_table,
-        merged_metrics,
-        merged_profile,
-    )
+    from repro.sweep.cells import mean_response_table
 
-    spec = SweepSpec(
-        name="table4",
-        kind="mix",
-        mixes=(1, 4),
-        policies=(DYN_AFF.name, DYN_AFF_NOPRI.name),
-        seeds=tuple(args.seed + r for r in range(args.replications)),
-    )
-    sweep = run_sweep(
-        spec,
-        cache=_sweep_cache(args),
-        workers=getattr(args, "workers", None),
-        collect_metrics=getattr(args, "metrics", False),
-        collect_profile=getattr(args, "profile", False),
-    )
-    payloads = sweep.payloads
     print(render_table4(mean_response_table(spec, payloads)))
-    snapshot = merged_metrics(spec, payloads)
-    if snapshot is not None:
-        _print_snapshot(snapshot)
-    profile = merged_profile(spec, payloads)
-    if profile is not None:
-        _print_profile(profile)
+    _print_merged(spec, payloads)
     if getattr(args, "analyze", False):
-        _print_analysis([1, 4], (DYN_AFF, DYN_AFF_NOPRI), args.seed)
+        _print_analysis(spec.mixes, spec.policies, args.seed)
 
 
-def cmd_future(args: argparse.Namespace) -> None:
+def _render_future(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
     """Figures 8-13: the extended model on future machines (fig5's cells)."""
+    from repro.sweep.cells import mix_comparison
+
     model = FutureMachineModel(DEFAULT_PENALTIES)
-    policies = (EQUIPARTITION,) + _DYNAMIC_POLICIES
-    for mix_id, comparison in _mix_sweep(args, "future", _mix_ids(args), policies):
+    for mix_id in spec.mixes:
+        comparison = mix_comparison(spec, payloads, mix_id)
         _print_comparison_metrics(comparison)
         observations = observations_from_comparison(comparison)
         for job in comparison.job_names():
@@ -392,6 +338,80 @@ def cmd_future(args: argparse.Namespace) -> None:
                 )
             )
             print()
+
+
+class Figure(typing.NamedTuple):
+    """One paper figure command: its flags, its sweep, and its printout."""
+
+    help: str
+    flags: typing.Tuple[str, ...]
+    spec: typing.Callable[[argparse.Namespace], SweepSpec]
+    render: typing.Callable[..., None]
+
+
+#: The figure commands in paper order.  Each is a function from ``args``
+#: to its ``SweepSpec`` plus a renderer of ``(args, spec, payloads)``;
+#: :func:`run_figures` runs any subset as one sweep, so ``repro all``
+#: computes each (mix, policy, seed) cell once however many figures
+#: show it.
+FIGURES: typing.Dict[str, Figure] = {
+    "table1": Figure(
+        "Table 1: cache penalties",
+        ("--scale", "--metrics", "--profile", "--backend", "--cache-dir"),
+        _table1_spec,
+        _render_table1,
+    ),
+    "fig5": Figure(
+        "Figure 5 + Table 3: policy comparison",
+        ("--mix", "-r", "--workers", "--metrics", "--analyze", "--profile",
+         "--csv", "--cache-dir"),
+        lambda args: _mix_spec(args, "fig5", _FIG5_POLICIES),
+        functools.partial(_render_relative_rt, table3=True),
+    ),
+    "fig6": Figure(
+        "Figure 6: Dyn-Aff-NoPri",
+        ("--mix", "-r", "--workers", "--metrics", "--analyze", "--profile",
+         "--cache-dir"),
+        lambda args: _mix_spec(args, "fig6", (EQUIPARTITION, DYN_AFF_NOPRI)),
+        _render_relative_rt,
+    ),
+    "table4": Figure(
+        "Table 4: homogeneous workloads",
+        ("-r", "--metrics", "--analyze", "--profile", "--cache-dir"),
+        lambda args: _mix_spec(
+            args, "table4", (DYN_AFF, DYN_AFF_NOPRI), mixes=(1, 4)
+        ),
+        _render_table4,
+    ),
+    "future": Figure(
+        "Figures 8-13: future machines",
+        ("--mix", "-r", "--workers", "--metrics"),
+        lambda args: _mix_spec(args, "future", _FIG5_POLICIES),
+        _render_future,
+    ),
+}
+
+
+def run_figures(args: argparse.Namespace, names: typing.Sequence[str]) -> None:
+    """Build the named figures' specs, run their cells as ONE sweep (each
+    distinct cell once), then render each figure in ``names`` order."""
+    from repro.sweep import run_sweep
+
+    specs = [FIGURES[name].spec(args) for name in names]
+    payloads = run_sweep(
+        specs,
+        cache=_sweep_cache(args),
+        workers=getattr(args, "workers", None),
+        collect_metrics=getattr(args, "metrics", False),
+        collect_profile=getattr(args, "profile", False),
+    ).payloads
+    for name, spec in zip(names, specs):
+        FIGURES[name].render(args, spec, payloads)
+
+
+def cmd_figure(args: argparse.Namespace) -> None:
+    """One figure command (``table1``, ``fig5``, ...): one sweep, one render."""
+    run_figures(args, [args.command])
 
 
 def cmd_gantt(args: argparse.Namespace) -> None:
@@ -457,6 +477,62 @@ def cmd_hierarchy(args: argparse.Namespace) -> None:
         print(f"  {speed:5.0f} | {constant:15.4f} | {sqrt_rate:20.4f} | {feasible}")
 
 
+def _write_checked_trace(records, result, path: str, fmt: str, what: str) -> bool:
+    """Check a run's trace against the invariant and replay oracles,
+    write it to ``path`` as ``fmt``, and print both verdicts.
+
+    Returns whether both oracles passed; callers exit non-zero when not,
+    so a bad trace can never be silently shipped as an artifact.
+    """
+    from repro.obs.invariants import check_trace
+    from repro.obs.replay import verify_replay
+    from repro.obs.store import write_columnar
+    from repro.reporting.obs_export import trace_to_jsonl, write_artifact
+
+    violations = check_trace(records)
+    replay_errors = verify_replay(records, result)
+    if fmt == "columnar":
+        write_columnar(path, records)
+    else:
+        write_artifact(path, trace_to_jsonl(records))
+    print(f"wrote {len(records)} records for {what} to {path}")
+    print(f"invariant violations: {len(violations)}")
+    for message in violations[:20]:
+        print(f"  {message}")
+    print("replay check: " + ("exact" if not replay_errors else "MISMATCH"))
+    for message in replay_errors[:20]:
+        print(f"  {message}")
+    return not (violations or replay_errors)
+
+
+def _progress_hooks(enabled: bool):
+    """``--progress``: a telemetry collector, plus a sink and a shard-commit
+    callback that stream heartbeats to stderr (three ``None``s when off)."""
+    if not enabled:
+        return None, None, None
+    from repro.obs.telemetry import TelemetryCollector, progress_line
+
+    collector = TelemetryCollector()
+
+    def sink(snapshot) -> None:
+        collector(snapshot)
+        print(progress_line(snapshot), file=sys.stderr)
+
+    def on_commit(index: int, payloads: typing.List[dict]) -> None:
+        print(
+            f"[sweep] shard {index + 1} committed ({len(payloads)} cells)",
+            file=sys.stderr,
+        )
+
+    return collector, sink, on_commit
+
+
+def _print_telemetry(collector) -> None:
+    if collector is not None:
+        print(TELEMETRY_MARKER)
+        print(collector.render_summary(), end="")
+
+
 def cmd_trace(args: argparse.Namespace) -> None:
     """Run one mix instrumented, export the trace, and self-check it.
 
@@ -468,10 +544,6 @@ def cmd_trace(args: argparse.Namespace) -> None:
     of JSONL (both round-trip losslessly; see ``repro convert``).
     """
     from repro.obs import MetricsRegistry, Tracer
-    from repro.obs.invariants import check_trace
-    from repro.obs.replay import verify_replay
-    from repro.obs.store import write_columnar
-    from repro.reporting.obs_export import trace_to_jsonl, write_artifact
 
     policy = _POLICY_BY_NAME[args.policy]
     mix_id = args.mix if args.mix else 5
@@ -480,25 +552,13 @@ def cmd_trace(args: argparse.Namespace) -> None:
     result = run_mix(
         mix_id, policy, seed=args.seed, tracer=tracer, metrics=registry
     )
-    violations = check_trace(tracer.records)
-    replay_errors = verify_replay(tracer.records, result)
-    if args.format == "columnar":
-        write_columnar(args.out, tracer.records)
-    else:
-        write_artifact(args.out, trace_to_jsonl(tracer.records))
-    print(
-        f"wrote {len(tracer.records)} records for workload #{mix_id} "
-        f"under {policy.name} to {args.out}"
+    ok = _write_checked_trace(
+        tracer.records, result, args.out, args.format,
+        f"workload #{mix_id} under {policy.name}",
     )
-    print(f"invariant violations: {len(violations)}")
-    for message in violations[:20]:
-        print(f"  {message}")
-    print("replay check: " + ("exact" if not replay_errors else "MISMATCH"))
-    for message in replay_errors[:20]:
-        print(f"  {message}")
     if registry is not None:
         _print_snapshot(registry.snapshot())
-    if violations or replay_errors:
+    if not ok:
         raise SystemExit(1)
 
 
@@ -517,10 +577,9 @@ def cmd_opensys(args: argparse.Namespace) -> None:
     per-cell heartbeats to stderr while the sweep runs and prints a
     ``=== telemetry ===`` summary after the table.
     """
-    from repro.obs.telemetry import TelemetryCollector, progress_line
     from repro.reporting.obs_export import write_artifact
     from repro.reporting.opensys_report import matrix_to_json, render_matrix_table
-    from repro.sweep import SweepSpec, normalize_seeds, run_sweep
+    from repro.sweep import normalize_seeds, run_sweep
     from repro.sweep.cells import matrix_comparison
     from repro.sweep.spec import OPENSYS_SCENARIOS
     from repro.workloads.opensys import (
@@ -532,16 +591,7 @@ def cmd_opensys(args: argparse.Namespace) -> None:
     seed_values = normalize_seeds(args.seeds, args.seed)
     policy_names = args.policy or sorted(_POLICY_BY_NAME)
     collect_metrics = args.metrics or bool(args.metrics_csv)
-
-    collector = None
-    telemetry_sink = None
-    if args.progress:
-        collector = TelemetryCollector()
-
-        def telemetry_sink(snapshot, _collector=collector):
-            _collector(snapshot)
-            print(progress_line(snapshot), file=sys.stderr)
-
+    collector, telemetry_sink, on_commit = _progress_hooks(args.progress)
     if args.swf:
         spec = SweepSpec(
             name="opensys-swf",
@@ -568,14 +618,6 @@ def cmd_opensys(args: argparse.Namespace) -> None:
             n_processors=args.processors,
             lite=args.lite,
         )
-    on_commit = None
-    if args.progress:
-        def on_commit(index, payloads):
-            print(
-                f"[sweep] shard {index + 1} committed ({len(payloads)} cells)",
-                file=sys.stderr,
-            )
-
     sweep = run_sweep(
         spec,
         cache=_sweep_cache(args),
@@ -586,9 +628,7 @@ def cmd_opensys(args: argparse.Namespace) -> None:
     )
     comparison = matrix_comparison(spec, sweep.payloads)
     print(render_matrix_table(comparison))
-    if collector is not None:
-        print(TELEMETRY_MARKER)
-        print(collector.render_summary(), end="")
+    _print_telemetry(collector)
     if args.json:
         write_artifact(args.json, matrix_to_json(comparison))
         print(f"wrote matrix JSON to {args.json}")
@@ -608,10 +648,6 @@ def cmd_opensys(args: argparse.Namespace) -> None:
 
     if args.trace:
         from repro.obs import Tracer
-        from repro.obs.invariants import check_trace
-        from repro.obs.replay import verify_replay
-        from repro.obs.store import write_columnar
-        from repro.reporting.obs_export import trace_to_jsonl, write_artifact
 
         if args.swf:
             trace_scenario: typing.Any = SwfScenario.from_file(
@@ -632,23 +668,10 @@ def cmd_opensys(args: argparse.Namespace) -> None:
             n_processors=args.processors,
             tracer=tracer,
         )
-        violations = check_trace(tracer.records)
-        replay_errors = verify_replay(tracer.records, result.system)
-        if args.trace_format == "columnar":
-            write_columnar(args.trace, tracer.records)
-        else:
-            write_artifact(args.trace, trace_to_jsonl(tracer.records))
-        print(
-            f"wrote {len(tracer.records)} records for scenario "
-            f"{result.scenario!r} under {result.policy} to {args.trace}"
-        )
-        print(f"invariant violations: {len(violations)}")
-        for message in violations[:20]:
-            print(f"  {message}")
-        print("replay check: " + ("exact" if not replay_errors else "MISMATCH"))
-        for message in replay_errors[:20]:
-            print(f"  {message}")
-        if violations or replay_errors:
+        if not _write_checked_trace(
+            tracer.records, result.system, args.trace, args.trace_format,
+            f"scenario {result.scenario!r} under {result.policy}",
+        ):
             raise SystemExit(1)
 
 
@@ -815,7 +838,6 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     reports cache occupancy without running anything; ``clean`` evicts
     the spec's cells for the current code fingerprint.
     """
-    from repro.obs.telemetry import TelemetryCollector, progress_line
     from repro.sweep import ResultCache, load_spec, run_sweep
     from repro.sweep.executor import sweep_clean, sweep_status
 
@@ -840,22 +862,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
               f"from {cache.root}")
         return
 
-    collector = None
-    telemetry_sink = None
-    on_commit = None
-    if args.progress:
-        collector = TelemetryCollector()
-
-        def telemetry_sink(snapshot, _collector=collector):
-            _collector(snapshot)
-            print(progress_line(snapshot), file=sys.stderr)
-
-        def on_commit(index, payloads):
-            print(
-                f"[sweep] shard {index + 1} committed ({len(payloads)} cells)",
-                file=sys.stderr,
-            )
-
+    collector, telemetry_sink, on_commit = _progress_hooks(args.progress)
     sweep = run_sweep(
         spec,
         cache=cache,
@@ -891,27 +898,71 @@ def cmd_sweep(args: argparse.Namespace) -> None:
             for policy in spec.policies:
                 print(f"  {policy:16s} "
                       f"{comparison.mean_response_time(policy):9.2f} s")
-    if args.metrics:
-        from repro.sweep.cells import merged_metrics
-
-        snapshot = merged_metrics(spec, payloads)
-        if snapshot is not None:
-            _print_snapshot(snapshot)
-    if collector is not None:
-        print(TELEMETRY_MARKER)
-        print(collector.render_summary(), end="")
+    _print_merged(spec, payloads)
+    _print_telemetry(collector)
 
 
 def cmd_all(args: argparse.Namespace) -> None:
-    """Every experiment in paper order."""
+    """Every experiment in paper order; the figures run as one sweep."""
     cmd_apps(args)
-    cmd_table1(args)
-    cmd_fig5(args)
-    cmd_fig6(args)
-    cmd_table4(args)
-    cmd_future(args)
+    run_figures(args, list(FIGURES))
     cmd_section8(args)
     cmd_hierarchy(args)
+
+
+#: Flags several commands share, each defined once: first option string
+#: -> ``add_argument`` keywords (``flags`` lists every option string).
+_FLAGS: typing.Dict[str, typing.Dict[str, typing.Any]] = {
+    "--mix": dict(type=int, choices=sorted(MIXES), default=None),
+    "-r": dict(
+        flags=("-r", "--replications"), type=_positive_int_arg, default=3
+    ),
+    "--workers": dict(
+        type=_positive_int_arg, default=None, metavar="N",
+        help="run cells across N worker processes; results are identical "
+        "to a serial run for the same seed (default: serial)",
+    ),
+    "--metrics": dict(
+        action="store_true",
+        help="collect metrics and print JSON snapshots after the output",
+    ),
+    "--analyze": dict(
+        action="store_true",
+        help="run one traced replication per policy and print its exact "
+        "time-attribution tables",
+    ),
+    "--profile": dict(
+        action="store_true",
+        help="print wall-clock simulator self-profiles after the tables",
+    ),
+    "--cache-dir": dict(
+        type=str, default=None, metavar="DIR",
+        help="serve cells from this content-addressed result cache, "
+        "computing and storing only what is missing (shared by every "
+        "command that has the flag)",
+    ),
+    "--csv": dict(
+        type=str, default=None,
+        help="also write Figure 5's per-job metrics to this CSV file",
+    ),
+    "--scale": dict(
+        type=_positive_int_arg, default=16,
+        help="Table 1 fidelity reduction factor (1 = full cache, every "
+        "touch simulated)",
+    ),
+    "--backend": dict(
+        choices=("scalar", "numpy"), default=None,
+        help="cache and reference-generator engine "
+        "(default: REPRO_BACKEND env var, then scalar)",
+    ),
+    "--processors": dict(type=_positive_int_arg, default=16),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: typing.Iterable[str]) -> None:
+    for flag in flags:
+        kwargs = dict(_FLAGS[flag])
+        parser.add_argument(*kwargs.pop("flags", (flag,)), **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -927,103 +978,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_apps = sub.add_parser("apps", help="Figures 2-4: application profiles")
-    p_apps.add_argument("--processors", type=_positive_int_arg, default=16)
+    _add_flags(p_apps, ("--processors",))
     p_apps.set_defaults(func=cmd_apps)
 
-    p_t1 = sub.add_parser("table1", help="Table 1: cache penalties")
-    p_t1.add_argument(
-        "--scale", type=_positive_int_arg, default=16,
-        help="fidelity reduction factor (1 = full cache, every touch simulated)",
-    )
-    p_t1.add_argument(
-        "--metrics", action="store_true",
-        help="print a JSON metrics snapshot after the table",
-    )
-    p_t1.add_argument(
-        "--profile", action="store_true",
-        help="print a wall-clock simulator self-profile after the table",
-    )
-    p_t1.add_argument(
-        "--backend", choices=("scalar", "numpy"), default=None,
-        help="cache and reference-generator engine "
-        "(default: REPRO_BACKEND env var, then scalar)",
-    )
-    p_t1.add_argument(
-        "--cache-dir", type=str, default=None, metavar="DIR",
-        help="serve (app, Q) cells from this content-addressed result "
-        "cache, computing and storing only what is missing",
-    )
-    p_t1.set_defaults(func=cmd_table1)
-
-    for name, func, help_text in (
-        ("fig5", cmd_fig5, "Figure 5 + Table 3: policy comparison"),
-        ("fig6", cmd_fig6, "Figure 6: Dyn-Aff-NoPri"),
-        ("future", cmd_future, "Figures 8-13: future machines"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--mix", type=int, choices=sorted(MIXES), default=None)
-        p.add_argument("-r", "--replications", type=_positive_int_arg, default=3)
-        p.add_argument(
-            "--workers", type=_positive_int_arg, default=None, metavar="N",
-            help=(
-                "run replications across N worker processes; results are "
-                "identical to a serial run for the same seed (default: serial)"
-            ),
-        )
-        p.add_argument(
-            "--metrics", action="store_true",
-            help="print per-policy JSON metrics snapshots after the tables",
-        )
-        if name in ("fig5", "fig6"):
-            p.add_argument(
-                "--analyze", action="store_true",
-                help=(
-                    "run one traced replication per policy and print its "
-                    "exact time-attribution tables"
-                ),
-            )
-            p.add_argument(
-                "--profile", action="store_true",
-                help="collect and print per-policy simulator self-profiles",
-            )
-        if name == "fig5":
-            p.add_argument("--csv", type=str, default=None,
-                           help="also write per-job metrics to this CSV file")
-        if name in ("fig5", "fig6"):
-            p.add_argument(
-                "--cache-dir", type=str, default=None, metavar="DIR",
-                help="serve (mix, policy, seed) cells from this "
-                "content-addressed result cache",
-            )
-        p.set_defaults(func=func)
-
-    p_t4 = sub.add_parser("table4", help="Table 4: homogeneous workloads")
-    p_t4.add_argument("-r", "--replications", type=_positive_int_arg, default=3)
-    p_t4.add_argument(
-        "--metrics", action="store_true",
-        help="print a JSON metrics snapshot after the table",
-    )
-    p_t4.add_argument(
-        "--analyze", action="store_true",
-        help="print exact time-attribution tables for one traced run per policy",
-    )
-    p_t4.add_argument(
-        "--profile", action="store_true",
-        help="print a wall-clock simulator self-profile after the table",
-    )
-    p_t4.add_argument(
-        "--cache-dir", type=str, default=None, metavar="DIR",
-        help="serve (mix, policy, seed) cells from this content-addressed "
-        "result cache (shared with fig5/fig6 sweeps)",
-    )
-    p_t4.set_defaults(func=cmd_table4)
+    for name, figure in FIGURES.items():
+        p = sub.add_parser(name, help=figure.help)
+        _add_flags(p, figure.flags)
+        p.set_defaults(func=cmd_figure)
 
     p_gantt = sub.add_parser("gantt", help="ASCII allocation timelines")
-    p_gantt.add_argument("--mix", type=int, choices=sorted(MIXES), default=None)
+    _add_flags(p_gantt, ("--mix",))
     p_gantt.set_defaults(func=cmd_gantt)
 
     p_s8 = sub.add_parser("section8", help="time-sharing vs space-sharing contrast")
-    p_s8.add_argument("--mix", type=int, choices=sorted(MIXES), default=None)
+    _add_flags(p_s8, ("--mix",))
     p_s8.set_defaults(func=cmd_section8)
 
     p_hier = sub.add_parser("hierarchy", help="Section 7.2 sqrt-memory-law table")
@@ -1032,7 +1000,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="run one mix instrumented and export a JSONL trace"
     )
-    p_trace.add_argument("--mix", type=int, choices=sorted(MIXES), default=None)
+    _add_flags(p_trace, ("--mix",))
     p_trace.add_argument(
         "--policy", choices=sorted(_POLICY_BY_NAME), default=DYN_AFF.name,
     )
@@ -1040,10 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", type=str, default="trace.jsonl",
         help="output path for the JSONL trace (default: trace.jsonl)",
     )
-    p_trace.add_argument(
-        "--metrics", action="store_true",
-        help="also print a JSON metrics snapshot",
-    )
+    _add_flags(p_trace, ("--metrics",))
     p_trace.add_argument(
         "--engine-events", action="store_true",
         help="include every engine event firing in the trace (verbose)",
@@ -1074,14 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeds per cell: a count starting at --seed (default: 3) or "
         "an explicit comma-separated list; duplicates are rejected",
     )
-    p_os.add_argument(
-        "--workers", type=_positive_int_arg, default=None, metavar="N",
-        help=(
-            "run seeds across N worker processes; results are identical "
-            "to a serial run (default: serial)"
-        ),
-    )
-    p_os.add_argument("--processors", type=_positive_int_arg, default=16)
+    _add_flags(p_os, ("--workers", "--processors"))
     p_os.add_argument(
         "--lite", action="store_true",
         help="fast synthetic job templates instead of the real app specs",
@@ -1107,10 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", type=str, default=None, metavar="FILE",
         help="write the per-cell matrix summary as JSON to this file",
     )
-    p_os.add_argument(
-        "--metrics", action="store_true",
-        help="print per-cell merged JSON metrics snapshots after the table",
-    )
+    _add_flags(p_os, ("--metrics",))
     p_os.add_argument(
         "--trace", type=str, default=None, metavar="FILE",
         help="also run one traced cell (first scenario/policy, base seed), "
@@ -1130,11 +1085,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream live per-cell heartbeats to stderr and print a "
         "telemetry summary after the table",
     )
-    p_os.add_argument(
-        "--cache-dir", type=str, default=None, metavar="DIR",
-        help="serve (scenario, policy, seed) cells, built-in or --swf, "
-        "from this content-addressed result cache",
-    )
+    _add_flags(p_os, ("--cache-dir",))
     p_os.set_defaults(func=cmd_opensys)
 
     p_sw = sub.add_parser(
@@ -1157,19 +1108,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=cmd_sweep)
         sw_common.append(p)
     p_sw_run = sw_common[0]
-    p_sw_run.add_argument(
-        "--workers", type=_positive_int_arg, default=None, metavar="N",
-        help="compute pending cells across N worker processes; results "
-        "are identical to a serial run (default: serial)",
-    )
+    _add_flags(p_sw_run, ("--workers",))
     p_sw_run.add_argument(
         "--force", action="store_true",
         help="recompute every cell even if cached (results are re-stored)",
     )
-    p_sw_run.add_argument(
-        "--metrics", action="store_true",
-        help="collect per-cell metrics and print the merged snapshot",
-    )
+    _add_flags(p_sw_run, ("--metrics",))
     p_sw_run.add_argument(
         "--progress", action="store_true",
         help="stream live per-cell heartbeats to stderr and print a "
@@ -1250,14 +1194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench_report)
 
     p_all = sub.add_parser("all", help="run every experiment (slow)")
-    p_all.add_argument("--mix", type=int, choices=sorted(MIXES), default=None)
-    p_all.add_argument("-r", "--replications", type=_positive_int_arg, default=3)
-    p_all.add_argument("--processors", type=_positive_int_arg, default=16)
-    p_all.add_argument("--scale", type=_positive_int_arg, default=16)
-    p_all.add_argument("--csv", type=str, default=None)
-    p_all.add_argument(
-        "--workers", type=_positive_int_arg, default=None, metavar="N",
-        help="worker processes for the replication-based experiments",
+    _add_flags(
+        p_all, ("--mix", "-r", "--processors", "--scale", "--csv", "--workers")
     )
     p_all.set_defaults(func=cmd_all)
     return parser

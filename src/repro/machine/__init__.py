@@ -27,7 +27,6 @@ from repro.machine.footprint import (
     TaskCacheState,
 )
 from repro.machine.hierarchy import TwoLevelCache, sqrt_memory_law_table
-from repro.machine.multiprocessor import Multiprocessor
 from repro.machine.params import (
     SEQUENT_SYMMETRY,
     MachineSpec,
@@ -42,7 +41,6 @@ __all__ = [
     "FootprintModel",
     "LinearFootprintCurve",
     "MachineSpec",
-    "Multiprocessor",
     "Processor",
     "SEQUENT_SYMMETRY",
     "SetAssociativeCache",

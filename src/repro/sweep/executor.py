@@ -1,8 +1,9 @@
 """Resumable sharded execution of sweep specs over the result cache.
 
-:func:`run_sweep` expands a spec, asks the cache which cells already
-exist, partitions the *pending* cells into shards, and fans the shards
-out over the PR 1 ordered-commit process-pool runner
+:func:`run_sweep` expands a spec (or several, keeping each distinct
+cell once), asks the cache which cells already exist, partitions the
+*pending* cells into shards, and fans the shards out over the
+ordered-commit process-pool runner
 (:func:`repro.engine.parallel.map_items`).  Workers persist each cell
 into the cache as they finish it (result file last, atomically — the
 commit marker); the parent appends one journal line per completed cell
@@ -55,9 +56,9 @@ class CellOutcome:
 
 @dataclasses.dataclass(frozen=True)
 class SweepResult:
-    """Everything :func:`run_sweep` produced, in spec expansion order."""
+    """Everything :func:`run_sweep` produced, in spec expansion order
+    (first-seen order across several specs)."""
 
-    spec: SweepSpec
     outcomes: typing.Tuple[CellOutcome, ...]
     n_hits: int
     n_computed: int
@@ -84,24 +85,23 @@ class SweepStatus:
 
 
 def _run_shard(
-    shard: typing.Tuple[typing.Tuple[str, str, str], ...],
+    shard: typing.Tuple[typing.Tuple[str, str, str, bool], ...],
     collect_metrics: bool,
     collect_profile: bool,
     cache_root: typing.Optional[str],
-    store_traces: bool,
     fingerprint: str,
     telemetry_sink: typing.Optional[TelemetrySink] = None,
 ) -> typing.List[typing.Dict[str, typing.Any]]:
     """Compute one shard's cells; persist each into the cache as it lands.
 
-    ``shard`` entries are ``(kind, config_json, key)`` — plain strings,
-    so the task pickles cheaply into pool workers.  Each cell is cached
-    the moment it finishes (not at shard end): a crash mid-shard loses
-    at most the cell in flight.
+    ``shard`` entries are ``(kind, config_json, key, store_trace)`` —
+    plain strings and a flag, so the task pickles cheaply into pool
+    workers.  Each cell is cached the moment it finishes (not at shard
+    end): a crash mid-shard loses at most the cell in flight.
     """
     cache = ResultCache(cache_root) if cache_root is not None else None
     out: typing.List[typing.Dict[str, typing.Any]] = []
-    for kind, config_json, key in shard:
+    for kind, config_json, key, store_trace in shard:
         cell = SweepCell(kind=kind, config_json=config_json)
         heartbeat = (
             HeartbeatEmitter(telemetry_sink, label=cell.label)
@@ -109,7 +109,7 @@ def _run_shard(
             else None
         )
         tracer = None
-        if cache is not None and store_traces:
+        if cache is not None and store_trace:
             from repro.obs import Tracer
 
             tracer = Tracer()
@@ -158,13 +158,13 @@ def _served_form(
     return payload
 
 
-def _journal_paths(cache: ResultCache, spec: SweepSpec) -> typing.Tuple[str, str]:
-    sweep_dir = os.path.join(cache.root, "sweeps", spec.name)
+def _journal_paths(cache: ResultCache, name: str) -> typing.Tuple[str, str]:
+    sweep_dir = os.path.join(cache.root, "sweeps", name)
     return sweep_dir, os.path.join(sweep_dir, "journal.jsonl")
 
 
 def run_sweep(
-    spec: SweepSpec,
+    spec: typing.Union[SweepSpec, typing.Sequence[SweepSpec]],
     cache: typing.Optional[ResultCache] = None,
     workers: typing.Optional[int] = None,
     force: bool = False,
@@ -178,6 +178,11 @@ def run_sweep(
 ) -> SweepResult:
     """Run ``spec``, serving cached cells and computing the rest.
 
+    ``spec`` may also be a sequence of specs: their cells run as one
+    fan-out, each distinct cell once (cells are equal when kind and
+    config are, whatever spec named them), in first-seen order, and the
+    journal is named after the specs joined with ``+``.
+
     With no ``cache`` this is a plain in-memory fan-out.  With one,
     cached cells are loaded (a hit is byte-identical to recomputing —
     cells are pure functions of their config and JSON floats round-trip
@@ -188,9 +193,16 @@ def run_sweep(
 
     ``on_commit(shard_index, payloads)`` fires per shard in shard order,
     after the shard's cells are journaled.  Outcomes are returned in
-    spec expansion order regardless of what was cached.
+    spec expansion order (first-seen order across several specs)
+    regardless of what was cached.
     """
-    cells = spec.expand()
+    specs = (spec,) if isinstance(spec, SweepSpec) else tuple(spec)
+    name = "+".join(s.name for s in specs)
+    traced: typing.Dict[SweepCell, bool] = {}  # cell -> store its trace?
+    for s in specs:
+        for cell in s.expand():
+            traced[cell] = traced.get(cell, False) or s.store_traces
+    cells = tuple(traced)
     fingerprint = code_fingerprint()
     keyed = [(cell, cell_key(cell, fingerprint)) for cell in cells]
 
@@ -207,7 +219,7 @@ def run_sweep(
     journal_path: typing.Optional[str] = None
     journal_fh: typing.Optional[typing.TextIO] = None
     if cache is not None:
-        sweep_dir, journal_path = _journal_paths(cache, spec)
+        sweep_dir, journal_path = _journal_paths(cache, name)
         os.makedirs(sweep_dir, exist_ok=True)
         journal_fh = open(journal_path, "a", encoding="utf-8")
 
@@ -226,8 +238,8 @@ def run_sweep(
     try:
         journal({
             "event": "run_start",
-            "spec": spec.name,
-            "kind": spec.kind,
+            "spec": name,
+            "kind": "+".join(dict.fromkeys(s.kind for s in specs)),
             "code_fingerprint": fingerprint,
             "n_cells": len(cells),
             "n_cached": len(hits),
@@ -247,7 +259,10 @@ def run_sweep(
                 for i in range(0, len(pending), shard_size)
             ]
             tasks = [
-                tuple((cell.kind, cell.config_json, key) for cell, key in shard)
+                tuple(
+                    (cell.kind, cell.config_json, key, traced[cell])
+                    for cell, key in shard
+                )
                 for shard in shards
             ]
             channel = (
@@ -274,7 +289,6 @@ def run_sweep(
                     collect_metrics=collect_metrics,
                     collect_profile=collect_profile,
                     cache_root=cache.root if cache is not None else None,
-                    store_traces=spec.store_traces,
                     fingerprint=fingerprint,
                     telemetry_sink=channel.sink if channel is not None else None,
                 )
@@ -289,7 +303,7 @@ def run_sweep(
                     computed[cell] = payload
         journal({
             "event": "run_end",
-            "spec": spec.name,
+            "spec": name,
             "n_computed": len(pending),
             "n_hits": len(hits),
         })
@@ -309,7 +323,6 @@ def run_sweep(
         for cell, key in keyed
     )
     return SweepResult(
-        spec=spec,
         outcomes=outcomes,
         n_hits=len(hits),
         n_computed=len(pending),
@@ -322,7 +335,7 @@ def sweep_status(spec: SweepSpec, cache: ResultCache) -> SweepStatus:
     fingerprint = code_fingerprint()
     cells = spec.expand()
     cached = sum(1 for cell in cells if cache.has(cell_key(cell, fingerprint)))
-    _, journal_path = _journal_paths(cache, spec)
+    _, journal_path = _journal_paths(cache, spec.name)
     return SweepStatus(
         spec=spec,
         n_cells=len(cells),

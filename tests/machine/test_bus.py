@@ -65,29 +65,3 @@ class TestProcessorAndMachine:
 
         with pytest.raises(ValueError):
             Processor(0, SEQUENT_SYMMETRY).touch("t", 0, refs_per_touch=0)
-
-    def test_multiprocessor_sizes(self):
-        from repro.machine.multiprocessor import Multiprocessor
-
-        machine = Multiprocessor(SEQUENT_SYMMETRY, n_processors=16)
-        assert len(machine) == 16
-        assert machine[3].cpu_id == 3
-
-    def test_multiprocessor_rejects_oversubscription(self):
-        from repro.machine.multiprocessor import Multiprocessor
-
-        with pytest.raises(ValueError):
-            Multiprocessor(SEQUENT_SYMMETRY, n_processors=21)
-
-    def test_aggregate_hit_rate(self):
-        from repro.machine.multiprocessor import Multiprocessor
-
-        machine = Multiprocessor(SEQUENT_SYMMETRY, n_processors=2)
-        machine[0].touch("t", 0)
-        machine[0].touch("t", 0)
-        assert machine.aggregate_hit_rate() == pytest.approx(0.5)
-
-    def test_aggregate_hit_rate_empty(self):
-        from repro.machine.multiprocessor import Multiprocessor
-
-        assert Multiprocessor(SEQUENT_SYMMETRY, 2).aggregate_hit_rate() == 0.0

@@ -88,6 +88,45 @@ class TestRunSweep:
             run_sweep(_spec(), cache=ResultCache(str(tmp_path)), shard_size=0)
 
 
+class TestSpecUnion:
+    """Several specs in one call: one fan-out over their distinct cells."""
+
+    def test_shared_cells_run_once_in_first_seen_order(self, monkeypatch):
+        a = _spec(name="a", seeds=(0,))
+        b = _spec(name="b", policies=("Dyn-Aff", "Dynamic"), seeds=(0,))
+        ran = []
+        run_cell = executor.run_cell
+
+        def counting(cell, **kwargs):
+            ran.append(cell)
+            return run_cell(cell, **kwargs)
+
+        monkeypatch.setattr(executor, "run_cell", counting)
+        result = run_sweep([a, b])
+        expected = list(dict.fromkeys(a.expand() + b.expand()))
+        assert len(expected) == 3  # Dyn-Aff/seed 0 is in both specs
+        assert ran == [o.cell for o in result.outcomes] == expected
+        assert result.n_computed == 3
+        # Each spec's own cells, served from the union, match a run of
+        # that spec alone.
+        alone = run_sweep(b).payloads
+        assert {c: result.payloads[c] for c in b.expand()} == alone
+
+    def test_journal_and_traces_per_spec(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        traced = _spec(name="traced", seeds=(0,), store_traces=True)
+        plain = _spec(name="plain", seeds=(1,))
+        result = run_sweep([traced, plain], cache=cache)
+        assert result.journal_path.endswith(
+            os.path.join("sweeps", "traced+plain", "journal.jsonl")
+        )
+        has_trace = {
+            o.cell.seed: os.path.exists(cache.trace_path(o.key))
+            for o in result.outcomes
+        }
+        assert has_trace == {0: True, 1: False}
+
+
 class TestInvalidation:
     def test_config_change_forces_recompute(self, tmp_path):
         cache = ResultCache(str(tmp_path))
