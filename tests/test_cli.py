@@ -180,6 +180,15 @@ class TestGoldens:
         assert main(["fig6", "--mix", "6", "-r", "1"]) == 0
         assert capsys.readouterr().out == _data("fig6_mix6_r1.stdout")
 
+    def test_gantt_mix5_stdout(self, capsys):
+        assert main(["gantt"]) == 0
+        assert capsys.readouterr().out == _data("gantt_mix5.stdout")
+
+    def test_gantt_mix6_seed7_stdout(self, capsys):
+        # Three jobs: pins the legend's letter order.
+        assert main(["--seed", "7", "gantt", "--mix", "6"]) == 0
+        assert capsys.readouterr().out == _data("gantt_mix6_seed7.stdout")
+
     def test_all_mix2_stdout(self, capsys, monkeypatch):
         # Mix 2's jobs are not in alphabetical order (MVA before MATRIX).
         import repro.sweep.executor as executor
