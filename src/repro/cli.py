@@ -417,20 +417,21 @@ def cmd_figure(args: argparse.Namespace) -> None:
 def cmd_gantt(args: argparse.Namespace) -> None:
     """ASCII allocation timelines for a mix under several policies."""
     from repro.core.system import SchedulingSystem
-    from repro.core.trace import AllocationTrace
     from repro.measure.workloads import make_jobs
+    from repro.obs import Tracer
+    from repro.reporting.timeline import render_gantt
 
     mix_id = args.mix if args.mix else 5
     for policy in (EQUIPARTITION, DYN_AFF, DYN_AFF_NOPRI):
         rng = RngRegistry(args.seed)
         jobs = make_jobs(mix_id, rng.spawn("workload"))
-        trace = AllocationTrace()
+        tracer = Tracer()
         SchedulingSystem(
             jobs, policy, n_processors=16, seed=args.seed,
-            rng=rng.spawn(f"system/{policy.name}"), trace=trace,
+            rng=rng.spawn(f"system/{policy.name}"), tracer=tracer,
         ).run()
         print(f"=== workload #{mix_id} under {policy.name} ===")
-        print(trace.render_gantt(width=72))
+        print(render_gantt(tracer.records, width=72))
         print()
 
 

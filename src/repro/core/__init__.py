@@ -22,7 +22,6 @@ from repro.core.policies import (
 )
 from repro.core.priority import CreditScheduler
 from repro.core.system import SchedulingSystem, SystemResult
-from repro.core.trace import AllocationTrace, Segment
 from repro.core.timesharing import (
     TIME_SHARING,
     TIME_SHARING_AFFINITY,
@@ -31,7 +30,6 @@ from repro.core.timesharing import (
 )
 
 __all__ = [
-    "AllocationTrace",
     "Allocator",
     "CreditScheduler",
     "DYNAMIC",
@@ -43,7 +41,6 @@ __all__ = [
     "Policy",
     "ProcessorHistory",
     "SchedulingSystem",
-    "Segment",
     "SystemResult",
     "TIME_SHARING",
     "TIME_SHARING_AFFINITY",

@@ -29,7 +29,6 @@ import typing
 
 from repro.core.allocator import Allocator, ProcessorRecord
 from repro.core.policies.base import Policy
-from repro.core.trace import AllocationTrace
 from repro.engine.rng import RngRegistry
 from repro.engine.simulator import Simulator
 from repro.obs.metrics import MetricsRegistry
@@ -69,6 +68,21 @@ class JobMetrics:
     cache_penalty_total: float
     switch_overhead_total: float
     average_allocation: float
+
+    @classmethod
+    def of(cls, job: Job) -> "JobMetrics":
+        """The metrics of a finished job."""
+        return cls(
+            name=job.name,
+            response_time=job.response_time,
+            work=job.work_done,
+            waste=job.waste,
+            n_reallocations=job.n_reallocations,
+            pct_affinity=job.affinity_percentage(),
+            cache_penalty_total=job.cache_penalty_total,
+            switch_overhead_total=job.switch_overhead_total,
+            average_allocation=job.average_allocation(),
+        )
 
     @property
     def app(self) -> str:
@@ -119,7 +133,6 @@ class SchedulingSystem:
         seed: int = 0,
         rng: typing.Optional[RngRegistry] = None,
         arrival_times: typing.Optional[typing.Sequence[float]] = None,
-        trace: typing.Optional["AllocationTrace"] = None,
         footprint_model: typing.Optional[object] = None,
         tracer: typing.Optional[Tracer] = None,
         metrics: typing.Optional[MetricsRegistry] = None,
@@ -155,8 +168,6 @@ class SchedulingSystem:
         self._alloc_mark: typing.Dict[str, float] = {}
         self._arrival_handles: typing.Dict[str, object] = {}
         self._finished_jobs = 0
-        #: optional allocation-timeline recorder (see repro.core.trace)
-        self.trace = trace
         #: optional structured tracer and metrics registry (see repro.obs);
         #: both default to None, which keeps every emission site at a
         #: single attribute load and branch.
@@ -206,8 +217,6 @@ class SchedulingSystem:
                 label=f"arrive:{job.name}",
             )
         self.sim.run(until=until)
-        if self.trace is not None:
-            self.trace.finish(self.sim.now)
         if tr is not None and tr.enabled:
             tr.emit(
                 RunEnd(
@@ -226,7 +235,7 @@ class SchedulingSystem:
             raise RuntimeError(
                 f"simulation stalled with unfinished jobs: {unfinished}"
             )
-        metrics = {job.name: self._metrics_for(job) for job in self.jobs if job.finished}
+        metrics = {job.name: JobMetrics.of(job) for job in self.jobs if job.finished}
         return SystemResult(
             policy=self.policy.name,
             n_processors=len(self.allocator.procs),
@@ -362,19 +371,6 @@ class SchedulingSystem:
         else:
             self.allocator.processor_available(proc)
 
-    def _metrics_for(self, job: Job) -> JobMetrics:
-        return JobMetrics(
-            name=job.name,
-            response_time=job.response_time,
-            work=job.work_done,
-            waste=job.waste,
-            n_reallocations=job.n_reallocations,
-            pct_affinity=job.affinity_percentage(),
-            cache_penalty_total=job.cache_penalty_total,
-            switch_overhead_total=job.switch_overhead_total,
-            average_allocation=job.average_allocation(),
-        )
-
     # ------------------------------------------------------------------ #
     # allocation accounting and the ProcessorRecord writers
     #
@@ -412,8 +408,6 @@ class SchedulingSystem:
         elif proc.online:
             self.allocator.free_mask |= bit
         proc.job = job
-        if self.trace is not None:
-            self.trace.record(self.sim.now, proc.cpu_id, job.name if job else None)
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(

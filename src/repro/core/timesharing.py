@@ -122,7 +122,7 @@ class TimeSharingSystem:
             n_processors=self.n_processors,
             seed=self.sim.rng.master_seed,
             makespan=self.now,
-            jobs={job.name: self._metrics(job) for job in self.jobs},
+            jobs={job.name: JobMetrics.of(job) for job in self.jobs},
         )
 
     def _start(self) -> None:
@@ -303,16 +303,3 @@ class TimeSharingSystem:
         self._enqueue_ready_workers(job)
         self._dispatch_next(cpu)
         self._wake_idle_processors()
-
-    def _metrics(self, job: Job) -> JobMetrics:
-        return JobMetrics(
-            name=job.name,
-            response_time=job.response_time,
-            work=job.work_done,
-            waste=job.waste,
-            n_reallocations=job.n_reallocations,
-            pct_affinity=job.affinity_percentage(),
-            cache_penalty_total=job.cache_penalty_total,
-            switch_overhead_total=job.switch_overhead_total,
-            average_allocation=job.average_allocation(),
-        )

@@ -23,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.obs.analysis.attribution import BUCKETS, TimeAttribution, attribute_time
+from repro.obs.analysis.attribution import BUCKETS, attribute_time
 from repro.obs.records import PolicyDecision, TraceRecord, record_to_dict
 
 #: Trace-diff export schema identifier.
@@ -189,10 +189,3 @@ def diff_traces(
         decision_rule_counts_a=_rule_counts(trace_a),
         decision_rule_counts_b=_rule_counts(trace_b),
     )
-
-
-def attribution_pair(
-    trace_a: typing.Sequence[TraceRecord], trace_b: typing.Sequence[TraceRecord]
-) -> typing.Tuple[TimeAttribution, TimeAttribution]:
-    """Both attributions, for callers that want totals alongside the diff."""
-    return attribute_time(trace_a), attribute_time(trace_b)

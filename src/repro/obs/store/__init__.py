@@ -22,7 +22,6 @@ from repro.obs.store.format import (
     ColumnarFormatError,
     ColumnarTraceWriter,
     Footer,
-    columnar_to_bytes,
     iter_columnar,
     read_columnar,
     read_footer,
@@ -37,7 +36,6 @@ __all__ = [
     "ColumnarFormatError",
     "ColumnarTraceWriter",
     "Footer",
-    "columnar_to_bytes",
     "columnar_to_jsonl",
     "iter_columnar",
     "iter_jsonl_records",

@@ -47,7 +47,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import struct
@@ -548,15 +547,3 @@ def read_columnar(
             path, kinds=kinds, time_range=time_range, verify_digest=verify_digest
         )
     )
-
-
-def columnar_to_bytes(
-    records: typing.Iterable[TraceRecord],
-    chunk_records: int = DEFAULT_CHUNK_RECORDS,
-) -> bytes:
-    """The columnar encoding of ``records`` as in-memory bytes (tests)."""
-    buffer = io.BytesIO()
-    with ColumnarTraceWriter(buffer, chunk_records=chunk_records) as writer:
-        for record in records:
-            writer.write(record)
-    return buffer.getvalue()
