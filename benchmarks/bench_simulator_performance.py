@@ -6,6 +6,7 @@ hot paths: the event queue, the cache simulator, the footprint model, and
 a full scheduling run.  Regressions here make every experiment slower.
 """
 
+import functools
 import os
 import random
 import time
@@ -27,6 +28,8 @@ from repro.machine.params import SEQUENT_SYMMETRY
 from repro.measure.penalty import PenaltyExperiment
 from repro.measure.runner import run_mix
 from repro.measure.workloads import make_jobs
+from repro.obs import Tracer
+from repro.obs.store import iter_columnar, write_columnar
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cells import mix_comparison
 from tests.core.helpers import flat_job, phased_job
@@ -509,6 +512,35 @@ def test_allocator_new_work(benchmark):
 
     owned = benchmark.pedantic(churn, setup=steady_system, rounds=10, iterations=1)
     assert sum(owned) == 16
+
+
+@functools.lru_cache(maxsize=None)
+def _mix5_trace():
+    """The trace of Table 2 mix 5 under Dyn-Aff, seed 0 (about 19k records)."""
+    tracer = Tracer()
+    run_mix(5, DYN_AFF, seed=0, tracer=tracer)
+    return tuple(tracer.records)
+
+
+def test_columnar_write_throughput(benchmark, tmp_path):
+    """Store the mix 5 trace as a columnar file (chunk, transpose, compress)."""
+    records = _mix5_trace()
+    path = str(tmp_path / "t.rct")
+    count = benchmark.pedantic(
+        write_columnar, args=(path, records), rounds=5, iterations=1
+    )
+    assert count == len(records)
+
+
+def test_columnar_read_throughput(benchmark, tmp_path):
+    """Read the stored mix 5 trace back into typed records."""
+    records = _mix5_trace()
+    path = str(tmp_path / "t.rct")
+    write_columnar(path, records)
+    back = benchmark.pedantic(
+        lambda: list(iter_columnar(path)), rounds=5, iterations=1
+    )
+    assert len(back) == len(records)
 
 
 def test_parallel_replication_speedup():
