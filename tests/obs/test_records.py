@@ -1,8 +1,15 @@
 """Typed trace records: construction, serialization, round-tripping."""
 
+import collections.abc
+import json
+import typing
+
 import pytest
 
 from repro.obs.records import (
+    _MAPPING_FIELDS,
+    _TUPLE_FIELDS,
+    KIND_FIELDS,
     AllocationChange,
     CacheBatch,
     CacheFlush,
@@ -20,6 +27,8 @@ from repro.obs.records import (
     Undispatch,
     record_from_dict,
     record_to_dict,
+    records_from_columns,
+    records_to_columns,
 )
 
 SAMPLES = [
@@ -83,3 +92,21 @@ class TestRoundTrip:
         time = 74.45978109507048
         record = JobArrival(time=time, job="A")
         assert record_from_dict(record_to_dict(record)).time == time
+
+
+class TestColumns:
+    @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: r.kind)
+    def test_column_round_trip_through_json(self, record):
+        rows = [record, record]
+        columns = json.loads(json.dumps(records_to_columns(record.kind, rows)))
+        cells = [columns[name] for name in KIND_FIELDS[record.kind]]
+        assert records_from_columns(record.kind, cells) == rows
+
+    @pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
+    def test_container_fields_match_annotations(self, kind):
+        hints = typing.get_type_hints(RECORD_KINDS[kind])
+        origins = {name: typing.get_origin(hints[name]) for name in KIND_FIELDS[kind]}
+        tuples = tuple(n for n, o in origins.items() if o is tuple)
+        mappings = tuple(n for n, o in origins.items() if o is collections.abc.Mapping)
+        assert _TUPLE_FIELDS.get(kind, ()) == tuples
+        assert _MAPPING_FIELDS.get(kind, ()) == mappings
