@@ -189,6 +189,14 @@ class TestGoldens:
         assert main(["--seed", "7", "gantt", "--mix", "6"]) == 0
         assert capsys.readouterr().out == _data("gantt_mix6_seed7.stdout")
 
+    def test_section8_mix5_stdout(self, capsys):
+        assert main(["section8"]) == 0
+        assert capsys.readouterr().out == _data("section8_mix5.stdout")
+
+    def test_section8_mix6_seed7_stdout(self, capsys):
+        assert main(["--seed", "7", "section8", "--mix", "6"]) == 0
+        assert capsys.readouterr().out == _data("section8_mix6_seed7.stdout")
+
     def test_all_mix2_stdout(self, capsys, monkeypatch):
         # Mix 2's jobs are not in alphabetical order (MVA before MATRIX).
         import repro.sweep.executor as executor
