@@ -17,52 +17,45 @@ reconciliation quantitatively:
   share of the cache penalty than adding it to the space-sharing one.
 """
 
+import collections
+
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.policies import DYN_AFF, DYNAMIC
-from repro.core.timesharing import (
-    TIME_SHARING,
-    TIME_SHARING_AFFINITY,
-    TimeSharingSystem,
-)
-from repro.engine.rng import RngRegistry
+from repro.core.policies import DYN_AFF, DYNAMIC, TIME_SHARING, TIME_SHARING_AFFINITY
 from repro.measure.runner import run_mix
-from repro.measure.workloads import make_jobs
+from repro.obs import Tracer
+from repro.obs.records import Undispatch
 
 MIX = 5
 SEED = 1
 
 
-def run_timesharing(policy):
-    rng = RngRegistry(SEED)
-    jobs = make_jobs(MIX, rng.spawn("workload"))
-    system = TimeSharingSystem(
-        jobs, policy, n_processors=16, seed=SEED, rng=rng.spawn(policy.name)
+def switch_counts(records):
+    """(involuntary, voluntary) switches: quantum preemptions, and workers
+    leaving at a thread boundary (yielding their next thread, or idle)."""
+    reasons = collections.Counter(
+        r.reason for r in records if isinstance(r, Undispatch)
     )
-    result = system.run()
-    return result, system
+    return reasons["preempt"], reasons["yield"] + reasons["idle"]
 
 
 @pytest.fixture(scope="module")
 def runs():
-    ts_plain, sys_plain = run_timesharing(TIME_SHARING)
-    ts_aff, _ = run_timesharing(TIME_SHARING_AFFINITY)
     return {
-        "TimeSharing": ts_plain,
-        "TimeSharing-Aff": ts_aff,
-        "Dynamic": run_mix(MIX, DYNAMIC, seed=SEED),
-        "Dyn-Aff": run_mix(MIX, DYN_AFF, seed=SEED),
-        "_system": sys_plain,
+        policy.name: run_mix(MIX, policy, seed=SEED)
+        for policy in (TIME_SHARING, TIME_SHARING_AFFINITY, DYNAMIC, DYN_AFF)
     }
 
 
 def test_section8_run(benchmark):
-    result, system = run_once(benchmark, run_timesharing, TIME_SHARING)
+    tracer = Tracer()
+    run_once(benchmark, run_mix, MIX, TIME_SHARING, seed=SEED, tracer=tracer)
+    involuntary, voluntary = switch_counts(tracer.records)
     print()
-    print(f"  time-sharing switches: {system.involuntary_switches} involuntary, "
-          f"{system.voluntary_switches} voluntary")
-    assert system.involuntary_switches > 1000
+    print(f"  time-sharing switches: {involuntary} involuntary, "
+          f"{voluntary} voluntary")
+    assert involuntary > 1000
 
 
 class TestSection8Reconciliation:

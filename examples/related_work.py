@@ -17,14 +17,8 @@ Run:  python examples/related_work.py
 import dataclasses
 
 from repro import DYN_AFF, DYNAMIC
-from repro.core.timesharing import (
-    TIME_SHARING,
-    TIME_SHARING_AFFINITY,
-    TimeSharingSystem,
-)
-from repro.engine.rng import RngRegistry
+from repro.core.policies import TIME_SHARING, TIME_SHARING_AFFINITY
 from repro.measure.runner import run_mix
-from repro.measure.workloads import make_jobs
 from repro.model.affinity_queueing import QueueingConfig, compare_disciplines
 
 
@@ -52,16 +46,10 @@ def squillante_lazowska() -> None:
 
 def head_to_head() -> None:
     print("=== Workload #5: time sharing vs space sharing head-to-head ===")
-    rows = []
-    for ts_policy in (TIME_SHARING, TIME_SHARING_AFFINITY):
-        rng = RngRegistry(1)
-        jobs = make_jobs(5, rng.spawn("workload"))
-        result = TimeSharingSystem(
-            jobs, ts_policy, n_processors=16, seed=1, rng=rng.spawn(ts_policy.name)
-        ).run()
-        rows.append((ts_policy.name, result))
-    for policy in (DYNAMIC, DYN_AFF):
-        rows.append((policy.name, run_mix(5, policy, seed=1)))
+    rows = [
+        (policy.name, run_mix(5, policy, seed=1))
+        for policy in (TIME_SHARING, TIME_SHARING_AFFINITY, DYNAMIC, DYN_AFF)
+    ]
     for name, result in rows:
         penalty = sum(m.cache_penalty_total for m in result.jobs.values())
         print(

@@ -50,6 +50,8 @@ from repro.core.policies import (
     DYN_AFF_NOPRI,
     DYNAMIC,
     EQUIPARTITION,
+    TIME_SHARING,
+    TIME_SHARING_AFFINITY,
 )
 from repro.engine.rng import RngRegistry
 from repro.measure.runner import run_mix
@@ -437,26 +439,11 @@ def cmd_gantt(args: argparse.Namespace) -> None:
 
 def cmd_section8(args: argparse.Namespace) -> None:
     """The time-sharing contrast of Section 8."""
-    from repro.core.timesharing import (
-        TIME_SHARING,
-        TIME_SHARING_AFFINITY,
-        TimeSharingSystem,
-    )
-    from repro.measure.runner import run_mix as _run_mix
-    from repro.measure.workloads import make_jobs
-
     mix_id = args.mix if args.mix else 5
-    rows = []
-    for ts_policy in (TIME_SHARING, TIME_SHARING_AFFINITY):
-        rng = RngRegistry(args.seed)
-        jobs = make_jobs(mix_id, rng.spawn("workload"))
-        result = TimeSharingSystem(
-            jobs, ts_policy, n_processors=16, seed=args.seed,
-            rng=rng.spawn(ts_policy.name),
-        ).run()
-        rows.append((ts_policy.name, result))
-    for policy in (DYNAMIC, DYN_AFF):
-        rows.append((policy.name, _run_mix(mix_id, policy, seed=args.seed)))
+    rows = [
+        (policy.name, run_mix(mix_id, policy, seed=args.seed))
+        for policy in (TIME_SHARING, TIME_SHARING_AFFINITY, DYNAMIC, DYN_AFF)
+    ]
     print(f"workload #{mix_id}: time sharing vs space sharing")
     for name, result in rows:
         for job, m in sorted(result.jobs.items()):

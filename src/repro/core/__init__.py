@@ -4,8 +4,9 @@ This package is the Minos analogue: an allocator framework
 (:mod:`~repro.core.allocator`), the adaptive priority scheme of
 [McCann et al. 91] (:mod:`~repro.core.priority`), processor/task histories
 (:mod:`~repro.core.history`), the five space-sharing policies of Section 5
-(:mod:`~repro.core.policies`), and the discrete-event scheduling system
-(:mod:`~repro.core.system`) that runs workload mixes under a policy.
+and Section 8's time-sharing contrast (:mod:`~repro.core.policies`), and
+the discrete-event scheduling system (:mod:`~repro.core.system`) that
+runs workload mixes under any of them.
 """
 
 from repro.core.allocator import Allocator
@@ -17,17 +18,13 @@ from repro.core.policies import (
     DYNAMIC,
     EQUIPARTITION,
     POLICIES,
+    TIME_SHARING,
+    TIME_SHARING_AFFINITY,
     Policy,
     equipartition_allocation,
 )
 from repro.core.priority import CreditScheduler
 from repro.core.system import SchedulingSystem, SystemResult
-from repro.core.timesharing import (
-    TIME_SHARING,
-    TIME_SHARING_AFFINITY,
-    TimeSharingPolicy,
-    TimeSharingSystem,
-)
 
 __all__ = [
     "Allocator",
@@ -45,7 +42,5 @@ __all__ = [
     "TIME_SHARING",
     "TIME_SHARING_AFFINITY",
     "TaskHistory",
-    "TimeSharingPolicy",
-    "TimeSharingSystem",
     "equipartition_allocation",
 ]

@@ -19,7 +19,9 @@ Decision rules implemented here, exactly as Section 5 presents them:
   progress-critical task last ran — which is granted if available.
 
 Equipartition bypasses all of the above: it computes allocation numbers on
-job arrival/completion only (Section 5.1).
+job arrival/completion only (Section 5.1).  So does time sharing
+(Section 8): the allocator keeps a global FIFO run queue of workers, each
+holding a thread, and hands each available processor the next one.
 
 Every question the rules ask is answered from incrementally kept state
 rather than a rescan (see "Scheduling core state" in
@@ -31,14 +33,17 @@ the tie-breaks of the processor table order.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import typing
 
 from repro.core.history import ProcessorHistory
 from repro.core.policies.base import Policy, equipartition_allocation
+from repro.core.policies.timesharing import AFFINITY_SEARCH_DEPTH, MAX_SKIPS
 from repro.core.priority import CreditScheduler
 from repro.obs.records import PolicyDecision
 from repro.threads.job import Job
-from repro.threads.workers import WorkerTask
+from repro.threads.workers import WorkerState, WorkerTask
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import SchedulingSystem
@@ -113,6 +118,13 @@ class Allocator:
         self.busy_mask = 0
         #: held idle inside a yield-delay window (D.2 candidates)
         self.willing_mask = 0
+        #: time sharing: workers waiting for a processor, each holding a
+        #: thread (always empty under the space-sharing policies)
+        self.run_queue: typing.Deque[WorkerTask] = collections.deque()
+        #: time sharing: queued worker -> times the affinity search passed it
+        self._skips: typing.Dict[WorkerTask, int] = {}
+        #: the policy's run-queue mode, read on every decision
+        self._time_sharing = policy.is_time_sharing
 
     # ------------------------------------------------------------------ #
     # queries
@@ -219,7 +231,8 @@ class Allocator:
     # job lifecycle
 
     def job_arrived(self, job: Job) -> None:
-        """Admit ``job``; equipartition rebalances, dynamic lets it request."""
+        """Admit ``job``; equipartition rebalances, dynamic lets it request,
+        time sharing queues its workers."""
         now = self.system.now
         self.jobs.append(job)
         self.credit.job_arrived(job, now)
@@ -229,7 +242,7 @@ class Allocator:
             self.new_work(job)
 
     def job_departed(self, job: Job) -> None:
-        """Remove a finished job and redistribute its processors."""
+        """Remove a finished or cancelled job and redistribute its processors."""
         self.credit.job_departed(job, self.system.now)
         self.jobs.remove(job)
         freed = self.procs_in(job.owned_mask)
@@ -238,6 +251,9 @@ class Allocator:
         if self.policy.is_equipartition:
             self.rebalance_equipartition()
         else:
+            for worker in [w for w in self.run_queue if w.job is job]:
+                self.run_queue.remove(worker)
+                self._skips.pop(worker, None)
             for proc in freed:
                 if proc.is_free:
                     self.processor_available(proc)
@@ -307,6 +323,11 @@ class Allocator:
     def _processor_available_impl(self, proc: ProcessorRecord) -> None:
         if not proc.is_free:
             raise RuntimeError(f"processor {proc.cpu_id} is not free")
+        if self._time_sharing:
+            worker = self._dequeue(proc.cpu_id)
+            if worker is not None:
+                self.system.grant_processor(proc, worker.job, worker=worker)
+            return
         requesting = self.requesters()
         if self.policy.use_affinity:
             # Rule A.1, walking the processor history most-recent first
@@ -373,6 +394,9 @@ class Allocator:
             self._profiled("policy/new_work", self._new_work_impl, job)
 
     def _new_work_impl(self, job: Job) -> None:
+        if self._time_sharing:
+            self._enqueue(job)
+            return
         while True:
             want = job.additional_request(job.n_owned)
             if want <= 0:
@@ -476,3 +500,52 @@ class Allocator:
         self.system.preempt_processor(proc)
         self.system.release_processor(proc)
         return proc
+
+    # ------------------------------------------------------------------ #
+    # time sharing (Section 8)
+
+    def _enqueue(self, job: Job) -> None:
+        """Queue ``job``'s idle workers, each holding one of its ready
+        threads, then fill idle processors lowest cpu id first.
+
+        Workers holding a partial thread are already queued: the system
+        requeues them as they leave a processor.
+        """
+        queue = self.run_queue
+        if job.ready and job.n_running + job.n_suspended < len(job.workers):
+            for worker in job.workers:
+                if worker.state is WorkerState.IDLE:
+                    tid = job.take_ready_thread(worker)
+                    if tid is None:
+                        break
+                    worker.hold_thread(tid, job.thread_service_for(worker, tid))
+                    queue.append(worker)
+        for proc in self.procs_in(self.free_mask):
+            if not queue:
+                return
+            self.processor_available(proc)
+
+    def _dequeue(self, cpu: int) -> typing.Optional[WorkerTask]:
+        """The queued worker to run next on ``cpu``, removed from the queue.
+
+        FIFO; under affinity, the first of the leading
+        :data:`AFFINITY_SEARCH_DEPTH` workers that last ran on ``cpu``,
+        unless the head has already been passed over :data:`MAX_SKIPS`
+        times (aging).
+        """
+        queue = self.run_queue
+        if not queue:
+            return None
+        skips = self._skips
+        if self.policy.use_affinity and skips.get(queue[0], 0) < MAX_SKIPS:
+            for index in range(min(AFFINITY_SEARCH_DEPTH, len(queue))):
+                worker = queue[index]
+                if worker.last_processor == cpu:
+                    del queue[index]
+                    skips.pop(worker, None)
+                    for skipped in itertools.islice(queue, index):
+                        skips[skipped] = skips.get(skipped, 0) + 1
+                    return worker
+        worker = queue.popleft()
+        skips.pop(worker, None)
+        return worker

@@ -1,4 +1,9 @@
-"""The five space-sharing policies of Section 5."""
+"""The five space-sharing policies of Section 5, and Section 8's time sharing.
+
+:data:`POLICIES` holds the paper's five; the two time-sharing values
+(:mod:`repro.core.policies.timesharing`) run on the same scheduling
+system but are kept out of it, so every five-policy set stays the paper's.
+"""
 
 from repro.core.policies.base import Policy, equipartition_allocation
 from repro.core.policies.dyn_aff import DYN_AFF, DynAff
@@ -6,6 +11,7 @@ from repro.core.policies.dyn_aff_delay import DYN_AFF_DELAY, DynAffDelay
 from repro.core.policies.dyn_aff_nopri import DYN_AFF_NOPRI, DynAffNoPri
 from repro.core.policies.dynamic import DYNAMIC, Dynamic
 from repro.core.policies.equipartition import EQUIPARTITION, Equipartition
+from repro.core.policies.timesharing import TIME_SHARING, TIME_SHARING_AFFINITY
 
 #: All policies by display name, in the paper's presentation order.
 POLICIES = {
@@ -26,5 +32,7 @@ __all__ = [
     "Equipartition",
     "POLICIES",
     "Policy",
+    "TIME_SHARING",
+    "TIME_SHARING_AFFINITY",
     "equipartition_allocation",
 ]

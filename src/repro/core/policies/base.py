@@ -5,8 +5,9 @@ mechanics.  The paper's five policies differ only along the "degrees of
 freedom" of Section 2, which map onto four switches:
 
 * ``space_sharing`` — ``"equipartition"`` (reallocate only on job arrival
-  and completion) or ``"dynamic"`` (reallocate on demand changes, rules
-  D.1-D.3);
+  and completion), ``"dynamic"`` (reallocate on demand changes, rules
+  D.1-D.3), or ``"timesharing"`` (Section 8's contrast: a global run
+  queue and a quantum, see :mod:`repro.core.policies.timesharing`);
 * ``use_affinity`` — apply rules A.1/A.2 when placing tasks;
 * ``respect_priority`` — honor the credit scheme (and enforce D.3);
 * ``yield_delay_s`` — how long a job may retain an idle processor hoping
@@ -21,10 +22,10 @@ import typing
 
 @dataclasses.dataclass(frozen=True)
 class Policy:
-    """A space-sharing processor allocation policy."""
+    """A processor allocation policy."""
 
     name: str
-    space_sharing: str  # "equipartition" | "dynamic"
+    space_sharing: str  # "equipartition" | "dynamic" | "timesharing"
     use_affinity: bool
     respect_priority: bool
     yield_delay_s: float = 0.0
@@ -34,7 +35,7 @@ class Policy:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.space_sharing not in ("equipartition", "dynamic"):
+        if self.space_sharing not in ("equipartition", "dynamic", "timesharing"):
             raise ValueError(f"unknown space_sharing mode {self.space_sharing!r}")
         if self.yield_delay_s < 0:
             raise ValueError("yield_delay_s must be non-negative")
@@ -50,6 +51,11 @@ class Policy:
     def is_dynamic(self) -> bool:
         """True for demand-driven policies (rules D.1-D.3)."""
         return self.space_sharing == "dynamic"
+
+    @property
+    def is_time_sharing(self) -> bool:
+        """True for Section 8's quantum-driven run-queue scheduling."""
+        return self.space_sharing == "timesharing"
 
 
 def equipartition_allocation(

@@ -20,15 +20,25 @@ Cost conventions (mirroring Section 2):
   was also the last task to run, costs nothing — this is Equipartition's
   "perfect affinity" and Dyn-Aff-Delay's penalty-free work pickup;
 * a processor held by a job with nothing to run accrues *waste*.
+
+Under time sharing (Section 8) a processor belongs to a job only while
+one of the job's workers runs there, and a stint ends after at most one
+quantum: the worker is preempted to the tail of the allocator's run
+queue (an involuntary switch).  At a thread boundary a worker continues
+only while the run queue is empty; otherwise it yields, keeping its next
+thread (a voluntary switch).  For the space-sharing policies the run
+queue stays empty and the quantum is infinite.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.core.allocator import Allocator, ProcessorRecord
 from repro.core.policies.base import Policy
+from repro.core.policies.timesharing import DYNIX_QUANTUM_S
 from repro.engine.rng import RngRegistry
 from repro.engine.simulator import Simulator
 from repro.obs.metrics import MetricsRegistry
@@ -159,6 +169,9 @@ class SchedulingSystem:
             footprint_model if footprint_model is not None else FootprintModel(machine)
         )
         self.allocator = Allocator(policy, n_processors, self)
+        self.run_queue = self.allocator.run_queue
+        #: longest stint before a preemption (time sharing only)
+        self.quantum_s = DYNIX_QUANTUM_S if policy.is_time_sharing else math.inf
         self.rng = self.sim.rng.stream("allocator")
         self._arrivals = (
             list(arrival_times) if arrival_times is not None else [0.0] * len(jobs)
@@ -559,14 +572,51 @@ class SchedulingSystem:
         worker.stint_overhead = overhead
         worker.stint_switch_charged = switch_charged
         worker.stint_penalty_charged = penalty_charged
+        run = overhead + worker.remaining_service
+        if run <= self.quantum_s:
+            worker.completion_handle = self.sim.schedule(
+                run,
+                lambda: self._on_thread_complete(proc, worker),
+                label=worker.completion_label,
+            )
+        else:
+            self._schedule_quantum_expiry(proc, worker)
+
+    def _schedule_quantum_expiry(self, proc: ProcessorRecord, worker: WorkerTask) -> None:
+        """Time sharing: end ``worker``'s stint on ``proc`` one quantum from now."""
         worker.completion_handle = self.sim.schedule(
-            overhead + worker.remaining_service,
-            lambda: self._on_thread_complete(proc, worker),
-            label=worker.completion_label,
+            self.quantum_s,
+            lambda: self._on_quantum_expiry(proc, worker),
+            label=f"quantum:{proc.cpu_id}",
         )
 
+    def _depart(
+        self, proc: ProcessorRecord, worker: WorkerTask, job: Job, reason: str
+    ) -> None:
+        """``worker`` leaves ``proc``; it keeps its thread unless ``reason``
+        is ``"idle"`` or ``"done"``, and under time sharing then rejoins the
+        tail of the run queue."""
+        suspended = reason == "preempt" or reason == "yield"
+        duration = worker.note_departure(self.sim.now, suspended=suspended)
+        if suspended and self.policy.is_time_sharing:
+            self.run_queue.append(worker)
+        self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
+        self._set_worker(proc, job, None)
+        tr = self.tracer
+        if tr is not None and tr.enabled:
+            tr.emit(
+                Undispatch(
+                    time=self.sim.now,
+                    cpu=proc.cpu_id,
+                    job=job.name,
+                    worker=worker.index,
+                    reason=reason,
+                )
+            )
+
     def preempt_processor(self, proc: ProcessorRecord) -> None:
-        """Suspend the worker running on ``proc`` (rule D.3 / rebalance)."""
+        """Suspend the worker running on ``proc`` (rule D.3, rebalance,
+        cancellation, failure, or quantum expiry)."""
         worker = proc.worker
         if worker is None:
             raise RuntimeError(f"processor {proc.cpu_id} is not running a worker")
@@ -591,20 +641,7 @@ class SchedulingSystem:
             )
         worker.stint_switch_charged = 0.0
         worker.stint_penalty_charged = 0.0
-        duration = worker.note_departure(self.sim.now, suspended=True)
-        self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-        self._set_worker(proc, job, None)
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.emit(
-                Undispatch(
-                    time=self.sim.now,
-                    cpu=proc.cpu_id,
-                    job=job.name,
-                    worker=worker.index,
-                    reason="preempt",
-                )
-            )
+        self._depart(proc, worker, job, "preempt")
         if self.metrics is not None:
             self.metrics.counter("dispatch/preemptions").inc()
 
@@ -634,68 +671,61 @@ class SchedulingSystem:
         job.on_thread_complete(tid)
 
         if job.finished:
-            duration = worker.note_departure(self.sim.now, suspended=False)
-            self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-            self._set_worker(proc, job, None)
-            tr = self.tracer
-            if tr is not None and tr.enabled:
-                tr.emit(
-                    Undispatch(
-                        time=self.sim.now,
-                        cpu=proc.cpu_id,
-                        job=job.name,
-                        worker=worker.index,
-                        reason="done",
-                    )
-                )
+            self._depart(proc, worker, job, "done")
             self._complete_job(job)
             return
 
         next_tid = job.take_ready_thread(worker)
-        if next_tid is not None:
-            # Continue on the same processor: a user-level thread switch,
-            # free of kernel or cache cost.
+        if next_tid is None:
+            self._worker_idle(proc, worker, job)
+        else:
             worker.current_thread = next_tid
             worker.remaining_service = job.thread_service_for(worker, next_tid)
-            worker.segment_start = self.sim.now
-            worker.stint_overhead = 0.0
-            worker.stint_switch_charged = 0.0
-            worker.stint_penalty_charged = 0.0
-            worker.completion_handle = self.sim.schedule(
-                worker.remaining_service,
-                lambda: self._on_thread_complete(proc, worker),
-                label=worker.completion_label,
-            )
-        else:
-            self._worker_idle(proc, worker, job)
+            if self.run_queue:
+                # Time sharing with workers waiting: yield the processor at
+                # the thread boundary, keeping the thread (a voluntary switch).
+                self._depart(proc, worker, job, "yield")
+                self.release_processor(proc)
+            else:
+                # Continue on the same processor: a user-level thread
+                # switch, free of kernel or cache cost.
+                worker.segment_start = self.sim.now
+                worker.stint_overhead = 0.0
+                worker.stint_switch_charged = 0.0
+                worker.stint_penalty_charged = 0.0
+                if worker.remaining_service <= self.quantum_s:
+                    worker.completion_handle = self.sim.schedule(
+                        worker.remaining_service,
+                        lambda: self._on_thread_complete(proc, worker),
+                        label=worker.completion_label,
+                    )
+                else:
+                    self._schedule_quantum_expiry(proc, worker)
 
         if job.ready or job.n_suspended:
             self._place_new_work(job)
 
+    def _on_quantum_expiry(self, proc: ProcessorRecord, worker: WorkerTask) -> None:
+        """Time sharing: preempt mid-thread to the tail of the run queue
+        (an involuntary switch), and hand ``proc`` to the next worker."""
+        worker.completion_handle = None
+        self.preempt_processor(proc)
+        self.release_processor(proc)
+        self.allocator.processor_available(proc)
+
     def _worker_idle(self, proc: ProcessorRecord, worker: WorkerTask, job: Job) -> None:
         """The worker found no runnable thread: depart, then hold or yield."""
-        duration = worker.note_departure(self.sim.now, suspended=False)
-        self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
-        self._set_worker(proc, job, None)
-        tr = self.tracer
-        if tr is not None and tr.enabled:
-            tr.emit(
-                Undispatch(
-                    time=self.sim.now,
-                    cpu=proc.cpu_id,
-                    job=job.name,
-                    worker=worker.index,
-                    reason="idle",
-                )
-            )
+        self._depart(proc, worker, job, "idle")
 
-        # A suspended sibling holds a partial thread: give it the processor.
-        sibling = job.select_worker(
-            proc.cpu_id, self.policy.use_affinity, self.policy.history_depth
-        )
-        if sibling is not None:
-            self._dispatch(proc, job, sibling, was_held=True)
-            return
+        # A suspended sibling holds a partial thread: give it the processor
+        # (under time sharing it waits its turn in the run queue instead).
+        if not self.policy.is_time_sharing:
+            sibling = job.select_worker(
+                proc.cpu_id, self.policy.use_affinity, self.policy.history_depth
+            )
+            if sibling is not None:
+                self._dispatch(proc, job, sibling, was_held=True)
+                return
 
         if self.policy.is_equipartition:
             proc.idle_since = self.sim.now

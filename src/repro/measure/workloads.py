@@ -44,10 +44,6 @@ class WorkloadMix:
         """Total job count."""
         return sum(self.copies.values())
 
-    def app_names(self) -> typing.List[str]:
-        """Application names with at least one copy, in table row order."""
-        return [app for app in ("MVA", "MATRIX", "GRAVITY") if self.copies.get(app, 0)]
-
 
 #: Table 2, verbatim.
 MIXES: typing.Dict[int, WorkloadMix] = {

@@ -89,7 +89,11 @@ class Dispatch(TraceRecord):
 
 @dataclasses.dataclass(frozen=True)
 class Undispatch(TraceRecord):
-    """A worker left its processor (``reason``: preempt | idle | done)."""
+    """A worker left its processor (``reason``: preempt | yield | idle | done).
+
+    ``yield`` is a time-sharing worker leaving at a thread boundary, with
+    its next thread in hand, because others wait in the run queue.
+    """
 
     kind: typing.ClassVar[str] = "undispatch"
     cpu: int

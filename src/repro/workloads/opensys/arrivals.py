@@ -101,14 +101,6 @@ class BurstyArrivals(ArrivalProcess):
         if self.mean_burst_s <= 0 or self.mean_idle_s <= 0:
             raise ValueError("state residence means must be positive")
 
-    def mean_rate_per_s(self) -> float:
-        """Long-run average arrival rate of the modulated process."""
-        total = self.mean_burst_s + self.mean_idle_s
-        return (
-            self.burst_rate_per_s * self.mean_burst_s
-            + self.idle_rate_per_s * self.mean_idle_s
-        ) / total
-
     def times(self, rng: random.Random, horizon_s: float) -> typing.List[float]:
         self._check_horizon(horizon_s)
         out: typing.List[float] = []

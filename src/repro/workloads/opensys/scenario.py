@@ -184,10 +184,6 @@ class OpenSystemResult:
             return 0.0
         return sum(self.response_times) / len(self.response_times)
 
-    def response_quantile(self, q: float) -> float:
-        """Exact response-time quantile over completed jobs."""
-        return quantile(self.response_times, q)
-
 
 def run_scenario(
     scenario: ScenarioLike,

@@ -51,7 +51,7 @@ class TestPolicyDefinitions:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            Policy("bad", "timesharing", False, False)
+            Policy("bad", "gang", False, False)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):

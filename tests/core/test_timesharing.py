@@ -1,69 +1,76 @@
-"""The time-sharing baseline scheduler (Section 8's contrast)."""
+"""Section 8's time sharing, run by the scheduling system."""
 
-import dataclasses
+import collections
 
 import pytest
 
-from repro.core.timesharing import (
-    TIME_SHARING,
-    TIME_SHARING_AFFINITY,
-    TimeSharingPolicy,
-    TimeSharingSystem,
-)
+from repro.core.policies import TIME_SHARING, TIME_SHARING_AFFINITY
+from repro.core.system import SchedulingSystem
+from repro.obs import Tracer
+from repro.obs.records import Undispatch
 from tests.core.helpers import chain_job, flat_job, phased_job
+
+
+def run(jobs, policy=TIME_SHARING, n_processors=4, seed=0):
+    """(result, tracer records) of one traced time-sharing run."""
+    tracer = Tracer()
+    result = SchedulingSystem(
+        jobs, policy, n_processors=n_processors, seed=seed, tracer=tracer
+    ).run()
+    return result, tracer.records
+
+
+def involuntary_switches(records):
+    """Quantum preemptions (voluntary leaves are "yield" and "idle")."""
+    reasons = collections.Counter(
+        r.reason for r in records if isinstance(r, Undispatch)
+    )
+    return reasons["preempt"]
 
 
 class TestBasics:
     def test_single_job_completes(self):
         job = flat_job("J", 8, 0.5, workers=4)
-        result = TimeSharingSystem([job], n_processors=4).run()
+        result, _ = run([job])
         assert result.jobs["J"].work == pytest.approx(4.0)
         assert result.jobs["J"].response_time >= 1.0
 
     def test_work_conserved_across_jobs(self):
         a = flat_job("A", 8, 0.5, workers=4)
         b = flat_job("B", 8, 0.5, workers=4)
-        result = TimeSharingSystem([a, b], n_processors=4).run()
+        result, _ = run([a, b])
         assert result.jobs["A"].work == pytest.approx(4.0)
         assert result.jobs["B"].work == pytest.approx(4.0)
 
     def test_chain_completes_with_quantum_preemption(self):
         """A thread longer than the quantum is sliced but finishes."""
         job = chain_job("J", 2, 0.35)  # 0.35s threads vs 0.1s quantum
-        system = TimeSharingSystem([job], n_processors=1)
-        result = system.run()
+        result, records = run([job], n_processors=1)
         assert result.jobs["J"].work == pytest.approx(0.7)
-        assert system.involuntary_switches >= 4  # ~3 slices per thread
+        assert involuntary_switches(records) >= 4  # ~3 slices per thread
 
     def test_quantum_expiry_counts_involuntary(self):
         long_threads = flat_job("L", 2, 1.0, workers=2)
         contender = flat_job("C", 2, 1.0, workers=2)
-        system = TimeSharingSystem([long_threads, contender], n_processors=2)
-        system.run()
-        assert system.involuntary_switches > 10
+        _, records = run([long_threads, contender], n_processors=2)
+        assert involuntary_switches(records) > 10
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
-            TimeSharingSystem([chain_job("X", 1, 1.0), chain_job("X", 1, 1.0)])
+            SchedulingSystem(
+                [chain_job("X", 1, 1.0), chain_job("X", 1, 1.0)], TIME_SHARING
+            )
 
     def test_empty_jobs_rejected(self):
         with pytest.raises(ValueError):
-            TimeSharingSystem([])
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            TimeSharingPolicy("bad", quantum_s=0.0)
-        with pytest.raises(ValueError):
-            TimeSharingPolicy("bad", affinity_search_depth=0)
-        with pytest.raises(ValueError):
-            TimeSharingPolicy("bad", max_skips=0)
+            SchedulingSystem([], TIME_SHARING)
 
 
 class TestRotation:
     def test_processors_rotate_among_jobs(self):
         """With more runnable workers than processors, everyone advances."""
         jobs = [flat_job(f"J{i}", 4, 0.5, workers=2) for i in range(4)]
-        result = TimeSharingSystem(jobs, n_processors=2).run()
+        result, _ = run(jobs, n_processors=2)
         times = [m.response_time for m in result.jobs.values()]
         # Round-robin: all four finish within a similar window, far later
         # than any would alone (0.5 x 2 = 1s alone on 2 cpus).
@@ -76,7 +83,7 @@ class TestRotation:
         jobs = [
             flat_job(f"J{i}", 8, 0.7 + 0.2 * i, workers=3) for i in range(3)
         ]
-        result = TimeSharingSystem(jobs, TIME_SHARING, n_processors=4).run()
+        result, _ = run(jobs, TIME_SHARING, n_processors=4)
         for metrics in result.jobs.values():
             assert metrics.pct_affinity < 60.0
 
@@ -85,7 +92,7 @@ class TestAffinityVariant:
     def make_pair(self, policy, seed=3):
         a = phased_job("A", 6, 8, 0.05, workers=4)
         b = flat_job("B", 8, 2.0, workers=4)
-        return TimeSharingSystem([a, b], policy, n_processors=4, seed=seed).run()
+        return run([a, b], policy, n_processors=4, seed=seed)[0]
 
     def test_affinity_raises_pct_affinity(self):
         plain = self.make_pair(TIME_SHARING)
@@ -102,12 +109,20 @@ class TestAffinityVariant:
 
     def test_aging_prevents_starvation(self):
         """Affinity search must not starve tasks with no affine processor."""
-        policy = dataclasses.replace(
-            TIME_SHARING_AFFINITY, affinity_search_depth=16, max_skips=3
-        )
         hog = flat_job("HOG", 16, 2.0, workers=4)
         victim = flat_job("VICTIM", 8, 0.5, workers=4)
-        result = TimeSharingSystem([hog, victim], policy, n_processors=4).run()
+        result, _ = run([hog, victim], TIME_SHARING_AFFINITY, n_processors=4)
         # The victim's work is 4s of 36 total; a fair rotation finishes it
         # well inside the hog's span (~9s of pure work on 4 cpus).
         assert result.jobs["VICTIM"].response_time < result.jobs["HOG"].response_time
+
+
+class TestDisruptions:
+    def test_cancellation_drops_queued_workers(self):
+        jobs = [flat_job(f"J{i}", 8, 1.0, workers=4) for i in range(3)]
+        system = SchedulingSystem(jobs, TIME_SHARING, n_processors=2)
+        system.sim.at(0.35, lambda: system.cancel_job(jobs[1]))
+        result = system.run()
+        assert set(result.jobs) == {"J0", "J2"}
+        assert "J1" in result.cancelled
+        assert not system.run_queue

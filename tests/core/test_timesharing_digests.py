@@ -27,13 +27,9 @@ import sys
 
 import pytest
 
-from repro.core.timesharing import (
-    TIME_SHARING,
-    TIME_SHARING_AFFINITY,
-    TimeSharingSystem,
-)
-from repro.engine.rng import RngRegistry
-from repro.measure.workloads import make_jobs
+from repro.core.policies import TIME_SHARING, TIME_SHARING_AFFINITY
+from repro.core.system import SchedulingSystem
+from repro.measure.runner import run_mix
 from repro.sweep.cells import system_result_to_dict
 from repro.sweep.spec import canonical_json
 from tests.core.helpers import chain_job, flat_job, phased_job
@@ -86,20 +82,13 @@ def result_digest(result) -> str:
 
 
 def run_mix_digest(mix: int, policy_name: str, seed: int) -> str:
-    policy = POLICIES[policy_name]
-    rng = RngRegistry(seed)
-    jobs = make_jobs(mix, rng.spawn("workload"))
-    return result_digest(
-        TimeSharingSystem(
-            jobs, policy, n_processors=16, seed=seed, rng=rng.spawn(policy.name)
-        ).run()
-    )
+    return result_digest(run_mix(mix, POLICIES[policy_name], seed=seed))
 
 
 def run_scenario_digest(scenario: str, policy_name: str) -> str:
     factory, n_processors, seed = SCENARIOS[scenario]
     return result_digest(
-        TimeSharingSystem(
+        SchedulingSystem(
             factory(), POLICIES[policy_name], n_processors=n_processors, seed=seed
         ).run()
     )

@@ -1,9 +1,10 @@
 """Property-style sweep: every policy honors the invariants on random mixes.
 
 Each case runs a randomized workload (structure and sizes drawn from the
-seed) under one of the five policies with full tracing, then replays the
-record stream through the oracle.  Zero violations and exact aggregate
-replay are required for every combination.
+seed) under one of the five policies or Section 8's two time-sharing
+ones, with full tracing, then replays the record stream through the
+oracle.  Zero violations and exact aggregate replay are required for
+every combination.
 """
 
 import random
@@ -16,6 +17,8 @@ from repro.core.policies import (
     DYN_AFF_NOPRI,
     DYNAMIC,
     EQUIPARTITION,
+    TIME_SHARING,
+    TIME_SHARING_AFFINITY,
 )
 from repro.core.system import SchedulingSystem
 from repro.obs import MetricsRegistry, Tracer
@@ -23,7 +26,10 @@ from repro.obs.invariants import check_trace
 from repro.obs.replay import verify_replay
 from tests.core.helpers import chain_job, flat_job, phased_job
 
-ALL_POLICIES = (EQUIPARTITION, DYNAMIC, DYN_AFF, DYN_AFF_DELAY, DYN_AFF_NOPRI)
+ALL_POLICIES = (
+    EQUIPARTITION, DYNAMIC, DYN_AFF, DYN_AFF_DELAY, DYN_AFF_NOPRI,
+    TIME_SHARING, TIME_SHARING_AFFINITY,
+)
 
 
 def random_mix(seed: int):

@@ -98,7 +98,7 @@ record_strategies = (
               affine=st.booleans(), cheap=st.booleans(), penalty_s=finite,
               switch_s=finite, ready_depth=counts),
     st.builds(Undispatch, time=times, cpu=cpus, job=names, worker=counts,
-              reason=st.sampled_from(("preempt", "idle", "done"))),
+              reason=st.sampled_from(("preempt", "yield", "idle", "done"))),
     st.builds(PolicyDecision, time=times,
               rule=st.sampled_from(("A.1", "D.1", "D.2", "D.3", "EQ")),
               job=st.none() | names, cpu=st.none() | cpus, reason=names,
