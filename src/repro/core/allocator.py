@@ -123,7 +123,8 @@ class Allocator:
         self.run_queue: typing.Deque[WorkerTask] = collections.deque()
         #: time sharing: queued worker -> times the affinity search passed it
         self._skips: typing.Dict[WorkerTask, int] = {}
-        #: the policy's run-queue mode, read on every decision
+        #: the policy's mode, read on every decision
+        self._equipartition = policy.is_equipartition
         self._time_sharing = policy.is_time_sharing
 
     # ------------------------------------------------------------------ #
@@ -236,7 +237,7 @@ class Allocator:
         now = self.system.now
         self.jobs.append(job)
         self.credit.job_arrived(job, now)
-        if self.policy.is_equipartition:
+        if self._equipartition:
             self.rebalance_equipartition()
         else:
             self.new_work(job)
@@ -248,7 +249,7 @@ class Allocator:
         freed = self.procs_in(job.owned_mask)
         for proc in freed:
             self.system.release_processor(proc)
-        if self.policy.is_equipartition:
+        if self._equipartition:
             self.rebalance_equipartition()
         else:
             for worker in [w for w in self.run_queue if w.job is job]:
@@ -316,7 +317,7 @@ class Allocator:
 
     def processor_available(self, proc: ProcessorRecord) -> None:
         """A processor became free: apply rule A.1, then priority dispatch."""
-        if self.policy.is_equipartition:
+        if self._equipartition:
             return  # equipartition never reacts to availability mid-run
         self._profiled("policy/processor_available", self._processor_available_impl, proc)
 
@@ -386,7 +387,7 @@ class Allocator:
 
     def new_work(self, job: Job) -> None:
         """``job`` has new runnable work: apply rules D.1, D.2, D.3 / A.2."""
-        if self.policy.is_equipartition:
+        if self._equipartition:
             return  # its processors were already used by the system
         if self.system.profiler is None:
             self._new_work_impl(job)

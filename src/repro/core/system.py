@@ -717,9 +717,10 @@ class SchedulingSystem:
         """The worker found no runnable thread: depart, then hold or yield."""
         self._depart(proc, worker, job, "idle")
 
-        # A suspended sibling holds a partial thread: give it the processor
-        # (under time sharing it waits its turn in the run queue instead).
-        if not self.policy.is_time_sharing:
+        # A suspended sibling holds a partial thread: give it the processor,
+        # unless workers wait in the run queue (time sharing), where every
+        # suspended worker waits its turn.
+        if not self.run_queue:
             sibling = job.select_worker(
                 proc.cpu_id, self.policy.use_affinity, self.policy.history_depth
             )
