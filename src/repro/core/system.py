@@ -169,6 +169,7 @@ class SchedulingSystem:
             footprint_model if footprint_model is not None else FootprintModel(machine)
         )
         self.allocator = Allocator(policy, n_processors, self)
+        #: the allocator's time-sharing run queue, read per thread completion
         self.run_queue = self.allocator.run_queue
         #: longest stint before a preemption (time sharing only)
         self.quantum_s = DYNIX_QUANTUM_S if policy.is_time_sharing else math.inf
