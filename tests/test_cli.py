@@ -197,6 +197,13 @@ class TestGoldens:
         assert main(["--seed", "7", "section8", "--mix", "6"]) == 0
         assert capsys.readouterr().out == _data("section8_mix6_seed7.stdout")
 
+    def test_table1_numpy_scale32_stdout(self, capsys):
+        # The vectorized generator and cache engines drive Table 1 here;
+        # the `all` golden covers the scalar default.
+        pytest.importorskip("numpy")
+        assert main(["table1", "--backend", "numpy", "--scale", "32"]) == 0
+        assert capsys.readouterr().out == _data("table1_numpy_scale32.stdout")
+
     def test_all_mix2_stdout(self, capsys, monkeypatch):
         # Mix 2's jobs are not in alphabetical order (MVA before MATRIX).
         import repro.sweep.executor as executor
