@@ -447,6 +447,26 @@ def test_penalty_regime_throughput(benchmark):
     assert result.p_na_s > 0
 
 
+@pytest.mark.skipif(not numpy_available(), reason="numpy engine requires numpy")
+def test_penalty_regime_numpy_throughput(benchmark):
+    """One scale-16 MVA measurement against a MATRIX partner, numpy engines.
+
+    The driver shape of the ``penalty`` benchmark workload (Table 1 at
+    scale 16 on the numpy engine): stationary, migrating and multiprog
+    regimes, with the partner's stream read between the measured
+    program's slices.
+    """
+    experiment = PenaltyExperiment(scale=16, backend="numpy")
+
+    def run():
+        return experiment.measure(
+            APPLICATIONS["MVA"], 0.1, partners=(APPLICATIONS["MATRIX"],)
+        )
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert 0 < result.p_a_s("MATRIX") < result.p_na_s
+
+
 def test_footprint_model_throughput(benchmark):
     """10k note_run/reload_penalty cycles (the DES hot path)."""
     model = FootprintModel(SEQUENT_SYMMETRY)

@@ -27,6 +27,7 @@ validates.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import random
 import typing
 
@@ -161,12 +162,13 @@ class ReferenceGenerator:
     non-stock rng) silently falls back — ``backend_name`` reports the
     engine actually running.
 
-    :meth:`next_blocks` is the batch entry point used by the chunked
-    Section 4 drivers; :meth:`next_blocks_array` is the fused path that
-    hands the numpy engine's native ``int64`` array straight to
-    ``SetAssociativeCache.access_batch`` without building a Python list.
-    Both are stream-equivalent to calling :meth:`next_block` the same
-    number of times, for any chunking (property-tested in
+    :meth:`next_blocks` is the batch entry point; :meth:`next_blocks_array`
+    is the fused path that hands the numpy engine's native ``int64``
+    array straight to ``SetAssociativeCache.access_batch`` without
+    building a Python list.  The chunked Section 4 drivers read through
+    a :class:`BlockReader`, which calls them in long runs.  Both are
+    stream-equivalent to calling :meth:`next_block` the same number of
+    times, for any chunking (property-tested in
     ``tests/apps/test_reference.py`` and differentially tested across
     engines in ``tests/apps/test_refgen_backends.py``).
     """
@@ -212,7 +214,9 @@ class ReferenceGenerator:
         the same random draws produce the same blocks and leave the
         generator in the same state, for any chunking of the stream.
         """
-        return self._engine.next_blocks(n)
+        if n < 0:
+            raise ValueError(f"touch count must be non-negative, got {n}")
+        return self._engine.next_blocks(self, n)
 
     def next_blocks_array(self, n: int):
         """The next ``n`` touches as a numpy ``int64`` array.
@@ -221,12 +225,88 @@ class ReferenceGenerator:
         its native array directly — the fused generator→cache path.
         Requires numpy regardless of engine (the scalar engine converts).
         """
-        return self._engine.next_blocks_array(n)
+        if n < 0:
+            raise ValueError(f"touch count must be non-negative, got {n}")
+        return self._engine.next_blocks_array(self, n)
 
     def reset(self) -> None:
         """Forget the hot set (e.g. at an application phase change)."""
         # Engine state (mirrored rng, normalized ring history) must be
         # materialized back onto this object before we mutate the ring.
-        self._engine.invalidate()
+        self._engine.invalidate(self)
         self._recent_start = 0
         self._recent_len = 0
+
+
+#: Touches a :class:`BlockReader` pulls from its generator at a time,
+#: far above the numpy engine's ``MIN_VEC`` scalar fallback.  Scale-16
+#: Table 1 on the numpy engine (2-vCPU host): 8192 peaks at 44.9 MB and
+#: ran slower in 4 of 6 pairs (median 4.0 s vs 3.6 s); 16384 peaks at
+#: 48.6 MB; 65536 at 68.2 MB, since each engine's scratch grows with it.
+READ_AHEAD = 16384
+
+
+class BlockReader:
+    """Any chunking of a generator's stream, pulled in runs of :data:`READ_AHEAD`.
+
+    The chunked Section 4 drivers ask for as many touches as
+    ``batch_limit`` allows, which near a slice boundary is a handful.
+    Drawn directly, every such request below the numpy engine's
+    ``MIN_VEC`` flushes its mirrored rng and the next large one mirrors
+    it again.  Every stream is chunking-invariant, so reading ahead and
+    slicing hands out exactly the blocks that direct draws would.
+
+    Blocks come in the engine's native form: ``int64`` array views from
+    the numpy engine (the fused path into the numpy cache), lists from
+    the scalar one.  ``total`` is the stream's known length: the reader
+    never pulls past it, and asking for more raises :class:`ValueError`.
+    Without it, the generator may run up to one run ahead of the reads.
+    """
+
+    def __init__(
+        self, gen: ReferenceGenerator, total: typing.Optional[int] = None
+    ) -> None:
+        if gen._engine.array_native:
+            self._draw = gen.next_blocks_array
+            self._join = _join_arrays
+        else:
+            self._draw = gen.next_blocks
+            self._join = operator.add
+        #: touches the generator may still be asked for (None = unbounded)
+        self._unread = total
+        self._run = self._draw(0)
+        self._pos = 0
+
+    def take(self, n: int):
+        """The next ``n`` touches of the stream."""
+        if n < 0:
+            raise ValueError(f"touch count must be non-negative, got {n}")
+        run = self._run
+        start = self._pos
+        end = start + n
+        if end <= len(run):
+            self._pos = end
+            return run[start:end]
+        need = end - len(run)
+        size = max(need, READ_AHEAD)
+        if self._unread is not None:
+            if need > self._unread:
+                raise ValueError(
+                    f"cannot take {n} touches: only "
+                    f"{len(run) - start + self._unread} remain"
+                )
+            size = min(size, self._unread)
+            self._unread -= size
+        fresh = self._draw(size)
+        self._run = fresh
+        self._pos = need
+        if start == len(run):
+            return fresh[:need]
+        return self._join(run[start:], fresh[:need])
+
+
+def _join_arrays(head, tail):
+    """Concatenate two block arrays (the numpy-engine counterpart of ``+``)."""
+    import numpy
+
+    return numpy.concatenate((head, tail))

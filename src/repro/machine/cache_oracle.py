@@ -24,7 +24,12 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.apps.reference import ReferenceGenerator, ReferenceSpec, reduced_machine
+from repro.apps.reference import (
+    BlockReader,
+    ReferenceGenerator,
+    ReferenceSpec,
+    reduced_machine,
+)
 from repro.engine.rng import RngRegistry
 from repro.machine.batching import batch_limit, worst_touch_cost
 from repro.machine.cache import SetAssociativeCache
@@ -69,7 +74,7 @@ class SimulatedCacheFootprint:
         }
         self._rng = RngRegistry(seed)
         self._caches: typing.Dict[int, SetAssociativeCache] = {}
-        self._generators: typing.Dict[typing.Hashable, ReferenceGenerator] = {}
+        self._readers: typing.Dict[typing.Hashable, BlockReader] = {}
         self._tasks: typing.Dict[typing.Hashable, _TaskState] = {}
         #: total touches simulated (for cost introspection)
         self.touches_simulated = 0
@@ -104,17 +109,14 @@ class SimulatedCacheFootprint:
         cache = self._caches.setdefault(
             processor, SetAssociativeCache(self.reduced, backend=self.backend)
         )
-        generator = self._generators.get(task)
-        if generator is None:
-            generator = ReferenceGenerator(
-                ref, self._rng.stream(str(task)), backend=self.backend
+        reader = self._readers.get(task)
+        if reader is None:
+            reader = BlockReader(
+                ReferenceGenerator(
+                    ref, self._rng.stream(str(task)), backend=self.backend
+                )
             )
-            self._generators[task] = generator
-        draw = (
-            generator.next_blocks_array
-            if generator.backend_name == "numpy"
-            else generator.next_blocks
-        )
+            self._readers[task] = reader
         elapsed = 0.0
         hit_cost = ref.refs_per_touch * self.reduced.hit_time_s
         miss_cost = worst_touch_cost(
@@ -125,7 +127,7 @@ class SimulatedCacheFootprint:
         # the stint ends after the same touch as the scalar loop did.
         while elapsed < duration:
             n = batch_limit(duration - elapsed, miss_cost)
-            hits = cache.access_batch(task, draw(n))
+            hits = cache.access_batch(task, reader.take(n))
             elapsed += hits * hit_cost + (n - hits) * miss_cost
             self.touches_simulated += n
         state = self._tasks.setdefault(task, _TaskState())
@@ -140,7 +142,7 @@ class SimulatedCacheFootprint:
     def forget(self, task: typing.Hashable) -> None:
         """Drop a finished task's stream and residency records."""
         self._tasks.pop(task, None)
-        self._generators.pop(task, None)
+        self._readers.pop(task, None)
 
     def flush_processor(self, processor: int) -> float:
         """Invalidate ``processor``'s cache (a CPU failure).
@@ -157,7 +159,7 @@ class SimulatedCacheFootprint:
     def reset(self) -> None:
         """Clear all state (between replications)."""
         self._caches.clear()
-        self._generators.clear()
+        self._readers.clear()
         self._tasks.clear()
         self.touches_simulated = 0
 

@@ -25,7 +25,7 @@ import math
 import typing
 
 from repro.apps.base import AppSpec
-from repro.apps.reference import ReferenceGenerator, reduced_machine
+from repro.apps.reference import BlockReader, ReferenceGenerator, reduced_machine
 from repro.engine.rng import RngRegistry
 from repro.machine.batching import batch_limit, worst_touch_cost
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
@@ -121,23 +121,22 @@ class InterveningExperiment:
         rng = RngRegistry(self.seed).spawn(f"{app.name}/{q_s:g}")
         app_ref = app.reference.reduced(self.scale)
         partner_ref = partner.reference.reduced(self.scale)
-        gen = ReferenceGenerator(app_ref, rng.stream("app"), backend=self.backend)
-        # Fused path: numpy generators hand int64 arrays to touch_batch.
-        draw = gen.next_blocks_array if gen.backend_name == "numpy" else gen.next_blocks
-        intervening = [
-            ReferenceGenerator(
-                partner_ref, rng.stream(f"partner{i}"), backend=self.backend
-            )
-            for i in range(max(0, n_intervening))
-        ]
-        intervening_draws = [
-            g.next_blocks_array if g.backend_name == "numpy" else g.next_blocks
-            for g in intervening
-        ]
-        proc = Processor(0, self.machine, backend=self.backend)
         per_touch = app_ref.refs_per_touch * self.machine.hit_time_s
         total_seconds = max(2.0, self.n_switches_target * q_s)
         n_touches = int(total_seconds / per_touch)
+        reader = BlockReader(
+            ReferenceGenerator(app_ref, rng.stream("app"), backend=self.backend),
+            total=n_touches,
+        )
+        intervening = [
+            BlockReader(
+                ReferenceGenerator(
+                    partner_ref, rng.stream(f"partner{i}"), backend=self.backend
+                )
+            )
+            for i in range(max(0, n_intervening))
+        ]
+        proc = Processor(0, self.machine, backend=self.backend)
         # Chunked driver; see repro.machine.batching for why chunk sizing
         # keeps rescheduling points identical to the touch-by-touch loop.
         app_worst = worst_touch_cost(
@@ -154,7 +153,7 @@ class InterveningExperiment:
         remaining = n_touches
         while remaining:
             n = min(remaining, batch_limit(slice_left, app_worst))
-            cost = proc.touch_batch("measured", draw(n), app_ref.refs_per_touch)
+            cost = proc.touch_batch("measured", reader.take(n), app_ref.refs_per_touch)
             response_time += cost
             slice_left -= cost
             remaining -= n
@@ -164,13 +163,13 @@ class InterveningExperiment:
                 if n_intervening < 0:
                     proc.flush_cache()
                 else:
-                    for index, partner_draw in enumerate(intervening_draws):
+                    for index, partner_reader in enumerate(intervening):
                         budget = q_s
                         while budget > 0.0:
                             k = batch_limit(budget, partner_worst)
                             budget -= proc.touch_batch(
                                 f"partner{index}",
-                                partner_draw(k),
+                                partner_reader.take(k),
                                 partner_ref.refs_per_touch,
                             )
         return response_time, switches

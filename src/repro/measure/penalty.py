@@ -37,7 +37,7 @@ import dataclasses
 import typing
 
 from repro.apps.base import AppSpec
-from repro.apps.reference import ReferenceGenerator, reduced_machine
+from repro.apps.reference import BlockReader, ReferenceGenerator, reduced_machine
 from repro.engine.rng import RngRegistry
 from repro.machine.batching import batch_limit, worst_touch_cost
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
@@ -162,23 +162,20 @@ class PenaltyExperiment:
         """Execute the measured program once under one regime."""
         rng = RngRegistry(self.seed).spawn(f"{app.name}/q{q_s:g}")
         app_ref = app.reference.reduced(self.scale)
-        gen = ReferenceGenerator(app_ref, rng.stream("app"), backend=self.backend)
-        # Fused path: the numpy engine's native int64 array feeds
-        # Processor.touch_batch (and the numpy cache) without ever
-        # building a Python list.
-        draw = gen.next_blocks_array if gen.backend_name == "numpy" else gen.next_blocks
-        partner_gen = None
+        # The measured stream is read exactly to its known length; the
+        # partner's reader may run one READ_AHEAD run past its last slice.
+        reader = BlockReader(
+            ReferenceGenerator(app_ref, rng.stream("app"), backend=self.backend),
+            total=n_touches,
+        )
         partner_ref = None
-        partner_draw = None
+        partner_reader = None
         if partner is not None:
             partner_ref = partner.reference.reduced(self.scale)
-            partner_gen = ReferenceGenerator(
-                partner_ref, rng.stream("partner"), backend=self.backend
-            )
-            partner_draw = (
-                partner_gen.next_blocks_array
-                if partner_gen.backend_name == "numpy"
-                else partner_gen.next_blocks
+            partner_reader = BlockReader(
+                ReferenceGenerator(
+                    partner_ref, rng.stream("partner"), backend=self.backend
+                )
             )
 
         proc = Processor(0, self.machine, tracer=self.tracer, backend=self.backend)
@@ -209,10 +206,10 @@ class PenaltyExperiment:
             n = min(remaining, batch_limit(slice_left, app_worst))
             if profiling:
                 prof.push("generator")  # type: ignore[attr-defined]
-                blocks = draw(n)
+                blocks = reader.take(n)
                 prof.pop()  # type: ignore[attr-defined]
             else:
-                blocks = draw(n)
+                blocks = reader.take(n)
             cost = proc.touch_batch("measured", blocks, app_ref.refs_per_touch)
             response_time += cost
             slice_left -= cost
@@ -223,16 +220,16 @@ class PenaltyExperiment:
                 if regime == "migrating":
                     proc.flush_cache()
                 elif regime == "multiprog":
-                    assert partner_draw is not None and partner_ref is not None
+                    assert partner_reader is not None and partner_ref is not None
                     budget = q_s
                     while budget > 0.0:
                         k = batch_limit(budget, partner_worst)
                         if profiling:
                             prof.push("generator")  # type: ignore[attr-defined]
-                            partner_blocks = partner_draw(k)
+                            partner_blocks = partner_reader.take(k)
                             prof.pop()  # type: ignore[attr-defined]
                         else:
-                            partner_blocks = partner_draw(k)
+                            partner_blocks = partner_reader.take(k)
                         budget -= proc.touch_batch(
                             "partner",
                             partner_blocks,

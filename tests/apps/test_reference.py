@@ -3,9 +3,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.apps.reference import ReferenceGenerator, ReferenceSpec, reduced_machine
+from repro.apps.reference import (
+    READ_AHEAD,
+    BlockReader,
+    ReferenceGenerator,
+    ReferenceSpec,
+    reduced_machine,
+)
 from repro.apps.refgen import numpy_available
 from repro.machine.footprint import FootprintCurve, LinearFootprintCurve
 from repro.machine.params import SEQUENT_SYMMETRY
@@ -281,6 +287,90 @@ def test_property_any_chunking_yields_same_stream(backend, s, seed, data):
     assert got == expected
     # And the generators are left in the same state: continuations match.
     assert chunked.next_blocks(200) == [scalar.next_block() for _ in range(200)]
+
+
+def _as_list(blocks):
+    return blocks.tolist() if hasattr(blocks, "tolist") else list(blocks)
+
+
+def _counting_reader(gen, total=None):
+    """A reader over ``gen`` plus a one-slot list of touches it pulled."""
+    pulled = [0]
+    for name in ("next_blocks", "next_blocks_array"):
+        draw = getattr(gen, name)
+
+        def counted(n, draw=draw):
+            pulled[0] += n
+            return draw(n)
+
+        # An instance attribute shadows the method the reader binds.
+        setattr(gen, name, counted)
+    return BlockReader(gen, total=total), pulled
+
+
+#: Request sizes for the reader: empty, below the numpy engine's
+#: MIN_VEC, mid-run, and longer than one read-ahead run.
+READ_SIZES = st.one_of(
+    st.just(0),
+    st.integers(1, 600),
+    st.integers(601, 9000),
+    st.integers(READ_AHEAD - 5, READ_AHEAD + 3000),
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=20, deadline=None)
+@given(
+    s=st.sampled_from(GENERATOR_SPECS),
+    seed=st.integers(0, 1000),
+    sizes=st.lists(READ_SIZES, min_size=1, max_size=12),
+)
+@example(
+    s=GENERATOR_SPECS[0],
+    seed=1,
+    sizes=[0, 5, READ_AHEAD + 1000, 300, 9000, 0, READ_AHEAD, 511, 2],
+)
+def test_property_reader_matches_direct_draws(backend, s, seed, sizes):
+    """Any chunking through a BlockReader hands out the direct draws."""
+    direct = ReferenceGenerator(s, random.Random(seed), backend=backend)
+    gen = ReferenceGenerator(s, random.Random(seed), backend=backend)
+    reader, pulled = _counting_reader(gen)
+    taken = 0
+    for n in sizes:
+        got = reader.take(n)
+        want = (
+            direct.next_blocks_array(n)
+            if gen.backend_name == "numpy"
+            else direct.next_blocks(n)
+        )
+        assert type(got) is type(want)
+        assert len(got) == n
+        assert _as_list(got) == _as_list(want)
+        taken += n
+        # The generator runs less than one read-ahead run ahead.
+        assert 0 <= pulled[0] - taken < READ_AHEAD
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_total_bounds_the_reads(self, backend):
+        gen = ReferenceGenerator(spec(), random.Random(4), backend=backend)
+        reader, pulled = _counting_reader(gen, total=READ_AHEAD + 700)
+        assert len(reader.take(300)) == 300
+        assert pulled[0] == READ_AHEAD
+        assert len(reader.take(READ_AHEAD)) == READ_AHEAD
+        assert pulled[0] == READ_AHEAD + 700
+        with pytest.raises(ValueError, match="only 400 remain"):
+            reader.take(401)
+        assert len(reader.take(400)) == 400
+        assert len(reader.take(0)) == 0
+        assert pulled[0] == READ_AHEAD + 700
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_negative_count_rejected(self, backend):
+        gen = ReferenceGenerator(spec(), random.Random(4), backend=backend)
+        with pytest.raises(ValueError, match="-3"):
+            BlockReader(gen).take(-3)
 
 
 @settings(max_examples=25, deadline=None)

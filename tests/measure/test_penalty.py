@@ -1,12 +1,15 @@
 """The Section 4 penalty experiment (fast, coarse-scale versions)."""
 
+import gc
 import typing
+import weakref
 
 import pytest
 
 from repro.apps import GRAVITY, MATRIX, MVA
 from repro.apps.base import AppSpec
 from repro.apps.reference import ReferenceGenerator
+from repro.apps.refgen import numpy_available
 from repro.engine.rng import RngRegistry
 from repro.machine.processor import Processor
 from repro.measure.penalty import PAPER_QUANTA_S, PenaltyExperiment, RegimeRun
@@ -14,6 +17,7 @@ from repro.measure.penalty import PAPER_QUANTA_S, PenaltyExperiment, RegimeRun
 #: Aggressive fidelity reduction keeps these tests fast; the benchmark
 #: suite runs the calibrated scale-16 version.
 FAST_SCALE = 64
+BACKENDS = ("scalar", "numpy") if numpy_available() else ("scalar",)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +156,60 @@ class TestChunkedDriverEquivalence:
         assert chunked.n_switches == scalar.n_switches
         assert chunked.response_time == pytest.approx(scalar.response_time, rel=1e-9)
         assert chunked.hit_rate == pytest.approx(scalar.hit_rate, rel=1e-12)
+
+
+class TestReadAhead:
+    """The regime drivers read each stream through a BlockReader."""
+
+    Q_S = 0.05
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_measured_stream_stops_at_n_touches(self, monkeypatch, backend):
+        pulled: typing.Dict[int, typing.List] = {}
+        for name in ("next_blocks", "next_blocks_array"):
+            draw = getattr(ReferenceGenerator, name)
+
+            def counted(gen, n, draw=draw):
+                pulled.setdefault(id(gen), [gen.spec, 0])[1] += n
+                return draw(gen, n)
+
+            monkeypatch.setattr(ReferenceGenerator, name, counted)
+        exp = PenaltyExperiment(
+            scale=FAST_SCALE, n_switches_target=10, min_run_s=0.4, backend=backend
+        )
+        n_touches = exp._touch_count(MVA, self.Q_S)
+        exp._run_regime(MVA, self.Q_S, "multiprog", MATRIX, n_touches)
+        by_spec = {spec: n for spec, n in pulled.values()}
+        assert len(by_spec) == 2
+        assert by_spec[MVA.reference.reduced(FAST_SCALE)] == n_touches
+        assert by_spec[MATRIX.reference.reduced(FAST_SCALE)] > 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_no_generator_survives_measure(self, monkeypatch, backend):
+        """Reference counting alone frees every generator a measurement
+        builds, so dead generators never wait for the cyclic collector."""
+        built: typing.List[weakref.ref] = []
+        init = ReferenceGenerator.__init__
+
+        def recording_init(gen, *args, **kwargs):
+            init(gen, *args, **kwargs)
+            built.append(weakref.ref(gen))
+
+        monkeypatch.setattr(ReferenceGenerator, "__init__", recording_init)
+        exp = PenaltyExperiment(
+            scale=FAST_SCALE, n_switches_target=10, min_run_s=0.4, backend=backend
+        )
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            exp.measure(MVA, self.Q_S, partners=(MATRIX,))
+            # stationary, migrating, and multiprog's measured + partner
+            assert len(built) == 4
+            assert [ref() for ref in built] == [None] * 4
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestScaleInvariance:
