@@ -448,14 +448,19 @@ def test_penalty_regime_throughput(benchmark):
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy engine requires numpy")
-def test_penalty_regime_numpy_throughput(benchmark):
+def test_penalty_regime_numpy_throughput(benchmark, monkeypatch):
     """One scale-16 MVA measurement against a MATRIX partner, numpy engines.
 
     The driver shape of the ``penalty`` benchmark workload (Table 1 at
     scale 16 on the numpy engine): stationary, migrating and multiprog
     regimes, with the partner's stream read between the measured
-    program's slices.
+    program's slices.  ``extra_info`` records the numpy engine calls per
+    slice of one more, untimed, run.
     """
+    from repro.machine import batching
+    from repro.machine.backends.numpy_backend import NumpyBackend
+    from repro.measure import penalty
+
     experiment = PenaltyExperiment(scale=16, backend="numpy")
 
     def run():
@@ -465,6 +470,27 @@ def test_penalty_regime_numpy_throughput(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert 0 < result.p_a_s("MATRIX") < result.p_na_s
+
+    counts = {"kernel": 0, "slices": 0}
+
+    def counted(method, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("access_batch", "access_flags"):
+        monkeypatch.setattr(
+            NumpyBackend, name, counted(getattr(NumpyBackend, name), "kernel")
+        )
+    play = counted(batching.play, "slices")
+    monkeypatch.setattr(batching, "play", play)
+    monkeypatch.setattr(penalty, "play", play)
+    run()
+    benchmark.extra_info["kernel_calls_per_slice"] = round(
+        counts["kernel"] / counts["slices"], 3
+    )
 
 
 def test_footprint_model_throughput(benchmark):

@@ -21,6 +21,8 @@ Algorithm (per chunk of ``n`` blocks):
    that LRU content is the run tag from two positions back — so the
    whole layer is one shifted compare, with a patch at the position
    right after each group head.
+   With ``access_flags`` the same run-level outcomes are scattered
+   back to one flag per touch in program order.
 4. **Write-back.**  Only each set's *last* run determines the post-chunk
    state: MRU is the run's tag, LRU is the tag of the run before it (or
    a survivor of the pre-chunk state when the group has a single run).
@@ -113,10 +115,23 @@ class NumpyBackend:
     # -- hot path ------------------------------------------------------- #
 
     def access_batch(self, base: int, blocks: typing.Sequence[int]) -> int:
+        return self._kernel(base, blocks, False)
+
+    def access_flags(
+        self, base: int, blocks: typing.Sequence[int]
+    ) -> typing.Tuple[int, np.ndarray]:
+        return self._kernel(base, blocks, True)
+
+    def _kernel(self, base: int, blocks: typing.Sequence[int], want_flags: bool):
+        """One chunk through the run-collapse update; see the module docstring.
+
+        Returns the hit count, or with ``want_flags`` the pair
+        ``(hits, flags)``: a ``bool`` array, one per touch in program order.
+        """
         b = np.asarray(blocks)
         n = b.shape[0]
         if n == 0:
-            return 0
+            return (0, np.zeros(0, dtype=bool)) if want_flags else 0
         lo = int(b.min())
         hi = int(b.max())
         if lo < 0 or hi > BLOCK_MASK:
@@ -187,9 +202,22 @@ class NumpyBackend:
         hmb_a = hmb[:a_end]
         LB[after] = np.where(RTh[:a_end] != hmb_a, hmb_a, hlb[:a_end])
         LB[hpos] = -2
+        run_hit = RT == LB
+        head_hit = (RTh == hmb) | (RTh == hlb)
         hits = n - k
-        hits += int(np.count_nonzero(RT == LB))
-        hits += int(np.count_nonzero((RTh == hmb) | (RTh == hlb)))
+        hits += int(np.count_nonzero(run_hit))
+        hits += int(np.count_nonzero(head_hit))
+        if want_flags:
+            # Every non-first access of a run hits; a run's first access
+            # hits as scored above (heads never match LB's -2 marker).
+            run_hit[hpos] = head_hit
+            if k == n:
+                in_set_order = run_hit
+            else:
+                in_set_order = ~bnd
+                in_set_order[bidx] = run_hit
+            flags = np.empty(n, dtype=bool)
+            flags[order] = in_set_order
         # Write-back: the i-th last run of a set pairs with the i-th head.
         lpos = np.empty(h, dtype=hpos.dtype)
         lpos[:-1] = hpos[1:] - 1
@@ -214,7 +242,7 @@ class NumpyBackend:
             self._lru[fix] = self._mru[fix]
         self._mru_b[hkey] = lt
         self._lru_b[hkey] = la_b
-        return hits
+        return (hits, flags) if want_flags else hits
 
     # -- queries -------------------------------------------------------- #
 
@@ -262,6 +290,36 @@ class NumpyBackend:
             if mru[i] == tag:
                 mru[i] = lru[i]
             lru[i] = EMPTY
+
+    # -- speculation ---------------------------------------------------- #
+
+    #: most touches one speculative window classifies (unless the safe
+    #: chunk alone is longer)
+    max_window = 1 << 16
+
+    def checkpoint(self) -> object:
+        """Copy of the tag state, owner views included (cheap: two ways
+        of ``n_sets`` tags each)."""
+        return (
+            self._mru.copy(),
+            self._lru.copy(),
+            self._view_base,
+            self._mru_b.copy(),
+            self._lru_b.copy(),
+        )
+
+    def restore(self, mark: object) -> None:
+        """Return to the state :meth:`checkpoint` recorded.
+
+        The sticky wide-block flag stays as it is: leaving it set is
+        always safe.
+        """
+        mru, lru, base, mru_b, lru_b = mark  # type: ignore[misc]
+        self._mru[:] = mru
+        self._lru[:] = lru
+        self._view_base = base
+        self._mru_b = mru_b.copy()
+        self._lru_b = lru_b.copy()
 
     # -- test support --------------------------------------------------- #
 

@@ -31,9 +31,9 @@ from repro.apps.reference import (
     reduced_machine,
 )
 from repro.engine.rng import RngRegistry
-from repro.machine.batching import batch_limit, worst_touch_cost
-from repro.machine.cache import SetAssociativeCache
+from repro.machine.batching import play
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
+from repro.machine.processor import Processor
 
 
 @dataclasses.dataclass
@@ -73,7 +73,7 @@ class SimulatedCacheFootprint:
             name: spec.reduced(scale) for name, spec in reference_specs.items()
         }
         self._rng = RngRegistry(seed)
-        self._caches: typing.Dict[int, SetAssociativeCache] = {}
+        self._processors: typing.Dict[int, Processor] = {}
         self._readers: typing.Dict[typing.Hashable, BlockReader] = {}
         self._tasks: typing.Dict[typing.Hashable, _TaskState] = {}
         #: total touches simulated (for cost introspection)
@@ -89,8 +89,7 @@ class SimulatedCacheFootprint:
         if state is None:
             return 0.0, False
         had_affinity = state.processor == processor
-        cache = self._caches.get(processor)
-        surviving = cache.footprint(task) if cache is not None else 0
+        surviving = self._footprint(task, processor)
         lost = max(0, state.footprint - surviving)
         return lost * self.reduced.miss_time_s, had_affinity
 
@@ -106,9 +105,10 @@ class SimulatedCacheFootprint:
             raise ValueError("duration must be non-negative")
         del curve
         ref = self._spec_for(task)
-        cache = self._caches.setdefault(
-            processor, SetAssociativeCache(self.reduced, backend=self.backend)
-        )
+        proc = self._processors.get(processor)
+        if proc is None:
+            proc = Processor(processor, self.reduced, backend=self.backend)
+            self._processors[processor] = proc
         reader = self._readers.get(task)
         if reader is None:
             reader = BlockReader(
@@ -117,27 +117,20 @@ class SimulatedCacheFootprint:
                 )
             )
             self._readers[task] = reader
-        elapsed = 0.0
-        hit_cost = ref.refs_per_touch * self.reduced.hit_time_s
-        miss_cost = worst_touch_cost(
-            self.reduced.miss_time_s, self.reduced.hit_time_s, ref.refs_per_touch
+        # The stint stops where ``elapsed += cost`` first reaches the
+        # duration, as the touch-by-touch loop did: the budget left is
+        # recomputed as ``duration - elapsed`` after every chunk.
+        played, _, _ = play(
+            proc, task, reader, duration, ref.refs_per_touch, from_spent=True
         )
-        # Chunked playback: each chunk is sized so the duration can only
-        # be crossed by its final touch (see repro.machine.batching), so
-        # the stint ends after the same touch as the scalar loop did.
-        while elapsed < duration:
-            n = batch_limit(duration - elapsed, miss_cost)
-            hits = cache.access_batch(task, reader.take(n))
-            elapsed += hits * hit_cost + (n - hits) * miss_cost
-            self.touches_simulated += n
+        self.touches_simulated += played
         state = self._tasks.setdefault(task, _TaskState())
         state.processor = processor
-        state.footprint = cache.footprint(task)
+        state.footprint = proc.cache.footprint(task)
 
     def surviving_footprint(self, task: typing.Hashable, processor: int) -> float:
         """Reduced lines of ``task`` still resident on ``processor``."""
-        cache = self._caches.get(processor)
-        return float(cache.footprint(task)) if cache is not None else 0.0
+        return float(self._footprint(task, processor))
 
     def forget(self, task: typing.Hashable) -> None:
         """Drop a finished task's stream and residency records."""
@@ -151,19 +144,23 @@ class SimulatedCacheFootprint:
         as affinity) but the content is gone, so the next dispatch pays a
         full reload.  Returns the number of lines dropped.
         """
-        cache = self._caches.get(processor)
-        if cache is None:
+        proc = self._processors.get(processor)
+        if proc is None:
             return 0.0
-        return float(cache.flush())
+        return float(proc.flush_cache())
 
     def reset(self) -> None:
         """Clear all state (between replications)."""
-        self._caches.clear()
+        self._processors.clear()
         self._readers.clear()
         self._tasks.clear()
         self.touches_simulated = 0
 
     # ------------------------------------------------------------------ #
+
+    def _footprint(self, task: typing.Hashable, processor: int) -> int:
+        proc = self._processors.get(processor)
+        return proc.cache.footprint(task) if proc is not None else 0
 
     def _spec_for(self, task: typing.Hashable) -> ReferenceSpec:
         job_name = task[0] if isinstance(task, tuple) else str(task)

@@ -17,9 +17,10 @@ class Processor:
     generators aggregate temporal locality this way to keep the simulation
     tractable; only the first reference of a run can miss).
 
-    ``touch_batch`` is the hot-path entry point: it plays a whole chunk of
-    touches through the cache's batch interface and accounts their
-    aggregate cost in one step.  Hit/miss behaviour is identical to a
+    ``touch_batch`` plays a whole chunk of touches through the cache's
+    batch interface and accounts their aggregate cost in one step (the
+    Section 4 drivers play whole slices through
+    :func:`repro.machine.batching.play`, which charges the same cost).  Hit/miss behaviour is identical to a
     ``touch`` loop; only the floating-point summation order of the time
     cost differs (aggregate multiply-add versus per-touch accumulation).
     """

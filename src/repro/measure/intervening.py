@@ -25,11 +25,17 @@ import math
 import typing
 
 from repro.apps.base import AppSpec
-from repro.apps.reference import BlockReader, ReferenceGenerator, reduced_machine
+from repro.apps.reference import (
+    BlockReader,
+    ReferenceGenerator,
+    read_stream,
+    reduced_machine,
+)
 from repro.engine.rng import RngRegistry
-from repro.machine.batching import batch_limit, worst_touch_cost
+from repro.machine.batching import play, play_slices
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
 from repro.machine.processor import Processor
+from repro.measure.penalty import check_quantum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,20 +101,38 @@ class InterveningExperiment:
         max_intervening: int = 4,
     ) -> InterveningResult:
         """Penalty per switch for 0..``max_intervening`` intervening tasks."""
+        check_quantum(q_s)
         if max_intervening < 1:
             raise ValueError("need at least one intervening count")
-        baseline = self._run(app, partner, q_s, n_intervening=0)
+        # Every run replays the identical measured touch sequence.
+        stream = self._measured_stream(app, q_s)
+
+        def run(k: int) -> typing.Tuple[float, int]:
+            return self._run(app, partner, q_s, n_intervening=k, stream=stream)
+
+        baseline = run(0)
         penalties: typing.Dict[int, float] = {0: 0.0}
         for k in range(1, max_intervening + 1):
-            rt, switches = self._run(app, partner, q_s, n_intervening=k)
+            rt, switches = run(k)
             penalties[k] = max(0.0, (rt - baseline[0]) / max(1, switches))
-        flushed_rt, flushed_switches = self._run(
-            app, partner, q_s, n_intervening=-1
-        )
+        flushed_rt, flushed_switches = run(-1)
         p_na = max(0.0, (flushed_rt - baseline[0]) / max(1, flushed_switches))
         return InterveningResult(
             app=app.name, q_s=q_s, penalty_by_k=penalties, p_na_s=p_na
         )
+
+    def _rng(self, app: AppSpec, q_s: float) -> RngRegistry:
+        return RngRegistry(self.seed).spawn(f"{app.name}/{q_s:g}")
+
+    def _measured_stream(self, app: AppSpec, q_s: float) -> typing.Sequence[int]:
+        """The measured program's touches, drawn once per measurement."""
+        app_ref = app.reference.reduced(self.scale)
+        per_touch = app_ref.refs_per_touch * self.machine.hit_time_s
+        total_seconds = max(2.0, self.n_switches_target * q_s)
+        gen = ReferenceGenerator(
+            app_ref, self._rng(app, q_s).stream("app"), backend=self.backend
+        )
+        return read_stream(gen, int(total_seconds / per_touch))
 
     def _run(
         self,
@@ -116,18 +140,18 @@ class InterveningExperiment:
         partner: AppSpec,
         q_s: float,
         n_intervening: int,
+        stream: typing.Optional[typing.Sequence[int]] = None,
     ) -> typing.Tuple[float, int]:
-        """One run; ``n_intervening = -1`` means flush (the P^NA reference)."""
-        rng = RngRegistry(self.seed).spawn(f"{app.name}/{q_s:g}")
+        """One run; ``n_intervening = -1`` means flush (the P^NA reference).
+
+        ``stream`` is the stored measured sequence; without it the run
+        draws its own.
+        """
+        if stream is None:
+            stream = self._measured_stream(app, q_s)
+        rng = self._rng(app, q_s)
         app_ref = app.reference.reduced(self.scale)
         partner_ref = partner.reference.reduced(self.scale)
-        per_touch = app_ref.refs_per_touch * self.machine.hit_time_s
-        total_seconds = max(2.0, self.n_switches_target * q_s)
-        n_touches = int(total_seconds / per_touch)
-        reader = BlockReader(
-            ReferenceGenerator(app_ref, rng.stream("app"), backend=self.backend),
-            total=n_touches,
-        )
         intervening = [
             BlockReader(
                 ReferenceGenerator(
@@ -137,39 +161,17 @@ class InterveningExperiment:
             for i in range(max(0, n_intervening))
         ]
         proc = Processor(0, self.machine, backend=self.backend)
-        # Chunked driver; see repro.machine.batching for why chunk sizing
-        # keeps rescheduling points identical to the touch-by-touch loop.
-        app_worst = worst_touch_cost(
-            self.machine.miss_time_s, self.machine.hit_time_s, app_ref.refs_per_touch
+
+        def on_switch() -> None:
+            if n_intervening < 0:
+                proc.flush_cache()
+            for index, partner_reader in enumerate(intervening):
+                play(
+                    proc, f"partner{index}", partner_reader, q_s,
+                    partner_ref.refs_per_touch,
+                )
+
+        return play_slices(
+            proc, BlockReader.over(stream), q_s, app_ref.refs_per_touch,
+            len(stream), on_switch,
         )
-        partner_worst = worst_touch_cost(
-            self.machine.miss_time_s,
-            self.machine.hit_time_s,
-            partner_ref.refs_per_touch,
-        )
-        response_time = 0.0
-        slice_left = q_s
-        switches = 0
-        remaining = n_touches
-        while remaining:
-            n = min(remaining, batch_limit(slice_left, app_worst))
-            cost = proc.touch_batch("measured", reader.take(n), app_ref.refs_per_touch)
-            response_time += cost
-            slice_left -= cost
-            remaining -= n
-            if slice_left <= 0.0:
-                switches += 1
-                slice_left = q_s
-                if n_intervening < 0:
-                    proc.flush_cache()
-                else:
-                    for index, partner_reader in enumerate(intervening):
-                        budget = q_s
-                        while budget > 0.0:
-                            k = batch_limit(budget, partner_worst)
-                            budget -= proc.touch_batch(
-                                f"partner{index}",
-                                partner_reader.take(k),
-                                partner_ref.refs_per_touch,
-                            )
-        return response_time, switches

@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import typing
 
@@ -288,8 +289,11 @@ class SweepSpec:
                     )
             quanta = self.quanta or TABLE1_QUANTA_S
             object.__setattr__(self, "quanta", tuple(float(q) for q in quanta))
-            if any(q <= 0 for q in self.quanta):
-                raise ValueError("quanta must be positive")
+            for q_s in self.quanta:
+                if not (math.isfinite(q_s) and q_s > 0):
+                    raise ValueError(
+                        f"quanta must be positive and finite; got {q_s!r}"
+                    )
             if self.scale < 1:
                 raise ValueError("scale must be at least 1")
 

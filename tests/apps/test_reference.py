@@ -10,6 +10,7 @@ from repro.apps.reference import (
     BlockReader,
     ReferenceGenerator,
     ReferenceSpec,
+    read_stream,
     reduced_machine,
 )
 from repro.apps.refgen import numpy_available
@@ -371,6 +372,38 @@ class TestBlockReader:
         gen = ReferenceGenerator(spec(), random.Random(4), backend=backend)
         with pytest.raises(ValueError, match="-3"):
             BlockReader(gen).take(-3)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_peek_leaves_the_stream_unread(self, backend):
+        direct = ReferenceGenerator(spec(), random.Random(4), backend=backend)
+        want = _as_list(direct.next_blocks(3 * READ_AHEAD))
+        reader = BlockReader(ReferenceGenerator(spec(), random.Random(4), backend=backend))
+        assert _as_list(reader.peek(10, 5)) == want[10:15]
+        # a window crossing the end of the current run
+        assert _as_list(reader.peek(READ_AHEAD - 3, 9)) == want[READ_AHEAD - 3:READ_AHEAD + 6]
+        reader.skip(7)
+        assert _as_list(reader.take(4)) == want[7:11]
+        assert _as_list(reader.peek(READ_AHEAD, 2 * READ_AHEAD - 11)) == want[
+            READ_AHEAD + 11:
+        ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_read_stream_stores_the_draws_compactly(self, backend):
+        direct = ReferenceGenerator(spec(), random.Random(4), backend=backend)
+        total = 2 * READ_AHEAD + 77
+        want = _as_list(direct.next_blocks(total))
+        gen = ReferenceGenerator(spec(), random.Random(4), backend=backend)
+        stream = read_stream(gen, total)
+        assert _as_list(stream) == want
+        if gen.backend_name == "numpy":
+            assert str(stream.dtype) == "int32"
+        else:
+            assert stream.typecode == "i"
+        reader = BlockReader.over(stream)
+        assert _as_list(reader.take(5)) == want[:5]
+        assert _as_list(reader.peek(0, total - 5)) == want[5:]
+        with pytest.raises(ValueError, match=f"only {total - 5} remain"):
+            reader.peek(1, total - 5)
 
 
 @settings(max_examples=25, deadline=None)

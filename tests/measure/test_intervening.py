@@ -41,6 +41,13 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             experiment.measure(MVA, MATRIX, max_intervening=0)
 
+    @pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
+    def test_invalid_q(self, bad):
+        """Regression: a non-positive Q used to be accepted silently."""
+        experiment = InterveningExperiment(scale=64)
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            experiment.measure(MVA, MATRIX, q_s=bad)
+
 
 class TestQDependence:
     def test_survival_shrinks_with_q(self):

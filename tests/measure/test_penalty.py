@@ -83,6 +83,13 @@ class TestTable1Harness:
         with pytest.raises(ValueError):
             experiment.measure(MVA, 0.0, partners=())
 
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    def test_non_finite_or_negative_q_named(self, experiment, bad):
+        """Regression: nan and inf died deep in the loop with a raw
+        ValueError/OverflowError from math.ceil/int."""
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            experiment.measure(MVA, bad, partners=())
+
     def test_invalid_switch_target(self):
         with pytest.raises(ValueError):
             PenaltyExperiment(n_switches_target=1)
@@ -165,12 +172,14 @@ class TestReadAhead:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_measured_stream_stops_at_n_touches(self, monkeypatch, backend):
-        pulled: typing.Dict[int, typing.List] = {}
+        # Keyed by the generator itself: holding it keeps a freed
+        # generator's id from being reused by the next one.
+        pulled: typing.Dict[ReferenceGenerator, typing.List] = {}
         for name in ("next_blocks", "next_blocks_array"):
             draw = getattr(ReferenceGenerator, name)
 
             def counted(gen, n, draw=draw):
-                pulled.setdefault(id(gen), [gen.spec, 0])[1] += n
+                pulled.setdefault(gen, [gen.spec, 0])[1] += n
                 return draw(gen, n)
 
             monkeypatch.setattr(ReferenceGenerator, name, counted)
@@ -204,9 +213,10 @@ class TestReadAhead:
         gc.disable()
         try:
             exp.measure(MVA, self.Q_S, partners=(MATRIX,))
-            # stationary, migrating, and multiprog's measured + partner
-            assert len(built) == 4
-            assert [ref() for ref in built] == [None] * 4
+            # the measured stream, drawn once for every regime, and
+            # multiprog's partner
+            assert len(built) == 2
+            assert [ref() for ref in built] == [None] * 2
         finally:
             if was_enabled:
                 gc.enable()

@@ -181,6 +181,12 @@ class TestSpecValidation:
         assert spec.apps == TABLE1_APPS
         assert spec.quanta == TABLE1_QUANTA_S
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_table1_rejects_non_finite_and_non_positive_quanta(self, bad):
+        """Regression: nan and inf used to pass and die in the run loop."""
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            SweepSpec(name="t", kind="table1", quanta=(0.1, bad))
+
 
 class TestExpansion:
     def test_opensys_order_is_scenario_policy_seed(self):
