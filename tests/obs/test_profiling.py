@@ -176,6 +176,26 @@ class TestLiveWiring:
         assert spans["cache/access_batch"]["calls"] > 0
         assert any(name.startswith("penalty/") for name in spans)
 
+    def test_penalty_generator_spans_nest_as_documented(self):
+        """The measured stream is one ``generator`` span ahead of the
+        regimes; partner draws are ``generator`` spans in multiprog."""
+        pushed = []
+
+        class Recording(SpanProfiler):
+            def push(self, name):
+                pushed.append((self._stack[-1][0] if self._stack else None, name))
+                super().push(name)
+
+        experiment = PenaltyExperiment(
+            scale=16, n_switches_target=3, min_run_s=0.05, profiler=Recording()
+        )
+        experiment.measure(
+            APPLICATIONS["MVA"], 0.05, partners=(APPLICATIONS["MATRIX"],)
+        )
+        outer = [parent for parent, name in pushed if name == "generator"]
+        assert outer.count(None) == 1
+        assert set(outer) == {None, "penalty/multiprog"}
+
     def test_comparison_merges_per_replication_profiles(self):
         comparison = _profiled_comparison([EQUIPARTITION, DYN_AFF])
         assert set(comparison.profiles) == {"Equipartition", "Dyn-Aff"}
