@@ -74,7 +74,7 @@ def test_cache_simulator_throughput(benchmark):
     overhead is included, pre-chunking is not — the drivers reuse their
     chunk lists the same way).
     """
-    cache = SetAssociativeCache(SEQUENT_SYMMETRY)
+    cache = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
     blocks = [(i * 7) % 6000 for i in range(100_000)]
     chunks = [
         blocks[i : i + DEFAULT_CHUNK] for i in range(0, len(blocks), DEFAULT_CHUNK)
@@ -94,7 +94,7 @@ def test_cache_simulator_scalar_throughput(benchmark):
     Tracked alongside the batched benchmark so the speedup ratio of the
     batch path stays visible in CI history.
     """
-    cache = SetAssociativeCache(SEQUENT_SYMMETRY)
+    cache = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
 
     def churn():
         access = cache.access
@@ -216,8 +216,8 @@ def test_tracer_disabled_overhead():
             best = min(best, time.perf_counter() - start)
         return best
 
-    bare = SetAssociativeCache(SEQUENT_SYMMETRY)
-    nulled = SetAssociativeCache(SEQUENT_SYMMETRY)
+    bare = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
+    nulled = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
     nulled.attach_tracer(NullTracer(), cpu_id=0, clock=lambda: 0.0)
 
     base_s = best_of(bare)
@@ -257,8 +257,8 @@ def test_profiler_disabled_overhead():
             best = min(best, time.perf_counter() - start)
         return best
 
-    bare = SetAssociativeCache(SEQUENT_SYMMETRY)
-    nulled = SetAssociativeCache(SEQUENT_SYMMETRY)
+    bare = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
+    nulled = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
     nulled.attach_profiler(NullSpanProfiler())
 
     base_s = best_of(bare)
@@ -297,8 +297,8 @@ def test_streaming_checker_overhead():
         for chunk in chunks:
             access_batch("t", chunk)
 
-    bare = SetAssociativeCache(SEQUENT_SYMMETRY)
-    streamed = SetAssociativeCache(SEQUENT_SYMMETRY)
+    bare = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
+    streamed = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
     tracer = StreamingTracer([StreamingChecker(), StreamingMetrics()])
     streamed.attach_tracer(tracer, cpu_id=0, clock=lambda: 0.0)
 
@@ -438,7 +438,9 @@ def test_penalty_regime_throughput(benchmark):
     The end-to-end number the batching work exists for: generator, cache
     and chunked driver together at the paper's real cache size.
     """
-    experiment = PenaltyExperiment(scale=1, n_switches_target=5, min_run_s=0.25)
+    experiment = PenaltyExperiment(
+        scale=1, n_switches_target=5, min_run_s=0.25, backend="scalar"
+    )
 
     def run():
         return experiment.measure(APPLICATIONS["MVA"], 0.05, partners=())

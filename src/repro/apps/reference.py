@@ -158,7 +158,7 @@ class ReferenceGenerator:
     executable specification, and the numpy engine reproduces its stream
     bit-for-bit by parsing the raw Mersenne Twister word stream in bulk.
     ``backend`` selects the engine like the cache backends do (explicit
-    argument > ``REPRO_BACKEND`` env var > scalar); requesting ``numpy``
+    argument > numpy when it imports > scalar); requesting ``numpy``
     on a stream the vectorized engine cannot cover (phased specs, a
     non-stock rng) silently falls back — ``backend_name`` reports the
     engine actually running.
@@ -198,11 +198,6 @@ class ReferenceGenerator:
     def backend_name(self) -> str:
         """Name of the stream engine in use (after any fallback)."""
         return self._engine.name
-
-    @property
-    def current_phase(self) -> int:
-        """Index of the current execution phase (region of the data)."""
-        return self._phase
 
     def next_block(self) -> int:
         """The block index of the next touch."""

@@ -18,10 +18,10 @@ loop dominated the full-fidelity experiments:
   orbit).  Emits the identical stream for any chunking and leaves the
   Python ``random.Random`` in the identical state.
 
-Selection reuses the cache-backend machinery — the same names, the same
-``REPRO_BACKEND`` environment variable, the same precedence (explicit
-argument > env var > scalar) — so one knob flips both halves of the hot
-path at once.  Mirroring :func:`repro.machine.backends.make_backend`:
+Selection reuses the cache-backend machinery — the same names and the
+same precedence (explicit argument > numpy when it imports > scalar) —
+so one name picks both halves of the hot path at once.  Mirroring
+:func:`repro.machine.backends.make_backend`:
 asking for ``numpy`` without numpy installed raises (an explicit request
 must never silently degrade), while asking for it on a stream the
 vectorized engine cannot reproduce exactly (phased specs, >32-bit block
@@ -45,13 +45,7 @@ from __future__ import annotations
 import random
 import typing
 
-from repro.machine.backends import (  # noqa: F401  (re-exported)
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    numpy_available,
-    resolve_backend_name,
-)
+from repro.machine.backends import numpy_available, resolve_backend_name
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.reference import ReferenceGenerator, ReferenceSpec

@@ -941,7 +941,7 @@ _FLAGS: typing.Dict[str, typing.Dict[str, typing.Any]] = {
     "--backend": dict(
         choices=("scalar", "numpy"), default=None,
         help="cache and reference-generator engine "
-        "(default: REPRO_BACKEND env var, then scalar)",
+        "(default: numpy when it imports, else scalar)",
     ),
     "--processors": dict(type=_positive_int_arg, default=16),
 }

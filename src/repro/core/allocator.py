@@ -81,11 +81,6 @@ class ProcessorRecord:
         """Owned by a job but running nothing."""
         return self.job is not None and self.worker is None
 
-    @property
-    def is_willing_to_yield(self) -> bool:
-        """Held idle inside a yield-delay window (claimable via D.2)."""
-        return self.is_held_idle and self.yield_handle is not None
-
     def __repr__(self) -> str:
         owner = self.job.name if self.job else None
         return f"ProcessorRecord(cpu={self.cpu_id}, job={owner!r}, busy={self.is_busy})"

@@ -48,11 +48,6 @@ class Policy:
         return self.space_sharing == "equipartition"
 
     @property
-    def is_dynamic(self) -> bool:
-        """True for demand-driven policies (rules D.1-D.3)."""
-        return self.space_sharing == "dynamic"
-
-    @property
     def is_time_sharing(self) -> bool:
         """True for Section 8's quantum-driven run-queue scheduling."""
         return self.space_sharing == "timesharing"

@@ -83,14 +83,6 @@ class EventQueue:
             return None
         return heap[0][0]
 
-    def pending_events(self) -> int:
-        """Count pending events by walking the heap (O(n); for invariants).
-
-        Always equals ``len(self)``; tests use it to assert the constant-time
-        live counter never drifts from ground truth.
-        """
-        return sum(1 for entry in self._heap if entry[3].pending)
-
     def clear(self) -> None:
         """Drop every queued event, cancelling pending ones.
 

@@ -57,12 +57,6 @@ class ConfidenceInterval:
         """Upper bound of the interval."""
         return self.mean + self.half_width
 
-    def relative_half_width(self) -> float:
-        """Half-width as a fraction of the mean (inf for a zero mean)."""
-        if self.mean == 0:
-            return math.inf if self.half_width > 0 else 0.0
-        return abs(self.half_width / self.mean)
-
     def __str__(self) -> str:
         return f"{self.mean:.4g} ± {self.half_width:.2g} (n={self.n})"
 

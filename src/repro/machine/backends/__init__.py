@@ -19,12 +19,15 @@ can execute the same reference stream:
   (the selection is per-cache and :attr:`CacheBackend.name` reports
   what actually runs).
 
-Selection precedence is **CLI flag > ``REPRO_BACKEND`` environment
-variable > default (scalar)**: callers pass an explicit name down
-through :class:`~repro.machine.cache.SetAssociativeCache` /
-:class:`~repro.machine.processor.Processor` / the measurement drivers,
-and :func:`resolve_backend_name` falls back to the environment variable
-and then the default when no explicit name is given.
+Selection is **explicit name > numpy when it imports > scalar**:
+callers pass an explicit name down through
+:class:`~repro.machine.cache.SetAssociativeCache` /
+:class:`~repro.machine.processor.Processor` / the measurement drivers
+(the ``--backend`` flag, a sweep's ``backend`` field), and
+:func:`resolve_backend_name` picks the faster engine the platform has
+when no name is given.  The two engines give identical results, so the
+choice changes speed only.  numpy is probed when the first cache or
+generator is built, never at import.
 
 Backends never see owner keys: the cache interns owners to small ids
 and hands backends integer tags ``(owner_id << 40) | block`` via the
@@ -39,7 +42,6 @@ chunkings, asserting exact agreement.
 
 from __future__ import annotations
 
-import os
 import typing
 
 from repro.machine.params import MachineSpec
@@ -51,12 +53,8 @@ BLOCK_MASK = (1 << OWNER_SHIFT) - 1
 #: Sentinel for an invalid / empty way.
 EMPTY = -1
 
-#: Environment variable consulted when no explicit backend is given.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 #: Recognized backend names.
 BACKEND_NAMES = ("scalar", "numpy")
-#: Fallback when neither a CLI flag nor the environment chooses.
-DEFAULT_BACKEND = "scalar"
 
 
 class CacheBackend(typing.Protocol):
@@ -131,17 +129,14 @@ def numpy_available() -> bool:
 
 
 def resolve_backend_name(explicit: typing.Optional[str] = None) -> str:
-    """Apply the selection precedence: explicit > env var > default.
+    """Apply the selection precedence: explicit > numpy if it imports > scalar.
 
     Raises:
-        ValueError: for a name (from either source) not in
-            :data:`BACKEND_NAMES`.
+        ValueError: for an explicit name not in :data:`BACKEND_NAMES`.
     """
-    if explicit is not None:
-        name = explicit
-    else:
-        name = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    name = name.strip().lower()
+    if explicit is None:
+        return "numpy" if numpy_available() else "scalar"
+    name = explicit.strip().lower()
     if name not in BACKEND_NAMES:
         raise ValueError(
             f"unknown cache backend {name!r}; expected one of {BACKEND_NAMES}"

@@ -29,7 +29,7 @@ scaling" and "Cache backends"):
   protocol.  The ``scalar`` backend (per-touch Python loops) is the
   executable reference spec; the optional ``numpy`` backend executes
   the same chunk as columnar array operations.  Selection precedence is
-  CLI flag > ``REPRO_BACKEND`` env var > scalar; see
+  explicit name > numpy when it imports > scalar; see
   :mod:`repro.machine.backends`.
 * **Interned owners** — owner keys (any hashable) are interned to small
   integer ids; a line's tag is the integer ``(owner_id << 40) | block``,
@@ -54,15 +54,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.machine.backends import BLOCK_MASK, EMPTY, OWNER_SHIFT, make_backend
+from repro.machine.backends import BLOCK_MASK, OWNER_SHIFT, make_backend
 from repro.machine.params import MachineSpec
 from repro.obs.records import CacheBatch, CacheFlush
-
-#: Backwards-compatible aliases (the packing constants predate the
-#: backends package).
-_OWNER_SHIFT = OWNER_SHIFT
-_BLOCK_MASK = BLOCK_MASK
-_EMPTY = EMPTY
 
 
 @dataclasses.dataclass
@@ -99,9 +93,9 @@ class SetAssociativeCache:
 
     Args:
         spec: machine geometry (sets, associativity).
-        backend: engine name (``"scalar"`` or ``"numpy"``) or None to
-            consult the ``REPRO_BACKEND`` env var and fall back to
-            scalar; :attr:`backend_name` reports what actually runs
+        backend: engine name (``"scalar"`` or ``"numpy"``) or None for
+            numpy when it imports, else scalar; :attr:`backend_name`
+            reports what actually runs
             (the numpy engine covers only 2-way power-of-two
             geometries and falls back to scalar elsewhere).
     """

@@ -54,7 +54,7 @@ class SimulatedCacheFootprint:
         seed: master seed for the per-task reference streams.
         backend: engine name for both the per-processor cache simulators
             and the reference-stream generators
-            (None = ``REPRO_BACKEND`` env var, falling back to scalar).
+            (None = numpy when it imports, else scalar).
     """
 
     def __init__(

@@ -36,7 +36,6 @@ class Processor:
         self.spec = spec
         self.cache = SetAssociativeCache(spec, backend=backend)
         self.busy_time = 0.0
-        self.current_task: typing.Optional[typing.Hashable] = None
         if tracer is not None:
             self.attach_tracer(tracer)
 
@@ -92,15 +91,9 @@ class Processor:
         self.busy_time += cost
         return cost
 
-    def context_switch(self, new_task: typing.Optional[typing.Hashable]) -> float:
-        """Switch to ``new_task``; returns the kernel path-length cost."""
-        self.current_task = new_task
-        self.busy_time += self.spec.context_switch_s
-        return self.spec.context_switch_s
-
     def flush_cache(self) -> int:
         """Invalidate the private cache (returns lines dropped)."""
         return self.cache.flush()
 
     def __repr__(self) -> str:
-        return f"Processor(id={self.cpu_id}, task={self.current_task!r})"
+        return f"Processor(id={self.cpu_id})"

@@ -90,7 +90,7 @@ class InterveningExperiment:
         self.n_switches_target = n_switches_target
         self.seed = seed
         #: engine for the regime processors' caches *and* the reference
-        #: generators (None = env var/default)
+        #: generators (None = numpy when it imports, else scalar)
         self.backend = backend
 
     def measure(
@@ -140,15 +140,13 @@ class InterveningExperiment:
         partner: AppSpec,
         q_s: float,
         n_intervening: int,
-        stream: typing.Optional[typing.Sequence[int]] = None,
+        stream: typing.Sequence[int],
     ) -> typing.Tuple[float, int]:
         """One run; ``n_intervening = -1`` means flush (the P^NA reference).
 
-        ``stream`` is the stored measured sequence; without it the run
-        draws its own.
+        ``stream`` is the stored measured sequence
+        (:meth:`_measured_stream`).
         """
-        if stream is None:
-            stream = self._measured_stream(app, q_s)
         rng = self._rng(app, q_s)
         app_ref = app.reference.reduced(self.scale)
         partner_ref = partner.reference.reduced(self.scale)

@@ -152,7 +152,7 @@ class PenaltyExperiment:
         self.metrics = metrics
         self.profiler = profiler
         #: engine for the regime processors' caches *and* the reference
-        #: generators (None = env var/default)
+        #: generators (None = numpy when it imports, else scalar)
         self.backend = backend
 
     # ------------------------------------------------------------------ #
@@ -171,16 +171,14 @@ class PenaltyExperiment:
         regime: str,
         partner: typing.Optional[AppSpec],
         n_touches: int,
-        stream: typing.Optional[typing.Sequence[int]] = None,
+        stream: typing.Sequence[int],
     ) -> RegimeRun:
         """Execute the measured program once under one regime.
 
         ``stream`` is the measured program's stored touch sequence
-        (:meth:`_measured_stream`); without it the regime draws its own.
+        (:meth:`_measured_stream`).
         """
         app_ref = app.reference.reduced(self.scale)
-        if stream is None:
-            stream = self._measured_stream(app, q_s, n_touches)
         reader = BlockReader.over(stream)
         if partner is not None:
             rng = RngRegistry(self.seed).spawn(f"{app.name}/q{q_s:g}")

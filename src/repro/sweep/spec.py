@@ -188,12 +188,12 @@ class SweepSpec:
 
     ``backend`` (``None``/``"scalar"``/``"numpy"``) picks the cache and
     reference-generator engines for ``table1`` cells (the only kind that
-    touches them) and is part of those cells' identity; note that
-    ``None`` ("resolve from the environment at run time") is a *distinct*
-    key from an explicit ``"scalar"`` — keyed sweeps should name their
-    engine.  ``store_traces`` additionally persists each
-    computed cell's full trace as a columnar ``trace.rct`` in its cache
-    entry.
+    touches them) and is part of those cells' identity.  ``None`` means
+    "numpy when it imports, else scalar", resolved at run time, so the
+    key does not name the engine that ran: safe, because both engines
+    give byte-identical payloads.  ``store_traces`` additionally
+    persists each computed cell's full trace as a columnar
+    ``trace.rct`` in its cache entry.
     """
 
     name: str

@@ -148,12 +148,6 @@ class WorkerTask:
         self.remaining_service = service
         self._enter(WorkerState.SUSPENDED)
 
-    def affinity_rate(self) -> float:
-        """Fraction of dispatches that landed on the affine processor."""
-        if not self.dispatches:
-            return 0.0
-        return self.affine_dispatches / self.dispatches
-
     def __repr__(self) -> str:
         return (
             f"WorkerTask({self.job.name}#{self.index}, {self._state.value}, "

@@ -164,7 +164,6 @@ class TestGenerator:
         second = [gen.next_block() for _ in range(10)]
         assert all(0 <= b < 25 for b in first)
         assert all(25 <= b < 50 for b in second)
-        assert gen.current_phase == 1
 
     def test_reset_clears_hot_set(self):
         gen = ReferenceGenerator(spec(p_reuse=0.99), random.Random(1))

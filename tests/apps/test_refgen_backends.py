@@ -13,7 +13,7 @@ and require *exact* agreement on:
   ``random.Random`` state, the hot-set ring, and the sequential scan
   cursor — checked both directly and via scalar continuation.
 
-Plus the selection rules: explicit argument > ``REPRO_BACKEND`` env var >
+Plus the selection rules: explicit argument > numpy when it imports >
 scalar, a hard error for ``numpy``-without-numpy, and silent scalar
 fallback for streams the vectorized parse cannot cover (phased specs).
 """
@@ -171,14 +171,19 @@ class TestSelection:
             ReferenceGenerator(DIFF_SPECS[0], random.Random(0), backend="fortran")
 
     @requires_numpy
-    def test_env_var_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+    def test_default_is_numpy(self):
         gen = ReferenceGenerator(DIFF_SPECS[0], random.Random(0))
         assert gen.backend_name == "numpy"
 
+    def test_default_is_scalar_without_numpy(self, monkeypatch):
+        import repro.machine.backends as backends
+
+        monkeypatch.setattr(backends, "numpy_available", lambda: False)
+        gen = ReferenceGenerator(DIFF_SPECS[0], random.Random(0))
+        assert gen.backend_name == "scalar"
+
     @requires_numpy
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+    def test_explicit_overrides_default(self):
         gen = ReferenceGenerator(DIFF_SPECS[0], random.Random(0), backend="scalar")
         assert gen.backend_name == "scalar"
 
@@ -189,8 +194,9 @@ class TestSelection:
             data_blocks=100, p_reuse=0.5, refs_per_touch=1, reuse_window=8,
             n_phases=4, phase_touches=50,
         )
-        gen = ReferenceGenerator(s, random.Random(0), backend="numpy")
-        assert gen.backend_name == "scalar"
+        for backend in ("numpy", None):
+            gen = ReferenceGenerator(s, random.Random(0), backend=backend)
+            assert gen.backend_name == "scalar"
 
     @requires_numpy
     def test_non_stock_rng_falls_back_to_scalar(self):
@@ -200,14 +206,15 @@ class TestSelection:
 
         s = DIFF_SPECS[0]
         assert not generator_vectorizable(s, LoggedRandom(0))
-        gen = ReferenceGenerator(s, LoggedRandom(0), backend="numpy")
-        assert gen.backend_name == "scalar"
+        for backend in ("numpy", None):
+            gen = ReferenceGenerator(s, LoggedRandom(0), backend=backend)
+            assert gen.backend_name == "scalar"
 
     def test_numpy_without_numpy_is_an_error(self, monkeypatch):
         import repro.apps.refgen as refgen
 
-        # Build on the scalar engine first (the REPRO_BACKEND env var may
-        # say numpy), then ask for numpy with availability stubbed out.
+        # Build on the scalar engine first, then ask for numpy with
+        # availability stubbed out.
         gen = ReferenceGenerator(DIFF_SPECS[0], random.Random(0), backend="scalar")
         monkeypatch.setattr(refgen, "numpy_available", lambda: False)
         with pytest.raises(RuntimeError, match="numpy"):

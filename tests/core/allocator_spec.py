@@ -24,6 +24,12 @@ from repro.core.allocator import Allocator, ProcessorRecord
 from repro.threads.job import Job
 from repro.threads.workers import WorkerState, WorkerTask
 
+
+def spec_willing(p: ProcessorRecord) -> bool:
+    """Held idle inside a yield-delay window (claimable via D.2)."""
+    return p.job is not None and p.worker is None and p.yield_handle is not None
+
+
 # --------------------------------------------------------------------- #
 # job-side questions, by rescanning workers
 
@@ -97,7 +103,7 @@ class SpecAllocator(Allocator):
         return [p for p in self.procs if p.is_free]
 
     def willing_processors(self, exclude: Job) -> typing.List[ProcessorRecord]:
-        return [p for p in self.procs if p.is_willing_to_yield and p.job is not exclude]
+        return [p for p in self.procs if spec_willing(p) and p.job is not exclude]
 
     def requesters(self, exclude: typing.Optional[Job] = None) -> typing.List[Job]:
         return [

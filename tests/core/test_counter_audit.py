@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.policies import POLICIES, TIME_SHARING, TIME_SHARING_AFFINITY
 from repro.core.system import SchedulingSystem
 from repro.threads.workers import WorkerState
+from tests.core.allocator_spec import spec_willing
 from tests.core.strategies import DisruptedWorkload, disrupted_workloads
 
 #: the five paper policies and Section 8's two time-sharing ones
@@ -38,7 +39,7 @@ def audit(system: SchedulingSystem) -> None:
     procs = allocator.procs
     assert allocator.free_mask == _mask(p for p in procs if p.is_free)
     assert allocator.busy_mask == _mask(p for p in procs if p.is_busy)
-    assert allocator.willing_mask == _mask(p for p in procs if p.is_willing_to_yield)
+    assert allocator.willing_mask == _mask(p for p in procs if spec_willing(p))
     # A yield window exists only on a held-idle processor.
     assert allocator.willing_mask == _mask(p for p in procs if p.yield_handle is not None)
     for job in system.jobs:

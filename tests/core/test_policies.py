@@ -27,10 +27,9 @@ class TestPolicyDefinitions:
 
     def test_equipartition_is_static(self):
         assert EQUIPARTITION.is_equipartition
-        assert not EQUIPARTITION.is_dynamic
 
     def test_dynamic_flags(self):
-        assert DYNAMIC.is_dynamic
+        assert DYNAMIC.space_sharing == "dynamic"
         assert not DYNAMIC.use_affinity
         assert DYNAMIC.respect_priority
         assert DYNAMIC.yield_delay_s == 0.0

@@ -150,13 +150,6 @@ class TestConfidenceInterval:
         assert ci.low == 8.0
         assert ci.high == 12.0
 
-    def test_relative_half_width(self):
-        ci = ConfidenceInterval(mean=100.0, half_width=1.0, n=5)
-        assert ci.relative_half_width() == pytest.approx(0.01)
-
-    def test_relative_half_width_zero_mean(self):
-        assert math.isinf(ConfidenceInterval(0.0, 1.0).relative_half_width())
-
     def test_helper_function(self):
         ci = mean_confidence_interval([1.0, 2.0, 3.0])
         assert ci.mean == pytest.approx(2.0)

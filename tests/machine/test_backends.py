@@ -6,22 +6,26 @@ inputs — random geometries, owner churn, arbitrary chunkings — and
 asserts *exact* agreement: hits per chunk, final way-by-way tag state,
 query results, regime-driver switch counts, and response times.
 
-Also covers backend selection (CLI > ``REPRO_BACKEND`` env var >
-default) and the 2**40 block-range validation added alongside the
+Also covers backend selection (explicit name > numpy when it imports >
+scalar) and the 2**40 block-range validation added alongside the
 backend split (a block ≥ 2**40 used to alias silently into another
 owner's id bits).
 """
 
 import dataclasses
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import MATRIX, MVA
 from repro.apps.reference import BlockReader
+import repro.machine.backends as backends
 from repro.machine.backends import (
-    BACKEND_ENV_VAR,
     BLOCK_MASK,
     make_backend,
     numpy_available,
@@ -46,23 +50,19 @@ def tiny_spec(sets: int = 8, assoc: int = 2) -> MachineSpec:
 
 
 class TestSelection:
+    @needs_numpy
+    def test_default_is_numpy(self):
+        assert resolve_backend_name() == "numpy"
+        assert SetAssociativeCache(tiny_spec()).backend_name == "numpy"
+
     def test_default_is_scalar(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+        """Without numpy the default is the scalar engine."""
+        monkeypatch.setattr(backends, "numpy_available", lambda: False)
         assert resolve_backend_name() == "scalar"
         assert SetAssociativeCache(tiny_spec()).backend_name == "scalar"
 
-    def test_env_var_consulted(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scalar")
-        assert resolve_backend_name() == "scalar"
-
     @needs_numpy
-    def test_env_var_selects_numpy(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert SetAssociativeCache(tiny_spec()).backend_name == "numpy"
-
-    @needs_numpy
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+    def test_explicit_beats_default(self):
         cache = SetAssociativeCache(tiny_spec(), backend="scalar")
         assert cache.backend_name == "scalar"
 
@@ -72,21 +72,53 @@ class TestSelection:
         with pytest.raises(ValueError):
             SetAssociativeCache(tiny_spec(), backend="fortran")
 
-    def test_unknown_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-        with pytest.raises(ValueError):
-            SetAssociativeCache(tiny_spec())
+    def test_numpy_without_numpy_is_an_error(self, monkeypatch):
+        """An explicit request never silently degrades."""
+        monkeypatch.setattr(backends, "numpy_available", lambda: False)
+        with pytest.raises(RuntimeError, match="numpy"):
+            SetAssociativeCache(tiny_spec(), backend="numpy")
 
     @needs_numpy
     @pytest.mark.parametrize("sets,assoc", [(8, 4), (5, 2), (6, 4)])
     def test_numpy_falls_back_on_unsupported_geometry(self, sets, assoc):
         """The vectorized kernel covers only 2-way power-of-two sets."""
-        cache = SetAssociativeCache(tiny_spec(sets, assoc), backend="numpy")
-        assert cache.backend_name == "scalar"
+        for backend in ("numpy", None):
+            cache = SetAssociativeCache(tiny_spec(sets, assoc), backend=backend)
+            assert cache.backend_name == "scalar"
 
     def test_make_backend_reports_name(self):
         backend = make_backend("scalar", tiny_spec())
         assert backend.name == "scalar"
+
+
+#: Prints whether numpy is loaded after the CLI and sweep imports and one
+#: scheduling run, then again after the first cache is built.
+_PROBE = """
+import sys
+import repro.cli, repro.sweep
+from repro.core.policies import DYN_AFF
+from repro.measure.runner import run_mix
+from repro.measure.workloads import WorkloadMix
+run_mix(WorkloadMix(91, {"MVA": 1}), DYN_AFF, seed=0)
+print("numpy" in sys.modules)
+from repro.machine.cache import SetAssociativeCache
+from repro.machine.params import SEQUENT_SYMMETRY
+SetAssociativeCache(SEQUENT_SYMMETRY)
+print("numpy" in sys.modules)
+"""
+
+
+def test_numpy_probe_is_lazy():
+    """Only building a cache probes for numpy: commands that simulate no
+    cache start up without importing it."""
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.split() == ["False", str(numpy_available())]
 
 
 class TestBlockRangeValidation:

@@ -52,14 +52,6 @@ class TestProcessorAndMachine:
         assert hit_cost == pytest.approx(4 * SEQUENT_SYMMETRY.hit_time_s)
         assert cpu.busy_time == pytest.approx(miss_cost + hit_cost)
 
-    def test_processor_context_switch(self):
-        from repro.machine.processor import Processor
-
-        cpu = Processor(0, SEQUENT_SYMMETRY)
-        cost = cpu.context_switch("task")
-        assert cost == pytest.approx(750e-6)
-        assert cpu.current_task == "task"
-
     def test_processor_rejects_bad_refs(self):
         from repro.machine.processor import Processor
 

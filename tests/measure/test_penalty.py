@@ -159,7 +159,8 @@ class TestChunkedDriverEquivalence:
         exp = PenaltyExperiment(scale=FAST_SCALE, n_switches_target=10, min_run_s=0.4)
         n_touches = exp._touch_count(MVA, self.Q_S)
         scalar = _scalar_run_regime(exp, MVA, self.Q_S, regime, partner, n_touches)
-        chunked = exp._run_regime(MVA, self.Q_S, regime, partner, n_touches)
+        stream = exp._measured_stream(MVA, self.Q_S, n_touches)
+        chunked = exp._run_regime(MVA, self.Q_S, regime, partner, n_touches, stream)
         assert chunked.n_switches == scalar.n_switches
         assert chunked.response_time == pytest.approx(scalar.response_time, rel=1e-9)
         assert chunked.hit_rate == pytest.approx(scalar.hit_rate, rel=1e-12)
@@ -187,7 +188,8 @@ class TestReadAhead:
             scale=FAST_SCALE, n_switches_target=10, min_run_s=0.4, backend=backend
         )
         n_touches = exp._touch_count(MVA, self.Q_S)
-        exp._run_regime(MVA, self.Q_S, "multiprog", MATRIX, n_touches)
+        stream = exp._measured_stream(MVA, self.Q_S, n_touches)
+        exp._run_regime(MVA, self.Q_S, "multiprog", MATRIX, n_touches, stream)
         by_spec = {spec: n for spec, n in pulled.values()}
         assert len(by_spec) == 2
         assert by_spec[MVA.reference.reduced(FAST_SCALE)] == n_touches

@@ -176,7 +176,8 @@ def test_penalty_regime_matches_chunk_referee(backend, machine, q_s, regime, par
     )
     got_trace = Tracer()
     exp = PenaltyExperiment(tracer=got_trace, **kwargs)
-    got = exp._run_regime(MVA, q_s, regime, partner, n_touches)
+    stream = exp._measured_stream(MVA, q_s, n_touches)
+    got = exp._run_regime(MVA, q_s, regime, partner, n_touches, stream)
     assert got == want
     assert got_trace.records == want_trace.records
     assert (ties > 0) == (q_s == Q_TIE)
@@ -240,7 +241,9 @@ def test_intervening_run_matches_chunk_referee(monkeypatch, backend, machine, q_
         "Processor",
         lambda *args, **kwargs: Processor(*args, tracer=got_trace, **kwargs),
     )
-    got = exp._run(MVA, MATRIX, q_s, n_intervening=k)
+    got = exp._run(
+        MVA, MATRIX, q_s, n_intervening=k, stream=exp._measured_stream(MVA, q_s)
+    )
     assert got == want
     assert got_trace.records == want_trace.records
 
@@ -350,7 +353,8 @@ def test_numpy_kernel_calls_per_slice(monkeypatch):
     monkeypatch.setattr(penalty_module, "play", play)
     exp = PenaltyExperiment(scale=16, backend="numpy", seed=0)
     n_touches = exp._touch_count(MVA, 0.1)
-    run = exp._run_regime(MVA, 0.1, "multiprog", MATRIX, n_touches)
+    stream = exp._measured_stream(MVA, 0.1, n_touches)
+    run = exp._run_regime(MVA, 0.1, "multiprog", MATRIX, n_touches, stream)
     assert run.n_switches >= 30
     assert counts["slices"] >= 2 * run.n_switches
     assert counts["kernel"] <= 3 * counts["slices"]

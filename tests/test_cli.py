@@ -199,7 +199,8 @@ class TestGoldens:
 
     def test_table1_numpy_scale32_stdout(self, capsys):
         # The vectorized generator and cache engines drive Table 1 here;
-        # the `all` golden covers the scalar default.
+        # the `all` golden runs it on the default engine, which is scalar
+        # where numpy does not import.
         pytest.importorskip("numpy")
         assert main(["table1", "--backend", "numpy", "--scale", "32"]) == 0
         assert capsys.readouterr().out == _data("table1_numpy_scale32.stdout")

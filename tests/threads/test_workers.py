@@ -74,7 +74,7 @@ class TestDispatchDeparture:
 
 
 class TestAffinityStats:
-    def test_affinity_rate(self):
+    def test_affine_dispatch_counts(self):
         w = make_worker()
         w.note_dispatch(0, 0.0)
         w.note_departure(1.0, suspended=False)
@@ -83,10 +83,6 @@ class TestAffinityStats:
         w.note_dispatch(1, 2.0)   # not affine
         assert w.dispatches == 3
         assert w.affine_dispatches == 1
-        assert w.affinity_rate() == pytest.approx(1 / 3)
-
-    def test_affinity_rate_empty(self):
-        assert make_worker().affinity_rate() == 0.0
 
     def test_key_is_stable(self):
         w = make_worker()
