@@ -272,20 +272,18 @@ def test_profiler_disabled_overhead():
     assert ratio <= 1.05, f"disabled profiler costs {ratio:.4f}x (budget 1.05x)"
 
 
-def test_streaming_checker_overhead():
-    """CI guard: the live streaming pipeline must cost <5% on the hot path.
+def test_tracer_enabled_overhead():
+    """CI guard: an enabled tracer must cost <5% on the cache hot path.
 
     Unlike the disabled-tracer guards above, this one runs *enabled*
-    instrumentation: a :class:`StreamingTracer` fanning out to the
-    incremental invariant checker and the streaming metrics aggregator.
-    The cache hot path emits one :class:`CacheBatch` record per
-    ``access_batch`` call (not per access), so the whole single-pass
-    pipeline — construct record, feed checker, feed metrics — amortizes
-    to ~per-chunk cost and must stay within the same 5% envelope the
-    disabled guards use.
+    instrumentation: a plain :class:`Tracer`, the one ``--trace`` and
+    sweeps with ``store_traces`` build, attached to the cache.  The cache
+    hot path emits one :class:`CacheBatch` record per ``access_batch``
+    call (not per access), so constructing and keeping the records
+    amortizes to ~per-chunk cost and must stay within the same 5%
+    envelope the disabled guards use.
     """
-    from repro.obs.invariants import StreamingChecker
-    from repro.obs.streaming import StreamingMetrics, StreamingTracer
+    from repro.obs import Tracer
 
     blocks = [(i * 7) % 6000 for i in range(100_000)]
     chunks = [
@@ -298,44 +296,44 @@ def test_streaming_checker_overhead():
             access_batch("t", chunk)
 
     bare = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
-    streamed = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
-    tracer = StreamingTracer([StreamingChecker(), StreamingMetrics()])
-    streamed.attach_tracer(tracer, cpu_id=0, clock=lambda: 0.0)
+    traced = SetAssociativeCache(SEQUENT_SYMMETRY, backend="scalar")
+    tracer = Tracer()
+    traced.attach_tracer(tracer, cpu_id=0, clock=lambda: 0.0)
 
     def attempt():
         # Interleaved min-of-N with untimed warmups, same discipline as
         # the numpy speedup guards: the two caches' working sets evict
         # each other, so back-to-back blocks mistime whichever runs
         # second.
-        base_s = live_s = float("inf")
+        base_s = traced_s = float("inf")
         for _ in range(7):
             one_pass(bare)
             start = time.perf_counter()
             one_pass(bare)
             base_s = min(base_s, time.perf_counter() - start)
-            one_pass(streamed)
+            one_pass(traced)
             start = time.perf_counter()
-            one_pass(streamed)
-            live_s = min(live_s, time.perf_counter() - start)
-        ratio = live_s / base_s if base_s else float("inf")
+            one_pass(traced)
+            traced_s = min(traced_s, time.perf_counter() - start)
+        ratio = traced_s / base_s if base_s else float("inf")
         print(
-            f"\nstreaming-pipeline overhead on 100k batched cache accesses: "
-            f"bare {base_s * 1e3:.2f}ms, checker+metrics {live_s * 1e3:.2f}ms, "
-            f"ratio {ratio:.4f}x ({len(tracer)} records streamed)"
+            f"\nenabled-tracer overhead on 100k batched cache accesses: "
+            f"bare {base_s * 1e3:.2f}ms, Tracer {traced_s * 1e3:.2f}ms, "
+            f"ratio {ratio:.4f}x ({len(tracer.records)} records kept)"
         )
         return ratio
 
     # One noisy attempt must not fail the build; a real per-record cost
-    # regression (the pipeline runs per batch, not per access) fails all
+    # regression (the tracer runs per batch, not per access) fails all
     # three.
     ratios = []
     for _ in range(3):
         ratios.append(attempt())
         if ratios[-1] <= 1.05:
             break
-    assert len(tracer) > 0, "streaming tracer saw no records; guard is vacuous"
+    assert tracer.records, "tracer kept no records; guard is vacuous"
     assert min(ratios) <= 1.05, (
-        f"streaming pipeline costs {min(ratios):.4f}x across "
+        f"enabled tracer costs {min(ratios):.4f}x across "
         f"{len(ratios)} attempts (budget 1.05x)"
     )
 

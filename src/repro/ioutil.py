@@ -66,9 +66,3 @@ def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> None:
     """Write ``text`` to ``path`` all-or-nothing (temp file + rename)."""
     with atomic_open(path, "w", encoding=encoding) as handle:
         handle.write(text)
-
-
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path`` all-or-nothing (temp file + rename)."""
-    with atomic_open(path, "wb") as handle:
-        handle.write(data)

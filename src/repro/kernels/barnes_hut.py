@@ -43,10 +43,6 @@ class Body:
     vy: float = 0.0
     mass: float = 1.0
 
-    def kinetic_energy(self) -> float:
-        """(1/2) m v^2."""
-        return 0.5 * self.mass * (self.vx * self.vx + self.vy * self.vy)
-
 
 class _Node:
     """One square region of the quadtree."""
@@ -169,10 +165,6 @@ class QuadTree:
                 assert node.children is not None
                 stack.extend(c for c in node.children if c is not None)
         return fx, fy
-
-    def total_mass(self) -> float:
-        """Mass aggregated at the root (sum of all bodies)."""
-        return self.root.mass
 
 
 class BarnesHutSimulation:

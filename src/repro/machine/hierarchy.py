@@ -74,19 +74,6 @@ class TwoLevelCache:
             + self.combined_miss_fraction * self.memory_time_s / memory_speedup
         )
 
-    def effective_speedup(
-        self, processor_speed: float, memory_speedup: float = 1.0
-    ) -> float:
-        """Delivered speedup: base access time over scaled access time.
-
-        With constant memory this saturates at
-        ``t_eff(1) / (miss_fraction * t_mem)`` no matter how fast the
-        processor gets — the memory wall.
-        """
-        return self.effective_access_time() / self.effective_access_time(
-            processor_speed, memory_speedup
-        )
-
     def required_l2_hit_rate(
         self, processor_speed: float, memory_speedup: float = 1.0
     ) -> float:

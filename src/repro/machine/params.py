@@ -44,11 +44,6 @@ class MachineSpec:
         """Number of cache sets (2048 on the Symmetry)."""
         return self.cache_lines // self.associativity
 
-    @property
-    def full_fill_time_s(self) -> float:
-        """Time to fill the entire cache from memory (3.072 ms on the Symmetry)."""
-        return self.cache_lines * self.miss_time_s
-
     def scaled(self, processor_speed: float, cache_size_factor: float) -> "MachineSpec":
         """A future machine per Section 7.1.
 

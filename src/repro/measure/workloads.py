@@ -34,12 +34,6 @@ class WorkloadMix:
     note: str = ""
 
     @property
-    def is_homogeneous(self) -> bool:
-        """True when every job is an instance of the same application."""
-        present = [app for app, n in self.copies.items() if n > 0]
-        return len(present) == 1
-
-    @property
     def n_jobs(self) -> int:
         """Total job count."""
         return sum(self.copies.values())

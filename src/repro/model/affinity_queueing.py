@@ -92,16 +92,6 @@ class QueueingStats:
     dispatches: int = 0
 
     @property
-    def mean_wait_s(self) -> float:
-        """Mean queueing delay per run interval."""
-        return self.total_wait_s / self.completions if self.completions else 0.0
-
-    @property
-    def mean_reload_s(self) -> float:
-        """Mean cache reload per dispatch."""
-        return self.total_reload_s / self.dispatches if self.dispatches else 0.0
-
-    @property
     def mean_cycle_s(self) -> float:
         """Mean wait + reload + service per run interval."""
         if not self.completions:

@@ -13,11 +13,9 @@ The subsystem has four pieces, layered so each consumes the one below:
   and aggregate reconstruction that must match the untraced run);
 * :mod:`repro.obs.analysis` — trace analytics: exact time attribution,
   windowed interval series, and trace diffing;
-* :mod:`repro.obs.streaming` / :mod:`repro.obs.store` — the fleet-scale
-  path: a fan-out tracer that feeds the incremental oracle
-  (:class:`StreamingChecker`), metric derivation
-  (:class:`StreamingMetrics`) and the columnar trace store in one pass
-  with bounded memory;
+* :mod:`repro.obs.store` — the columnar trace store, and the one
+  trace-file reader (:func:`repro.obs.store.iter_trace_file`) for both
+  formats;
 * :mod:`repro.obs.telemetry` — heartbeat snapshots from live runs
   (progress, rates) flowing from workers to the matrix parent;
 * :mod:`repro.obs.profiling` — wall-clock self-profiling of the
@@ -61,7 +59,6 @@ from repro.obs.profiling import (
     SpanProfiler,
     validate_profile,
 )
-from repro.obs.streaming import StreamingMetrics, StreamingTracer, derive_metrics
 from repro.obs.tracer import NullTracer, Tracer
 
 __all__ = [
@@ -89,14 +86,11 @@ __all__ = [
     "RunEnd",
     "SNAPSHOT_SCHEMA",
     "StreamingChecker",
-    "StreamingMetrics",
-    "StreamingTracer",
     "TraceRecord",
     "Tracer",
     "Undispatch",
     "assert_trace_ok",
     "check_trace",
-    "derive_metrics",
     "record_from_dict",
     "record_to_dict",
     "validate_profile",

@@ -316,7 +316,7 @@ def attribute_time(records: typing.Sequence[TraceRecord]) -> TimeAttribution:
     Requires a complete scheduling trace (leading
     :class:`~repro.obs.records.RunConfig`, trailing
     :class:`~repro.obs.records.RunEnd` — see
-    :func:`repro.reporting.obs_export.validate_stream`).
+    :func:`repro.reporting.obs_export.stream_trace`).
 
     Raises:
         ValueError: if the trace lacks the run_config/run_end framing.

@@ -38,8 +38,9 @@ system never violated its own rules at any instant:
 clean); ``assert_trace_ok`` wraps it for tests.  Both are thin wrappers
 over :class:`StreamingChecker`, which applies the same checks one record
 at a time with memory bounded by the *live* simulator state (O(jobs +
-processors), independent of trace length) — feed it records as the
-Tracer emits them and no record list ever needs to exist.
+processors), independent of trace length) — ``check_trace`` over
+:func:`repro.reporting.obs_export.stream_trace` checks a trace file
+without a record list ever existing.
 """
 
 from __future__ import annotations
@@ -87,11 +88,10 @@ class StreamingChecker:
 
     Applies exactly the checks :func:`check_trace` applies, in the same
     order, producing the same violation strings — but one record at a
-    time, so it can ride a live Tracer (see
-    :class:`repro.obs.streaming.StreamingTracer`) without the trace ever
-    being materialized.  Memory use is the replayed simulator state plus
-    the violations found: O(jobs + processors), independent of how many
-    records flow through.
+    time, so a trace read from a file record by record is checked without
+    ever being materialized.  Memory use is the replayed simulator state
+    plus the violations found: O(jobs + processors), independent of how
+    many records flow through.
     """
 
     def __init__(self) -> None:

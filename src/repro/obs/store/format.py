@@ -181,11 +181,8 @@ class Footer:
 class ColumnarTraceWriter:
     """Chunked append writer for the columnar trace container.
 
-    Usable as a context manager or as a streaming-pipeline consumer
-    (it exposes ``feed`` as an alias of :meth:`write`, so it slots
-    straight into :class:`repro.obs.streaming.StreamingTracer`).  Memory
-    use is bounded by ``chunk_records`` buffered records regardless of
-    trace length.
+    Usable as a context manager.  Memory use is bounded by
+    ``chunk_records`` buffered records regardless of trace length.
     """
 
     def __init__(
@@ -241,9 +238,6 @@ class ColumnarTraceWriter:
         self._buffer.append(record)
         if len(self._buffer) >= self._chunk_records:
             self._flush_chunk()
-
-    #: streaming-consumer alias (see repro.obs.streaming.StreamingTracer)
-    feed = write
 
     def _flush_chunk(self) -> None:
         buffer = self._buffer

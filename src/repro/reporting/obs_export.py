@@ -3,20 +3,21 @@
 Deterministic byte-for-byte formats for every observability artifact:
 
 * **JSONL traces** — one record per line, keys sorted, newline
-  terminated; ``trace_from_jsonl`` round-trips the stream back into
-  typed records (which is what lets a written trace be replayed as a
-  correctness oracle later, or on another machine);
+  terminated; :func:`stream_trace` reads them (and columnar traces)
+  back into typed records, which is what lets a written trace be
+  replayed as a correctness oracle later, or on another machine;
 * **metrics snapshots** — the :meth:`MetricsRegistry.snapshot` dict as
-  key-sorted JSON, or flattened to key-sorted CSV rows;
+  key-sorted JSON, or several snapshots as one wide CSV;
 * **analysis results** — time attribution, interval series and trace
   diffs as schema-tagged key-sorted JSON/CSV, mirroring the snapshot
   discipline.
 
 Every export is validated before serialization, so a malformed snapshot
 fails loudly at the producer rather than silently downstream; every
-*import* goes through :func:`validate_stream`, which turns a truncated
-or mid-record JSONL artifact into a :class:`TraceStreamError` naming the
-offending line instead of a bare ``json.JSONDecodeError``.
+*import* goes through :func:`stream_trace`, which turns a truncated,
+mid-record or ill-framed artifact into a :class:`TraceStreamError`
+naming the file and the offending line or record instead of a bare
+``json.JSONDecodeError``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.obs.records import (
     RunConfig,
     RunEnd,
     TraceRecord,
-    record_from_dict,
     record_to_dict,
 )
 from repro.reporting.export import rows_to_csv
@@ -72,91 +72,21 @@ def trace_to_jsonl(records: typing.Iterable[TraceRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_from_jsonl(text: str) -> typing.List[TraceRecord]:
-    """Parse a JSONL trace back into typed records.
-
-    Raises:
-        TraceStreamError: on an unknown record kind, a malformed line, or
-            a truncated (mid-record) final line.
-    """
-    if text and not text.endswith("\n"):
-        # Our writers always newline-terminate; a missing final newline
-        # means the artifact was cut off mid-write.
-        last = text.rsplit("\n", 1)[-1]
-        raise TraceStreamError(
-            "trace is truncated: final line has no newline terminator "
-            f"(starts {last[:60]!r}); the artifact was cut off mid-record"
-        )
-    records: typing.List[TraceRecord] = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceStreamError(
-                f"trace line {i} is not valid JSON ({exc}); the artifact "
-                "is corrupt or was truncated mid-record"
-            ) from exc
-        try:
-            records.append(record_from_dict(payload))
-        except ValueError as exc:
-            raise TraceStreamError(f"trace line {i}: {exc}") from exc
-    return records
-
-
-def validate_stream(
-    records: typing.Sequence[TraceRecord], source: str = "trace"
-) -> typing.List[TraceRecord]:
-    """Check that ``records`` form one complete run and return them.
-
-    A complete run starts with exactly one ``run_config`` and ends with a
-    ``run_end`` — the framing the analysis layer (attribution, interval
-    series, diff) requires.
-
-    Raises:
-        TraceStreamError: naming what is missing or out of place.
-    """
-    records = list(records)
-    if not records:
-        raise TraceStreamError(f"{source} is empty")
-    if not isinstance(records[0], RunConfig):
-        raise TraceStreamError(
-            f"{source} does not start with a run_config record "
-            f"(got {records[0].kind!r}); not a complete run artifact"
-        )
-    if not isinstance(records[-1], RunEnd):
-        raise TraceStreamError(
-            f"{source} does not end with a run_end record "
-            f"(got {records[-1].kind!r}); the run was cut off"
-        )
-    for i, record in enumerate(records[1:-1], start=2):
-        if isinstance(record, RunConfig):
-            raise TraceStreamError(
-                f"{source} record {i} is a second run_config; "
-                "analysis expects one run per artifact"
-            )
-        if isinstance(record, RunEnd):
-            raise TraceStreamError(
-                f"{source} record {i} is a premature run_end"
-            )
-    return records
-
-
 def stream_trace(
     path: str, fmt: typing.Optional[str] = None
 ) -> typing.Iterator[TraceRecord]:
     """Stream a frame-checked trace from ``path``, record by record.
 
     Accepts both JSONL and columnar trace files (``fmt`` forces one;
-    ``None`` sniffs by content).  Applies :func:`validate_stream`'s
-    framing rules *incrementally* — exactly one leading ``run_config``,
-    exactly one trailing ``run_end`` — so a truncated or incomplete
-    artifact still fails loudly, but a million-record trace is never
-    materialized: memory is O(1) in trace length.
+    ``None`` sniffs by content).  Applies the framing rules the
+    analysis layer (attribution, interval series, diff) requires
+    *incrementally* — exactly one leading ``run_config``, exactly one
+    trailing ``run_end`` — so a truncated or incomplete artifact still
+    fails loudly, but a million-record trace is never materialized:
+    memory is O(1) in trace length.
 
-    Being a generator, framing errors surface during iteration; batch
-    callers that need all-or-nothing semantics use :func:`load_trace`.
+    Being a generator, framing errors surface during iteration; callers
+    that need all-or-nothing semantics drain it to a list first.
 
     Raises:
         TraceStreamError: on unreadable, truncated, malformed, corrupt,
@@ -205,45 +135,10 @@ def stream_trace(
         )
 
 
-def load_trace(
-    path: str, fmt: typing.Optional[str] = None
-) -> typing.List[TraceRecord]:
-    """Read, parse and frame-check a trace file (JSONL or columnar).
-
-    The batch counterpart of :func:`stream_trace`: same sniffing, same
-    framing checks, but all-or-nothing — the record list is returned
-    only once the whole artifact has been accepted.
-
-    Raises:
-        TraceStreamError: on unreadable, truncated, malformed, or
-            incomplete artifacts — always naming the file.
-    """
-    return list(stream_trace(path, fmt=fmt))
-
-
 def snapshot_to_json(snapshot: typing.Mapping[str, typing.Any]) -> str:
     """A metrics snapshot as key-sorted, newline-terminated JSON."""
     validate_snapshot(snapshot)
     return json.dumps(snapshot, sort_keys=True, indent=2) + "\n"
-
-
-def snapshot_to_csv(snapshot: typing.Mapping[str, typing.Any]) -> str:
-    """Flatten a metrics snapshot to key-sorted CSV.
-
-    One row per scalar: counters and gauges directly, histograms as
-    their ``count``/``sum``/``min``/``max``/``mean`` summary fields.
-    """
-    validate_snapshot(snapshot)
-    rows: typing.List[typing.Sequence[object]] = []
-    for name, value in sorted(snapshot["counters"].items()):
-        rows.append(["counter", name, "value", value])
-    for name, value in sorted(snapshot["gauges"].items()):
-        rows.append(["gauge", name, "value", value])
-    for name, data in sorted(snapshot["histograms"].items()):
-        # v2 snapshots carry the derived mean; export it verbatim.
-        for field in ("count", "sum", "mean", "min", "max"):
-            rows.append(["histogram", name, field, data[field]])
-    return rows_to_csv(["section", "name", "field", "value"], rows)
 
 
 def snapshots_to_csv(

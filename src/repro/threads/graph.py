@@ -217,21 +217,6 @@ class ThreadGraph:
         """Raise ValueError if the dependence graph has a cycle."""
         self._topological_order()
 
-    def critical_path(self) -> float:
-        """Length (seconds) of the longest dependence chain."""
-        service = self.service_times
-        earliest_start: typing.List[float] = [0.0] * len(service)
-        order = self._topological_order()
-        for tid in order:
-            end = earliest_start[tid] + service[tid]
-            for succ in self.successors[tid]:
-                if end > earliest_start[succ]:
-                    earliest_start[succ] = end
-        return max(
-            (earliest_start[tid] + service[tid] for tid in order),
-            default=0.0,
-        )
-
     def _topological_order(self) -> typing.List[int]:
         in_degree = list(self.n_predecessors)
         queue = [tid for tid, deg in enumerate(in_degree) if not deg]

@@ -101,8 +101,8 @@ class TestReducedFidelity:
 
     def test_reduced_machine_preserves_fill_time(self):
         machine = reduced_machine(SEQUENT_SYMMETRY, 16)
-        assert machine.full_fill_time_s == pytest.approx(
-            SEQUENT_SYMMETRY.full_fill_time_s
+        assert machine.cache_lines * machine.miss_time_s == pytest.approx(
+            SEQUENT_SYMMETRY.cache_lines * SEQUENT_SYMMETRY.miss_time_s
         )
         assert machine.cache_lines == SEQUENT_SYMMETRY.cache_lines // 16
 

@@ -8,6 +8,29 @@ from repro.threads.job import Job
 TEST_CURVE = FootprintCurve(w_max=1000, tau=0.05)
 
 
+def critical_path(graph: ThreadGraph) -> float:
+    """Length (seconds) of the longest dependence chain of ``graph``.
+
+    A referee for scheduling tests: no run, on any number of processors,
+    can finish a job sooner.
+    """
+    service = graph.service_times
+    blocked = list(graph.n_predecessors)
+    earliest_start = [0.0] * len(service)
+    ready = [tid for tid, n in enumerate(blocked) if not n]
+    longest = 0.0
+    while ready:
+        tid = ready.pop()
+        end = earliest_start[tid] + service[tid]
+        longest = max(longest, end)
+        for succ in graph.successors[tid]:
+            earliest_start[succ] = max(earliest_start[succ], end)
+            blocked[succ] -= 1
+            if not blocked[succ]:
+                ready.append(succ)
+    return longest
+
+
 def flat_job(name: str, n_threads: int, service: float, workers: int) -> Job:
     """Independent threads (MATRIX-like)."""
     graph = ThreadGraph(name)

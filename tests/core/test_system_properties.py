@@ -20,6 +20,7 @@ from repro.core.system import SchedulingSystem
 from repro.machine.footprint import FootprintCurve
 from repro.threads.graph import ThreadGraph
 from repro.threads.job import Job
+from tests.core.helpers import critical_path
 
 ALL_POLICIES = [EQUIPARTITION, DYNAMIC, DYN_AFF, DYN_AFF_NOPRI, DYN_AFF_DELAY]
 
@@ -88,7 +89,7 @@ def test_property_system_invariants(workload):
         assert metrics.work == pytest.approx(expected_work[job.name], rel=1e-9)
         # Response time bounds: at least the critical path, at most the
         # whole machine-serialized workload plus overheads.
-        assert metrics.response_time >= job.graph.critical_path() - 1e-9
+        assert metrics.response_time >= critical_path(job.graph) - 1e-9
         assert metrics.response_time <= result.makespan - arrival + 1e-9
         # Accounting sanity.
         assert metrics.waste >= 0.0

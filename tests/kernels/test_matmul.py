@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.apps.matrix import MatrixParams
 from repro.kernels.matmul import (
     blocked_matmul,
     choose_block_size,
@@ -105,4 +106,4 @@ class TestBlockSizing:
 
     def test_output_blocks_one_per_matrix_thread(self):
         """The MATRIX application default: 8x8 = 64 output blocks."""
-        assert len(output_blocks(416, 416, 52)) == 64
+        assert len(output_blocks(416, 416, 52)) == MatrixParams().n_blocks == 64

@@ -157,5 +157,6 @@ def test_property_penalty_never_negative_or_above_full_fill(durations, processor
     for i, (duration, cpu) in enumerate(zip(durations, processors)):
         task = f"t{i % 3}"
         penalty, _ = model.reload_penalty(task, cpu)
-        assert 0.0 <= penalty <= SEQUENT_SYMMETRY.full_fill_time_s + 1e-12
+        full_fill_s = SEQUENT_SYMMETRY.cache_lines * SEQUENT_SYMMETRY.miss_time_s
+        assert 0.0 <= penalty <= full_fill_s + 1e-12
         model.note_run(task, cpu, duration, curve)

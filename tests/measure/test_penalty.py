@@ -57,7 +57,9 @@ class TestPenalties:
         assert 0 < p_a < mva_result.p_na_s
 
     def test_p_na_bounded_by_full_fill(self, experiment, mva_result):
-        assert mva_result.p_na_s <= experiment.machine.full_fill_time_s * 1.2
+        machine = experiment.machine
+        full_fill_s = machine.cache_lines * machine.miss_time_s
+        assert mva_result.p_na_s <= full_fill_s * 1.2
 
     def test_unit_conversion(self, mva_result):
         assert mva_result.p_na_us == pytest.approx(mva_result.p_na_s * 1e6)

@@ -28,9 +28,12 @@ class TestTable2:
 
     def test_homogeneous_flags(self):
         """Mixes #1 and #4 are the homogeneous ones (Table 4)."""
-        assert MIXES[1].is_homogeneous
-        assert MIXES[4].is_homogeneous
-        assert not any(MIXES[m].is_homogeneous for m in (2, 3, 5, 6))
+        def is_homogeneous(mix):
+            return sum(1 for n in mix.copies.values() if n > 0) == 1
+
+        assert is_homogeneous(MIXES[1])
+        assert is_homogeneous(MIXES[4])
+        assert not any(is_homogeneous(MIXES[m]) for m in (2, 3, 5, 6))
 
     def test_job_counts(self):
         assert [MIXES[m].n_jobs for m in range(1, 7)] == [2, 2, 2, 2, 2, 3]

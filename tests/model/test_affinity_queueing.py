@@ -68,7 +68,7 @@ class TestMechanics:
 
     def test_mean_cycle_covers_components(self):
         stats = AffinityQueueingModel(SL_CONFIG, seed=1).run(300)
-        assert stats.mean_cycle_s >= stats.mean_wait_s
+        assert stats.mean_cycle_s >= stats.total_wait_s / stats.completions
 
     def test_single_processor_single_task_always_affine_after_first(self):
         config = QueueingConfig(
@@ -102,9 +102,13 @@ class TestDisciplines:
 
     def test_reload_ordering(self, results):
         """More affinity, less reload."""
-        assert results["FP"].mean_reload_s < results["LP"].mean_reload_s
-        assert results["LP"].mean_reload_s < results["FCFS"].mean_reload_s
-        assert results["MI"].mean_reload_s < results["FCFS"].mean_reload_s
+        reload = {
+            name: stats.total_reload_s / stats.dispatches
+            for name, stats in results.items()
+        }
+        assert reload["FP"] < reload["LP"]
+        assert reload["LP"] < reload["FCFS"]
+        assert reload["MI"] < reload["FCFS"]
 
     def test_affinity_helps_at_short_intervals(self, results):
         """S&L's conclusion: pronounced effect at time-sharing intervals."""

@@ -28,15 +28,10 @@ def golden_run():
 if __name__ == "__main__":
     import pathlib
 
-    from repro.reporting.obs_export import (
-        snapshot_to_csv,
-        snapshot_to_json,
-        trace_to_jsonl,
-    )
+    from repro.reporting.obs_export import snapshot_to_json, trace_to_jsonl
 
     here = pathlib.Path(__file__).parent / "golden"
     records, snapshot = golden_run()
     (here / "trace.jsonl").write_text(trace_to_jsonl(records), encoding="utf-8")
     (here / "metrics.json").write_text(snapshot_to_json(snapshot), encoding="utf-8")
-    (here / "metrics.csv").write_text(snapshot_to_csv(snapshot), encoding="utf-8")
     print(f"wrote {len(records)} records and the metrics snapshot to {here}")

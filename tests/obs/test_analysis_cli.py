@@ -1,8 +1,8 @@
 """The analysis CLI surface: ``repro analyze``, ``repro diff``, ``--profile``.
 
-Also the satellite acceptance: truncated or mid-record artifacts are
-refused with a clear error and a non-zero exit, at both the library
-(``validate_stream``/``load_trace``) and CLI layers.
+Also the truncation refusal: truncated, mid-record or ill-framed
+artifacts are refused with a clear error naming the file, at both the
+reader (``stream_trace``) and the CLI, which exits non-zero.
 """
 
 import json
@@ -14,10 +14,44 @@ from repro.obs.analysis import DIFF_SCHEMA, INTERVALS_SCHEMA
 from repro.reporting.obs_export import (
     ATTRIBUTION_SCHEMA,
     TraceStreamError,
-    load_trace,
-    trace_from_jsonl,
-    validate_stream,
+    stream_trace,
 )
+
+
+def _jsonl(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+#: (how to damage the written trace's lines, what the error must say);
+#: ``None`` writes no file at all.
+ILL_FRAMED = [
+    pytest.param(None, "cannot read trace", id="missing-file"),
+    pytest.param(lambda lines: "", "is empty", id="empty"),
+    pytest.param(
+        lambda lines: _jsonl(lines[1:]),
+        "does not start with a run_config", id="first-not-run-config",
+    ),
+    pytest.param(
+        lambda lines: _jsonl(lines[:-1]),
+        "does not end with a run_end", id="missing-run-end",
+    ),
+    pytest.param(
+        lambda lines: _jsonl(lines[:-1] + [lines[0], lines[-1]]),
+        "second run_config", id="second-run-config",
+    ),
+    pytest.param(
+        lambda lines: _jsonl(lines + [lines[1]]),
+        "premature run_end", id="record-after-run-end",
+    ),
+    pytest.param(
+        lambda lines: _jsonl(lines).rstrip("\n"),
+        "truncated", id="no-final-newline",
+    ),
+    pytest.param(
+        lambda lines: _jsonl(lines[:2] + ['{"kind": not-json}'] + lines[2:]),
+        "line 3 is not valid JSON", id="non-json-line",
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -118,25 +152,15 @@ class TestTruncationRefusal:
         assert exc_info.value.code == 1
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_load_trace_names_missing_file(self, tmp_path):
-        with pytest.raises(TraceStreamError, match="cannot read trace"):
-            load_trace(str(tmp_path / "nope.jsonl"))
-
-    def test_validate_stream_rejects_bad_framing(self, trace_path):
-        records = load_trace(str(trace_path))
-        with pytest.raises(TraceStreamError, match="run_config"):
-            validate_stream(records[1:])
-        with pytest.raises(TraceStreamError, match="cut off"):
-            validate_stream(records[:-1])
-        with pytest.raises(TraceStreamError, match="second run_config"):
-            validate_stream(records[:-1] + [records[0], records[-1]])
-        with pytest.raises(TraceStreamError, match="empty"):
-            validate_stream([])
-
-    def test_trace_from_jsonl_rejects_missing_final_newline(self, trace_path):
-        text = trace_path.read_text(encoding="utf-8")
-        with pytest.raises(TraceStreamError, match="truncated"):
-            trace_from_jsonl(text.rstrip("\n"))
+    @pytest.mark.parametrize("damage, message", ILL_FRAMED)
+    def test_stream_trace_refuses(self, trace_path, tmp_path, damage, message):
+        bad = tmp_path / "bad.jsonl"
+        if damage is not None:
+            lines = trace_path.read_text(encoding="utf-8").splitlines()
+            bad.write_text(damage(lines), encoding="utf-8")
+        with pytest.raises(TraceStreamError, match=message) as exc_info:
+            list(stream_trace(str(bad)))
+        assert str(bad) in str(exc_info.value)
 
 
 class TestDiffCommand:

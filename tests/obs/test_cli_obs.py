@@ -7,7 +7,7 @@ import pytest
 from repro.cli import METRICS_MARKER, main
 from repro.obs.invariants import assert_trace_ok
 from repro.obs.metrics import validate_snapshot
-from repro.reporting.obs_export import trace_from_jsonl
+from repro.reporting.obs_export import stream_trace
 
 
 def snapshots_from_stdout(text):
@@ -30,7 +30,7 @@ class TestTraceCommand:
         stdout = capsys.readouterr().out
         assert "invariant violations: 0" in stdout
         assert "replay check: exact" in stdout
-        records = trace_from_jsonl(out.read_text(encoding="utf-8"))
+        records = list(stream_trace(str(out)))
         assert records, "trace file must not be empty"
         assert_trace_ok(records)  # the written artifact re-verifies cold
 

@@ -9,7 +9,7 @@ from repro.engine.parallel import map_items
 from repro.measure.runner import run_mix
 from repro.obs import Tracer
 from repro.obs.analysis import BUCKETS, diff_traces
-from repro.reporting.obs_export import trace_from_jsonl, trace_to_jsonl
+from repro.reporting.obs_export import stream_trace, trace_to_jsonl
 
 
 def _traced_jsonl(mix, policy, seed):
@@ -18,14 +18,21 @@ def _traced_jsonl(mix, policy, seed):
     return trace_to_jsonl(tracer.records)
 
 
+def _read_back(text, directory, name):
+    """Parse a JSONL trace the way commands do: from a file, frame-checked."""
+    path = directory / name
+    path.write_text(text, encoding="utf-8")
+    return list(stream_trace(str(path)))
+
+
 def _replicated_trace(replication):
     """Module-level so it pickles into ProcessPoolExecutor workers."""
     return _traced_jsonl(1, DYN_AFF, seed=replication)
 
 
 class TestSelfDiff:
-    def test_identical_traces_diff_clean(self):
-        records = trace_from_jsonl(_traced_jsonl(1, DYN_AFF, seed=0))
+    def test_identical_traces_diff_clean(self, tmp_path):
+        records = _read_back(_traced_jsonl(1, DYN_AFF, seed=0), tmp_path, "a.jsonl")
         diff = diff_traces(records, records, label_a="x", label_b="y")
         assert diff.identical
         assert diff.first_divergence is None
@@ -38,9 +45,9 @@ class TestSelfDiff:
             assert all(entry["buckets"][b] == 0.0 for b in BUCKETS)
         assert diff.decision_rule_counts_a == diff.decision_rule_counts_b
 
-    def test_seed_change_diverges(self):
-        trace_a = trace_from_jsonl(_traced_jsonl(1, DYN_AFF, seed=0))
-        trace_b = trace_from_jsonl(_traced_jsonl(1, DYN_AFF, seed=1))
+    def test_seed_change_diverges(self, tmp_path):
+        trace_a = _read_back(_traced_jsonl(1, DYN_AFF, seed=0), tmp_path, "a.jsonl")
+        trace_b = _read_back(_traced_jsonl(1, DYN_AFF, seed=1), tmp_path, "b.jsonl")
         diff = diff_traces(trace_a, trace_b)
         assert not diff.identical
         assert diff.first_divergence is not None
@@ -49,13 +56,13 @@ class TestSelfDiff:
 class TestParallelDeterminism:
     """Satellite (d): serial and workers=2 runs diverge nowhere."""
 
-    def test_worker_count_never_changes_the_trace(self):
+    def test_worker_count_never_changes_the_trace(self, tmp_path):
         serial = map_items(_replicated_trace, [0, 1], workers=1)
         parallel = map_items(_replicated_trace, [0, 1], workers=2)
         for r, (text_a, text_b) in enumerate(zip(serial, parallel)):
             diff = diff_traces(
-                trace_from_jsonl(text_a),
-                trace_from_jsonl(text_b),
+                _read_back(text_a, tmp_path, f"serial-{r}.jsonl"),
+                _read_back(text_b, tmp_path, f"parallel-{r}.jsonl"),
                 label_a=f"serial r{r}",
                 label_b=f"workers=2 r{r}",
             )
@@ -70,9 +77,10 @@ class TestPolicyGapAttribution:
     """Acceptance: the Equi vs Dyn-Aff gap is *explained*, not just stated."""
 
     @pytest.fixture(scope="class")
-    def diff(self):
-        trace_a = trace_from_jsonl(_traced_jsonl(5, EQUIPARTITION, seed=0))
-        trace_b = trace_from_jsonl(_traced_jsonl(5, DYN_AFF, seed=0))
+    def diff(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("gap")
+        trace_a = _read_back(_traced_jsonl(5, EQUIPARTITION, seed=0), directory, "a.jsonl")
+        trace_b = _read_back(_traced_jsonl(5, DYN_AFF, seed=0), directory, "b.jsonl")
         return diff_traces(trace_a, trace_b, label_a="Equipartition", label_b="Dyn-Aff")
 
     def test_per_job_buckets_sum_to_response_delta(self, diff):

@@ -5,11 +5,10 @@ import pathlib
 
 import pytest
 
+from repro.obs.store import iter_jsonl_records
 from repro.reporting.obs_export import (
-    snapshot_to_csv,
     snapshot_to_json,
     snapshots_to_csv,
-    trace_from_jsonl,
     trace_to_jsonl,
 )
 from tests.obs.golden_run import golden_run
@@ -18,9 +17,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 class TestJsonlTrace:
-    def test_round_trip_preserves_every_record(self):
+    def test_round_trip_preserves_every_record(self, tmp_path):
         records, _ = golden_run()
-        assert trace_from_jsonl(trace_to_jsonl(records)) == list(records)
+        path = tmp_path / "trace.jsonl"
+        path.write_text(trace_to_jsonl(records), encoding="utf-8")
+        assert list(iter_jsonl_records(str(path))) == list(records)
 
     def test_lines_are_key_sorted(self):
         records, _ = golden_run()
@@ -33,16 +34,14 @@ class TestJsonlTrace:
         assert trace_to_jsonl(records).endswith("\n")
         assert trace_to_jsonl([]) == ""
 
-    def test_blank_lines_skipped_bad_json_rejected(self):
+    def test_blank_lines_skipped_bad_json_rejected(self, tmp_path):
         records, _ = golden_run()
-        text = trace_to_jsonl(records) + "\n"
-        assert len(trace_from_jsonl(text)) == len(records)
-        try:
-            trace_from_jsonl("not json\n")
-        except ValueError as exc:
-            assert "line 1" in str(exc)
-        else:
-            raise AssertionError("expected ValueError")
+        path = tmp_path / "trace.jsonl"
+        path.write_text(trace_to_jsonl(records) + "\n", encoding="utf-8")
+        assert len(list(iter_jsonl_records(str(path)))) == len(records)
+        path.write_text("not json\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1"):
+            list(iter_jsonl_records(str(path)))
 
 
 class TestSnapshotExports:
@@ -53,15 +52,6 @@ class TestSnapshotExports:
         assert json.loads(text) == json.loads(json.dumps(snapshot, sort_keys=True))
         names = list(json.loads(text)["counters"])
         assert names == sorted(names)
-
-    def test_csv_key_sorted_and_terminated(self):
-        _, snapshot = golden_run()
-        text = snapshot_to_csv(snapshot)
-        assert text.endswith("\n")
-        lines = text.splitlines()
-        assert lines[0] == "section,name,field,value"
-        counter_names = [l.split(",")[1] for l in lines if l.startswith("counter,")]
-        assert counter_names == sorted(counter_names)
 
 
 def _snapshot(counters=(), gauges=(), histograms=()):
@@ -147,12 +137,6 @@ class TestGoldenFiles:
     def test_metrics_json_matches_golden(self):
         _, snapshot = golden_run()
         assert snapshot_to_json(snapshot) == (GOLDEN / "metrics.json").read_text(
-            encoding="utf-8"
-        )
-
-    def test_metrics_csv_matches_golden(self):
-        _, snapshot = golden_run()
-        assert snapshot_to_csv(snapshot) == (GOLDEN / "metrics.csv").read_text(
             encoding="utf-8"
         )
 

@@ -4,6 +4,9 @@ uninterrupted one bit-for-bit.
 The victim process runs in a subprocess (SIGKILL cannot be trapped, so
 it must not be the test process) with ``shard_size=1`` and an
 ``on_commit`` hook that kills the process after the first shard lands.
+The victim leads its own process group and the hook kills the whole
+group, so its pool workers die with it instead of running on, orphaned,
+in the cache directory the resume step then writes into.
 Resume is just running the same spec again: cached cells are skipped,
 the rest recompute, and the assembled payloads must be byte-identical
 to a never-interrupted run in a separate cache.
@@ -35,7 +38,7 @@ cache = ResultCache(sys.argv[2])
 workers = int(sys.argv[3])
 
 def kamikaze(index, payloads):
-    os.kill(os.getpid(), signal.SIGKILL)
+    os.killpg(0, signal.SIGKILL)
 
 run_sweep(spec, cache=cache, workers=workers, shard_size=1,
           on_commit=kamikaze)
@@ -61,13 +64,13 @@ def _bytes(result):
 
 def _kill_mid_sweep(cache_dir, workers):
     env = dict(os.environ, PYTHONPATH=SRC)
-    # No pipes: orphaned pool workers inherit them and would keep a
-    # capture-based wait from ever seeing EOF after the parent dies.
+    # No pipes: a worker that outlived the victim would inherit them and
+    # keep a capture-based wait from ever seeing EOF.
     proc = subprocess.run(
         [sys.executable, "-c", VICTIM,
          json.dumps(_spec().to_dict()), str(cache_dir), str(workers)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        timeout=120,
+        timeout=120, start_new_session=True,
     )
     assert proc.returncode == -signal.SIGKILL
 

@@ -12,7 +12,6 @@ import pytest
 from repro.ioutil import (
     TMP_PREFIX,
     atomic_open,
-    atomic_write_bytes,
     atomic_write_text,
 )
 
@@ -28,7 +27,8 @@ class TestAtomicWrite:
 
     def test_bytes_roundtrip(self, tmp_path):
         path = str(tmp_path / "out.bin")
-        atomic_write_bytes(path, b"\x00\x01\xff")
+        with atomic_open(path, "wb") as handle:
+            handle.write(b"\x00\x01\xff")
         with open(path, "rb") as fh:
             assert fh.read() == b"\x00\x01\xff"
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.threads.graph import ThreadGraph
+from tests.core.helpers import critical_path
 
 
 def diamond() -> ThreadGraph:
@@ -96,17 +97,17 @@ class TestAnalysis:
 
     def test_critical_path_diamond(self):
         # a(1) -> c(3) -> d(1) = 5
-        assert diamond().critical_path() == pytest.approx(5.0)
+        assert critical_path(diamond()) == pytest.approx(5.0)
 
     def test_critical_path_chain(self):
         g = ThreadGraph()
         ids = [g.add_thread(2.0) for _ in range(4)]
         for a, b in zip(ids, ids[1:]):
             g.add_dependency(a, b)
-        assert g.critical_path() == pytest.approx(8.0)
+        assert critical_path(g) == pytest.approx(8.0)
 
     def test_critical_path_empty(self):
-        assert ThreadGraph().critical_path() == 0.0
+        assert critical_path(ThreadGraph()) == 0.0
 
 
 class TestParallelismProfile:
@@ -175,7 +176,7 @@ def test_property_greedy_schedule_completes_everything(graph):
     """Any forward-edge DAG list-schedules to completion with sane bounds."""
     graph.validate_acyclic()
     profile = graph.parallelism_profile(4)
-    lower = max(graph.critical_path(), graph.total_work() / 4)
+    lower = max(critical_path(graph), graph.total_work() / 4)
     assert profile.execution_time >= lower - 1e-9
     assert profile.execution_time <= graph.total_work() + 1e-9
     assert sum(profile.time_at_level.values()) == pytest.approx(1.0)
@@ -341,7 +342,7 @@ def test_property_bulk_builders_equal_single_builders(steps):
     for name in ("service_times", "successors", "n_predecessors", "phases", "data_groups"):
         assert list(getattr(bulk, name)) == list(getattr(single, name)), name
     assert bulk.initially_ready() == single.initially_ready()
-    assert bulk.critical_path() == single.critical_path()
+    assert critical_path(bulk) == critical_path(single)
     for n_processors in (1, 3):
         assert bulk.parallelism_profile(n_processors) == single.parallelism_profile(
             n_processors
