@@ -8,8 +8,8 @@ Usage::
     python -m repro fig6 [--mix K] [-r N]   # Figure 6 (Dyn-Aff-NoPri)
     python -m repro table4 [-r N]           # Table 4
     python -m repro future [--mix K] [-r N] # Figures 8-13
+    python -m repro section8 [--mix K]      # time-sharing contrast
     python -m repro gantt [--mix K]         # allocation timelines
-    python -m repro section8                # time-sharing contrast
     python -m repro hierarchy               # Section 7.2 sqrt-memory law
     python -m repro trace [--mix K] [--policy P] [--out F]  # JSONL trace
     python -m repro opensys [--scenario S] [--swf F]    # open-system matrix
@@ -18,13 +18,15 @@ Usage::
     python -m repro all                     # everything (slow)
 
 The paper's figure commands (``table1``, ``fig5``, ``fig6``, ``table4``,
-``future``) are entries of one table, :data:`FIGURES`: each pairs a
-function from the parsed arguments to the command's ``SweepSpec`` with a
-renderer of the finished payloads.  One driver, :func:`run_figures`,
-builds the specs, runs them through ``run_sweep`` and renders them, so
-``repro all`` runs the union of every figure's cells as ONE sweep, each
-distinct (mix, policy, seed) cell once, and ``--workers`` spreads over
-all of them.
+``future``, ``section8``) are entries of one table, :data:`FIGURES`:
+each pairs a function from the parsed arguments to the command's
+``SweepSpec`` with a renderer of the finished payloads.  One driver,
+:func:`run_figures`, builds the specs, runs them through ``run_sweep``
+and renders them, so ``repro all`` runs the union of every figure's
+cells as ONE sweep, each distinct (mix, policy, seed) cell once, and
+``--workers`` spreads over all of them.  A traced single run (``trace``,
+``gantt``, ``--analyze``, ``opensys --trace``) is one ``run_cell`` call
+on the cell its command names, read back like a sweep payload.
 
 The replication-based experiments accept ``--metrics``: the run is
 instrumented with a metrics registry and the merged snapshot is printed
@@ -38,6 +40,7 @@ self-profile of the simulator and prints it after ``=== profile ===``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -50,11 +53,11 @@ from repro.core.policies import (
     DYN_AFF_NOPRI,
     DYNAMIC,
     EQUIPARTITION,
+    POLICIES,
     TIME_SHARING,
     TIME_SHARING_AFFINITY,
 )
 from repro.engine.rng import RngRegistry
-from repro.measure.runner import run_mix
 from repro.measure.workloads import MIXES
 from repro.model import (
     DEFAULT_PENALTIES,
@@ -65,14 +68,17 @@ from repro.model import (
 from repro.reporting.figures import ascii_chart, parallelism_histogram
 from repro.reporting.tables import (
     render_relative_rt_table,
+    render_section8,
     render_table1,
     render_table3,
     render_table4,
 )
-from repro.sweep.spec import POLICIES_BY_NAME as _POLICY_BY_NAME
-from repro.sweep.spec import SweepSpec
+from repro.sweep.spec import SweepSpec, mix_cell
 
 _FIG5_POLICIES = (EQUIPARTITION, DYNAMIC, DYN_AFF, DYN_AFF_DELAY)
+_SECTION8_POLICIES = tuple(
+    p.name for p in (TIME_SHARING, TIME_SHARING_AFFINITY, DYNAMIC, DYN_AFF)
+)
 
 #: Marker line preceding a JSON metrics snapshot on stdout (tests and
 #: scripts split on it to find the machine-readable part).
@@ -104,11 +110,7 @@ def _print_profile(snapshot: typing.Mapping[str, typing.Any], label: str = "") -
     print(render_profile_table(snapshot))
 
 
-def _print_analysis(
-    mix_ids: typing.Sequence[int],
-    policies: typing.Sequence[str],
-    seed: int,
-) -> None:
+def _print_analysis(spec: SweepSpec, mix_ids: typing.Sequence[int], seed: int) -> None:
     """Run one traced replication per (mix, policy) and print attributions.
 
     The conservation laws are checked on the spot; a violation exits
@@ -118,14 +120,16 @@ def _print_analysis(
     from repro.obs import Tracer
     from repro.obs.analysis import attribute_time
     from repro.reporting.analysis_report import render_attribution_table
+    from repro.sweep.cells import run_cell
 
     for mix_id in mix_ids:
-        for policy in map(_POLICY_BY_NAME.get, policies):
+        for policy in spec.policies:
             tracer = Tracer()
-            run_mix(mix_id, policy, seed=seed, tracer=tracer)
+            cell = mix_cell(mix_id, policy, seed, spec.n_processors)
+            run_cell(cell, tracer=tracer)
             attribution = attribute_time(tracer.records)
             errors = attribution.conservation_errors()
-            print(f"{ANALYSIS_MARKER} mix {mix_id} {policy.name}")
+            print(f"{ANALYSIS_MARKER} mix {mix_id} {policy}")
             print(render_attribution_table(attribution))
             if errors:
                 print("CONSERVATION VIOLATED:")
@@ -281,7 +285,7 @@ def _render_relative_rt(
         for policy in sorted(comparison.profiles):
             _print_profile(comparison.profiles[policy], label=policy)
         if getattr(args, "analyze", False):
-            _print_analysis([mix_id], spec.policies, args.seed)
+            _print_analysis(spec, [mix_id], args.seed)
         if table3 and args.csv:
             csv_rows.extend(
                 [mix_id, policy, job, summary.response_time.mean,
@@ -309,7 +313,7 @@ def _render_table4(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
     print(render_table4(mean_response_table(spec, payloads)))
     _print_merged(spec, payloads)
     if getattr(args, "analyze", False):
-        _print_analysis(spec.mixes, spec.policies, args.seed)
+        _print_analysis(spec, spec.mixes, args.seed)
 
 
 def _render_future(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
@@ -340,6 +344,18 @@ def _render_future(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
                 )
             )
             print()
+
+
+def _render_section8(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
+    """Section 8: time sharing against space sharing on one mix."""
+    from repro.sweep.cells import system_result_from_dict
+
+    (mix_id,), (seed,) = spec.mixes, spec.seeds
+    results = {}
+    for policy in spec.policies:
+        cell = mix_cell(mix_id, policy, seed, spec.n_processors)
+        results[policy] = system_result_from_dict(payloads[cell]["data"]["system"])
+    print(render_section8(mix_id, results))
 
 
 class Figure(typing.NamedTuple):
@@ -391,6 +407,15 @@ FIGURES: typing.Dict[str, Figure] = {
         lambda args: _mix_spec(args, "future", _FIG5_POLICIES),
         _render_future,
     ),
+    "section8": Figure(
+        "time-sharing vs space-sharing contrast",
+        ("--mix",),
+        lambda args: SweepSpec(
+            name="section8", kind="mix", mixes=(args.mix or 5,),
+            policies=_SECTION8_POLICIES, seeds=(args.seed,),
+        ),
+        _render_section8,
+    ),
 }
 
 
@@ -418,41 +443,17 @@ def cmd_figure(args: argparse.Namespace) -> None:
 
 def cmd_gantt(args: argparse.Namespace) -> None:
     """ASCII allocation timelines for a mix under several policies."""
-    from repro.core.system import SchedulingSystem
-    from repro.measure.workloads import make_jobs
     from repro.obs import Tracer
     from repro.reporting.timeline import render_gantt
+    from repro.sweep.cells import run_cell
 
     mix_id = args.mix if args.mix else 5
     for policy in (EQUIPARTITION, DYN_AFF, DYN_AFF_NOPRI):
-        rng = RngRegistry(args.seed)
-        jobs = make_jobs(mix_id, rng.spawn("workload"))
         tracer = Tracer()
-        SchedulingSystem(
-            jobs, policy, n_processors=16, seed=args.seed,
-            rng=rng.spawn(f"system/{policy.name}"), tracer=tracer,
-        ).run()
+        run_cell(mix_cell(mix_id, policy.name, args.seed), tracer=tracer)
         print(f"=== workload #{mix_id} under {policy.name} ===")
         print(render_gantt(tracer.records, width=72))
         print()
-
-
-def cmd_section8(args: argparse.Namespace) -> None:
-    """The time-sharing contrast of Section 8."""
-    mix_id = args.mix if args.mix else 5
-    rows = [
-        (policy.name, run_mix(mix_id, policy, seed=args.seed))
-        for policy in (TIME_SHARING, TIME_SHARING_AFFINITY, DYNAMIC, DYN_AFF)
-    ]
-    print(f"workload #{mix_id}: time sharing vs space sharing")
-    for name, result in rows:
-        for job, m in sorted(result.jobs.items()):
-            print(
-                f"  {name:16s} {job:9s} RT {m.response_time:7.1f} s  "
-                f"{m.n_reallocations:6d} reallocs  "
-                f"{m.pct_affinity:3.0f}% affinity  "
-                f"{m.cache_penalty_total:6.2f} s cache penalty"
-            )
 
 
 def cmd_hierarchy(args: argparse.Namespace) -> None:
@@ -531,21 +532,21 @@ def cmd_trace(args: argparse.Namespace) -> None:
     ``--format columnar`` writes the compact columnar container instead
     of JSONL (both round-trip losslessly; see ``repro convert``).
     """
-    from repro.obs import MetricsRegistry, Tracer
+    from repro.obs import Tracer
+    from repro.sweep.cells import run_cell, system_result_from_dict
 
-    policy = _POLICY_BY_NAME[args.policy]
     mix_id = args.mix if args.mix else 5
     tracer = Tracer(capture_engine_events=args.engine_events)
-    registry = MetricsRegistry() if args.metrics else None
-    result = run_mix(
-        mix_id, policy, seed=args.seed, tracer=tracer, metrics=registry
+    payload = run_cell(
+        mix_cell(mix_id, args.policy, args.seed),
+        tracer=tracer, collect_metrics=args.metrics,
     )
     ok = _write_checked_trace(
-        tracer.records, result, args.out, args.format,
-        f"workload #{mix_id} under {policy.name}",
+        tracer.records, system_result_from_dict(payload["data"]["system"]),
+        args.out, args.format, f"workload #{mix_id} under {args.policy}",
     )
-    if registry is not None:
-        _print_snapshot(registry.snapshot())
+    if args.metrics:
+        _print_snapshot(payload["metrics"])
     if not ok:
         raise SystemExit(1)
 
@@ -570,14 +571,9 @@ def cmd_opensys(args: argparse.Namespace) -> None:
     from repro.sweep import normalize_seeds, run_sweep
     from repro.sweep.cells import matrix_comparison
     from repro.sweep.spec import OPENSYS_SCENARIOS
-    from repro.workloads.opensys import (
-        SwfScenario,
-        built_in_scenarios,
-        run_scenario,
-    )
 
     seed_values = normalize_seeds(args.seeds, args.seed)
-    policy_names = args.policy or sorted(_POLICY_BY_NAME)
+    policy_names = args.policy or sorted(POLICIES)
     collect_metrics = args.metrics or bool(args.metrics_csv)
     collector, telemetry_sink, on_commit = _progress_hooks(args.progress)
     if args.swf:
@@ -636,25 +632,15 @@ def cmd_opensys(args: argparse.Namespace) -> None:
 
     if args.trace:
         from repro.obs import Tracer
+        from repro.sweep.cells import opensys_result_from_dict, run_cell
 
-        if args.swf:
-            trace_scenario: typing.Any = SwfScenario.from_file(
-                args.swf,
-                time_scale=args.time_scale,
-                work_scale=args.work_scale,
-                max_jobs=args.max_jobs,
-            )
-        else:
-            trace_scenario = built_in_scenarios(
-                lite=args.lite, n_processors=args.processors
-            )[spec.scenarios[0]]
+        (cell,) = dataclasses.replace(
+            spec, scenarios=spec.scenarios[:1], policies=spec.policies[:1],
+            seeds=(args.seed,),
+        ).expand()
         tracer = Tracer()
-        result = run_scenario(
-            trace_scenario,
-            _POLICY_BY_NAME[policy_names[0]],
-            seed=args.seed,
-            n_processors=args.processors,
-            tracer=tracer,
+        result = opensys_result_from_dict(
+            run_cell(cell, tracer=tracer)["data"]["opensys"]
         )
         if not _write_checked_trace(
             tracer.records, result.system, args.trace, args.trace_format,
@@ -894,7 +880,6 @@ def cmd_all(args: argparse.Namespace) -> None:
     """Every experiment in paper order; the figures run as one sweep."""
     cmd_apps(args)
     run_figures(args, list(FIGURES))
-    cmd_section8(args)
     cmd_hierarchy(args)
 
 
@@ -978,10 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p_gantt, ("--mix",))
     p_gantt.set_defaults(func=cmd_gantt)
 
-    p_s8 = sub.add_parser("section8", help="time-sharing vs space-sharing contrast")
-    _add_flags(p_s8, ("--mix",))
-    p_s8.set_defaults(func=cmd_section8)
-
     p_hier = sub.add_parser("hierarchy", help="Section 7.2 sqrt-memory-law table")
     p_hier.set_defaults(func=cmd_hierarchy)
 
@@ -990,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_flags(p_trace, ("--mix",))
     p_trace.add_argument(
-        "--policy", choices=sorted(_POLICY_BY_NAME), default=DYN_AFF.name,
+        "--policy", choices=sorted(POLICIES), default=DYN_AFF.name,
     )
     p_trace.add_argument(
         "--out", type=str, default="trace.jsonl",
@@ -1018,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="built-in scenario to run (default: all four)",
     )
     p_os.add_argument(
-        "--policy", action="append", choices=sorted(_POLICY_BY_NAME),
+        "--policy", action="append", choices=sorted(POLICIES),
         default=None, metavar="NAME",
         help="policy to include, repeatable (default: all five)",
     )

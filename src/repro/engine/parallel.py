@@ -8,12 +8,16 @@ exactly what ``workers=1`` returns; only the wall clock changes.
 
 Callables and items must be picklable (module-level functions or
 ``functools.partial`` over them) when ``workers > 1``, since they cross a
-process boundary.
+process boundary.  Pool workers exit once the process that started
+them is gone (:func:`exit_with_parent`).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
+import threading
+import time
 import typing
 
 T = typing.TypeVar("T")
@@ -31,6 +35,25 @@ def resolve_workers(workers: typing.Optional[int]) -> int:
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     return int(workers)
+
+
+def exit_with_parent() -> None:
+    """Process initializer: exit this process once its parent is gone.
+
+    A parent killed by SIGKILL cannot shut down its pool or its telemetry
+    manager.  Reparented, the pool's workers would compute the cells
+    already queued to them and then wait forever, and the manager would
+    wait forever.  The cache commits each cell atomically, so exiting
+    mid-cell just leaves that cell pending.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def map_items(
@@ -55,7 +78,9 @@ def map_items(
             if on_commit is not None:
                 on_commit(index, results[-1])
         return results
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=n_workers, initializer=exit_with_parent
+    ) as pool:
         futures = [pool.submit(fn, item) for item in item_tuple]
         for index, future in enumerate(futures):
             results.append(future.result())

@@ -203,16 +203,7 @@ class SetAssociativeCache:
             oid = self._intern(owner)
         hits = self._backend.access_batch(oid << OWNER_SHIFT, blocks)
         if account:
-            misses = len(blocks) - hits
-            if misses:
-                self._index_dirty = True
-            self.stats.hits += hits
-            self.stats.misses += misses
-            if len(self._owner_ids) > self._owner_gc_limit:
-                self._rebuild_index()
-            tracer = self._tracer
-            if tracer is not None and tracer.enabled:  # type: ignore[attr-defined]
-                self._emit_batch(owner, len(blocks), hits)
+            self.note_batch(owner, len(blocks), hits)
         if profiling:
             prof.pop()  # type: ignore[attr-defined]
         return hits

@@ -35,22 +35,6 @@ import typing
 PROFILE_SCHEMA = "repro.profile/1"
 
 
-class _Span:
-    """Context-manager sugar over ``push``/``pop`` for non-hot-path code."""
-
-    __slots__ = ("_profiler", "_name")
-
-    def __init__(self, profiler: "SpanProfiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-
-    def __enter__(self) -> None:
-        self._profiler.push(self._name)
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._profiler.pop()
-
-
 class SpanProfiler:
     """Aggregates named wall-clock spans into inclusive/exclusive totals.
 
@@ -93,10 +77,6 @@ class SpanProfiler:
         agg[2] += duration - child
         if duration > agg[3]:
             agg[3] = duration
-
-    def span(self, name: str) -> _Span:
-        """``with profiler.span("stage"): ...`` for non-hot-path call sites."""
-        return _Span(self, name)
 
     # -- snapshots ------------------------------------------------------- #
 

@@ -263,7 +263,12 @@ class TelemetryChannel:
         self._queue: typing.Optional[typing.Any] = None
         self._thread: typing.Optional[threading.Thread] = None
         if workers > 1:
-            self._manager = multiprocessing.Manager()
+            import multiprocessing.managers
+
+            from repro.engine.parallel import exit_with_parent
+
+            self._manager = multiprocessing.managers.SyncManager()
+            self._manager.start(exit_with_parent)
             self._queue = self._manager.Queue()
             self.sink: TelemetrySink = _QueueSink(self._queue)
             self._thread = threading.Thread(

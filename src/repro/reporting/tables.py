@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.core.system import SystemResult
 from repro.measure.penalty import PenaltyTable
 from repro.measure.runner import MixComparison
 
@@ -135,3 +136,20 @@ def render_table4(
     return format_table(
         headers, rows, title="Average job response time (homogeneous workloads, s)"
     )
+
+
+def render_section8(
+    mix_id: int, results: typing.Mapping[str, SystemResult]
+) -> str:
+    """Section 8: each job's response time, reallocations, affinity and
+    cache penalty per policy (``results``: policy name -> one run)."""
+    lines = [f"workload #{mix_id}: time sharing vs space sharing"]
+    for name, result in results.items():
+        for job, m in sorted(result.jobs.items()):
+            lines.append(
+                f"  {name:16s} {job:9s} RT {m.response_time:7.1f} s  "
+                f"{m.n_reallocations:6d} reallocs  "
+                f"{m.pct_affinity:3.0f}% affinity  "
+                f"{m.cache_penalty_total:6.2f} s cache penalty"
+            )
+    return "\n".join(lines)

@@ -34,7 +34,14 @@ from repro.measure.runner import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import SpanProfiler
 from repro.sweep.cache import RESULT_SCHEMA
-from repro.sweep.spec import POLICIES_BY_NAME, SweepCell, SweepSpec
+from repro.sweep.spec import (
+    CELL_KINDS,
+    SweepCell,
+    SweepSpec,
+    mix_cell,
+    policy_named,
+    table1_cell,
+)
 from repro.workloads.opensys.scenario import (
     CellSummary,
     MatrixComparison,
@@ -196,66 +203,53 @@ def run_cell(
     snapshot is wall-clock measurement and therefore *transient* — the
     executor strips it before caching (see :func:`strip_transient`).
     """
+    if cell.kind not in CELL_KINDS:
+        raise ValueError(f"unknown cell kind {cell.kind!r}")
     config = cell.config
     registry = MetricsRegistry() if collect_metrics else None
     profiler = SpanProfiler() if collect_profile else None
-    if cell.kind == "mix":
-        result = run_mix(
-            config["mix"],
-            POLICIES_BY_NAME[config["policy"]],
-            seed=config["seed"],
-            n_processors=config["n_processors"],
-            tracer=tracer,
-            metrics=registry,
-            profiler=profiler,
-            heartbeat=heartbeat,
-        )
-        data: typing.Dict[str, typing.Any] = {
-            "system": system_result_to_dict(result)
-        }
-    elif cell.kind in ("opensys", "swf"):
-        if cell.kind == "opensys":
-            scenario: typing.Any = built_in_scenarios(
-                lite=config["lite"],
-                n_processors=config["n_processors"],
-                utilization=config["utilization"],
-            )[config["scenario"]]
-        else:
-            scenario = SwfScenario.from_file(
-                config["swf"],
-                time_scale=config["time_scale"],
-                work_scale=config["work_scale"],
-                max_jobs=config["max_jobs"],
-                sha256=config["sha256"],
-            )
-        result = run_scenario(
-            scenario,
-            POLICIES_BY_NAME[config["policy"]],
-            seed=config["seed"],
-            n_processors=config["n_processors"],
-            tracer=tracer,
-            metrics=registry,
-            profiler=profiler,
-            heartbeat=heartbeat,
-        )
-        data = {"opensys": opensys_result_to_dict(result)}
-    elif cell.kind == "table1":
+    observers = dict(tracer=tracer, metrics=registry, profiler=profiler)
+    if cell.kind == "table1":
         experiment = PenaltyExperiment(
-            scale=config["scale"],
-            seed=config["seed"],
-            tracer=tracer,
-            metrics=registry,
-            profiler=profiler,
-            backend=config["backend"],
+            scale=config["scale"], seed=config["seed"],
+            backend=config["backend"], **observers,
         )
         result = experiment.measure(
             APPLICATIONS[config["app"]],
             config["q_s"],
             partners=[APPLICATIONS[name] for name in config["partners"]],
         )
-        data = {"penalty": penalty_result_to_dict(result)}
+        data: typing.Dict[str, typing.Any] = {
+            "penalty": penalty_result_to_dict(result)
+        }
     else:
-        raise ValueError(f"unknown cell kind {cell.kind!r}")
+        policy = policy_named(config["policy"], cell.kind)
+        run = dict(
+            seed=config["seed"], n_processors=config["n_processors"],
+            heartbeat=heartbeat, **observers,
+        )
+        if cell.kind == "mix":
+            data = {"system": system_result_to_dict(
+                run_mix(config["mix"], policy, **run)
+            )}
+        else:
+            if cell.kind == "opensys":
+                scenario: typing.Any = built_in_scenarios(
+                    lite=config["lite"],
+                    n_processors=config["n_processors"],
+                    utilization=config["utilization"],
+                )[config["scenario"]]
+            else:
+                scenario = SwfScenario.from_file(
+                    config["swf"],
+                    time_scale=config["time_scale"],
+                    work_scale=config["work_scale"],
+                    max_jobs=config["max_jobs"],
+                    sha256=config["sha256"],
+                )
+            data = {"opensys": opensys_result_to_dict(
+                run_scenario(scenario, policy, **run)
+            )}
     payload: typing.Dict[str, typing.Any] = {
         "schema": RESULT_SCHEMA,
         "kind": cell.kind,
@@ -302,13 +296,7 @@ def mix_comparison(
         metrics: typing.Dict[str, dict] = {}
         profile: typing.Dict[str, dict] = {}
         for policy in spec.policies:
-            cell = SweepCell.make("mix", {
-                "mix": mix_id,
-                "policy": policy,
-                "seed": seed,
-                "n_processors": spec.n_processors,
-            })
-            payload = payloads[cell]
+            payload = payloads[mix_cell(mix_id, policy, seed, spec.n_processors)]
             system = payload["data"]["system"]
             jobs[policy] = {
                 name: job_metrics_from_dict(m)
@@ -378,12 +366,7 @@ def mean_response_table(
         for policy in spec.policies:
             total = 0.0
             for seed in spec.seeds:
-                cell = SweepCell.make("mix", {
-                    "mix": mix_id,
-                    "policy": policy,
-                    "seed": seed,
-                    "n_processors": spec.n_processors,
-                })
+                cell = mix_cell(mix_id, policy, seed, spec.n_processors)
                 jobs = payloads[cell]["data"]["system"]["jobs"]
                 total += sum(
                     j["response_time"] for j in jobs.values()
@@ -405,14 +388,9 @@ def penalty_table(
     results: typing.Dict[typing.Tuple[str, float], PenaltyResult] = {}
     for app in spec.apps:
         for q_s in spec.quanta:
-            cell = SweepCell.make("table1", {
-                "app": app,
-                "q_s": q_s,
-                "partners": list(spec.apps),
-                "scale": spec.scale,
-                "seed": seed,
-                "backend": spec.backend,
-            })
+            cell = table1_cell(
+                app, q_s, spec.apps, spec.scale, seed, spec.backend
+            )
             results[(app, q_s)] = penalty_result_from_dict(
                 payloads[cell]["data"]["penalty"]
             )

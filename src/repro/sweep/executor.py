@@ -35,6 +35,7 @@ import os
 import typing
 
 from repro.engine.parallel import map_items, resolve_workers
+from repro.obs import Tracer
 from repro.obs.telemetry import HeartbeatEmitter, TelemetryChannel, TelemetrySink
 from repro.sweep.cache import ResultCache, cell_key, code_fingerprint
 from repro.sweep.cells import run_cell, strip_transient
@@ -103,16 +104,13 @@ def _run_shard(
     out: typing.List[typing.Dict[str, typing.Any]] = []
     for kind, config_json, key, store_trace in shard:
         cell = SweepCell(kind=kind, config_json=config_json)
-        heartbeat = (
-            HeartbeatEmitter(telemetry_sink, label=cell.label)
-            if telemetry_sink is not None
-            else None
-        )
-        tracer = None
-        if cache is not None and store_trace:
-            from repro.obs import Tracer
-
-            tracer = Tracer()
+        tracer = Tracer() if cache is not None and store_trace else None
+        heartbeat = None
+        if telemetry_sink is not None:
+            heartbeat = HeartbeatEmitter(
+                telemetry_sink, label=cell.label,
+                records_fn=tracer.__len__ if tracer is not None else None,
+            )
         payload = run_cell(
             cell,
             collect_metrics=collect_metrics,

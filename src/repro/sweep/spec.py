@@ -27,13 +27,7 @@ import math
 import os
 import typing
 
-from repro.core.policies import (
-    DYN_AFF,
-    DYN_AFF_DELAY,
-    DYN_AFF_NOPRI,
-    DYNAMIC,
-    EQUIPARTITION,
-)
+from repro.core.policies import POLICIES, TIME_SHARING, TIME_SHARING_AFFINITY
 from repro.measure.workloads import MIXES
 
 #: Sweep spec schema identifier, part of every cell's cache key.
@@ -41,12 +35,6 @@ SPEC_SCHEMA = "repro.sweep.spec/1"
 
 #: The cell kinds the executor knows how to run.
 CELL_KINDS = ("mix", "opensys", "swf", "table1")
-
-#: Policy display name -> policy object (the sweep axes speak names).
-POLICIES_BY_NAME = {
-    p.name: p
-    for p in (EQUIPARTITION, DYNAMIC, DYN_AFF, DYN_AFF_DELAY, DYN_AFF_NOPRI)
-}
 
 #: Names of the built-in open-system scenarios.  Hardcoded rather than
 #: imported so this module stays a leaf that never loads the simulator;
@@ -126,6 +114,25 @@ def file_sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def policy_named(name: str, kind: str) -> typing.Any:
+    """The policy a cell of ``kind`` runs under the display name ``name``:
+    one of the paper's five (:data:`~repro.core.policies.POLICIES`), or,
+    for ``mix`` cells only, one of Section 8's two time-sharing policies.
+
+    Raises:
+        ValueError: naming the policy, if ``kind`` does not run it.
+    """
+    time_sharing = {p.name: p for p in (TIME_SHARING, TIME_SHARING_AFFINITY)}
+    if name in time_sharing and kind != "mix":
+        raise ValueError(
+            f"policy {name!r} is time sharing, which only 'mix' sweeps run"
+        )
+    policy = POLICIES.get(name) or time_sharing.get(name)
+    if policy is None:
+        raise ValueError(f"unknown policy {name!r}; expected one of {sorted(POLICIES)}")
+    return policy
+
+
 @dataclasses.dataclass(frozen=True, order=True)
 class SweepCell:
     """One unit of sweep work: a kind plus its canonical config.
@@ -166,6 +173,28 @@ class SweepCell:
             name = os.path.basename(c["swf"])
             return f"swf:{name}/{c['policy']}/seed{c['seed']}"
         return f"table1/{c['app']}/q{c['q_s']:g}/seed{c['seed']}"
+
+
+# The one place each of these config layouts is written, so a spec, an
+# assembler and a traced CLI run all key the same cell the same way.
+
+
+def mix_cell(mix: int, policy: str, seed: int, n_processors: int = 16) -> SweepCell:
+    """Table 2 mix ``mix`` under ``policy`` on ``n_processors`` CPUs."""
+    return SweepCell.make("mix", {
+        "mix": mix, "policy": policy, "seed": seed, "n_processors": n_processors,
+    })
+
+
+def table1_cell(
+    app: str, q_s: float, partners: typing.Sequence[str], scale: int, seed: int,
+    backend: typing.Optional[str],
+) -> SweepCell:
+    """Table 1's penalties for ``app`` at quantum ``q_s``."""
+    return SweepCell.make("table1", {
+        "app": app, "q_s": q_s, "partners": list(partners), "scale": scale,
+        "seed": seed, "backend": backend,
+    })
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,11 +273,7 @@ class SweepSpec:
             if not self.policies:
                 raise ValueError(f"a {self.kind!r} sweep needs at least one policy")
             for policy in self.policies:
-                if policy not in POLICIES_BY_NAME:
-                    raise ValueError(
-                        f"unknown policy {policy!r}; expected one of "
-                        f"{sorted(POLICIES_BY_NAME)}"
-                    )
+                policy_named(policy, self.kind)
         if self.kind == "mix":
             if not self.mixes:
                 raise ValueError("a 'mix' sweep needs at least one mix id")
@@ -312,12 +337,7 @@ class SweepSpec:
             for mix in self.mixes:
                 for policy in self.policies:
                     for seed in self.seeds:
-                        cells.append(SweepCell.make("mix", {
-                            "mix": mix,
-                            "policy": policy,
-                            "seed": seed,
-                            "n_processors": self.n_processors,
-                        }))
+                        cells.append(mix_cell(mix, policy, seed, self.n_processors))
         elif self.kind == "opensys":
             for scenario in self.scenarios:
                 for policy in self.policies:
@@ -348,14 +368,9 @@ class SweepSpec:
             for app in self.apps:
                 for q_s in self.quanta:
                     for seed in self.seeds:
-                        cells.append(SweepCell.make("table1", {
-                            "app": app,
-                            "q_s": q_s,
-                            "partners": list(self.apps),
-                            "scale": self.scale,
-                            "seed": seed,
-                            "backend": self.backend,
-                        }))
+                        cells.append(table1_cell(
+                            app, q_s, self.apps, self.scale, seed, self.backend
+                        ))
         return tuple(cells)
 
     def to_dict(self) -> typing.Dict[str, typing.Any]:

@@ -79,13 +79,6 @@ class TestSpanArithmetic:
         assert data["inclusive_s"] == 7.0
         assert data["max_s"] == 4.0
 
-    def test_span_context_manager(self):
-        clock = FakeClock()
-        prof = SpanProfiler(clock=clock)
-        with prof.span("stage"):
-            clock.advance(1.5)
-        assert prof.snapshot()["spans"]["stage"]["inclusive_s"] == 1.5
-
     def test_snapshot_with_open_spans_refuses(self):
         prof = SpanProfiler(clock=FakeClock())
         prof.push("left-open")

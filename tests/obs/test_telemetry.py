@@ -187,3 +187,32 @@ class TestMatrixTelemetry:
                 baseline.cells[key].mean_response
             )
         assert collector.summary()["cells_finished"] == 4
+
+    def test_final_heartbeat_counts_the_stored_trace(self, tmp_path):
+        """A ``store_traces`` cell reports its trace's record count; an
+        untraced cell reports 0."""
+        from repro.obs.store import iter_columnar
+        from repro.sweep import ResultCache
+
+        def spec(name, seed, store_traces):
+            return SweepSpec(
+                name=name, kind="opensys", scenarios=("steady",),
+                policies=(DYN_AFF.name,), seeds=(seed,), n_processors=4,
+                lite=True, store_traces=store_traces,
+            )
+
+        cache = ResultCache(str(tmp_path))
+        collector = TelemetryCollector()
+        sweep = run_sweep(
+            [spec("traced", 0, True), spec("plain", 1, False)],
+            cache=cache, telemetry=collector,
+        )
+        traced = sweep.outcomes[0]
+        n_records = sum(1 for _ in iter_columnar(cache.trace_path(traced.key)))
+        assert n_records > 0
+        finals = collector.latest
+        assert finals["steady/Dyn-Aff/seed0"].final
+        assert finals["steady/Dyn-Aff/seed0"].records == n_records
+        assert finals["steady/Dyn-Aff/seed1"].final
+        assert finals["steady/Dyn-Aff/seed1"].records == 0
+        assert collector.summary()["total_records"] == n_records

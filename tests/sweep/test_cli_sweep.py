@@ -1,6 +1,7 @@
 """CLI surface of the sweep layer: `repro sweep` and the --seeds axis."""
 
 import json
+import os
 
 import pytest
 
@@ -8,6 +9,10 @@ from repro.cli import build_parser, main
 from repro.core.policies import DYN_AFF, EQUIPARTITION
 from repro.sweep import SweepSpec, normalize_seeds, run_sweep
 from repro.sweep.cells import matrix_comparison
+
+SAMPLE_SWF = os.path.join(
+    os.path.dirname(os.path.dirname(__file__)), "data", "sample.swf"
+)
 
 
 def _write_spec(tmp_path, **overrides):
@@ -80,6 +85,43 @@ class TestSweepCommand:
                      str(tmp_path / "cache"), "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "=== metrics ===" in out
+
+
+class TestTimeSharingPolicies:
+    """Section 8's time-sharing policies are ``mix``-only sweep policies."""
+
+    def _run(self, tmp_path, document):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        return main(
+            ["sweep", "run", str(path), "--cache-dir", str(tmp_path / "cache")]
+        )
+
+    def _rejected(self, tmp_path, capsys, document, policy):
+        with pytest.raises(SystemExit) as excinfo:
+            self._run(tmp_path, dict(document, name="ts", policies=[policy]))
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "spec.json") in err
+        assert f"policy {policy!r} is time sharing" in err
+
+    def test_mix_sweep_runs_time_sharing(self, tmp_path, capsys):
+        assert self._run(tmp_path, {
+            "name": "ts", "kind": "mix", "mixes": [1],
+            "policies": ["TimeSharing", "TimeSharing-Aff", "Dynamic"],
+        }) == 0
+        out = capsys.readouterr().out
+        assert "3 cells, 0 cache hits, 3 computed" in out
+        assert "  TimeSharing-Aff " in out
+
+    def test_opensys_sweep_rejects_time_sharing(self, tmp_path, capsys):
+        self._rejected(tmp_path, capsys, {
+            "kind": "opensys", "scenarios": ["steady"], "lite": True,
+        }, "TimeSharing-Aff")
+
+    def test_swf_sweep_rejects_time_sharing(self, tmp_path, capsys):
+        self._rejected(tmp_path, capsys, {"kind": "swf", "swf": SAMPLE_SWF},
+                       "TimeSharing")
 
 
 class TestSeedsAxis:

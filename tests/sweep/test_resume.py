@@ -18,6 +18,7 @@ import pathlib
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -42,6 +43,25 @@ def kamikaze(index, payloads):
 
 run_sweep(spec, cache=cache, workers=workers, shard_size=1,
           on_commit=kamikaze)
+raise SystemExit("unreachable: the sweep should have been killed")
+"""
+
+
+ORPHANER = """\
+import json, multiprocessing, os, signal, sys
+
+from repro.sweep import ResultCache, spec_from_dict
+from repro.sweep.executor import run_sweep
+
+spec = spec_from_dict(json.loads(sys.argv[1]))
+
+def kill_only_the_parent(index, payloads):
+    with open(sys.argv[3], "w") as fh:
+        fh.write(" ".join(str(p.pid) for p in multiprocessing.active_children()))
+    os.kill(os.getpid(), signal.SIGKILL)
+
+run_sweep(spec, cache=ResultCache(sys.argv[2]), workers=2, shard_size=1,
+          on_commit=kill_only_the_parent, telemetry=lambda snapshot: None)
 raise SystemExit("unreachable: the sweep should have been killed")
 """
 
@@ -117,3 +137,39 @@ def test_journal_survives_the_kill(tmp_path):
     assert lines[0]["event"] == "run_start"
     assert any(line["event"] == "cell_done" for line in lines)
     assert all(line["event"] != "run_end" for line in lines)
+
+
+def _running(pid):
+    """Is ``pid`` a live process (an exited, unreaped one is not)?"""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
+
+
+def test_workers_exit_when_only_their_parent_is_killed(tmp_path):
+    pids_file = tmp_path / "children.pids"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", ORPHANER, json.dumps(_spec().to_dict()),
+         str(tmp_path / "cache"), str(pids_file)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        timeout=120, start_new_session=True,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    children = [int(pid) for pid in pids_file.read_text().split()]
+    assert len(children) == 3  # two pool workers and the telemetry manager
+    deadline = time.monotonic() + 10
+    try:
+        while any(map(_running, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in children if _running(pid)]
+    finally:
+        for pid in children:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
