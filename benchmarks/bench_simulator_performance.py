@@ -454,8 +454,9 @@ def test_penalty_regime_numpy_throughput(benchmark, monkeypatch):
     The driver shape of the ``penalty`` benchmark workload (Table 1 at
     scale 16 on the numpy engine): stationary, migrating and multiprog
     regimes, with the partner's stream read between the measured
-    program's slices.  ``extra_info`` records the numpy engine calls per
-    slice of one more, untimed, run.
+    program's slices.  ``extra_info`` records, for one more, untimed,
+    run, the numpy sorting-kernel passes per slice and the touches they
+    see per touch played.
     """
     from repro.machine import batching
     from repro.machine.backends.numpy_backend import NumpyBackend
@@ -471,25 +472,31 @@ def test_penalty_regime_numpy_throughput(benchmark, monkeypatch):
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert 0 < result.p_a_s("MATRIX") < result.p_na_s
 
-    counts = {"kernel": 0, "slices": 0}
+    counts = {"kernel": 0, "kernel_touches": 0, "slices": 0, "played": 0}
+    kernel = NumpyBackend._kernel
 
-    def counted(method, key):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return method(*args, **kwargs)
+    def counted_kernel(self, base, blocks, want_flags):
+        counts["kernel"] += 1
+        counts["kernel_touches"] += len(blocks)
+        return kernel(self, base, blocks, want_flags)
 
-        return wrapper
+    slice_loop = batching.play
 
-    for name in ("access_batch", "access_flags"):
-        monkeypatch.setattr(
-            NumpyBackend, name, counted(getattr(NumpyBackend, name), "kernel")
-        )
-    play = counted(batching.play, "slices")
+    def play(*args, **kwargs):
+        counts["slices"] += 1
+        played, left, total = slice_loop(*args, **kwargs)
+        counts["played"] += played
+        return played, left, total
+
+    monkeypatch.setattr(NumpyBackend, "_kernel", counted_kernel)
     monkeypatch.setattr(batching, "play", play)
     monkeypatch.setattr(penalty, "play", play)
     run()
     benchmark.extra_info["kernel_calls_per_slice"] = round(
         counts["kernel"] / counts["slices"], 3
+    )
+    benchmark.extra_info["kernel_touches_per_played_touch"] = round(
+        counts["kernel_touches"] / counts["played"], 3
     )
 
 

@@ -70,8 +70,10 @@ class CacheBackend(typing.Protocol):
     #: Most touches :func:`repro.machine.batching.play` classifies in one
     #: speculative window; 0 means no window: the slice loop plays each
     #: safe chunk with one :meth:`access_batch` call, and the engine need
-    #: not provide :meth:`access_flags`, :meth:`checkpoint` or
-    #: :meth:`restore`.
+    #: not provide :meth:`access_flags`.  With a window, the slice loop
+    #: classifies it with :meth:`access_flags` (no state change) and
+    #: commits the touches it plays with :meth:`access_batch` of the
+    #: window, or of a prefix of it, next.
     max_window: int
 
     def access_batch(self, base: int, blocks: typing.Sequence[int]) -> int:
@@ -85,17 +87,12 @@ class CacheBackend(typing.Protocol):
     def access_flags(
         self, base: int, blocks: typing.Sequence[int]
     ) -> typing.Tuple[int, typing.Sequence[bool]]:
-        """:meth:`access_batch` that also returns each touch's hit flag
+        """Each touch's hit flag if ``blocks`` were referenced now
         (engines with a speculative window only).
 
-        Same state change and validation; returns ``(hits, flags)``.
+        Same validation as :meth:`access_batch`, but the tag state is
+        left as it was; returns ``(hits, flags)``.
         """
-
-    def checkpoint(self) -> object:
-        """An opaque copy of the tag state, for :meth:`restore`."""
-
-    def restore(self, mark: object) -> None:
-        """Return the tag state to what :meth:`checkpoint` recorded."""
 
     def contains(self, base: int, block: int) -> bool:
         """True if the tag ``base + block`` is resident (LRU state untouched)."""

@@ -29,6 +29,18 @@ Algorithm (per chunk of ``n`` blocks):
    The i-th last run of the chunk pairs with the i-th group head, so
    the head gather is reused.
 
+``access_batch`` runs steps 1-4.  ``access_flags`` is classification
+only: steps 1-3, the tag state left as it was, and the sorted layout
+kept (:class:`_Window`).  If the next ``access_batch`` on the same owner
+is a prefix of that window, compared by value, only step 4 runs, for
+the prefix: a set's touches inside the prefix are the first touches of
+its group, so its last prefix run is the group's ``c``-th run, with
+``c`` the group's runs that start inside the prefix, and the prefix's
+hits are its flags' count.  Any other call that changes the state drops
+the window, and the kernel runs as usual.  One-block batches skip the
+arrays: they fold the owner view back and update the packed tags as the
+scalar engine does.
+
 State lives in two ``int64`` arrays of packed tags (``(owner_id << 40)
 | block``), exactly mirroring the scalar flat lists.  Two additional
 *owner-view* arrays cache the current owner's state in block space so
@@ -43,6 +55,7 @@ narrowing so stale wide state tags can never alias after a cast.
 
 from __future__ import annotations
 
+import operator
 import typing
 
 import numpy as np
@@ -79,6 +92,8 @@ class NumpyBackend:
         self._bnd = np.empty(1 << 14, dtype=bool)
         self._lb32 = np.empty(1 << 14, dtype=np.int32)
         self._lb64 = np.empty(1 << 14, dtype=np.int64)
+        #: the last classified window, until the state next changes
+        self._window: typing.Optional[_Window] = None
 
     # -- owner views ---------------------------------------------------- #
 
@@ -115,23 +130,72 @@ class NumpyBackend:
     # -- hot path ------------------------------------------------------- #
 
     def access_batch(self, base: int, blocks: typing.Sequence[int]) -> int:
-        return self._kernel(base, blocks, False)
+        window = self._window
+        if window is not None:
+            self._window = None
+            if base == window.base:
+                hits = self._commit_prefix(window, blocks)
+                if hits is not None:
+                    return hits
+        if len(blocks) == 1:
+            return self._access_one(base, blocks[0])
+        window = self._kernel(base, np.asarray(blocks), False)
+        if window is None:
+            return 0
+        self._commit_all(window)
+        return window.hits
 
     def access_flags(
         self, base: int, blocks: typing.Sequence[int]
     ) -> typing.Tuple[int, np.ndarray]:
-        return self._kernel(base, blocks, True)
+        """Classify ``blocks`` for the owner at ``base``, leaving the state.
 
-    def _kernel(self, base: int, blocks: typing.Sequence[int], want_flags: bool):
-        """One chunk through the run-collapse update; see the module docstring.
-
-        Returns the hit count, or with ``want_flags`` the pair
-        ``(hits, flags)``: a ``bool`` array, one per touch in program order.
+        Returns ``(hits, flags)``, one read-only hit flag per touch in
+        program order, and keeps the window's sorted layout so that the
+        next :meth:`access_batch` of a prefix of ``blocks`` (compared by
+        value) writes back without a second sort.
         """
-        b = np.asarray(blocks)
+        self._window = None
+        # a private copy: the prefix check compares against these values
+        window = self._kernel(base, np.array(blocks), True)
+        if window is None:
+            return 0, np.zeros(0, dtype=bool)
+        self._window = window
+        return window.hits, window.flags
+
+    def _access_one(self, base: int, block: int) -> int:
+        """One touch on the packed tags, as the scalar engine plays it:
+        the kernel's validation and state change without its fixed
+        array costs."""
+        block = operator.index(block)
+        if block < 0 or block > BLOCK_MASK:
+            raise ValueError(
+                f"block indices must be in [0, 2**40); got range [{block}, {block}]"
+            )
+        if block >= (1 << 30):
+            self._big_blocks = True
+        self.sync()
+        i = block & self._set_mask
+        tag = base + block
+        m = self._mru.item(i)
+        if m == tag:
+            return 1
+        hit = self._lru.item(i) == tag
+        self._lru[i] = m
+        self._mru[i] = tag
+        return int(hit)
+
+    def _kernel(
+        self, base: int, b: np.ndarray, want_flags: bool
+    ) -> typing.Optional[_Window]:
+        """Sort one chunk by set and score its runs; see the module docstring.
+
+        Reads the state but never writes it (activating the owner view
+        aside).  Returns None for an empty chunk.
+        """
         n = b.shape[0]
         if n == 0:
-            return (0, np.zeros(0, dtype=bool)) if want_flags else 0
+            return None
         lo = int(b.min())
         hi = int(b.max())
         if lo < 0 or hi > BLOCK_MASK:
@@ -176,6 +240,7 @@ class NumpyBackend:
         bnd |= heads
         if bool(bnd.all()):
             k = n
+            bidx = None
             RT = bs  # run tags (block space), one per run
             hpos = np.flatnonzero(heads)
             hkey = ss.take(hpos, mode="clip")
@@ -207,22 +272,83 @@ class NumpyBackend:
         hits = n - k
         hits += int(np.count_nonzero(run_hit))
         hits += int(np.count_nonzero(head_hit))
+        flags = None
         if want_flags:
             # Every non-first access of a run hits; a run's first access
             # hits as scored above (heads never match LB's -2 marker).
             run_hit[hpos] = head_hit
-            if k == n:
+            if bidx is None:
                 in_set_order = run_hit
             else:
                 in_set_order = ~bnd
                 in_set_order[bidx] = run_hit
             flags = np.empty(n, dtype=bool)
             flags[order] = in_set_order
-        # Write-back: the i-th last run of a set pairs with the i-th head.
-        lpos = np.empty(h, dtype=hpos.dtype)
+            flags.flags.writeable = False
+        return _Window(base, b, order, bidx, RT, hpos, hkey, hmb, hlb, hits, flags)
+
+    def _commit_prefix(
+        self, window: _Window, blocks: typing.Sequence[int]
+    ) -> typing.Optional[int]:
+        """Write back the first ``len(blocks)`` touches of a classified
+        window, if ``blocks`` equals them; None (nothing written) if not.
+
+        Within a set, the prefix's touches are the first touches of the
+        set's group, so the set's last prefix run is the group's
+        ``cnt``-th run, with ``cnt`` its runs that start inside the
+        prefix.
+        """
+        b = np.asarray(blocks)
+        p = len(b)
+        if not 0 < p <= window.blocks.shape[0]:
+            return None
+        if not np.array_equal(b, window.blocks[:p]):
+            return None
+        rpos = window.order  # each run's first position in program order
+        if window.bidx is not None:
+            rpos = rpos.take(window.bidx, mode="clip")
+        cnt = np.add.reduceat(rpos < p, window.hpos, dtype=np.intp)
+        sel = np.flatnonzero(cnt)  # the groups the prefix touches
+        cnt = cnt.take(sel, mode="clip")
+        self._commit(
+            window,
+            window.hpos.take(sel, mode="clip") + cnt - 1,
+            cnt == 1,
+            window.hkey.take(sel, mode="clip"),
+            window.hmb.take(sel, mode="clip"),
+            window.hlb.take(sel, mode="clip"),
+        )
+        return int(np.count_nonzero(window.flags[:p]))
+
+    def _commit_all(self, window: _Window) -> None:
+        """Write back the whole window: the i-th last run of a set pairs
+        with the i-th group head."""
+        hpos = window.hpos
+        lpos = np.empty(hpos.shape[0], dtype=hpos.dtype)
         lpos[:-1] = hpos[1:] - 1
-        lpos[-1] = k - 1
-        lhead = lpos == hpos  # single-run group: last run IS the head
+        lpos[-1] = window.RT.shape[0] - 1
+        self._commit(
+            window, lpos, lpos == hpos, window.hkey, window.hmb, window.hlb
+        )
+
+    def _commit(
+        self,
+        window: _Window,
+        lpos: np.ndarray,
+        lhead: np.ndarray,
+        hkey: np.ndarray,
+        hmb: np.ndarray,
+        hlb: np.ndarray,
+    ) -> None:
+        """Write-back: each set in ``hkey`` ends on the run ``lpos``.
+
+        MRU is the run's tag.  LRU is the tag of the run before it, or,
+        where ``lhead`` (the run is its group's head), a survivor of the
+        pre-window state ``hmb``/``hlb``.
+        """
+        if window.base != self._view_base:
+            self._activate(window.base)
+        RT = window.RT
         lt = RT.take(lpos, mode="clip")
         cond = lt != hmb
         # lpos - 1 can be -1 only where lhead is true; where() discards
@@ -242,7 +368,6 @@ class NumpyBackend:
             self._lru[fix] = self._mru[fix]
         self._mru_b[hkey] = lt
         self._lru_b[hkey] = la_b
-        return (hits, flags) if want_flags else hits
 
     # -- queries -------------------------------------------------------- #
 
@@ -275,12 +400,14 @@ class NumpyBackend:
     # -- invalidation --------------------------------------------------- #
 
     def clear(self) -> None:
+        self._window = None
         self._mru.fill(EMPTY)
         self._lru.fill(EMPTY)
         self._view_base = None
         self._big_blocks = False
 
     def evict_tags(self, base: int, tags: typing.Iterable[int]) -> None:
+        self._window = None
         self.sync()
         mru = self._mru
         lru = self._lru
@@ -297,33 +424,25 @@ class NumpyBackend:
     #: chunk alone is longer)
     max_window = 1 << 16
 
-    def checkpoint(self) -> object:
-        """Copy of the tag state, owner views included (cheap: two ways
-        of ``n_sets`` tags each)."""
-        return (
-            self._mru.copy(),
-            self._lru.copy(),
-            self._view_base,
-            self._mru_b.copy(),
-            self._lru_b.copy(),
-        )
-
-    def restore(self, mark: object) -> None:
-        """Return to the state :meth:`checkpoint` recorded.
-
-        The sticky wide-block flag stays as it is: leaving it set is
-        always safe.
-        """
-        mru, lru, base, mru_b, lru_b = mark  # type: ignore[misc]
-        self._mru[:] = mru
-        self._lru[:] = lru
-        self._view_base = base
-        self._mru_b = mru_b.copy()
-        self._lru_b = lru_b.copy()
-
     # -- test support --------------------------------------------------- #
 
     def snapshot(self) -> object:
         """Same canonical form as the scalar backend's two-way snapshot."""
         self.sync()
         return ("two-way", self._mru.tolist(), self._lru.tolist())
+
+
+class _Window(typing.NamedTuple):
+    """A classified chunk's sorted layout, kept for its write-back."""
+
+    base: int
+    blocks: np.ndarray  # the chunk, in program order
+    order: np.ndarray  # program position of each touch, in set order
+    bidx: typing.Optional[np.ndarray]  # where each run starts (None: all)
+    RT: np.ndarray  # run tags (block space)
+    hpos: np.ndarray  # run index of each set group's head
+    hkey: np.ndarray  # that group's set
+    hmb: np.ndarray  # its pre-window MRU (block space, -1: not ours)
+    hlb: np.ndarray  # its pre-window LRU
+    hits: int
+    flags: typing.Optional[np.ndarray]  # per touch, program order

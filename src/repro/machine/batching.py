@@ -29,12 +29,16 @@ sequence is a pure function of its touches' hit flags: each chunk is
 the flags' prefix sums, and its cost is the expression
 ``Processor.touch_batch`` charges.  LRU hits are causal — a touch's flag
 depends only on the touches before it — so the engine classifies a
-*speculative window* of touches in one call, the chunk arithmetic is
-replayed over the flags, and the cache is committed up to the slice's
-end by restoring the checkpoint taken at the slice's start and playing
-the slice's touches in one unaccounted ``access_batch`` call.  Every
-float operation happens in the order the chunk loop used, so switch
-points, response times, stats and the per-chunk
+*speculative window* of touches in one call that leaves the cache as it
+was, and the chunk arithmetic is replayed over the flags.  The cache
+changes only through unaccounted ``access_batch`` calls, each touch
+played once: a window that a chunk runs past is committed whole before
+the next window is classified, and the slice ends by committing its
+part of the last window.  Each commit is a prefix of the window just
+classified, which the numpy engine writes back from the classified
+layout without sorting the touches again.  Every float operation
+happens in the order the chunk loop used, so switch points, response
+times, stats and the per-chunk
 :class:`~repro.obs.records.CacheBatch` records are bit-identical
 (``tests/measure/test_slice_loop.py`` keeps the chunk loop as the
 referee).  Whether there is a window is a property of the engine
@@ -135,12 +139,11 @@ def play(
     pos = 0  # touches replayed, always at a chunk boundary
     done_hits = 0  # hits among them
     # The classified windows cover touches [0, w_end); the last one
-    # starts at w_start, and ``mark`` holds the cache state at 0.
+    # starts at w_start, and every touch before it is committed.
     w_start = w_end = w_hits = 0
     before = 0  # hits among the touches before w_start
     flags: typing.Any = None
     prefix: typing.Any = None
-    mark = None
     while left > 0.0 and pos != limit:
         n = batch_limit(left, miss_cost)
         if limit is not None and n > limit - pos:
@@ -162,8 +165,11 @@ def play(
                 size = max(end - w_end, min(max_window, wanted))
                 if limit is not None:
                     size = min(size, limit - w_end)
-                if mark is None:
-                    mark = cache.checkpoint()
+                if w_end:
+                    # This chunk runs past the window: commit all of it.
+                    cache.access_batch(
+                        owner, reader.peek(w_start, w_end - w_start), account=False
+                    )
                 before += w_hits
                 w_start = w_end
                 w_end += size
@@ -185,11 +191,9 @@ def play(
         chunks.append((n, hits, cost))
         pos = end
         done_hits += hits
-    if mark is not None:
-        # Commit only the slice: undo the windows, play the slice's
-        # touches in one call.
-        cache.restore(mark)
-        cache.access_batch(owner, reader.peek(0, pos), account=False)
+    if w_end:
+        # Commit the slice's part of the last window.
+        cache.access_batch(owner, reader.peek(w_start, pos - w_start), account=False)
         reader.skip(pos)
     for n, hits, cost in chunks:
         cache.note_batch(owner, n, hits)

@@ -18,12 +18,12 @@ scaling" and "Cache backends"):
   whole chunk of block indices per call with a single stats update per
   chunk.  The scalar :meth:`~SetAssociativeCache.access` is a
   one-element wrapper around the same code path, so the two can never
-  disagree.  :meth:`~SetAssociativeCache.hit_flags`,
-  :meth:`~SetAssociativeCache.checkpoint` and
-  :meth:`~SetAssociativeCache.restore` let the Section 4 slice loop
-  classify touches speculatively and commit only a prefix, with one
-  unaccounted ``access_batch`` call
-  (:func:`repro.machine.batching.play`).
+  disagree.  :meth:`~SetAssociativeCache.hit_flags` classifies a
+  window of touches without changing the cache, so the Section 4 slice
+  loop (:func:`repro.machine.batching.play`) can classify touches
+  speculatively and commit only those it plays, with unaccounted
+  ``access_batch`` calls; the numpy engine writes such a prefix of the
+  window back from the classified layout without sorting it again.
 * **Pluggable backends** — the per-set LRU state and the chunk loop
   live behind the :class:`~repro.machine.backends.CacheBackend`
   protocol.  The ``scalar`` backend (per-touch Python loops) is the
@@ -248,11 +248,14 @@ class SetAssociativeCache:
     def hit_flags(
         self, owner: typing.Hashable, blocks: typing.Sequence[int]
     ) -> typing.Tuple[int, typing.Sequence[bool]]:
-        """An unaccounted :meth:`access_batch`, plus each touch's outcome.
+        """Each block's outcome if ``owner`` referenced ``blocks`` now.
 
-        Returns ``(hits, flags)`` with one hit flag per block, so a
-        caller can classify touches it may later take back with
-        :meth:`restore`.
+        Returns ``(hits, flags)`` with one hit flag per block, and
+        leaves the cache as it was: a caller classifies a window of
+        touches and then commits the prefix it plays with
+        :meth:`access_batch`.  The engine keeps the window's layout, so
+        an :meth:`access_batch` of a prefix of the same blocks, next,
+        writes back without classifying them again.
         """
         prof = self._profiler
         profiling = prof is not None and prof.enabled  # type: ignore[attr-defined]
@@ -266,14 +269,6 @@ class SetAssociativeCache:
         if profiling:
             prof.pop()  # type: ignore[attr-defined]
         return result
-
-    def checkpoint(self) -> object:
-        """An opaque copy of the tag state, for :meth:`restore`."""
-        return self._backend.checkpoint()  # type: ignore[attr-defined]
-
-    def restore(self, mark: object) -> None:
-        """Return the tag state to ``mark`` (the counters stay as they are)."""
-        self._backend.restore(mark)  # type: ignore[attr-defined]
 
     # -- queries -------------------------------------------------------- #
 

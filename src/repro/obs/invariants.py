@@ -103,12 +103,11 @@ class StreamingChecker:
         """Check one record against the replayed state and advance it."""
         state = self._state
         violations = self.violations
-        where = f"[{self._index}] t={record.time:.9f} {record.kind}"
-        self._index += 1
+        found = len(violations)
 
         if record.time < state.last_time - _EPS:
             violations.append(
-                f"{where}: clock ran backwards ({record.time} < {state.last_time})"
+                f"clock ran backwards ({record.time} < {state.last_time})"
             )
         state.last_time = max(state.last_time, record.time)
 
@@ -117,15 +116,15 @@ class StreamingChecker:
         elif isinstance(record, JobArrival):
             state.arrived[record.job] = record.time
         elif isinstance(record, JobDeparture):
-            _check_departure(state, record, where, violations)
+            _check_departure(state, record, violations)
         elif isinstance(record, JobCancelled):
-            _check_cancellation(state, record, where, violations)
+            _check_cancellation(state, record, violations)
         elif isinstance(record, CpuFailure):
-            _check_cpu_failure(state, record, where, violations)
+            _check_cpu_failure(state, record, violations)
         elif isinstance(record, CpuRecovery):
             if record.cpu not in state.offline:
                 violations.append(
-                    f"{where}: cpu {record.cpu} recovered without having failed"
+                    f"cpu {record.cpu} recovered without having failed"
                 )
             state.offline.discard(record.cpu)
         elif isinstance(record, CacheFlush):
@@ -133,25 +132,25 @@ class StreamingChecker:
                 0 <= record.lines <= state.config.cache_lines
             ):
                 violations.append(
-                    f"{where}: cache flush of {record.lines} lines outside "
+                    f"cache flush of {record.lines} lines outside "
                     f"[0, {state.config.cache_lines}]"
                 )
         elif isinstance(record, AllocationChange):
-            _check_alloc(state, record, where, violations)
+            _check_alloc(state, record, violations)
         elif isinstance(record, Dispatch):
-            _check_dispatch(state, record, where, violations)
+            _check_dispatch(state, record, violations)
         elif isinstance(record, Undispatch):
-            _check_undispatch(state, record, where, violations)
+            _check_undispatch(state, record, violations)
         elif isinstance(record, PolicyDecision):
-            _check_decision(state, record, where, violations)
+            _check_decision(state, record, violations)
         elif isinstance(record, RunEnd):
             if state.owner:
                 violations.append(
-                    f"{where}: run ended with owned processors {sorted(state.owner)}"
+                    f"run ended with owned processors {sorted(state.owner)}"
                 )
             if state.placed:
                 violations.append(
-                    f"{where}: run ended with placed workers {sorted(state.placed)}"
+                    f"run ended with placed workers {sorted(state.placed)}"
                 )
             lost = sorted(
                 name
@@ -160,9 +159,15 @@ class StreamingChecker:
             )
             if lost:
                 violations.append(
-                    f"{where}: jobs {lost} arrived but neither departed nor "
+                    f"jobs {lost} arrived but neither departed nor "
                     "were cancelled (work conservation violated)"
                 )
+        if len(violations) != found:
+            # Checks append bare messages; only a record that broke one
+            # pays for formatting its ``[index] t=time kind`` prefix.
+            where = f"[{self._index}] t={record.time:.9f} {record.kind}"
+            violations[found:] = [f"{where}: {v}" for v in violations[found:]]
+        self._index += 1
 
 
 def check_trace(records: typing.Iterable[TraceRecord]) -> typing.List[str]:
@@ -189,75 +194,75 @@ def assert_trace_ok(records: typing.Iterable[TraceRecord]) -> None:
 
 
 def _check_departure(
-    state: _State, record: JobDeparture, where: str, violations: typing.List[str]
+    state: _State, record: JobDeparture, violations: typing.List[str]
 ) -> None:
     arrival = state.arrived.get(record.job)
     if arrival is None:
-        violations.append(f"{where}: job {record.job!r} departed without arriving")
+        violations.append(f"job {record.job!r} departed without arriving")
         return
     if record.job in state.departed:
-        violations.append(f"{where}: job {record.job!r} departed twice")
+        violations.append(f"job {record.job!r} departed twice")
     state.departed.add(record.job)
     expected = record.time - arrival
     if record.response_time != expected:
         violations.append(
-            f"{where}: job {record.job!r} reports response_time="
+            f"job {record.job!r} reports response_time="
             f"{record.response_time!r} but trace shows {expected!r}"
         )
 
 
 def _check_cancellation(
-    state: _State, record: JobCancelled, where: str, violations: typing.List[str]
+    state: _State, record: JobCancelled, violations: typing.List[str]
 ) -> None:
     if record.job in state.departed:
         violations.append(
-            f"{where}: job {record.job!r} cancelled after departing"
+            f"job {record.job!r} cancelled after departing"
         )
     if record.job in state.cancelled:
-        violations.append(f"{where}: job {record.job!r} cancelled twice")
+        violations.append(f"job {record.job!r} cancelled twice")
     if record.work_done < 0:
         violations.append(
-            f"{where}: job {record.job!r} cancelled with negative "
+            f"job {record.job!r} cancelled with negative "
             f"work_done {record.work_done}"
         )
     state.cancelled[record.job] = record.time
 
 
 def _check_cpu_failure(
-    state: _State, record: CpuFailure, where: str, violations: typing.List[str]
+    state: _State, record: CpuFailure, violations: typing.List[str]
 ) -> None:
     n_procs = state.config.n_processors if state.config else None
     if n_procs is not None and not 0 <= record.cpu < n_procs:
         violations.append(
-            f"{where}: cpu {record.cpu} outside machine of {n_procs} processors"
+            f"cpu {record.cpu} outside machine of {n_procs} processors"
         )
     if record.cpu in state.offline:
-        violations.append(f"{where}: cpu {record.cpu} failed while already offline")
+        violations.append(f"cpu {record.cpu} failed while already offline")
     if record.cpu in state.owner:
         violations.append(
-            f"{where}: cpu {record.cpu} failed while owned by "
+            f"cpu {record.cpu} failed while owned by "
             f"{state.owner[record.cpu]!r} (must be released first)"
         )
     if record.cpu in state.on_cpu:
         violations.append(
-            f"{where}: cpu {record.cpu} failed while running worker "
+            f"cpu {record.cpu} failed while running worker "
             f"{state.on_cpu[record.cpu]}"
         )
     state.offline.add(record.cpu)
 
 
 def _check_alloc(
-    state: _State, record: AllocationChange, where: str, violations: typing.List[str]
+    state: _State, record: AllocationChange, violations: typing.List[str]
 ) -> None:
     n_procs = state.config.n_processors if state.config else None
     if n_procs is not None and not 0 <= record.cpu < n_procs:
         violations.append(
-            f"{where}: cpu {record.cpu} outside machine of {n_procs} processors"
+            f"cpu {record.cpu} outside machine of {n_procs} processors"
         )
     current = state.owner.get(record.cpu)
     if current != record.prev:
         violations.append(
-            f"{where}: cpu {record.cpu} owner is {current!r} but change "
+            f"cpu {record.cpu} owner is {current!r} but change "
             f"claims prev={record.prev!r} (conservation violated)"
         )
     if record.job is None:
@@ -265,85 +270,85 @@ def _check_alloc(
     else:
         if current is not None and current != record.job:
             violations.append(
-                f"{where}: cpu {record.cpu} granted to {record.job!r} while "
+                f"cpu {record.cpu} granted to {record.job!r} while "
                 f"owned by {current!r} (double allocation)"
             )
         if record.job not in state.arrived:
             violations.append(
-                f"{where}: cpu {record.cpu} granted to {record.job!r} "
+                f"cpu {record.cpu} granted to {record.job!r} "
                 "before its arrival"
             )
         if record.job in state.departed:
             violations.append(
-                f"{where}: cpu {record.cpu} granted to departed job {record.job!r}"
+                f"cpu {record.cpu} granted to departed job {record.job!r}"
             )
         if record.job in state.cancelled:
             violations.append(
-                f"{where}: cpu {record.cpu} granted to cancelled job {record.job!r}"
+                f"cpu {record.cpu} granted to cancelled job {record.job!r}"
             )
         if record.cpu in state.offline:
             violations.append(
-                f"{where}: cpu {record.cpu} granted to {record.job!r} while offline"
+                f"cpu {record.cpu} granted to {record.job!r} while offline"
             )
         state.owner[record.cpu] = record.job
     if n_procs is not None and len(state.owner) > n_procs:
         violations.append(
-            f"{where}: {len(state.owner)} processors owned on a "
+            f"{len(state.owner)} processors owned on a "
             f"{n_procs}-processor machine"
         )
 
 
 def _check_dispatch(
-    state: _State, record: Dispatch, where: str, violations: typing.List[str]
+    state: _State, record: Dispatch, violations: typing.List[str]
 ) -> None:
     worker = (record.job, record.worker)
     if state.owner.get(record.cpu) != record.job:
         violations.append(
-            f"{where}: {record.job!r}#{record.worker} dispatched on cpu "
+            f"{record.job!r}#{record.worker} dispatched on cpu "
             f"{record.cpu} owned by {state.owner.get(record.cpu)!r}"
         )
     if worker in state.placed:
         violations.append(
-            f"{where}: worker {worker} already running on cpu "
+            f"worker {worker} already running on cpu "
             f"{state.placed[worker]} (single placement violated)"
         )
     occupant = state.on_cpu.get(record.cpu)
     if occupant is not None:
         violations.append(
-            f"{where}: cpu {record.cpu} already running worker {occupant} "
+            f"cpu {record.cpu} already running worker {occupant} "
             "(single placement violated)"
         )
     state.placed[worker] = record.cpu
     state.on_cpu[record.cpu] = worker
 
     if record.penalty_s < 0:
-        violations.append(f"{where}: negative reload penalty {record.penalty_s}")
+        violations.append(f"negative reload penalty {record.penalty_s}")
     if state.config is not None:
         cap = state.config.cache_lines * state.config.miss_time_s
         if record.penalty_s > cap + _EPS:
             violations.append(
-                f"{where}: reload penalty {record.penalty_s} exceeds the "
+                f"reload penalty {record.penalty_s} exceeds the "
                 f"full-cache reload bound {cap} (occupancy accounting broken)"
             )
         if not record.cheap and record.switch_s != state.config.context_switch_s:
             violations.append(
-                f"{where}: reallocation charged switch cost {record.switch_s}, "
+                f"reallocation charged switch cost {record.switch_s}, "
                 f"machine path length is {state.config.context_switch_s}"
             )
     if record.cheap and (record.penalty_s != 0.0 or record.switch_s != 0.0):
         violations.append(
-            f"{where}: cheap pickup charged penalty={record.penalty_s} "
+            f"cheap pickup charged penalty={record.penalty_s} "
             f"switch={record.switch_s}"
         )
 
 
 def _check_undispatch(
-    state: _State, record: Undispatch, where: str, violations: typing.List[str]
+    state: _State, record: Undispatch, violations: typing.List[str]
 ) -> None:
     worker = (record.job, record.worker)
     if state.placed.get(worker) != record.cpu:
         violations.append(
-            f"{where}: worker {worker} left cpu {record.cpu} but was on "
+            f"worker {worker} left cpu {record.cpu} but was on "
             f"{state.placed.get(worker)!r}"
         )
     state.placed.pop(worker, None)
@@ -352,14 +357,14 @@ def _check_undispatch(
 
 
 def _check_decision(
-    state: _State, record: PolicyDecision, where: str, violations: typing.List[str]
+    state: _State, record: PolicyDecision, violations: typing.List[str]
 ) -> None:
     credits = dict(record.credits)
     if record.rule == "priority" and record.job is not None and credits:
         best = min(credits, key=lambda name: (-credits[name], name))
         if record.job != best:
             violations.append(
-                f"{where}: priority dispatch chose {record.job!r} but "
+                f"priority dispatch chose {record.job!r} but "
                 f"{best!r} is most deserving ({credits})"
             )
     elif record.rule == "A.1" and record.job is not None and credits:
@@ -369,7 +374,7 @@ def _check_decision(
             gate = max(others) - CreditScheduler.EQUALITY_TOLERANCE if others else None
             if gate is not None and mine < gate - _EPS:
                 violations.append(
-                    f"{where}: A.1 grant to {record.job!r} (credit {mine}) "
+                    f"A.1 grant to {record.job!r} (credit {mine}) "
                     f"despite a more deserving requester ({credits})"
                 )
     elif record.rule == "D.3" and record.job is not None:
@@ -381,7 +386,7 @@ def _check_decision(
             r_alloc = allocations[record.job]
             if v_alloc <= 1:
                 violations.append(
-                    f"{where}: D.3 preempted {victim!r} holding only "
+                    f"D.3 preempted {victim!r} holding only "
                     f"{v_alloc} processor(s)"
                 )
             elif v_alloc <= r_alloc + 1:
@@ -390,13 +395,13 @@ def _check_decision(
                 advantage = credits.get(record.job, 0.0) - credits.get(victim, 0.0)
                 if advantage <= needed - _EPS:
                     violations.append(
-                        f"{where}: D.3 beyond parity without the credit to "
+                        f"D.3 beyond parity without the credit to "
                         f"spend (advantage {advantage}, needed > {needed})"
                     )
     elif record.rule == "EQ" and state.config is not None:
         total = sum(record.allocations.values())
         if total > state.config.n_processors:
             violations.append(
-                f"{where}: equipartition targets sum to {total} on a "
+                f"equipartition targets sum to {total} on a "
                 f"{state.config.n_processors}-processor machine"
             )

@@ -266,58 +266,213 @@ class TestDifferentialParity:
         assert scalar.stats.hit_rate == vector.stats.hit_rate
 
 
+def _counting_kernel(monkeypatch) -> list:
+    """Record the length of every chunk the numpy sorting kernel sees."""
+    from repro.machine.backends.numpy_backend import NumpyBackend
+
+    seen = []
+    kernel = NumpyBackend._kernel
+
+    def counted(self, base, blocks, want_flags):
+        seen.append(len(blocks))
+        return kernel(self, base, blocks, want_flags)
+
+    monkeypatch.setattr(NumpyBackend, "_kernel", counted)
+    return seen
+
+
+def _warm_pair(sets: int, rng: random.Random):
+    """A numpy cache and its scalar twin, warmed alike: owner ``a``
+    fills part of the cache and ``b`` a few sets, so windows meet sets
+    holding this owner's lines, a foreign owner's lines, or none."""
+    spec = tiny_spec(sets)
+    vector = SetAssociativeCache(spec, backend="numpy")
+    scalar = SetAssociativeCache(spec, backend="scalar")
+    for owner, span, count in (("a", sets * 4, sets), ("b", sets * 4, sets // 4)):
+        blocks = [rng.randrange(0, span) for _ in range(count)]
+        vector.access_batch(owner, blocks)
+        scalar.access_batch(owner, blocks)
+    return vector, scalar
+
+
 @needs_numpy
 class TestSpeculation:
-    """Hit flags, checkpoints and unaccounted calls: the engine calls the
-    slice loop uses (the numpy engine's window; the scalar engine has
-    none)."""
+    """Classification and prefix write-back: the engine calls the slice
+    loop uses (the numpy engine's window; the scalar engine has none).
+
+    ``hit_flags`` classifies a window without changing the cache; the
+    next ``access_batch`` of a prefix of the same blocks writes that
+    prefix back from the classified layout.  The scalar engine, touch
+    by touch, is the referee.
+    """
 
     @pytest.mark.parametrize("sets", [16, 64])
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), n_steps=st.integers(1, 8))
     def test_property_flags_are_the_touch_by_touch_outcomes(self, sets, seed, n_steps):
-        """Each flag is what access() would return, and the state after
-        a flags call equals the state after access_batch."""
-        spec = tiny_spec(sets)
-        flagged = SetAssociativeCache(spec, backend="numpy")
-        stepped = SetAssociativeCache(spec, backend="scalar")
+        """Each flag is what access() would return, and classifying
+        changes neither the tag state nor the counters."""
         rng = random.Random(seed)
+        vector, scalar = _warm_pair(sets, rng)
         for _ in range(n_steps):
-            owner = rng.choice("ab")
+            owner = rng.choice("abc")
             blocks = [rng.randrange(0, sets * 4) for _ in range(rng.randint(1, 300))]
-            hits, flags = flagged.hit_flags(owner, blocks)
-            want = [stepped.access(owner, block) for block in blocks]
+            before = vector._backend.snapshot()
+            accesses = vector.stats.accesses
+            hits, flags = vector.hit_flags(owner, blocks)
+            assert vector._backend.snapshot() == before
+            assert vector.stats.accesses == accesses
+            want = [scalar.access(owner, block) for block in blocks]
             assert [bool(f) for f in flags] == want
             assert hits == sum(want)
-        assert flagged._backend.snapshot() == stepped._backend.snapshot()
-        # accounting is left to note_batch
-        assert flagged.stats.accesses == 0
+            # move on to the state after these touches
+            vector.access_batch(owner, blocks)
+            assert vector._backend.snapshot() == scalar._backend.snapshot()
 
-    def test_restore_then_unaccounted_replay(self):
-        spec = tiny_spec(16)
-        cache = SetAssociativeCache(spec, backend="numpy")
-        twin = SetAssociativeCache(spec, backend="numpy")
-        rng = random.Random(3)
-        warm = [rng.randrange(0, 64) for _ in range(200)]
-        cache.access_batch("a", warm)
-        twin.access_batch("a", warm)
-        mark = cache.checkpoint()
-        window = [rng.randrange(0, 64) for _ in range(500)]
-        cache.hit_flags("b", window)
-        cache.restore(mark)
-        hits = cache.access_batch("b", window[:123], account=False)
-        assert hits == twin.access_batch("b", window[:123])
-        assert cache._backend.snapshot() == twin._backend.snapshot()
-        # the replay changed the state only; note_batch accounts it
-        assert cache.stats.accesses == 200
-        cache.note_batch("b", 123, hits)
-        assert cache.stats == twin.stats
-        assert cache.footprint("a") == twin.footprint("a")
-        assert cache.footprint("b") == twin.footprint("b")
-        # the mark stays valid: a second restore lands on the same state
-        cache.restore(mark)
-        cache.access_batch("b", window[:123], account=False)
-        assert cache._backend.snapshot() == twin._backend.snapshot()
+    @pytest.mark.parametrize("dtype", ["int32", "int64"])
+    @pytest.mark.parametrize("sets", [16, 64])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), n_steps=st.integers(1, 6))
+    def test_property_prefix_write_back(self, dtype, sets, seed, n_steps):
+        """Classify a window, then commit a random prefix of it: hits
+        and state equal the scalar engine's after those touches, and the
+        commit runs no second kernel pass."""
+        import numpy as np
+
+        rng = random.Random(seed)
+        vector, scalar = _warm_pair(sets, rng)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            kernel_calls = _counting_kernel(monkeypatch)
+            for _ in range(n_steps):
+                owner = rng.choice("abc")
+                n = rng.randint(1, 300)
+                # short spans make runs (repeated blocks) common
+                span = rng.choice([2, sets, sets * 4])
+                window = np.array(
+                    [rng.randrange(0, span) * rng.choice([1, sets]) for _ in range(n)],
+                    dtype=dtype,
+                )
+                vector.hit_flags(owner, window)
+                if rng.random() < 0.5:
+                    # a query folds the owner view back; the window stays
+                    vector.resident_lines()
+                p = rng.randint(1, n)
+                calls = len(kernel_calls)
+                hits = vector.access_batch(owner, window[:p], account=False)
+                assert len(kernel_calls) == calls
+                assert hits == scalar.access_batch(owner, window[:p].tolist())
+                assert vector._backend.snapshot() == scalar._backend.snapshot()
+
+    @pytest.mark.parametrize(
+        "between",
+        ["other blocks", "longer batch", "other owner", "one touch",
+         "reclassify", "caller edits", "flush", "evict"],
+    )
+    def test_stale_window_falls_back_to_the_kernel(self, monkeypatch, between):
+        """Anything but the window's own prefix, next, drops the window:
+        the commit then runs the kernel and still agrees with the scalar
+        engine."""
+        import numpy as np
+
+        rng = random.Random(11)
+        vector, scalar = _warm_pair(16, rng)
+        kernel_calls = _counting_kernel(monkeypatch)
+        window = np.array([rng.randrange(0, 64) for _ in range(200)], dtype=np.int32)
+        vector.hit_flags("a", window)
+        prefix = window[:120]
+        if between == "other blocks":
+            other = prefix.copy()
+            other[-1] += 1
+            assert vector.access_batch("a", other) == scalar.access_batch(
+                "a", other.tolist()
+            )
+        elif between == "longer batch":
+            longer = np.concatenate([window, window[:5]])
+            assert vector.access_batch("a", longer) == scalar.access_batch(
+                "a", longer.tolist()
+            )
+        elif between == "other owner":
+            assert vector.access_batch("b", prefix) == scalar.access_batch(
+                "b", prefix.tolist()
+            )
+        elif between == "one touch":
+            assert vector.access("b", 3) == scalar.access("b", 3)
+        elif between == "reclassify":
+            vector.hit_flags("a", window[::-1].copy())
+        elif between == "caller edits":
+            window[:120] = (window[:120] + 1) % 64
+        elif between == "flush":
+            vector.flush()
+            scalar.flush()
+        else:
+            vector.evict_owner("b")
+            scalar.evict_owner("b")
+        calls = len(kernel_calls)
+        assert vector.access_batch("a", prefix) == scalar.access_batch(
+            "a", prefix.tolist()
+        )
+        assert kernel_calls[calls:] == [120]
+        assert vector._backend.snapshot() == scalar._backend.snapshot()
+        assert vector.stats == scalar.stats
+        assert vector.owner_lines() == scalar.owner_lines()
+
+    def test_flags_are_read_only(self):
+        """The kept window scores the prefix's hits from its flags, so
+        callers get them read-only."""
+        cache = SetAssociativeCache(tiny_spec(16), backend="numpy")
+        _, flags = cache.hit_flags("a", [1, 2, 1])
+        with pytest.raises(ValueError):
+            flags[0] = True
+
+
+@needs_numpy
+class TestOneTouch:
+    """One-block batches take the numpy engine's plain-Python path; the
+    scalar engine is the referee."""
+
+    @pytest.mark.parametrize("sets", [8, 64])
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_property_one_touch_equals_scalar(self, sets, seed):
+        rng = random.Random(seed)
+        spec = tiny_spec(sets)
+        vector = SetAssociativeCache(spec, backend="numpy")
+        scalar = SetAssociativeCache(spec, backend="scalar")
+        for _ in range(rng.randint(1, 400)):
+            roll = rng.random()
+            owner = rng.choice("abc")
+            if roll < 0.02:
+                assert vector.flush() == scalar.flush()
+            elif roll < 0.04:
+                assert vector.evict_owner(owner) == scalar.evict_owner(owner)
+            elif roll < 0.2:
+                blocks = [rng.randrange(0, sets * 3) for _ in range(rng.randint(2, 40))]
+                assert vector.access_batch(owner, blocks) == scalar.access_batch(
+                    owner, blocks
+                )
+            else:
+                # a wide block whose low 32 bits alias a small one: a
+                # later batch must not narrow its arithmetic to int32
+                block = rng.choice(
+                    [rng.randrange(0, sets * 3), (1 << 32) + rng.randrange(0, sets * 3)]
+                )
+                assert vector.access(owner, block) == scalar.access(owner, block)
+        assert vector._backend.snapshot() == scalar._backend.snapshot()
+        assert vector.stats == scalar.stats
+        assert vector.owner_lines() == scalar.owner_lines()
+
+    @pytest.mark.parametrize("block", [-1, BLOCK_MASK + 1])
+    def test_bad_block_raises_before_any_change(self, block):
+        cache = SetAssociativeCache(tiny_spec(16), backend="numpy")
+        cache.access_batch("a", [1, 2, 3])
+        before = cache._backend.snapshot()
+        message = f"got range \\[{block}, {block}\\]"
+        with pytest.raises(ValueError, match=message):
+            cache.access("a", block)
+        with pytest.raises(ValueError, match=message):
+            cache.access_batch("a", [block, block])
+        assert cache._backend.snapshot() == before
+        assert cache.stats.accesses == 3
 
 
 @needs_numpy

@@ -19,6 +19,8 @@ from repro.obs import Tracer
 from repro.obs.invariants import assert_trace_ok, check_trace
 from repro.obs.records import (
     AllocationChange,
+    CacheFlush,
+    CpuRecovery,
     Dispatch,
     JobArrival,
     JobDeparture,
@@ -219,6 +221,42 @@ class TestDecisionInvariants:
                            reason="test", allocations={"A": 3, "B": 3}),
         )
         assert any("equipartition" in v for v in found)
+
+
+class TestViolationText:
+    def test_full_strings_of_several_kinds(self):
+        """The exact text, ``[index] t=time kind: `` prefix included, of
+        each violation kind below: tools and people grep for it."""
+        found = violations(
+            JobArrival(time=0.0, job="A"),
+            JobDeparture(time=1.0, job="C", response_time=1.0, n_reallocations=0),
+            JobDeparture(time=2.0, job="A", response_time=1.5, n_reallocations=0),
+            AllocationChange(time=3.0, cpu=99, job="B", prev=None),
+            CacheFlush(time=3.5, cpu=0, lines=65),
+            CpuRecovery(time=4.0, cpu=2),
+            JobArrival(time=4.25, job="B"),
+            AllocationChange(time=4.25, cpu=1, job="B", prev=None),
+            Dispatch(time=4.25, cpu=1, job="B", worker=0, affine=False,
+                     cheap=False, penalty_s=-1.0, switch_s=1e-4, ready_depth=1),
+            JobArrival(time=1.0 / 3.0, job="D"),
+            RunEnd(time=5.0, makespan=5.0, events_fired=9),
+        )
+        assert found == [
+            "[2] t=1.000000000 job_departure: job 'C' departed without arriving",
+            "[3] t=2.000000000 job_departure: job 'A' reports response_time=1.5"
+            " but trace shows 2.0",
+            "[4] t=3.000000000 alloc: cpu 99 outside machine of 4 processors",
+            "[4] t=3.000000000 alloc: cpu 99 granted to 'B' before its arrival",
+            "[5] t=3.500000000 cache_flush: cache flush of 65 lines outside [0, 64]",
+            "[6] t=4.000000000 cpu_recovery: cpu 2 recovered without having failed",
+            "[9] t=4.250000000 dispatch: negative reload penalty -1.0",
+            "[10] t=0.333333333 job_arrival: clock ran backwards"
+            " (0.3333333333333333 < 4.25)",
+            "[11] t=5.000000000 run_end: run ended with owned processors [1, 99]",
+            "[11] t=5.000000000 run_end: run ended with placed workers [('B', 0)]",
+            "[11] t=5.000000000 run_end: jobs ['B', 'D'] arrived but neither"
+            " departed nor were cancelled (work conservation violated)",
+        ]
 
 
 class TestSeededConservationBug:
