@@ -315,13 +315,15 @@ class NumpyGeneratorBackend:
                 out[filled:filled + step] = next_blocks_spec(gen, step)
                 filled += step
                 continue
-            if not st.valid:
-                st.attach(gen)
             seg = min(n - filled, SEG_MAX)
             if seg < MIN_VEC:
+                # Too short to vectorize: no mirror needed (flush is a
+                # no-op unless an earlier draw left one valid).
                 st.flush(gen)
                 out[filled:n] = next_blocks_spec(gen, n - filled)
                 return out
+            if not st.valid:
+                st.attach(gen)
             if not primed:
                 # One extraction covering the whole call; segments then
                 # re-extract only on the rare word-estimate overrun.

@@ -295,14 +295,14 @@ def _render_relative_rt(
                 for job, summary in comparison.summaries[policy].items()
             )
     if table3 and args.csv:
+        from repro.ioutil import atomic_write_text
         from repro.reporting.export import rows_to_csv
-        from repro.reporting.obs_export import write_artifact
 
         headers = [
             "mix", "policy", "job", "response_time_s",
             "n_reallocations", "pct_affinity", "average_allocation",
         ]
-        write_artifact(args.csv, rows_to_csv(headers, csv_rows))
+        atomic_write_text(args.csv, rows_to_csv(headers, csv_rows))
         print(f"wrote {len(csv_rows)} rows to {args.csv}")
 
 
@@ -475,15 +475,11 @@ def _write_checked_trace(records, result, path: str, fmt: str, what: str) -> boo
     """
     from repro.obs.invariants import check_trace
     from repro.obs.replay import verify_replay
-    from repro.obs.store import write_columnar
-    from repro.reporting.obs_export import trace_to_jsonl, write_artifact
+    from repro.obs.store import write_columnar, write_jsonl
 
     violations = check_trace(records)
     replay_errors = verify_replay(records, result)
-    if fmt == "columnar":
-        write_columnar(path, records)
-    else:
-        write_artifact(path, trace_to_jsonl(records))
+    (write_columnar if fmt == "columnar" else write_jsonl)(path, records)
     print(f"wrote {len(records)} records for {what} to {path}")
     print(f"invariant violations: {len(violations)}")
     for message in violations[:20]:
@@ -566,7 +562,7 @@ def cmd_opensys(args: argparse.Namespace) -> None:
     per-cell heartbeats to stderr while the sweep runs and prints a
     ``=== telemetry ===`` summary after the table.
     """
-    from repro.reporting.obs_export import write_artifact
+    from repro.ioutil import atomic_write_text
     from repro.reporting.opensys_report import matrix_to_json, render_matrix_table
     from repro.sweep import normalize_seeds, run_sweep
     from repro.sweep.cells import matrix_comparison
@@ -614,7 +610,7 @@ def cmd_opensys(args: argparse.Namespace) -> None:
     print(render_matrix_table(comparison))
     _print_telemetry(collector)
     if args.json:
-        write_artifact(args.json, matrix_to_json(comparison))
+        atomic_write_text(args.json, matrix_to_json(comparison))
         print(f"wrote matrix JSON to {args.json}")
     if args.metrics:
         for key in sorted(comparison.metrics):
@@ -627,7 +623,7 @@ def cmd_opensys(args: argparse.Namespace) -> None:
             [comparison.metrics[key] for key in keys],
             labels=["/".join(key) for key in keys],
         )
-        write_artifact(args.metrics_csv, csv_text)
+        atomic_write_text(args.metrics_csv, csv_text)
         print(f"wrote per-cell metrics CSV to {args.metrics_csv}")
 
     if args.trace:
@@ -659,25 +655,25 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     conservation laws (an explanation that does not add up must never be
     shipped).
     """
+    from repro.ioutil import atomic_write_text
     from repro.obs.analysis import attribute_time, interval_series
+    from repro.obs.store import TraceFormatError
     from repro.reporting.analysis_report import (
         render_attribution_table,
         render_interval_series,
     )
     from repro.reporting.obs_export import (
-        TraceStreamError,
         attribution_to_csv,
         attribution_to_json,
         intervals_to_csv,
         intervals_to_json,
         stream_trace,
-        write_artifact,
     )
     from repro.reporting.timeline import render_cpu_timeline
 
     try:
         attribution = attribute_time(stream_trace(args.trace, fmt=args.format))
-    except TraceStreamError as exc:
+    except TraceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(1)
     errors = attribution.conservation_errors()
@@ -710,16 +706,16 @@ def cmd_analyze(args: argparse.Namespace) -> None:
             width=args.timeline_width,
         ))
     if args.json:
-        write_artifact(args.json, attribution_to_json(attribution))
+        atomic_write_text(args.json, attribution_to_json(attribution))
         print(f"wrote attribution JSON to {args.json}")
     if args.csv:
-        write_artifact(args.csv, attribution_to_csv(attribution))
+        atomic_write_text(args.csv, attribution_to_csv(attribution))
         print(f"wrote attribution CSV to {args.csv}")
     if args.intervals_json:
-        write_artifact(args.intervals_json, intervals_to_json(series))
+        atomic_write_text(args.intervals_json, intervals_to_json(series))
         print(f"wrote interval series JSON to {args.intervals_json}")
     if args.intervals_csv:
-        write_artifact(args.intervals_csv, intervals_to_csv(series))
+        atomic_write_text(args.intervals_csv, intervals_to_csv(series))
         print(f"wrote interval series CSV to {args.intervals_csv}")
 
 
@@ -729,14 +725,11 @@ def cmd_diff(args: argparse.Namespace) -> None:
     Accepts JSONL and columnar inputs in any combination (sniffed by
     content), streamed straight into the aligner.
     """
+    from repro.ioutil import atomic_write_text
     from repro.obs.analysis import diff_traces
+    from repro.obs.store import TraceFormatError
     from repro.reporting.analysis_report import render_diff_report
-    from repro.reporting.obs_export import (
-        TraceStreamError,
-        diff_to_json,
-        stream_trace,
-        write_artifact,
-    )
+    from repro.reporting.obs_export import diff_to_json, stream_trace
 
     try:
         diff = diff_traces(
@@ -745,12 +738,12 @@ def cmd_diff(args: argparse.Namespace) -> None:
             label_a=args.label_a or args.trace_a,
             label_b=args.label_b or args.trace_b,
         )
-    except TraceStreamError as exc:
+    except TraceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(1)
     print(render_diff_report(diff))
     if args.json:
-        write_artifact(args.json, diff_to_json(diff))
+        atomic_write_text(args.json, diff_to_json(diff))
         print(f"wrote diff JSON to {args.json}")
 
 
@@ -758,14 +751,16 @@ def cmd_convert(args: argparse.Namespace) -> None:
     """Convert a trace between JSONL and the columnar store format.
 
     The input format is sniffed by content; ``--to`` picks the output
-    (default: the other one).  Conversion is streaming and lossless —
+    (default: the other one).  Conversion is the output format's writer
+    applied to the input's reader, so it streams and is lossless —
     ``jsonl -> columnar -> jsonl`` reproduces the original bytes.
     """
     from repro.obs.store import (
-        ColumnarFormatError,
-        columnar_to_jsonl,
-        jsonl_to_columnar,
+        TraceFormatError,
+        iter_trace_file,
         sniff_format,
+        write_columnar,
+        write_jsonl,
     )
 
     try:
@@ -776,11 +771,9 @@ def cmd_convert(args: argparse.Namespace) -> None:
                 f"error: {args.src} is already {src_fmt}", file=sys.stderr
             )
             raise SystemExit(1)
-        if dst_fmt == "columnar":
-            count = jsonl_to_columnar(args.src, args.dst)
-        else:
-            count = columnar_to_jsonl(args.src, args.dst)
-    except ColumnarFormatError as exc:
+        write = write_columnar if dst_fmt == "columnar" else write_jsonl
+        count = write(args.dst, iter_trace_file(args.src, src_fmt))
+    except TraceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(1)
     print(f"converted {count} records: {args.src} ({src_fmt}) -> "

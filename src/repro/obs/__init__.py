@@ -13,9 +13,9 @@ The subsystem has four pieces, layered so each consumes the one below:
   and aggregate reconstruction that must match the untraced run);
 * :mod:`repro.obs.analysis` — trace analytics: exact time attribution,
   windowed interval series, and trace diffing;
-* :mod:`repro.obs.store` — the columnar trace store, and the one
-  trace-file reader (:func:`repro.obs.store.iter_trace_file`) for both
-  formats;
+* :mod:`repro.obs.store` — trace files: one writer per format
+  (``write_jsonl``, ``write_columnar``) and the one reader of both
+  (:func:`repro.obs.store.iter_trace_file`);
 * :mod:`repro.obs.telemetry` — heartbeat snapshots from live runs
   (progress, rates) flowing from workers to the matrix parent;
 * :mod:`repro.obs.profiling` — wall-clock self-profiling of the

@@ -4,7 +4,7 @@ Every observable fact about a run — a job arriving, a processor changing
 hands, a policy decision with its reasoning, a cache flush — becomes one
 immutable record.  Records are plain dataclasses with a stable ``kind``
 string, and serialize to flat, key-sorted dicts (see
-:func:`record_to_dict` and :mod:`repro.reporting.obs_export`), so a trace
+:func:`record_to_dict` and :func:`repro.obs.store.write_jsonl`), so a trace
 is both a Python object stream and a diff-friendly JSONL artifact.
 
 The record set is the contract the invariant checker
@@ -242,10 +242,15 @@ def record_from_dict(data: typing.Mapping[str, object]) -> TraceRecord:
     """Rebuild a typed record from :func:`record_to_dict` output.
 
     Raises:
-        ValueError: on an unknown ``kind`` or missing fields.
+        ValueError: on data that is not a dict, a missing or unknown
+            ``kind``, or missing fields.
     """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"trace record is a {type(data).__name__}, expected a JSON object"
+        )
     kind = data.get("kind")
-    cls = RECORD_KINDS.get(typing.cast(str, kind))
+    cls = RECORD_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown trace record kind {kind!r}")
     kwargs = {k: v for k, v in data.items() if k != "kind"}

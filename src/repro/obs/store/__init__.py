@@ -1,48 +1,33 @@
-"""Columnar trace store: compact, indexed, integrity-checked containers.
+"""Trace files: the JSONL and columnar writers and their one reader.
 
-The JSONL trace path materializes full record lists; this package is the
-fleet-scale alternative — chunked column-transposed storage with a
-footer index for selective reads, a content digest for integrity, and
-lossless streaming conversion back to JSONL (see ``format`` and
-``convert``; ``docs/observability.md`` documents the byte layout).
+``format`` holds the columnar container (chunked, column-transposed,
+compressed storage with a content digest); ``convert`` holds the JSONL
+writer and reader and :func:`iter_trace_file`, which reads either
+format; ``docs/observability.md`` documents the byte layout.
 """
 
 from repro.obs.store.convert import (
-    FORMATS,
-    columnar_to_jsonl,
     iter_jsonl_records,
     iter_trace_file,
-    jsonl_to_columnar,
     sniff_format,
+    write_jsonl,
 )
 from repro.obs.store.format import (
     COLUMNAR_SCHEMA,
     DEFAULT_CHUNK_RECORDS,
-    ChunkInfo,
-    ColumnarFormatError,
-    ColumnarTraceWriter,
-    Footer,
+    TraceFormatError,
     iter_columnar,
-    read_columnar,
-    read_footer,
     write_columnar,
 )
 
 __all__ = [
     "COLUMNAR_SCHEMA",
     "DEFAULT_CHUNK_RECORDS",
-    "FORMATS",
-    "ChunkInfo",
-    "ColumnarFormatError",
-    "ColumnarTraceWriter",
-    "Footer",
-    "columnar_to_jsonl",
+    "TraceFormatError",
     "iter_columnar",
     "iter_jsonl_records",
     "iter_trace_file",
-    "jsonl_to_columnar",
-    "read_columnar",
-    "read_footer",
     "sniff_format",
     "write_columnar",
+    "write_jsonl",
 ]

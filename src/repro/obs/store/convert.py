@@ -1,12 +1,13 @@
-"""Lossless, streaming conversion between JSONL and columnar traces.
+"""JSONL trace files, and reading a trace file of either format.
 
-Both directions are record-at-a-time: neither the JSONL lines nor the
-decoded columnar records are ever materialized as a whole-trace list, so
-converting a million-job sweep trace needs memory proportional to one
-chunk, not one run.  The JSONL emitted by :func:`columnar_to_jsonl` uses
-the exact serialization the Tracer's own exporter uses (key-sorted
-``json.dumps``, one record per line, newline terminated), which is what
-makes ``jsonl -> columnar -> jsonl`` byte-identical.
+:func:`write_jsonl` and :func:`~repro.obs.store.format.write_columnar`
+are the two trace writers; :func:`iter_trace_file` is the one reader of
+both formats.  Each works a record at a time, so converting a trace
+(``repro convert``: the target format's writer applied to the source's
+reader) holds one chunk, not one run.  A JSONL trace is one key-sorted
+``json.dumps`` line per record, newline terminated, and the columnar
+store keeps every field value, which is what makes ``jsonl -> columnar
+-> jsonl`` byte-identical.
 """
 
 from __future__ import annotations
@@ -16,16 +17,7 @@ import typing
 
 from repro import ioutil
 from repro.obs.records import TraceRecord, record_from_dict, record_to_dict
-from repro.obs.store.format import (
-    DEFAULT_CHUNK_RECORDS,
-    MAGIC,
-    ColumnarFormatError,
-    ColumnarTraceWriter,
-    iter_columnar,
-)
-
-#: Recognised trace container formats.
-FORMATS = ("jsonl", "columnar")
+from repro.obs.store.format import MAGIC, TraceFormatError, iter_columnar
 
 
 def sniff_format(path: str) -> str:
@@ -39,45 +31,63 @@ def sniff_format(path: str) -> str:
         with open(path, "rb") as fh:
             head = fh.read(len(MAGIC))
     except OSError as exc:
-        raise ColumnarFormatError(f"cannot read trace {path!r}: {exc}") from exc
+        raise TraceFormatError(f"cannot read trace {path!r}: {exc}") from exc
     if head == MAGIC:
         return "columnar"
     if head[:1] == b"{":
         return "jsonl"
     if not head:
-        # An empty JSONL trace is legal output of trace_to_jsonl([]).
+        # An empty JSONL trace is what write_jsonl writes for no records.
         return "jsonl"
-    raise ColumnarFormatError(
+    raise TraceFormatError(
         f"{path}: unrecognized trace format (starts {head!r}); "
         "expected a JSONL trace or a columnar trace file"
     )
 
 
+def write_jsonl(path: str, records: typing.Iterable[TraceRecord]) -> int:
+    """Write ``records`` to ``path`` as JSONL; returns the count.
+
+    The file is written through :func:`repro.ioutil.atomic_open`:
+    ``path`` gets the whole trace, or keeps its old bytes if anything
+    raises first.
+    """
+    count = 0
+    with ioutil.atomic_open(path, "w") as fh:
+        for record in records:
+            fh.write(json.dumps(record_to_dict(record), sort_keys=True))
+            fh.write("\n")
+            count += 1
+    return count
+
+
 def iter_jsonl_records(path: str) -> typing.Iterator[TraceRecord]:
     """Stream typed records from a JSONL trace file, line by line.
 
-    Enforces the same truncation discipline as the batch loader: a final
-    line without a newline terminator means the artifact was cut off
-    mid-record and the whole stream is refused (the error is raised
+    A final line without a newline terminator means the artifact was cut
+    off mid-record and the whole stream is refused (the error is raised
     before any record from the damaged tail is yielded, but records from
     earlier complete lines may already have been consumed — callers that
     need all-or-nothing semantics should drain to a list).
 
     Raises:
-        ColumnarFormatError: on unreadable files, malformed lines, or a
-            truncated tail.  (A :class:`ValueError` subclass, so callers
-            catching the exporter's ``TraceStreamError`` family still
-            work after wrapping.)
+        TraceFormatError: on unreadable files, malformed lines, or a
+            truncated tail, naming the file and the line.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "rb")
     except OSError as exc:
-        raise ColumnarFormatError(f"cannot read trace {path!r}: {exc}") from exc
+        raise TraceFormatError(f"cannot read trace {path!r}: {exc}") from exc
     with fh:
-        lineno = 0
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceFormatError(
+                    f"{path}: trace line {lineno} is not UTF-8 ({exc})"
+                ) from exc
             if not line.endswith("\n"):
-                raise ColumnarFormatError(
+                raise TraceFormatError(
                     f"{path}: trace is truncated: final line has no newline "
                     f"terminator (starts {line[:60]!r}); the artifact was "
                     "cut off mid-record"
@@ -87,14 +97,14 @@ def iter_jsonl_records(path: str) -> typing.Iterator[TraceRecord]:
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ColumnarFormatError(
+                raise TraceFormatError(
                     f"{path}: trace line {lineno} is not valid JSON ({exc}); "
                     "the artifact is corrupt or was truncated mid-record"
                 ) from exc
             try:
                 yield record_from_dict(payload)
             except ValueError as exc:
-                raise ColumnarFormatError(
+                raise TraceFormatError(
                     f"{path}: trace line {lineno}: {exc}"
                 ) from exc
 
@@ -109,32 +119,4 @@ def iter_trace_file(
         return iter_jsonl_records(path)
     if fmt == "columnar":
         return iter_columnar(path)
-    raise ValueError(f"unknown trace format {fmt!r}; expected one of {FORMATS}")
-
-
-def jsonl_to_columnar(
-    src: str, dst: str, chunk_records: int = DEFAULT_CHUNK_RECORDS
-) -> int:
-    """Convert a JSONL trace file to columnar; returns the record count."""
-    count = 0
-    with ColumnarTraceWriter(dst, chunk_records=chunk_records) as writer:
-        for record in iter_jsonl_records(src):
-            writer.write(record)
-            count += 1
-    return count
-
-
-def columnar_to_jsonl(src: str, dst: str) -> int:
-    """Convert a columnar trace file to JSONL; returns the record count.
-
-    The output is byte-identical to what the original Tracer's JSONL
-    export produced for the same record stream.  The write is atomic: a
-    crash mid-conversion leaves ``dst`` untouched rather than truncated.
-    """
-    count = 0
-    with ioutil.atomic_open(dst, "w") as fh:
-        for record in iter_columnar(src):
-            fh.write(json.dumps(record_to_dict(record), sort_keys=True))
-            fh.write("\n")
-            count += 1
-    return count
+    raise ValueError(f"unknown trace format {fmt!r}; expected 'jsonl' or 'columnar'")

@@ -3,9 +3,7 @@
 A ``.rct`` (repro columnar trace) file holds the same record stream as a
 JSONL trace, but grouped into *chunks* of consecutive records whose
 fields are transposed into per-record-type column arrays and compressed.
-Repeated keys vanish, runs of similar values compress together, and the
-footer index makes "give me only the dispatches between t=10 and t=20"
-a seek instead of a full-file parse.
+Repeated keys vanish and runs of similar values compress together.
 
 Layout (all integers big-endian)::
 
@@ -42,20 +40,17 @@ flipped bit anywhere — chunk, footer, or index — is a refused load, and
 a truncated file fails the END_MAGIC check before anything is parsed.
 
 Memory bounds: the writer holds at most ``chunk_records`` records plus
-the (small) footer index; the reader holds one decompressed chunk at a
-time.  Neither ever materializes the whole trace.
+the (small) footer index.  The reader reads the whole compressed file,
+to check its digest, and decodes one chunk at a time.
 """
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
 import hashlib
+import itertools
 import json
 import operator
-import os
 import struct
-import tempfile
 import typing
 import zlib
 
@@ -83,19 +78,16 @@ _TAIL_LEN = 8 + 32 + 8
 DEFAULT_CHUNK_RECORDS = 4096
 
 
-class ColumnarFormatError(ValueError):
-    """A columnar trace file is corrupt, truncated, or incompatible.
-
-    Subclasses :class:`ValueError` so callers that treat trace-loading
-    problems generically (e.g. the CLI's ``TraceStreamError`` handling)
-    can catch it without importing this module.
-    """
+class TraceFormatError(ValueError):
+    """A trace file, JSONL or columnar, is unreadable, malformed,
+    truncated, corrupt or incomplete; the message names the file, and
+    the line or record at fault where there is one."""
 
 
 def _expect(value: typing.Any, expected: type, what: str, source: str) -> typing.Any:
     """``value`` if it is an ``expected``, else a typed error naming ``source``."""
     if not isinstance(value, expected):
-        raise ColumnarFormatError(
+        raise TraceFormatError(
             f"{source}: {what} is a {type(value).__name__}, expected a "
             f"{expected.__name__}; the file is malformed"
         )
@@ -109,244 +101,41 @@ def _canonical_json(payload: typing.Any) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-@dataclasses.dataclass(frozen=True)
-class ChunkInfo:
-    """One chunk's footer-index entry."""
-
-    offset: int
-    length: int
-    n_records: int
-    time_min: float
-    time_max: float
-    kind_counts: typing.Dict[str, int]
-
-    def to_dict(self) -> typing.Dict[str, typing.Any]:
-        return {
-            "offset": self.offset,
-            "length": self.length,
-            "n_records": self.n_records,
-            "time_min": self.time_min,
-            "time_max": self.time_max,
-            "kind_counts": dict(self.kind_counts),
-        }
-
-    @classmethod
-    def from_dict(cls, data: typing.Mapping[str, typing.Any]) -> "ChunkInfo":
-        if not isinstance(data, dict):
-            raise ColumnarFormatError(
-                f"footer chunk entry is a {type(data).__name__}, expected a dict"
-            )
-        try:
-            offset, length = data["offset"], data["length"]
-            n_records, kind_counts = data["n_records"], data["kind_counts"]
-            time_min, time_max = data["time_min"], data["time_max"]
-        except KeyError as exc:
-            raise ColumnarFormatError(f"footer chunk entry missing {exc}") from exc
-        if not (
-            all(isinstance(x, int) for x in (offset, length, n_records))
-            and all(isinstance(x, (int, float)) for x in (time_min, time_max))
-            and isinstance(kind_counts, dict)
-        ):
-            raise ColumnarFormatError(f"footer chunk entry {data} has a mistyped field")
-        return cls(
-            offset=offset,
-            length=length,
-            n_records=n_records,
-            time_min=time_min,
-            time_max=time_max,
-            kind_counts=dict(kind_counts),
-        )
+def _frame(magic: bytes, payload: typing.Any) -> bytes:
+    """``magic`` + u32 length + the compressed canonical JSON of ``payload``."""
+    blob = zlib.compress(_canonical_json(payload), level=6)
+    return magic + struct.pack(">I", len(blob)) + blob
 
 
-@dataclasses.dataclass(frozen=True)
-class Footer:
-    """The parsed footer index of a columnar trace file."""
-
-    schema: str
-    n_records: int
-    kind_counts: typing.Dict[str, int]
-    fields: typing.Dict[str, typing.List[str]]
-    chunks: typing.List[ChunkInfo]
-
-    def to_dict(self) -> typing.Dict[str, typing.Any]:
-        return {
-            "schema": self.schema,
-            "n_records": self.n_records,
-            "kind_counts": dict(self.kind_counts),
-            "fields": {k: list(v) for k, v in self.fields.items()},
-            "chunks": [chunk.to_dict() for chunk in self.chunks],
-        }
-
-
-class ColumnarTraceWriter:
-    """Chunked append writer for the columnar trace container.
-
-    Usable as a context manager.  Memory use is bounded by
-    ``chunk_records`` buffered records regardless of trace length.
-    """
-
-    def __init__(
-        self,
-        target: typing.Union[str, typing.BinaryIO],
-        chunk_records: int = DEFAULT_CHUNK_RECORDS,
-    ) -> None:
-        if chunk_records < 1:
-            raise ValueError("chunk_records must be positive")
-        self._dst_path: typing.Optional[str] = None
-        self._tmp_path: typing.Optional[str] = None
-        if isinstance(target, str):
-            # Crash-safe: stream into a same-directory temp file and only
-            # os.replace it over the destination once the footer and
-            # digest tail are on disk.  A process killed mid-write leaves
-            # the destination untouched (at worst an orphaned .tmp-*).
-            directory = os.path.dirname(os.path.abspath(target)) or "."
-            fd, self._tmp_path = tempfile.mkstemp(
-                prefix=ioutil.TMP_PREFIX + os.path.basename(target) + "-",
-                dir=directory,
-            )
-            self._fh: typing.BinaryIO = os.fdopen(fd, "wb")
-            self._dst_path = target
-            self._owns_fh = True
-        else:
-            self._fh = target
-            self._owns_fh = False
-        self._chunk_records = chunk_records
-        self._buffer: typing.List[TraceRecord] = []
-        self._chunks: typing.List[ChunkInfo] = []
-        self._kind_counts: typing.Dict[str, int] = {}
-        self._n_records = 0
-        self._closed = False
-        self._digest = hashlib.sha256()
-        self._offset = 0
-        self._write_bytes(MAGIC)
-
-    # ------------------------------------------------------------------ #
-
-    def _write_bytes(self, data: bytes) -> None:
-        self._fh.write(data)
-        self._digest.update(data)
-        self._offset += len(data)
-
-    def write(self, record: TraceRecord) -> None:
-        """Append one record (flushes a chunk when the buffer fills)."""
-        if self._closed:
-            raise ValueError("writer is closed")
-        if record.kind not in RECORD_KINDS:
-            raise ColumnarFormatError(
-                f"cannot store unregistered record kind {record.kind!r}"
-            )
-        self._buffer.append(record)
-        if len(self._buffer) >= self._chunk_records:
-            self._flush_chunk()
-
-    def _flush_chunk(self) -> None:
-        buffer = self._buffer
-        if not buffer:
-            return
-        # kind -> (its kind_table index, its records), in first-seen order.
-        groups: typing.Dict[str, typing.Tuple[int, typing.List[TraceRecord]]] = {}
-        order: typing.List[int] = []
-        for record in buffer:
-            group = groups.get(record.kind)
-            if group is None:
-                group = groups[record.kind] = (len(groups), [])
-            order.append(group[0])
-            group[1].append(record)
-        payload = zlib.compress(
-            _canonical_json(
-                {
-                    "kind_table": list(groups),
-                    "order": order,
-                    "columns": {
-                        kind: records_to_columns(kind, rows)
-                        for kind, (_, rows) in groups.items()
-                    },
-                }
-            ),
-            level=6,
-        )
-        kind_counts = {kind: len(rows) for kind, (_, rows) in groups.items()}
-        for kind, count in kind_counts.items():
-            self._kind_counts[kind] = self._kind_counts.get(kind, 0) + count
-        times = list(map(_TIME, buffer))
-        offset = self._offset
-        self._write_bytes(CHUNK_MAGIC)
-        self._write_bytes(struct.pack(">I", len(payload)))
-        self._write_bytes(payload)
-        self._chunks.append(
-            ChunkInfo(
-                offset=offset,
-                length=len(payload),
-                n_records=len(buffer),
-                # Seeded like a running min/max: a NaN time is never a bound.
-                time_min=min(float("inf"), *times),
-                time_max=max(float("-inf"), *times),
-                kind_counts=kind_counts,
-            )
-        )
-        self._n_records += len(buffer)
-        self._buffer = []
-
-    def close(self) -> None:
-        """Flush the final chunk, write the footer index and the digest tail."""
-        if self._closed:
-            return
-        self._flush_chunk()
-        footer = Footer(
-            schema=COLUMNAR_SCHEMA,
-            n_records=self._n_records,
-            kind_counts=dict(self._kind_counts),
-            fields={
-                kind: list(KIND_FIELDS[kind]) for kind in sorted(self._kind_counts)
+def _encode_chunk(
+    rows: typing.List[TraceRecord],
+) -> typing.Tuple[bytes, typing.Dict[str, int]]:
+    """One chunk's frame and its per-kind record counts."""
+    # kind -> (its kind_table index, its records), in first-seen order.
+    groups: typing.Dict[str, typing.Tuple[int, typing.List[TraceRecord]]] = {}
+    order: typing.List[int] = []
+    for record in rows:
+        group = groups.get(record.kind)
+        if group is None:
+            if record.kind not in RECORD_KINDS:
+                raise TraceFormatError(
+                    f"cannot store unregistered record kind {record.kind!r}"
+                )
+            group = groups[record.kind] = (len(groups), [])
+        order.append(group[0])
+        group[1].append(record)
+    frame = _frame(
+        CHUNK_MAGIC,
+        {
+            "kind_table": list(groups),
+            "order": order,
+            "columns": {
+                kind: records_to_columns(kind, members)
+                for kind, (_, members) in groups.items()
             },
-            chunks=self._chunks,
-        )
-        footer_offset = self._offset
-        payload = zlib.compress(_canonical_json(footer.to_dict()), level=6)
-        self._write_bytes(FOOTER_MAGIC)
-        self._write_bytes(struct.pack(">I", len(payload)))
-        self._write_bytes(payload)
-        self._write_bytes(struct.pack(">Q", footer_offset))
-        # The digest covers every byte written so far, footer offset
-        # included; it is followed only by the end magic.
-        self._fh.write(self._digest.digest())
-        self._fh.write(END_MAGIC)
-        self._fh.flush()
-        if self._owns_fh:
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-            if self._tmp_path is not None:
-                assert self._dst_path is not None
-                os.replace(self._tmp_path, self._dst_path)
-                self._tmp_path = None
-        self._closed = True
-
-    def abort(self) -> None:
-        """Discard the write: close without ever touching the destination.
-
-        Only meaningful for path targets (caller-owned handles are left
-        to the caller).  Idempotent; a no-op after :meth:`close`.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self._owns_fh:
-            self._fh.close()
-            if self._tmp_path is not None:
-                with contextlib.suppress(OSError):
-                    os.unlink(self._tmp_path)
-                self._tmp_path = None
-
-    def __enter__(self) -> "ColumnarTraceWriter":
-        return self
-
-    def __exit__(self, exc_type: object, *exc_info: object) -> None:
-        # A clean exit publishes; an exception inside the block must not
-        # leave a valid-looking but incomplete trace at the destination.
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
+        },
+    )
+    return frame, {kind: len(members) for kind, (_, members) in groups.items()}
 
 
 def write_columnar(
@@ -354,71 +143,100 @@ def write_columnar(
     records: typing.Iterable[TraceRecord],
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
 ) -> int:
-    """Write ``records`` to ``path`` in columnar form; returns the count."""
-    count = 0
-    with ColumnarTraceWriter(path, chunk_records=chunk_records) as writer:
-        for record in records:
-            writer.write(record)
-            count += 1
-    return count
+    """Write ``records`` to ``path`` in columnar form; returns the count.
+
+    Holds at most ``chunk_records`` records at a time.  The file is
+    written through :func:`repro.ioutil.atomic_open`: ``path`` gets the
+    whole trace, or keeps its old bytes if anything raises first.
+    """
+    if chunk_records < 1:
+        raise ValueError("chunk_records must be positive")
+    records = iter(records)
+    digest = hashlib.sha256(MAGIC)
+    offset = len(MAGIC)
+    chunks: typing.List[typing.Dict[str, typing.Any]] = []
+    kind_counts: typing.Dict[str, int] = {}
+    with ioutil.atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        while True:
+            rows = list(itertools.islice(records, chunk_records))
+            if not rows:
+                break
+            frame, counts = _encode_chunk(rows)
+            for kind, count in counts.items():
+                kind_counts[kind] = kind_counts.get(kind, 0) + count
+            times = list(map(_TIME, rows))
+            chunks.append({
+                "offset": offset,
+                "length": len(frame) - 8,
+                "n_records": len(rows),
+                # Seeded like a running min/max: a NaN time is never a bound.
+                "time_min": min(float("inf"), *times),
+                "time_max": max(float("-inf"), *times),
+                "kind_counts": counts,
+            })
+            fh.write(frame)
+            digest.update(frame)
+            offset += len(frame)
+        n_records = sum(kind_counts.values())
+        footer = _frame(FOOTER_MAGIC, {
+            "schema": COLUMNAR_SCHEMA,
+            "n_records": n_records,
+            "kind_counts": kind_counts,
+            "fields": {kind: list(KIND_FIELDS[kind]) for kind in kind_counts},
+            "chunks": chunks,
+        }) + struct.pack(">Q", offset)
+        # The digest covers every byte before it, footer offset included;
+        # it is followed only by the end magic.
+        digest.update(footer)
+        fh.write(footer + digest.digest() + END_MAGIC)
+    return n_records
 
 
 # ---------------------------------------------------------------------- #
 # reading
 
 
-def read_footer(
-    path: str, verify_digest: bool = True
-) -> Footer:
-    """Parse (and by default integrity-check) the footer of ``path``.
+def _chunk_spans(data: bytes, source: str) -> typing.List[typing.Tuple[int, int]]:
+    """The ``(offset, length)`` of every chunk, from a checked footer.
 
     Raises:
-        ColumnarFormatError: on anything that is not a complete,
-            untampered columnar trace file — wrong magic, truncated
-            tail, digest mismatch, unknown schema, or a field layout
-            that no longer matches the current record definitions.
+        TraceFormatError: on anything that is not a complete, untampered
+            columnar trace file: wrong magic, truncated tail, digest
+            mismatch, unknown schema, a malformed footer, or a field
+            layout that no longer matches the current record definitions.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise ColumnarFormatError(f"cannot read columnar trace {path!r}: {exc}") from exc
-    return _parse_footer(data, source=path, verify_digest=verify_digest)
-
-
-def _parse_footer(data: bytes, source: str, verify_digest: bool = True) -> Footer:
     if len(data) < len(MAGIC) + _TAIL_LEN:
-        raise ColumnarFormatError(
+        raise TraceFormatError(
             f"{source}: file is {len(data)} bytes, smaller than an empty "
             "columnar trace; it was truncated"
         )
     if data[: len(MAGIC)] != MAGIC:
-        raise ColumnarFormatError(
+        raise TraceFormatError(
             f"{source}: bad magic {data[:8]!r}; not a columnar trace file"
         )
     if data[-len(END_MAGIC):] != END_MAGIC:
-        raise ColumnarFormatError(
+        raise TraceFormatError(
             f"{source}: end marker missing; the file was truncated mid-write "
             "(a complete file always ends with the digest tail)"
         )
     digest_start = len(data) - len(END_MAGIC) - 32
     stored = data[digest_start : digest_start + 32]
-    if verify_digest:
-        actual = hashlib.sha256(data[:digest_start]).digest()
-        if actual != stored:
-            raise ColumnarFormatError(
-                f"{source}: content digest mismatch "
-                f"(stored {stored.hex()[:16]}..., computed {actual.hex()[:16]}...); "
-                "the file is corrupt"
-            )
+    actual = hashlib.sha256(data[:digest_start]).digest()
+    if actual != stored:
+        raise TraceFormatError(
+            f"{source}: content digest mismatch "
+            f"(stored {stored.hex()[:16]}..., computed {actual.hex()[:16]}...); "
+            "the file is corrupt"
+        )
     (footer_offset,) = struct.unpack(">Q", data[digest_start - 8 : digest_start])
     if not len(MAGIC) <= footer_offset <= digest_start - 8:
-        raise ColumnarFormatError(
+        raise TraceFormatError(
             f"{source}: footer offset {footer_offset} is outside the file; "
             "the index is corrupt"
         )
     if data[footer_offset : footer_offset + 4] != FOOTER_MAGIC:
-        raise ColumnarFormatError(
+        raise TraceFormatError(
             f"{source}: footer marker missing at offset {footer_offset}; "
             "the index is corrupt or truncated"
         )
@@ -427,15 +245,15 @@ def _parse_footer(data: bytes, source: str, verify_digest: bool = True) -> Foote
     )
     blob = data[footer_offset + 8 : footer_offset + 8 + footer_len]
     if len(blob) != footer_len:
-        raise ColumnarFormatError(f"{source}: footer payload truncated")
+        raise TraceFormatError(f"{source}: footer payload truncated")
     try:
         payload = json.loads(zlib.decompress(blob).decode("utf-8"))
     except (zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ColumnarFormatError(f"{source}: footer is unreadable ({exc})") from exc
+        raise TraceFormatError(f"{source}: footer is unreadable ({exc})") from exc
     _expect(payload, dict, "footer", source)
     schema = payload.get("schema")
     if schema != COLUMNAR_SCHEMA:
-        raise ColumnarFormatError(
+        raise TraceFormatError(
             f"{source}: unknown columnar schema {schema!r}; "
             f"this reader understands {COLUMNAR_SCHEMA!r}"
         )
@@ -443,30 +261,38 @@ def _parse_footer(data: bytes, source: str, verify_digest: bool = True) -> Foote
     for kind, names in fields.items():
         expected = KIND_FIELDS.get(kind)
         if expected is None:
-            raise ColumnarFormatError(
+            raise TraceFormatError(
                 f"{source}: file contains unknown record kind {kind!r}"
             )
         if names != list(expected):
-            raise ColumnarFormatError(
+            raise TraceFormatError(
                 f"{source}: field layout for {kind!r} is {names}, but this "
                 f"schema expects {list(expected)}; the file was written by an "
                 "incompatible record schema"
             )
-    kind_counts = _expect(
-        payload.get("kind_counts", {}), dict, "footer kind counts", source
-    )
+    _expect(payload.get("kind_counts", {}), dict, "footer kind counts", source)
     chunks = _expect(payload.get("chunks", []), list, "footer chunk index", source)
+    return [_chunk_span(entry, source) for entry in chunks]
+
+
+def _chunk_span(entry: typing.Any, source: str) -> typing.Tuple[int, int]:
+    """One checked footer-index entry's ``(offset, length)``."""
+    _expect(entry, dict, "footer chunk entry", source)
     try:
-        infos = [ChunkInfo.from_dict(c) for c in chunks]
-    except ColumnarFormatError as exc:
-        raise ColumnarFormatError(f"{source}: {exc}") from exc
-    return Footer(
-        schema=schema,
-        n_records=payload.get("n_records", 0),
-        kind_counts=dict(kind_counts),
-        fields={k: list(v) for k, v in fields.items()},
-        chunks=infos,
-    )
+        offset, length = entry["offset"], entry["length"]
+        n_records, kind_counts = entry["n_records"], entry["kind_counts"]
+        time_min, time_max = entry["time_min"], entry["time_max"]
+    except KeyError as exc:
+        raise TraceFormatError(f"{source}: footer chunk entry missing {exc}") from exc
+    if not (
+        all(isinstance(x, int) for x in (offset, length, n_records))
+        and all(isinstance(x, (int, float)) for x in (time_min, time_max))
+        and isinstance(kind_counts, dict)
+    ):
+        raise TraceFormatError(
+            f"{source}: footer chunk entry {entry} has a mistyped field"
+        )
+    return offset, length
 
 
 def _decode_chunk(blob: bytes, source: str) -> typing.List[TraceRecord]:
@@ -474,26 +300,26 @@ def _decode_chunk(blob: bytes, source: str) -> typing.List[TraceRecord]:
     try:
         payload = json.loads(zlib.decompress(blob).decode("utf-8"))
     except (zlib.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ColumnarFormatError(f"{source}: chunk is unreadable ({exc})") from exc
+        raise TraceFormatError(f"{source}: chunk is unreadable ({exc})") from exc
     _expect(payload, dict, "chunk payload", source)
     try:
         kind_table = _expect(payload["kind_table"], list, "chunk kind table", source)
         order = _expect(payload["order"], list, "chunk order", source)
         columns = _expect(payload["columns"], dict, "chunk columns", source)
     except KeyError as exc:
-        raise ColumnarFormatError(f"{source}: chunk is unreadable ({exc})") from exc
+        raise TraceFormatError(f"{source}: chunk is unreadable ({exc})") from exc
     for kind in kind_table:
         if not isinstance(kind, str) or kind not in RECORD_KINDS:
-            raise ColumnarFormatError(
+            raise TraceFormatError(
                 f"{source}: chunk kind table names unknown record kind {kind!r}"
             )
     if len(set(kind_table)) != len(kind_table):
-        raise ColumnarFormatError(
+        raise TraceFormatError(
             f"{source}: chunk kind table {kind_table} repeats a kind"
         )
     counts = [order.count(index) for index in range(len(kind_table))]
     if sum(counts) != len(order):
-        raise ColumnarFormatError(
+        raise TraceFormatError(
             f"{source}: chunk order references a kind outside its kind table"
         )
     rows = [
@@ -504,7 +330,7 @@ def _decode_chunk(blob: bytes, source: str) -> typing.List[TraceRecord]:
         return list(map(next, map(rows.__getitem__, order)))
     except TypeError as exc:
         # order.count matched 1.0 to 1, but a float is no list index.
-        raise ColumnarFormatError(
+        raise TraceFormatError(
             f"{source}: chunk order holds a non-integer kind index ({exc})"
         ) from exc
 
@@ -514,17 +340,17 @@ def _decode_kind(
 ) -> typing.List[TraceRecord]:
     """The ``count`` records of ``kind`` in a chunk, from its columns."""
     if kind not in columns:
-        raise ColumnarFormatError(f"{source}: chunk has no columns for {kind!r}")
+        raise TraceFormatError(f"{source}: chunk has no columns for {kind!r}")
     kind_columns = _expect(columns[kind], dict, f"chunk columns of {kind!r}", source)
     cells = []
     for name in KIND_FIELDS[kind]:
         if name not in kind_columns:
-            raise ColumnarFormatError(
+            raise TraceFormatError(
                 f"{source}: chunk has no {name!r} column for {kind!r}"
             )
         column = _expect(kind_columns[name], list, f"chunk column {kind}.{name}", source)
         if len(column) != count:
-            raise ColumnarFormatError(
+            raise TraceFormatError(
                 f"{source}: chunk columns for {kind!r} are ragged "
                 f"({name!r} has {len(column)} rows, the order lists {count})"
             )
@@ -532,71 +358,29 @@ def _decode_kind(
     return records_from_columns(kind, cells)
 
 
-def iter_columnar(
-    path: str,
-    kinds: typing.Optional[typing.Collection[str]] = None,
-    time_range: typing.Optional[typing.Tuple[float, float]] = None,
-    verify_digest: bool = True,
-) -> typing.Iterator[TraceRecord]:
-    """Stream records from ``path``, one decompressed chunk at a time.
+def iter_columnar(path: str) -> typing.Iterator[TraceRecord]:
+    """Stream records from ``path``, decoding one chunk at a time.
 
-    ``kinds`` and ``time_range`` use the footer index to *skip* chunks
-    containing no matching record before any decompression happens, then
-    filter within the surviving chunks — the O(index) selective-read path.
-    Filters preserve stream order.
+    The whole compressed file is read and its digest checked before the
+    first record is yielded.
 
     Raises:
-        ColumnarFormatError: see :func:`read_footer`; also on chunks
-            whose framing or columns are damaged.
+        TraceFormatError: on an unreadable file, on anything
+            :func:`_chunk_spans` refuses, and on chunks whose framing or
+            columns are damaged.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise ColumnarFormatError(f"cannot read columnar trace {path!r}: {exc}") from exc
-    footer = _parse_footer(data, source=path, verify_digest=verify_digest)
-    wanted = set(kinds) if kinds is not None else None
-    for info in footer.chunks:
-        if wanted is not None and not any(
-            kind in wanted for kind in info.kind_counts
-        ):
-            continue
-        if time_range is not None and (
-            info.time_max < time_range[0] or info.time_min > time_range[1]
-        ):
-            continue
-        head = data[info.offset : info.offset + 4]
-        if head != CHUNK_MAGIC:
-            raise ColumnarFormatError(
-                f"{path}: chunk marker missing at offset {info.offset}"
+        raise TraceFormatError(f"cannot read columnar trace {path!r}: {exc}") from exc
+    for offset, length in _chunk_spans(data, source=path):
+        if data[offset : offset + 4] != CHUNK_MAGIC:
+            raise TraceFormatError(f"{path}: chunk marker missing at offset {offset}")
+        (stored,) = struct.unpack(">I", data[offset + 4 : offset + 8])
+        if stored != length:
+            raise TraceFormatError(
+                f"{path}: chunk at offset {offset} has length {stored}, "
+                f"footer index says {length}"
             )
-        (length,) = struct.unpack(
-            ">I", data[info.offset + 4 : info.offset + 8]
-        )
-        if length != info.length:
-            raise ColumnarFormatError(
-                f"{path}: chunk at offset {info.offset} has length {length}, "
-                f"footer index says {info.length}"
-            )
-        blob = data[info.offset + 8 : info.offset + 8 + length]
-        records = _decode_chunk(blob, source=path)
-        if wanted is not None:
-            records = [r for r in records if r.kind in wanted]
-        if time_range is not None:
-            lo, hi = time_range
-            records = [r for r in records if lo <= r.time <= hi]
-        yield from records
-
-
-def read_columnar(
-    path: str,
-    kinds: typing.Optional[typing.Collection[str]] = None,
-    time_range: typing.Optional[typing.Tuple[float, float]] = None,
-    verify_digest: bool = True,
-) -> typing.List[TraceRecord]:
-    """:func:`iter_columnar` materialized into a list (small reads only)."""
-    return list(
-        iter_columnar(
-            path, kinds=kinds, time_range=time_range, verify_digest=verify_digest
-        )
-    )
+        yield from _decode_chunk(data[offset + 8 : offset + 8 + length], source=path)

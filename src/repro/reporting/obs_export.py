@@ -2,10 +2,11 @@
 
 Deterministic byte-for-byte formats for every observability artifact:
 
-* **JSONL traces** — one record per line, keys sorted, newline
-  terminated; :func:`stream_trace` reads them (and columnar traces)
-  back into typed records, which is what lets a written trace be
-  replayed as a correctness oracle later, or on another machine;
+* **traces** — written by :func:`repro.obs.store.write_jsonl` and
+  :func:`repro.obs.store.write_columnar`; :func:`stream_trace` reads
+  either format back into typed records, which is what lets a written
+  trace be replayed as a correctness oracle later, or on another
+  machine;
 * **metrics snapshots** — the :meth:`MetricsRegistry.snapshot` dict as
   key-sorted JSON, or several snapshots as one wide CSV;
 * **analysis results** — time attribution, interval series and trace
@@ -13,9 +14,11 @@ Deterministic byte-for-byte formats for every observability artifact:
   discipline.
 
 Every export is validated before serialization, so a malformed snapshot
-fails loudly at the producer rather than silently downstream; every
-*import* goes through :func:`stream_trace`, which turns a truncated,
-mid-record or ill-framed artifact into a :class:`TraceStreamError`
+fails loudly at the producer rather than silently downstream; the
+serializers return strings, which callers put on disk with
+:func:`repro.ioutil.atomic_write_text`.  Every trace *import* goes
+through :func:`stream_trace`, which turns a truncated, mid-record or
+ill-framed artifact into a :class:`~repro.obs.store.TraceFormatError`
 naming the file and the offending line or record instead of a bare
 ``json.JSONDecodeError``.
 """
@@ -25,51 +28,16 @@ from __future__ import annotations
 import json
 import typing
 
-from repro import ioutil
 from repro.obs.analysis.attribution import BUCKETS, TimeAttribution
 from repro.obs.analysis.diff import TraceDiff
 from repro.obs.analysis.intervals import WINDOW_FIELDS, IntervalSeries
 from repro.obs.metrics import validate_snapshot
-from repro.obs.records import (
-    RunConfig,
-    RunEnd,
-    TraceRecord,
-    record_to_dict,
-)
+from repro.obs.records import RunConfig, RunEnd, TraceRecord
+from repro.obs.store import TraceFormatError, iter_trace_file
 from repro.reporting.export import rows_to_csv
 
 #: Time-attribution export schema identifier.
 ATTRIBUTION_SCHEMA = "repro.analysis.attribution/1"
-
-
-def write_artifact(path: str, text: str) -> None:
-    """Write an exporter's output to ``path`` crash-safely.
-
-    All the serializers in this module return strings; this is the one
-    sanctioned way to put them on disk.  The write is atomic (same-
-    directory temp file + :func:`os.replace`), so a process killed
-    mid-write can never leave a truncated artifact at the destination —
-    the loaders' truncation refusal then only ever fires on artifacts
-    damaged by something other than our own writers.
-    """
-    ioutil.atomic_write_text(path, text)
-
-
-class TraceStreamError(ValueError):
-    """A trace artifact is truncated, malformed, or incomplete.
-
-    Subclasses :class:`ValueError` so pre-existing callers that caught
-    the old error keep working; the message always names the line (or
-    framing record) at fault.
-    """
-
-
-def trace_to_jsonl(records: typing.Iterable[TraceRecord]) -> str:
-    """Serialize records as JSON Lines (sorted keys, newline terminated)."""
-    lines = [json.dumps(record_to_dict(r), sort_keys=True) for r in records]
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
 
 
 def stream_trace(
@@ -89,38 +57,26 @@ def stream_trace(
     that need all-or-nothing semantics drain it to a list first.
 
     Raises:
-        TraceStreamError: on unreadable, truncated, malformed, corrupt,
+        TraceFormatError: on unreadable, truncated, malformed, corrupt,
             or incomplete artifacts — always naming the file.
     """
-    from repro.obs.store import ColumnarFormatError, iter_trace_file
-
-    try:
-        iterator = iter_trace_file(path, fmt=fmt)
-    except (ColumnarFormatError, ValueError) as exc:
-        raise TraceStreamError(str(exc)) from exc
     n = 0
     ended = False
-    while True:
-        try:
-            record = next(iterator)
-        except StopIteration:
-            break
-        except ColumnarFormatError as exc:
-            raise TraceStreamError(str(exc)) from exc
+    for record in iter_trace_file(path, fmt=fmt):
         n += 1
         if n == 1:
             if not isinstance(record, RunConfig):
-                raise TraceStreamError(
+                raise TraceFormatError(
                     f"{path} does not start with a run_config record "
                     f"(got {record.kind!r}); not a complete run artifact"
                 )
         else:
             if ended:
-                raise TraceStreamError(
+                raise TraceFormatError(
                     f"{path} record {n - 1} is a premature run_end"
                 )
             if isinstance(record, RunConfig):
-                raise TraceStreamError(
+                raise TraceFormatError(
                     f"{path} record {n} is a second run_config; "
                     "analysis expects one run per artifact"
                 )
@@ -128,9 +84,9 @@ def stream_trace(
             ended = True
         yield record
     if n == 0:
-        raise TraceStreamError(f"{path} is empty")
+        raise TraceFormatError(f"{path} is empty")
     if not ended:
-        raise TraceStreamError(
+        raise TraceFormatError(
             f"{path} does not end with a run_end record; the run was cut off"
         )
 

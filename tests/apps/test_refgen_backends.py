@@ -110,6 +110,27 @@ class TestStreamEquality:
         # ... and vectorization resumes exactly afterwards.
         assert g_v.next_blocks(3000) == g_s.next_blocks(3000)
 
+    def test_single_touches_never_mirror_the_rng(self, monkeypatch):
+        """Draws under ``MIN_VEC`` run the scalar spec without mirroring
+        the rng first: 100 next_block calls on a filled ring attach none."""
+        from repro.apps.refgen import numpy_backend
+
+        spec = ReferenceSpec(4096, 0.9, 4, 256)
+        gen = ReferenceGenerator(spec, random.Random(3), backend="numpy")
+        gen.next_blocks(4000)  # fills the ring and leaves a valid mirror
+        assert gen._recent_len == spec.reuse_window
+        attaches = []
+        attach = numpy_backend._VecState.attach
+
+        def counted(state, g):
+            attaches.append(g)
+            attach(state, g)
+
+        monkeypatch.setattr(numpy_backend._VecState, "attach", counted)
+        for _ in range(100):
+            gen.next_block()
+        assert attaches == []
+
     def test_reset_flushes_engine_state(self):
         for s in DIFF_SPECS[:4]:
             g_s = ReferenceGenerator(s, random.Random(3), backend="scalar")

@@ -2,7 +2,7 @@
 
 One seed-0 run of Table 2 mix 5 per policy, traced with every record
 kind on (``PolicyDecision``, ``Dispatch``, ``AllocationChange`` ...) and
-serialized with :func:`trace_to_jsonl`.  Any change to which processor
+written with :func:`repro.obs.store.write_jsonl`.  Any change to which processor
 goes to which job, when, and why changes the digest.  Regenerate only
 after an intentional behaviour change::
 
@@ -12,13 +12,15 @@ after an intentional behaviour change::
 """
 
 import hashlib
+import os
+import tempfile
 
 import pytest
 
 from repro.core.policies import POLICIES
 from repro.measure.runner import run_mix
 from repro.obs import Tracer
-from repro.reporting.obs_export import trace_to_jsonl
+from repro.obs.store import write_jsonl
 
 #: policy -> (sha256 of the JSONL trace, record count)
 GOLDEN = {
@@ -39,8 +41,12 @@ def trace_digest(policy):
     """(sha256 hex, record count) of one traced seed-0 mix 5 run."""
     tracer = Tracer()
     run_mix(5, policy, seed=0, tracer=tracer)
-    text = trace_to_jsonl(tracer.records)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest(), len(tracer.records)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "trace.jsonl")
+        write_jsonl(path, tracer.records)
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+    return digest, len(tracer.records)
 
 
 def test_golden_covers_every_policy():

@@ -28,10 +28,11 @@ def golden_run():
 if __name__ == "__main__":
     import pathlib
 
-    from repro.reporting.obs_export import snapshot_to_json, trace_to_jsonl
+    from repro.obs.store import write_jsonl
+    from repro.reporting.obs_export import snapshot_to_json
 
     here = pathlib.Path(__file__).parent / "golden"
     records, snapshot = golden_run()
-    (here / "trace.jsonl").write_text(trace_to_jsonl(records), encoding="utf-8")
+    write_jsonl(str(here / "trace.jsonl"), records)
     (here / "metrics.json").write_text(snapshot_to_json(snapshot), encoding="utf-8")
     print(f"wrote {len(records)} records and the metrics snapshot to {here}")

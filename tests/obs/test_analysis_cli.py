@@ -11,11 +11,8 @@ import pytest
 
 from repro.cli import ANALYSIS_MARKER, PROFILE_MARKER, main
 from repro.obs.analysis import DIFF_SCHEMA, INTERVALS_SCHEMA
-from repro.reporting.obs_export import (
-    ATTRIBUTION_SCHEMA,
-    TraceStreamError,
-    stream_trace,
-)
+from repro.obs.store import TraceFormatError
+from repro.reporting.obs_export import ATTRIBUTION_SCHEMA, stream_trace
 
 
 def _jsonl(lines):
@@ -144,6 +141,18 @@ class TestTruncationRefusal:
         assert exc_info.value.code == 1
         assert "run_end" in capsys.readouterr().err
 
+    def test_non_object_line_exits_nonzero_naming_the_line(
+        self, trace_path, tmp_path, capsys
+    ):
+        lines = trace_path.read_text(encoding="utf-8").splitlines()
+        bad = tmp_path / "list-line.jsonl"
+        bad.write_text(_jsonl(lines[:1] + ["[1]"] + lines[1:]), encoding="utf-8")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["analyze", str(bad)])
+        assert exc_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: trace line 2:")
+
     def test_diff_refuses_corrupt_inputs_too(self, trace_path, tmp_path, capsys):
         bad = tmp_path / "garbage.jsonl"
         bad.write_text('{"kind": "dispatch", "time": not-json}\n', encoding="utf-8")
@@ -158,7 +167,7 @@ class TestTruncationRefusal:
         if damage is not None:
             lines = trace_path.read_text(encoding="utf-8").splitlines()
             bad.write_text(damage(lines), encoding="utf-8")
-        with pytest.raises(TraceStreamError, match=message) as exc_info:
+        with pytest.raises(TraceFormatError, match=message) as exc_info:
             list(stream_trace(str(bad)))
         assert str(bad) in str(exc_info.value)
 

@@ -46,6 +46,25 @@ class TestTraceCommand:
             main(["trace", "--policy", "NoSuchPolicy"])
 
 
+class TestConvertCommand:
+    def test_round_trip_is_byte_identical(self, tmp_path, capsys):
+        jsonl, col, back = (tmp_path / n for n in ("t.jsonl", "t.rct", "b.jsonl"))
+        assert main(["trace", "--mix", "1", "--out", str(jsonl)]) == 0
+        assert main(["convert", str(jsonl), str(col)]) == 0
+        assert main(["convert", str(col), str(back), "--to", "jsonl"]) == 0
+        assert back.read_bytes() == jsonl.read_bytes()
+        assert f"-> {back} (jsonl)" in capsys.readouterr().out
+
+    def test_list_kind_exits_nonzero_naming_the_line(self, tmp_path, capsys):
+        src, dst = tmp_path / "t.jsonl", tmp_path / "t.rct"
+        src.write_text('{"kind": ["x"], "time": 0.0}\n', encoding="utf-8")
+        with pytest.raises(SystemExit) as exc_info:
+            main(["convert", str(src), str(dst)])
+        assert exc_info.value.code == 1
+        assert capsys.readouterr().err.startswith(f"error: {src}: trace line 1:")
+        assert not dst.exists()
+
+
 class TestMetricsFlags:
     def test_table1_scale16_emits_schema_valid_snapshot(self, capsys):
         """ISSUE regression: ``repro table1 --scale 16 --metrics``."""

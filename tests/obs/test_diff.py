@@ -9,30 +9,32 @@ from repro.engine.parallel import map_items
 from repro.measure.runner import run_mix
 from repro.obs import Tracer
 from repro.obs.analysis import BUCKETS, diff_traces
-from repro.reporting.obs_export import stream_trace, trace_to_jsonl
+from repro.obs.store import write_jsonl
+from repro.reporting.obs_export import stream_trace
 
 
-def _traced_jsonl(mix, policy, seed):
+def _traced_jsonl(mix, policy, seed, path):
+    """Write one traced run to ``path`` as JSONL; returns the path."""
     tracer = Tracer()
     run_mix(mix, policy, seed=seed, tracer=tracer)
-    return trace_to_jsonl(tracer.records)
+    write_jsonl(str(path), tracer.records)
+    return path
 
 
-def _read_back(text, directory, name):
+def _read_back(path):
     """Parse a JSONL trace the way commands do: from a file, frame-checked."""
-    path = directory / name
-    path.write_text(text, encoding="utf-8")
     return list(stream_trace(str(path)))
 
 
-def _replicated_trace(replication):
+def _replicated_trace(job):
     """Module-level so it pickles into ProcessPoolExecutor workers."""
-    return _traced_jsonl(1, DYN_AFF, seed=replication)
+    replication, path = job
+    return _traced_jsonl(1, DYN_AFF, replication, path)
 
 
 class TestSelfDiff:
     def test_identical_traces_diff_clean(self, tmp_path):
-        records = _read_back(_traced_jsonl(1, DYN_AFF, seed=0), tmp_path, "a.jsonl")
+        records = _read_back(_traced_jsonl(1, DYN_AFF, 0, tmp_path / "a.jsonl"))
         diff = diff_traces(records, records, label_a="x", label_b="y")
         assert diff.identical
         assert diff.first_divergence is None
@@ -46,8 +48,8 @@ class TestSelfDiff:
         assert diff.decision_rule_counts_a == diff.decision_rule_counts_b
 
     def test_seed_change_diverges(self, tmp_path):
-        trace_a = _read_back(_traced_jsonl(1, DYN_AFF, seed=0), tmp_path, "a.jsonl")
-        trace_b = _read_back(_traced_jsonl(1, DYN_AFF, seed=1), tmp_path, "b.jsonl")
+        trace_a = _read_back(_traced_jsonl(1, DYN_AFF, 0, tmp_path / "a.jsonl"))
+        trace_b = _read_back(_traced_jsonl(1, DYN_AFF, 1, tmp_path / "b.jsonl"))
         diff = diff_traces(trace_a, trace_b)
         assert not diff.identical
         assert diff.first_divergence is not None
@@ -57,12 +59,18 @@ class TestParallelDeterminism:
     """Satellite (d): serial and workers=2 runs diverge nowhere."""
 
     def test_worker_count_never_changes_the_trace(self, tmp_path):
-        serial = map_items(_replicated_trace, [0, 1], workers=1)
-        parallel = map_items(_replicated_trace, [0, 1], workers=2)
-        for r, (text_a, text_b) in enumerate(zip(serial, parallel)):
+        serial = map_items(
+            _replicated_trace, [(r, tmp_path / f"serial-{r}.jsonl") for r in (0, 1)],
+            workers=1,
+        )
+        parallel = map_items(
+            _replicated_trace, [(r, tmp_path / f"parallel-{r}.jsonl") for r in (0, 1)],
+            workers=2,
+        )
+        for r, (path_a, path_b) in enumerate(zip(serial, parallel)):
             diff = diff_traces(
-                _read_back(text_a, tmp_path, f"serial-{r}.jsonl"),
-                _read_back(text_b, tmp_path, f"parallel-{r}.jsonl"),
+                _read_back(path_a),
+                _read_back(path_b),
                 label_a=f"serial r{r}",
                 label_b=f"workers=2 r{r}",
             )
@@ -79,8 +87,8 @@ class TestPolicyGapAttribution:
     @pytest.fixture(scope="class")
     def diff(self, tmp_path_factory):
         directory = tmp_path_factory.mktemp("gap")
-        trace_a = _read_back(_traced_jsonl(5, EQUIPARTITION, seed=0), directory, "a.jsonl")
-        trace_b = _read_back(_traced_jsonl(5, DYN_AFF, seed=0), directory, "b.jsonl")
+        trace_a = _read_back(_traced_jsonl(5, EQUIPARTITION, 0, directory / "a.jsonl"))
+        trace_b = _read_back(_traced_jsonl(5, DYN_AFF, 0, directory / "b.jsonl"))
         return diff_traces(trace_a, trace_b, label_a="Equipartition", label_b="Dyn-Aff")
 
     def test_per_job_buckets_sum_to_response_delta(self, diff):

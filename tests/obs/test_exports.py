@@ -5,39 +5,42 @@ import pathlib
 
 import pytest
 
-from repro.obs.store import iter_jsonl_records
-from repro.reporting.obs_export import (
-    snapshot_to_json,
-    snapshots_to_csv,
-    trace_to_jsonl,
-)
+from repro.obs.store import iter_jsonl_records, write_jsonl
+from repro.reporting.obs_export import snapshot_to_json, snapshots_to_csv
 from tests.obs.golden_run import golden_run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _jsonl_text(records, directory) -> str:
+    """The JSONL trace of ``records``, as written to a file."""
+    path = directory / "written.jsonl"
+    write_jsonl(str(path), records)
+    return path.read_text(encoding="utf-8")
 
 
 class TestJsonlTrace:
     def test_round_trip_preserves_every_record(self, tmp_path):
         records, _ = golden_run()
         path = tmp_path / "trace.jsonl"
-        path.write_text(trace_to_jsonl(records), encoding="utf-8")
+        assert write_jsonl(str(path), records) == len(records)
         assert list(iter_jsonl_records(str(path))) == list(records)
 
-    def test_lines_are_key_sorted(self):
+    def test_lines_are_key_sorted(self, tmp_path):
         records, _ = golden_run()
-        for line in trace_to_jsonl(records).splitlines():
+        for line in _jsonl_text(records, tmp_path).splitlines():
             keys = list(json.loads(line))
             assert keys == sorted(keys)
 
-    def test_newline_terminated(self):
+    def test_newline_terminated(self, tmp_path):
         records, _ = golden_run()
-        assert trace_to_jsonl(records).endswith("\n")
-        assert trace_to_jsonl([]) == ""
+        assert _jsonl_text(records, tmp_path).endswith("\n")
+        assert _jsonl_text([], tmp_path) == ""
 
     def test_blank_lines_skipped_bad_json_rejected(self, tmp_path):
         records, _ = golden_run()
         path = tmp_path / "trace.jsonl"
-        path.write_text(trace_to_jsonl(records) + "\n", encoding="utf-8")
+        path.write_text(_jsonl_text(records, tmp_path) + "\n", encoding="utf-8")
         assert len(list(iter_jsonl_records(str(path)))) == len(records)
         path.write_text("not json\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
@@ -128,11 +131,11 @@ class TestGoldenFiles:
     review the diff.
     """
 
-    def test_trace_jsonl_matches_golden(self):
+    def test_trace_jsonl_matches_golden(self, tmp_path):
         records, _ = golden_run()
-        assert trace_to_jsonl(records) == (GOLDEN / "trace.jsonl").read_text(
-            encoding="utf-8"
-        )
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(str(path), records)
+        assert path.read_bytes() == (GOLDEN / "trace.jsonl").read_bytes()
 
     def test_metrics_json_matches_golden(self):
         _, snapshot = golden_run()

@@ -2,10 +2,10 @@
 
 The store's contract is threefold: (1) JSONL <-> columnar conversion is
 lossless down to the byte, for any record stream the tracer can emit —
-including every open-system disruption kind; (2) the footer index lets a
-reader pull one record kind or time range without decoding everything;
-(3) any corruption — a flipped byte, a truncated tail — is refused
-loudly, never returned as quietly wrong data.  On top of the round trip,
+including every open-system disruption kind; (2) any corruption — a
+flipped byte, a truncated tail, a forged chunk or footer — is refused
+loudly, never returned as quietly wrong data; (3) both writers are
+all-or-nothing: a write that fails leaves the old file as it was.  On top of the round trip,
 ``tests/data/columnar_digests.json`` pins the sha256 of the stored bytes
 for a few fixed traces, so a writer change that keeps the round trip but
 moves a byte fails here.  Regenerate it (only for an intended format
@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policies import DYN_AFF
+from repro.ioutil import TMP_PREFIX
 from repro.core.system import SchedulingSystem
 from repro.obs import Tracer
 from repro.obs.records import (
@@ -52,18 +53,15 @@ from repro.obs.records import (
 from repro.obs.store import (
     COLUMNAR_SCHEMA,
     DEFAULT_CHUNK_RECORDS,
-    ColumnarFormatError,
-    columnar_to_jsonl,
+    TraceFormatError,
     iter_columnar,
     iter_jsonl_records,
-    jsonl_to_columnar,
-    read_columnar,
-    read_footer,
+    iter_trace_file,
     sniff_format,
     write_columnar,
+    write_jsonl,
 )
 from repro.obs.store.format import CHUNK_MAGIC, END_MAGIC, FOOTER_MAGIC, MAGIC
-from repro.reporting.obs_export import trace_to_jsonl
 from repro.workloads.opensys.scenario import built_in_scenarios, run_scenario
 from tests.core.helpers import flat_job
 
@@ -120,7 +118,7 @@ def test_round_trip_any_record_stream(tmp_path_factory, records, chunk):
     """Arbitrary interleavings of every record kind survive the store."""
     path = tmp_path_factory.mktemp("col") / "t.col"
     write_columnar(str(path), records, chunk_records=chunk)
-    back = read_columnar(str(path))
+    back = list(iter_columnar(str(path)))
     assert back == records
 
 
@@ -130,9 +128,9 @@ def test_jsonl_round_trip_is_byte_identical(tmp_path_factory, records):
     """JSONL -> columnar -> JSONL reproduces the original bytes exactly."""
     base = tmp_path_factory.mktemp("rt")
     jsonl, col, back = base / "a.jsonl", base / "a.col", base / "b.jsonl"
-    jsonl.write_text(trace_to_jsonl(records), encoding="utf-8")
-    jsonl_to_columnar(str(jsonl), str(col), chunk_records=7)
-    columnar_to_jsonl(str(col), str(back))
+    write_jsonl(str(jsonl), records)
+    write_columnar(str(col), iter_jsonl_records(str(jsonl)), chunk_records=7)
+    write_jsonl(str(back), iter_columnar(str(col)))
     assert back.read_bytes() == jsonl.read_bytes()
 
 
@@ -163,32 +161,10 @@ def test_every_kind_has_a_strategy():
     assert len(record_strategies) == len(RECORD_KINDS)
 
 
-def test_footer_index_and_kind_filter(tmp_path, real_trace):
-    path = tmp_path / "t.col"
-    write_columnar(str(path), real_trace, chunk_records=256)
-    footer = read_footer(str(path))
-    assert footer.n_records == len(real_trace)
-    assert sum(footer.kind_counts.values()) == len(real_trace)
-    for kind, count in footer.kind_counts.items():
-        got = list(iter_columnar(str(path), kinds={kind}))
-        assert len(got) == count
-        assert all(r.kind == kind for r in got)
-
-
-def test_time_range_filter(tmp_path, real_trace):
-    path = tmp_path / "t.col"
-    write_columnar(str(path), real_trace, chunk_records=128)
-    t_lo = real_trace[len(real_trace) // 3].time
-    t_hi = real_trace[2 * len(real_trace) // 3].time
-    got = list(iter_columnar(str(path), time_range=(t_lo, t_hi)))
-    want = [r for r in real_trace if t_lo <= r.time <= t_hi]
-    assert got == want
-
-
 def test_sniff_format(tmp_path, real_trace):
     col, jsonl = tmp_path / "t.col", tmp_path / "t.jsonl"
     write_columnar(str(col), real_trace)
-    jsonl.write_text(trace_to_jsonl(real_trace), encoding="utf-8")
+    write_jsonl(str(jsonl), real_trace)
     assert sniff_format(str(col)) == "columnar"
     assert sniff_format(str(jsonl)) == "jsonl"
 
@@ -205,7 +181,7 @@ def test_flipped_byte_fails_digest(tmp_path, real_trace):
         corrupt[offset] ^= 0x40
         bad = tmp_path / f"bad{offset}.col"
         bad.write_bytes(bytes(corrupt))
-        with pytest.raises(ColumnarFormatError):
+        with pytest.raises(TraceFormatError, match=re.escape(str(bad))):
             list(iter_columnar(str(bad)))
 
 
@@ -216,17 +192,15 @@ def test_truncated_footer_is_refused(tmp_path, real_trace):
     for cut in (1, 20, 48, len(blob) // 2):
         bad = tmp_path / f"cut{cut}.col"
         bad.write_bytes(blob[:-cut])
-        with pytest.raises(ColumnarFormatError):
-            read_footer(str(bad))
-        with pytest.raises(ColumnarFormatError):
+        with pytest.raises(TraceFormatError, match=re.escape(str(bad))):
             list(iter_columnar(str(bad)))
 
 
 def test_not_a_columnar_file_is_refused(tmp_path):
     bad = tmp_path / "nope.col"
     bad.write_bytes(b"this is not a columnar trace at all, not even close")
-    with pytest.raises(ColumnarFormatError):
-        read_footer(str(bad))
+    with pytest.raises(TraceFormatError, match=re.escape(str(bad))):
+        list(iter_columnar(str(bad)))
 
 
 # --- malformed chunks and footers behind a valid digest ---
@@ -243,16 +217,20 @@ def _forge(directory, records, chunk=None, footer=None) -> str:
     write_columnar(good, records, chunk_records=8)
     with open(good, "rb") as handle:
         data = handle.read()
-    index = read_footer(good)
+    (footer_offset,) = struct.unpack(">Q", data[-48:-40])
+    (footer_len,) = struct.unpack(">I", data[footer_offset + 4 : footer_offset + 8])
+    index = json.loads(
+        zlib.decompress(data[footer_offset + 8 : footer_offset + 8 + footer_len])
+    )
     out = bytearray(MAGIC)
     entries = []
-    for info in index.chunks:
-        body = data[info.offset + 8 : info.offset + 8 + info.length]
+    for entry in index["chunks"]:
+        body = data[entry["offset"] + 8 : entry["offset"] + 8 + entry["length"]]
         payload = json.loads(zlib.decompress(body))
         blob = zlib.compress(json.dumps(chunk(payload) if chunk else payload).encode())
-        entries.append(dict(info.to_dict(), offset=len(out), length=len(blob)))
+        entries.append(dict(entry, offset=len(out), length=len(blob)))
         out += CHUNK_MAGIC + struct.pack(">I", len(blob)) + blob
-    meta = dict(index.to_dict(), chunks=entries)
+    meta = dict(index, chunks=entries)
     blob = zlib.compress(json.dumps(footer(meta) if footer else meta).encode())
     footer_offset = len(out)
     out += FOOTER_MAGIC + struct.pack(">I", len(blob)) + blob
@@ -279,7 +257,7 @@ def _golden_records():
 def test_forged_file_without_changes_reads_back(tmp_path):
     records = _golden_records()
     path = _forge(str(tmp_path), records)
-    assert read_columnar(path) == records
+    assert list(iter_columnar(path)) == records
 
 
 MALFORMED_CHUNKS = {
@@ -309,9 +287,8 @@ MALFORMED_CHUNKS = {
 @pytest.mark.parametrize("shape", sorted(MALFORMED_CHUNKS))
 def test_malformed_chunk_is_a_typed_error(tmp_path, shape):
     path = _forge(str(tmp_path), _golden_records(), chunk=MALFORMED_CHUNKS[shape])
-    for verify in (True, False):
-        with pytest.raises(ColumnarFormatError, match=re.escape(path)):
-            list(iter_columnar(path, verify_digest=verify))
+    with pytest.raises(TraceFormatError, match=re.escape(path)):
+        list(iter_columnar(path))
 
 
 def _chunk_entries(footer, change):
@@ -341,33 +318,80 @@ MALFORMED_FOOTERS = {
 @pytest.mark.parametrize("shape", sorted(MALFORMED_FOOTERS))
 def test_malformed_footer_is_a_typed_error(tmp_path, shape):
     path = _forge(str(tmp_path), _golden_records(), footer=MALFORMED_FOOTERS[shape])
-    for verify in (True, False):
-        with pytest.raises(ColumnarFormatError, match=re.escape(path)):
-            read_footer(path, verify_digest=verify)
-        with pytest.raises(ColumnarFormatError, match=re.escape(path)):
-            list(iter_columnar(path, verify_digest=verify))
+    with pytest.raises(TraceFormatError, match=re.escape(path)):
+        list(iter_columnar(path))
 
 
 def test_forged_schema_still_checked(tmp_path):
     path = _forge(str(tmp_path), _golden_records(),
                   footer=lambda f: dict(f, schema=COLUMNAR_SCHEMA + "x"))
-    with pytest.raises(ColumnarFormatError, match="unknown columnar schema"):
-        read_footer(path)
+    with pytest.raises(TraceFormatError, match="unknown columnar schema"):
+        list(iter_columnar(path))
 
 
 def test_jsonl_truncation_refused(tmp_path, real_trace):
     """A JSONL file whose final line lost its newline is refused."""
     path = tmp_path / "t.jsonl"
-    text = trace_to_jsonl(real_trace)
-    path.write_text(text[:-1], encoding="utf-8")  # drop trailing newline
-    with pytest.raises(ValueError, match="truncated"):
+    write_jsonl(str(path), real_trace)
+    path.write_bytes(path.read_bytes()[:-1])  # drop trailing newline
+    with pytest.raises(TraceFormatError, match="truncated"):
         list(iter_jsonl_records(str(path)))
 
 
 def test_jsonl_stream_matches_batch(tmp_path, real_trace):
     path = tmp_path / "t.jsonl"
-    path.write_text(trace_to_jsonl(real_trace), encoding="utf-8")
+    assert write_jsonl(str(path), real_trace) == len(real_trace)
     assert list(iter_jsonl_records(str(path))) == list(real_trace)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        pytest.param("[1]", "trace record is a list, expected a JSON object",
+                     id="list-line"),
+        pytest.param('{"kind": ["x"], "time": 0.0}',
+                     r"unknown trace record kind \['x'\]", id="list-kind"),
+        pytest.param('{"kind": "\udcff"}', "is not UTF-8", id="not-utf8"),
+    ],
+)
+def test_non_record_jsonl_line_is_a_typed_error(tmp_path, line, message):
+    """A line that is not UTF-8, or valid JSON but no record, fails
+    naming the file and the line."""
+    with open(GOLDEN_TRACE, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines[:1] + [line] + lines[1:]) + "\n",
+                    encoding="utf-8", errors="surrogateescape")
+    with pytest.raises(TraceFormatError,
+                       match=re.escape(f"{path}: trace line 2") + ".*" + message):
+        list(iter_trace_file(str(path)))
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _records_then_fail(records, directory):
+    """``records``, then an error, raised once the writer has a temp file."""
+    yield from records
+    assert any(name.startswith(TMP_PREFIX) for name in os.listdir(directory))
+    raise _Interrupted
+
+
+@pytest.mark.parametrize(
+    "write",
+    [functools.partial(write_columnar, chunk_records=8), write_jsonl],
+    ids=["columnar", "jsonl"],
+)
+def test_failed_write_keeps_the_old_file(tmp_path, real_trace, write):
+    """A record stream that raises after the first chunk leaves the old
+    bytes at the destination and no temp file beside it."""
+    path = tmp_path / "t.trace"
+    path.write_bytes(b"old bytes")
+    with pytest.raises(_Interrupted):
+        write(str(path), _records_then_fail(real_trace[:20], tmp_path))
+    assert path.read_bytes() == b"old bytes"
+    assert os.listdir(tmp_path) == ["t.trace"]
 
 
 def test_compression_ratio_on_real_trace(tmp_path):
@@ -383,8 +407,8 @@ def test_compression_ratio_on_real_trace(tmp_path):
     )
     system.run()
     jsonl, col = tmp_path / "t.jsonl", tmp_path / "t.col"
-    jsonl.write_text(trace_to_jsonl(tracer.records), encoding="utf-8")
-    jsonl_to_columnar(str(jsonl), str(col))
+    write_jsonl(str(jsonl), tracer.records)
+    write_columnar(str(col), iter_jsonl_records(str(jsonl)))
     ratio = col.stat().st_size / jsonl.stat().st_size
     assert ratio <= 0.25, f"columnar/jsonl ratio {ratio:.3f} exceeds 0.25"
 
