@@ -98,11 +98,6 @@ def _print_snapshot(snapshot: typing.Mapping[str, typing.Any], label: str = "") 
     print(snapshot_to_json(snapshot), end="")
 
 
-def _print_comparison_metrics(comparison) -> None:
-    for policy in sorted(comparison.metrics):
-        _print_snapshot(comparison.metrics[policy], label=policy)
-
-
 def _print_profile(snapshot: typing.Mapping[str, typing.Any], label: str = "") -> None:
     from repro.reporting.analysis_report import render_profile_table
 
@@ -110,34 +105,51 @@ def _print_profile(snapshot: typing.Mapping[str, typing.Any], label: str = "") -
     print(render_profile_table(snapshot))
 
 
-def _print_analysis(spec: SweepSpec, mix_ids: typing.Sequence[int], seed: int) -> None:
-    """Run one traced replication per (mix, policy) and print attributions.
+def _print_snapshots(
+    metrics: typing.Mapping[str, typing.Any],
+    profiles: typing.Mapping[str, typing.Any],
+) -> None:
+    """Merged metrics, then merged profiles, each sorted by label."""
+    for label in sorted(metrics):
+        _print_snapshot(metrics[label], label=label)
+    for label in sorted(profiles):
+        _print_profile(profiles[label], label=label)
+
+
+def _print_attribution(records):
+    """Print the exact time attribution of ``records`` and check it.
 
     The conservation laws are checked on the spot; a violation exits
     non-zero, because an attribution that does not conserve is wrong by
     construction and must never ship as an explanation.
     """
-    from repro.obs import Tracer
     from repro.obs.analysis import attribute_time
     from repro.reporting.analysis_report import render_attribution_table
+
+    attribution = attribute_time(records)
+    errors = attribution.conservation_errors()
+    print(render_attribution_table(attribution))
+    if errors:
+        print("CONSERVATION VIOLATED:")
+        for message in errors:
+            print(f"  {message}")
+        raise SystemExit(1)
+    print("conservation: exact (buckets sum to makespan x P and to "
+          "per-job response times)")
+    return attribution
+
+
+def _print_analysis(spec: SweepSpec, mix_ids: typing.Sequence[int], seed: int) -> None:
+    """Run one traced replication per (mix, policy) and print attributions."""
+    from repro.obs import Tracer
     from repro.sweep.cells import run_cell
 
     for mix_id in mix_ids:
         for policy in spec.policies:
             tracer = Tracer()
-            cell = mix_cell(mix_id, policy, seed, spec.n_processors)
-            run_cell(cell, tracer=tracer)
-            attribution = attribute_time(tracer.records)
-            errors = attribution.conservation_errors()
+            run_cell(mix_cell(mix_id, policy, seed, spec.n_processors), tracer=tracer)
             print(f"{ANALYSIS_MARKER} mix {mix_id} {policy}")
-            print(render_attribution_table(attribution))
-            if errors:
-                print("CONSERVATION VIOLATED:")
-                for message in errors:
-                    print(f"  {message}")
-                raise SystemExit(1)
-            print("conservation: exact (buckets sum to makespan x P "
-                  "and to per-job response times)")
+            _print_attribution(tracer.records)
             print()
 
 
@@ -248,14 +260,12 @@ def _table1_spec(args: argparse.Namespace) -> SweepSpec:
 
 def _print_merged(spec: SweepSpec, payloads) -> None:
     """The sweep's merged metrics and profile snapshots, when collected."""
-    from repro.sweep.cells import merged_metrics, merged_profile
+    from repro.sweep.cells import merged_snapshots
 
-    snapshot = merged_metrics(spec, payloads)
-    if snapshot is not None:
-        _print_snapshot(snapshot)
-    profile = merged_profile(spec, payloads)
-    if profile is not None:
-        _print_profile(profile)
+    runs = {"": [payloads[cell] for cell in spec.expand()]}
+    _print_snapshots(
+        merged_snapshots(runs, "metrics"), merged_snapshots(runs, "profile")
+    )
 
 
 def _render_table1(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
@@ -281,9 +291,7 @@ def _render_relative_rt(
         if table3:
             print(render_table3(comparison))
             print()
-        _print_comparison_metrics(comparison)
-        for policy in sorted(comparison.profiles):
-            _print_profile(comparison.profiles[policy], label=policy)
+        _print_snapshots(comparison.metrics, comparison.profiles)
         if getattr(args, "analyze", False):
             _print_analysis(spec, [mix_id], args.seed)
         if table3 and args.csv:
@@ -323,7 +331,7 @@ def _render_future(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
     model = FutureMachineModel(DEFAULT_PENALTIES)
     for mix_id in spec.mixes:
         comparison = mix_comparison(spec, payloads, mix_id)
-        _print_comparison_metrics(comparison)
+        _print_snapshots(comparison.metrics, comparison.profiles)
         observations = observations_from_comparison(comparison)
         for job in comparison.job_names():
             series = {}
@@ -648,20 +656,17 @@ def cmd_opensys(args: argparse.Namespace) -> None:
 def cmd_analyze(args: argparse.Namespace) -> None:
     """Time attribution + interval series (+ timeline) for a trace file.
 
-    Accepts JSONL and columnar traces (sniffed by content) and streams
-    the file once per analysis pass instead of holding a record list.
+    Accepts JSONL and columnar traces (sniffed by content) and reads the
+    file once into a record list that every analysis pass shares.
     Refuses truncated or incomplete artifacts with a clear error and a
     non-zero exit; exits non-zero too if the attribution fails its own
     conservation laws (an explanation that does not add up must never be
     shipped).
     """
     from repro.ioutil import atomic_write_text
-    from repro.obs.analysis import attribute_time, interval_series
+    from repro.obs.analysis import interval_series
     from repro.obs.store import TraceFormatError
-    from repro.reporting.analysis_report import (
-        render_attribution_table,
-        render_interval_series,
-    )
+    from repro.reporting.analysis_report import render_interval_series
     from repro.reporting.obs_export import (
         attribution_to_csv,
         attribution_to_json,
@@ -672,39 +677,22 @@ def cmd_analyze(args: argparse.Namespace) -> None:
     from repro.reporting.timeline import render_cpu_timeline
 
     try:
-        attribution = attribute_time(stream_trace(args.trace, fmt=args.format))
+        records = list(stream_trace(args.trace, fmt=args.format))
     except TraceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(1)
-    errors = attribution.conservation_errors()
-    print(render_attribution_table(attribution))
-    if errors:
-        print("CONSERVATION VIOLATED:")
-        for message in errors:
-            print(f"  {message}")
-        raise SystemExit(1)
-    print("conservation: exact (buckets sum to makespan x P and to "
-          "per-job response times)")
+    attribution = _print_attribution(records)
     window = args.window
     if window is None:
         # Default: ~20 windows across the run.
         span = float(attribution.makespan - attribution.t0)
         window = max(span / 20, 1e-9)
-    # Each pass re-streams the artifact: framing was already accepted
-    # above, and memory stays bounded by one record.
-    series = interval_series(
-        stream_trace(args.trace, fmt=args.format), window_s=window
-    )
+    series = interval_series(records, window_s=window)
     print()
     print(render_interval_series(series))
     if args.timeline:
         print()
-        # The timeline renderer indexes into the record sequence, so
-        # this pass (and only this one) materializes the stream.
-        print(render_cpu_timeline(
-            list(stream_trace(args.trace, fmt=args.format)),
-            width=args.timeline_width,
-        ))
+        print(render_cpu_timeline(records, width=args.timeline_width))
     if args.json:
         atomic_write_text(args.json, attribution_to_json(attribution))
         print(f"wrote attribution JSON to {args.json}")

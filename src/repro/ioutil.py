@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import tempfile
 import typing
 
 #: Prefix for in-flight temp files (orphans are harmless and greppable).
@@ -40,16 +39,19 @@ def atomic_open(
     for a hard kill).
 
     ``mode`` must be a write mode (``"w"``, ``"wb"``); text mode
-    defaults to UTF-8.
+    defaults to UTF-8.  The file gets the permissions :func:`open` would
+    give a new file (``0o666`` less the umask).
     """
     if "w" not in mode:
         raise ValueError(f"atomic_open needs a write mode, got {mode!r}")
     if "b" not in mode and encoding is None:
         encoding = "utf-8"
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=TMP_PREFIX + os.path.basename(path) + "-", dir=directory
+    tmp_path = os.path.join(
+        directory, f"{TMP_PREFIX}{os.path.basename(path)}-{os.urandom(8).hex()}"
     )
+    # Like open(): the umask applies to 0o666 (mkstemp would force 0o600).
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode, encoding=encoding, newline="" if "b" not in mode else None) as handle:
             yield handle

@@ -3,9 +3,10 @@
 :func:`run_mix` runs one mix once under one policy.  Replications —
 every policy on the same workload seeds — are fanned out, cached and
 resumed by :func:`repro.sweep.run_sweep` (one ``mix`` cell per (mix,
-policy, seed)); :func:`comparison_from_replications` then summarizes
-them, in seed order, into the :class:`MixComparison` the Figure 5/6 and
-Table 3 renderers consume.  Every figure runs a fixed replication count.
+policy, seed)); :func:`repro.sweep.cells.mix_comparison` then summarizes
+their payloads, in seed order, into the :class:`MixComparison` the
+Figure 5/6 and Table 3 renderers consume.  Every figure runs a fixed
+replication count.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ from repro.core.system import JobMetrics, SchedulingSystem, SystemResult
 from repro.engine.rng import RngRegistry
 from repro.engine.stats import ConfidenceInterval, SampleStats
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
-from repro.measure.workloads import MIXES, WorkloadMix, make_jobs
+from repro.measure.workloads import WorkloadMix, make_jobs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiling import SpanProfiler
 from repro.obs.telemetry import HeartbeatEmitter
-
-#: One replication's outcome: policy name -> job name -> metrics.
-ReplicationResult = typing.Dict[str, typing.Dict[str, JobMetrics]]
 
 #: Default processor count: the paper profiles and schedules on 16 of the
 #: Symmetry's 20 processors (the rest ran the OS and the allocator).
@@ -86,25 +83,30 @@ class JobSummary:
     waste: float
     average_allocation: float
 
+    @classmethod
+    def from_samples(
+        cls, name: str, samples: typing.Sequence[JobMetrics]
+    ) -> "JobSummary":
+        """Average one job's per-replication metrics, in the order given."""
+        rt = SampleStats()
+        for m in samples:
+            rt.add(m.response_time)
+        n = len(samples)
+        return cls(
+            name=name,
+            response_time=rt.confidence_interval(),
+            n_reallocations=sum(m.n_reallocations for m in samples) / n,
+            pct_affinity=sum(m.pct_affinity for m in samples) / n,
+            reallocation_interval=sum(m.reallocation_interval for m in samples) / n,
+            work=sum(m.work for m in samples) / n,
+            waste=sum(m.waste for m in samples) / n,
+            average_allocation=sum(m.average_allocation for m in samples) / n,
+        )
+
     @property
     def app(self) -> str:
         """Application name (job name without instance suffix)."""
         return self.name.split("-")[0]
-
-
-@dataclasses.dataclass(frozen=True)
-class Replication:
-    """One replication: per-job outcomes, plus optional metrics snapshots.
-
-    ``metrics`` maps policy name to a :meth:`MetricsRegistry.snapshot`
-    dict; it is empty unless the comparison was asked to collect metrics.
-    ``profile`` maps policy name to a :meth:`SpanProfiler.snapshot` dict
-    (wall-clock simulator self-profile; empty unless collected).
-    """
-
-    jobs: ReplicationResult
-    metrics: typing.Dict[str, dict] = dataclasses.field(default_factory=dict)
-    profile: typing.Dict[str, dict] = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,109 +140,6 @@ class MixComparison:
         """Average of per-job mean response times under ``policy``."""
         jobs = self.summaries[policy]
         return sum(s.response_time.mean for s in jobs.values()) / len(jobs)
-
-
-def _collect(
-    results: typing.Sequence[Replication],
-) -> typing.Dict[str, typing.Dict[str, typing.List[JobMetrics]]]:
-    """Regroup ordered replication results into policy -> job -> samples."""
-    collected: typing.Dict[str, typing.Dict[str, typing.List[JobMetrics]]] = {}
-    for result in results:
-        for policy_name, jobs in result.jobs.items():
-            per_job = collected.setdefault(policy_name, {})
-            for name, metrics in jobs.items():
-                per_job.setdefault(name, []).append(metrics)
-    return collected
-
-
-def _summaries_from(
-    results: typing.Sequence[Replication],
-) -> typing.Dict[str, typing.Dict[str, JobSummary]]:
-    return {
-        policy_name: {
-            name: _summarize(name, samples) for name, samples in jobs.items()
-        }
-        for policy_name, jobs in _collect(results).items()
-    }
-
-
-def _merged_metrics(
-    results: typing.Sequence[Replication],
-) -> typing.Dict[str, dict]:
-    """Merge per-replication snapshots, policy by policy.
-
-    ``results`` is in seed order and :meth:`MetricsRegistry.merged` folds
-    snapshots in the order given, so the merged snapshot does not depend
-    on which worker ran which replication.
-    """
-    per_policy: typing.Dict[str, typing.List[dict]] = {}
-    for result in results:
-        for policy_name, snapshot in result.metrics.items():
-            per_policy.setdefault(policy_name, []).append(snapshot)
-    return {
-        name: MetricsRegistry.merged(snapshots)
-        for name, snapshots in per_policy.items()
-    }
-
-
-def _merged_profiles(
-    results: typing.Sequence[Replication],
-) -> typing.Dict[str, dict]:
-    """Merge per-replication wall-clock profiles, policy by policy.
-
-    Unlike metrics, profile *values* are wall-clock measurements and vary
-    run to run; only the span names and call counts are deterministic.
-    """
-    per_policy: typing.Dict[str, typing.List[dict]] = {}
-    for result in results:
-        for policy_name, snapshot in result.profile.items():
-            per_policy.setdefault(policy_name, []).append(snapshot)
-    return {
-        name: SpanProfiler.merged(snapshots)
-        for name, snapshots in per_policy.items()
-    }
-
-
-def comparison_from_replications(
-    mix: typing.Union[int, WorkloadMix],
-    replications: typing.Sequence[Replication],
-) -> MixComparison:
-    """Assemble a :class:`MixComparison` from pre-computed replications.
-
-    The sweep layer's entry point: :func:`repro.sweep.cells.mix_comparison`
-    rebuilds ``Replication`` objects from cell payloads, cached or fresh,
-    and summarizes them here.  ``replications`` must be in seed order
-    (merge order is part of the determinism contract).
-    """
-    if isinstance(mix, int):
-        mix = MIXES[mix]
-    results = list(replications)
-    if not results:
-        raise ValueError("need at least one replication")
-    return MixComparison(
-        mix=mix,
-        n_replications=len(results),
-        summaries=_summaries_from(results),
-        metrics=_merged_metrics(results),
-        profiles=_merged_profiles(results),
-    )
-
-
-def _summarize(name: str, samples: typing.List[JobMetrics]) -> JobSummary:
-    rt = SampleStats()
-    for m in samples:
-        rt.add(m.response_time)
-    n = len(samples)
-    return JobSummary(
-        name=name,
-        response_time=rt.confidence_interval(),
-        n_reallocations=sum(m.n_reallocations for m in samples) / n,
-        pct_affinity=sum(m.pct_affinity for m in samples) / n,
-        reallocation_interval=sum(m.reallocation_interval for m in samples) / n,
-        work=sum(m.work for m in samples) / n,
-        waste=sum(m.waste for m in samples) / n,
-        average_allocation=sum(m.average_allocation for m in samples) / n,
-    )
 
 
 def relative_response_times(

@@ -11,7 +11,8 @@ deterministic in the cell's config alone (every RNG stream is re-derived
 from the seed inside the run), so a cell computes the same payload
 whichever worker, shard, or session runs it.
 
-The ``*_from_dict`` inverses rebuild the original result dataclasses
+A payload's ``data`` is the driver's result dataclass through
+:func:`result_to_dict`; the ``*_from_dict`` inverses rebuild it
 bit-for-bit (JSON floats round-trip exactly), and the ``*_comparison``
 assemblers regroup a sweep's payloads into the exact aggregate objects
 the report renderers already consume — byte-identical to what the
@@ -20,17 +21,14 @@ pre-sweep per-figure loops produced.
 
 from __future__ import annotations
 
+import dataclasses
 import typing
 
 from repro.apps import APPLICATIONS
 from repro.core.system import JobMetrics, SystemResult
 from repro.measure.penalty import PenaltyExperiment, PenaltyResult, PenaltyTable, RegimeRun
-from repro.measure.runner import (
-    MixComparison,
-    Replication,
-    comparison_from_replications,
-    run_mix,
-)
+from repro.measure.runner import JobSummary, MixComparison, run_mix
+from repro.measure.workloads import MIXES
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import SpanProfiler
 from repro.sweep.cache import RESULT_SCHEMA
@@ -59,126 +57,48 @@ PayloadMap = typing.Mapping[SweepCell, typing.Dict[str, typing.Any]]
 # result <-> plain dict
 
 
-def job_metrics_to_dict(m: JobMetrics) -> typing.Dict[str, typing.Any]:
-    return {
-        "name": m.name,
-        "response_time": m.response_time,
-        "work": m.work,
-        "waste": m.waste,
-        "n_reallocations": m.n_reallocations,
-        "pct_affinity": m.pct_affinity,
-        "cache_penalty_total": m.cache_penalty_total,
-        "switch_overhead_total": m.switch_overhead_total,
-        "average_allocation": m.average_allocation,
-    }
+def _plain(
+    fields: typing.List[typing.Tuple[str, typing.Any]]
+) -> typing.Dict[str, typing.Any]:
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in fields}
 
 
-def job_metrics_from_dict(data: typing.Mapping[str, typing.Any]) -> JobMetrics:
-    return JobMetrics(**data)
+def result_to_dict(result: typing.Any) -> typing.Dict[str, typing.Any]:
+    """A result dataclass as a payload's plain ``data`` entry.
 
-
-def system_result_to_dict(result: SystemResult) -> typing.Dict[str, typing.Any]:
-    """Field-complete, insertion-order-preserving plain form."""
-    return {
-        "policy": result.policy,
-        "n_processors": result.n_processors,
-        "seed": result.seed,
-        "makespan": result.makespan,
-        "jobs": {
-            name: job_metrics_to_dict(m) for name, m in result.jobs.items()
-        },
-        "cancelled": dict(result.cancelled),
-    }
+    :func:`dataclasses.asdict` in field order, with tuple fields as lists
+    so the dict is JSON-plain: a fresh payload equals its cache hit.
+    """
+    return dataclasses.asdict(result, dict_factory=_plain)
 
 
 def system_result_from_dict(
     data: typing.Mapping[str, typing.Any]
 ) -> SystemResult:
-    return SystemResult(
-        policy=data["policy"],
-        n_processors=data["n_processors"],
-        seed=data["seed"],
-        makespan=data["makespan"],
-        jobs={
-            name: job_metrics_from_dict(m) for name, m in data["jobs"].items()
-        },
-        cancelled=dict(data["cancelled"]),
-    )
-
-
-def opensys_result_to_dict(
-    result: OpenSystemResult,
-) -> typing.Dict[str, typing.Any]:
-    return {
-        "scenario": result.scenario,
-        "policy": result.policy,
-        "seed": result.seed,
-        "n_processors": result.n_processors,
-        "makespan": result.makespan,
-        "n_jobs": result.n_jobs,
-        "n_completed": result.n_completed,
-        "n_cancelled": result.n_cancelled,
-        "response_times": list(result.response_times),
-        "total_work": result.total_work,
-        "total_reallocations": result.total_reallocations,
-        "n_failures": result.n_failures,
-        "system": system_result_to_dict(result.system),
-    }
+    jobs = {name: JobMetrics(**m) for name, m in data["jobs"].items()}
+    return SystemResult(**{**data, "jobs": jobs})
 
 
 def opensys_result_from_dict(
     data: typing.Mapping[str, typing.Any]
 ) -> OpenSystemResult:
-    return OpenSystemResult(
-        scenario=data["scenario"],
-        policy=data["policy"],
-        seed=data["seed"],
-        n_processors=data["n_processors"],
-        makespan=data["makespan"],
-        n_jobs=data["n_jobs"],
-        n_completed=data["n_completed"],
-        n_cancelled=data["n_cancelled"],
-        response_times=tuple(data["response_times"]),
-        total_work=data["total_work"],
-        total_reallocations=data["total_reallocations"],
-        n_failures=data["n_failures"],
-        system=system_result_from_dict(data["system"]),
-    )
-
-
-def _regime_to_dict(run: RegimeRun) -> typing.Dict[str, typing.Any]:
-    return {
-        "response_time": run.response_time,
-        "n_switches": run.n_switches,
-        "hit_rate": run.hit_rate,
-    }
-
-
-def penalty_result_to_dict(result: PenaltyResult) -> typing.Dict[str, typing.Any]:
-    return {
-        "app": result.app,
-        "q_s": result.q_s,
-        "stationary": _regime_to_dict(result.stationary),
-        "migrating": _regime_to_dict(result.migrating),
-        "multiprog": {
-            name: _regime_to_dict(run)
-            for name, run in result.multiprog.items()
-        },
-    }
+    return OpenSystemResult(**{
+        **data,
+        "response_times": tuple(data["response_times"]),
+        "system": system_result_from_dict(data["system"]),
+    })
 
 
 def penalty_result_from_dict(
     data: typing.Mapping[str, typing.Any]
 ) -> PenaltyResult:
-    return PenaltyResult(
-        app=data["app"],
-        q_s=data["q_s"],
-        stationary=RegimeRun(**data["stationary"]),
-        migrating=RegimeRun(**data["migrating"]),
-        multiprog={
-            name: RegimeRun(**run) for name, run in data["multiprog"].items()
-        },
-    )
+    multiprog = {name: RegimeRun(**run) for name, run in data["multiprog"].items()}
+    return PenaltyResult(**{
+        **data,
+        "stationary": RegimeRun(**data["stationary"]),
+        "migrating": RegimeRun(**data["migrating"]),
+        "multiprog": multiprog,
+    })
 
 
 # ---------------------------------------------------------------------- #
@@ -220,7 +140,7 @@ def run_cell(
             partners=[APPLICATIONS[name] for name in config["partners"]],
         )
         data: typing.Dict[str, typing.Any] = {
-            "penalty": penalty_result_to_dict(result)
+            "penalty": result_to_dict(result)
         }
     else:
         policy = policy_named(config["policy"], cell.kind)
@@ -229,7 +149,7 @@ def run_cell(
             heartbeat=heartbeat, **observers,
         )
         if cell.kind == "mix":
-            data = {"system": system_result_to_dict(
+            data = {"system": result_to_dict(
                 run_mix(config["mix"], policy, **run)
             )}
         else:
@@ -247,7 +167,7 @@ def run_cell(
                     max_jobs=config["max_jobs"],
                     sha256=config["sha256"],
                 )
-            data = {"opensys": opensys_result_to_dict(
+            data = {"opensys": result_to_dict(
                 run_scenario(scenario, policy, **run)
             )}
     payload: typing.Dict[str, typing.Any] = {
@@ -283,33 +203,35 @@ def mix_comparison(
 ) -> MixComparison:
     """Assemble one mix's :class:`MixComparison` from sweep payloads.
 
-    Rebuilds the per-seed :class:`Replication` objects (all of the
-    spec's policies on the shared seed — the common-random-numbers
-    pairing survives because every driver derives its streams from the
-    seed alone) and summarizes them in seed order through
-    :func:`~repro.measure.runner.comparison_from_replications`, so a
-    cache-served comparison is byte-identical to a freshly run one.
+    Policy by policy, each job's metrics are averaged over the spec's
+    seeds in spec order (every policy ran the same seeds — the
+    common-random-numbers pairing survives because every driver derives
+    its streams from the seed alone), and the seeds' snapshots merge in
+    the same order, so a cache-served comparison is byte-identical to a
+    freshly run one.
     """
-    replications = []
-    for seed in spec.seeds:
-        jobs: typing.Dict[str, typing.Dict[str, JobMetrics]] = {}
-        metrics: typing.Dict[str, dict] = {}
-        profile: typing.Dict[str, dict] = {}
-        for policy in spec.policies:
-            payload = payloads[mix_cell(mix_id, policy, seed, spec.n_processors)]
-            system = payload["data"]["system"]
-            jobs[policy] = {
-                name: job_metrics_from_dict(m)
-                for name, m in system["jobs"].items()
-            }
-            if payload.get("metrics") is not None:
-                metrics[policy] = payload["metrics"]
-            if payload.get("profile") is not None:
-                profile[policy] = payload["profile"]
-        replications.append(
-            Replication(jobs=jobs, metrics=metrics, profile=profile)
-        )
-    return comparison_from_replications(mix_id, replications)
+    summaries: typing.Dict[str, typing.Dict[str, JobSummary]] = {}
+    runs: typing.Dict[str, typing.List[typing.Dict[str, typing.Any]]] = {}
+    for policy in spec.policies:
+        runs[policy] = [
+            payloads[mix_cell(mix_id, policy, seed, spec.n_processors)]
+            for seed in spec.seeds
+        ]
+        samples: typing.Dict[str, typing.List[JobMetrics]] = {}
+        for payload in runs[policy]:
+            for name, m in payload["data"]["system"]["jobs"].items():
+                samples.setdefault(name, []).append(JobMetrics(**m))
+        summaries[policy] = {
+            name: JobSummary.from_samples(name, jobs)
+            for name, jobs in samples.items()
+        }
+    return MixComparison(
+        mix=MIXES[mix_id],
+        n_replications=len(spec.seeds),
+        summaries=summaries,
+        metrics=merged_snapshots(runs, "metrics"),
+        profiles=merged_snapshots(runs, "profile"),
+    )
 
 
 def matrix_comparison(
@@ -329,15 +251,15 @@ def matrix_comparison(
     results: typing.Dict[
         typing.Tuple[str, str], typing.List[OpenSystemResult]
     ] = {}
-    merged: typing.Dict[typing.Tuple[str, str], MetricsRegistry] = {}
+    runs: typing.Dict[
+        typing.Tuple[str, str], typing.List[typing.Dict[str, typing.Any]]
+    ] = {}
     for cell in ordered:
         payload = payloads[cell]
         result = opensys_result_from_dict(payload["data"]["opensys"])
         key = (result.scenario, result.policy)
         results.setdefault(key, []).append(result)
-        snapshot = payload.get("metrics")
-        if snapshot is not None:
-            merged.setdefault(key, MetricsRegistry()).merge_snapshot(snapshot)
+        runs.setdefault(key, []).append(payload)
     cells = {
         key: CellSummary.from_results(cell_results)
         for key, cell_results in results.items()
@@ -348,7 +270,7 @@ def matrix_comparison(
         policies=spec.policies,
         results={key: tuple(value) for key, value in results.items()},
         cells=cells,
-        metrics={key: reg.snapshot() for key, reg in merged.items()},
+        metrics=merged_snapshots(runs, "metrics"),
     )
 
 
@@ -397,34 +319,30 @@ def penalty_table(
     return PenaltyTable(results=results, partner_names=spec.apps)
 
 
-def merged_metrics(
-    spec: SweepSpec, payloads: PayloadMap
-) -> typing.Optional[typing.Dict[str, typing.Any]]:
-    """All cells' metric snapshots folded in expansion order, or ``None``.
+#: payload field -> the order-stable merge of its snapshots
+_MERGES: typing.Dict[str, typing.Callable[..., typing.Dict[str, typing.Any]]] = {
+    "metrics": MetricsRegistry.merged,
+    "profile": SpanProfiler.merged,
+}
 
-    Expansion order is the same nesting the pre-sweep accumulation loops
-    used, and the registry's merges are order-stable, so this reproduces
-    a single shared registry's view of the whole sweep.
+
+def merged_snapshots(
+    groups: typing.Mapping[typing.Any, typing.Iterable[typing.Mapping[str, typing.Any]]],
+    field: str,
+) -> typing.Dict[typing.Any, typing.Dict[str, typing.Any]]:
+    """Each group's ``field`` snapshots (``"metrics"`` or ``"profile"``)
+    folded in the order given; a group whose payloads carry none is left
+    out.
+
+    Every snapshot merge of a report goes through here: per policy for a
+    mix, per (scenario, policy) for a matrix, and over a whole spec's
+    cells in expansion order (the nesting the pre-sweep loops used) for
+    the CLI's sweep-wide view.  The merges are order-stable, so the
+    result does not depend on worker count or cache state.
     """
-    snapshots = [
-        payloads[cell]["metrics"]
-        for cell in spec.expand()
-        if payloads.get(cell, {}).get("metrics") is not None
-    ]
-    if not snapshots:
-        return None
-    return MetricsRegistry.merged(snapshots)
-
-
-def merged_profile(
-    spec: SweepSpec, payloads: PayloadMap
-) -> typing.Optional[typing.Dict[str, typing.Any]]:
-    """All cells' profile snapshots folded in expansion order, or ``None``."""
-    snapshots = [
-        payloads[cell]["profile"]
-        for cell in spec.expand()
-        if payloads.get(cell, {}).get("profile") is not None
-    ]
-    if not snapshots:
-        return None
-    return SpanProfiler.merged(snapshots)
+    merged: typing.Dict[typing.Any, typing.Dict[str, typing.Any]] = {}
+    for key, group in groups.items():
+        snapshots = [p[field] for p in group if p.get(field) is not None]
+        if snapshots:
+            merged[key] = _MERGES[field](snapshots)
+    return merged

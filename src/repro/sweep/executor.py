@@ -130,21 +130,32 @@ def _run_shard(
 
 
 def _usable_hit(
-    payload: typing.Optional[typing.Dict[str, typing.Any]],
-    collect_metrics: bool,
-) -> bool:
-    """Does a cached payload satisfy this run's collection flags?
+    cache: ResultCache, cell: SweepCell, key: str, collect_metrics: bool
+) -> typing.Optional[typing.Dict[str, typing.Any]]:
+    """The cached payload of ``cell``, if it can serve this run.
 
-    A cell cached without metrics cannot serve a ``--metrics`` run; it
-    is recomputed (and re-cached, now with its snapshot).  Profiles are
-    wall-clock and never cached, so a profiling run recomputes
-    everything by construction (handled by the caller).
+    A payload whose ``kind``/``cell`` header names another cell, or
+    whose ``data`` is not a dict, is damage (an entry copied or edited
+    under the wrong key): it is evicted and the cell recomputed, never
+    served as this cell's result.  A cell cached without metrics cannot
+    serve a ``--metrics`` run; it is recomputed (and re-cached, now with
+    its snapshot).  Profiles are wall-clock and never cached, so a
+    profiling run recomputes everything by construction (handled by the
+    caller).
     """
+    payload = cache.load(key)
     if payload is None:
-        return False
+        return None
+    if (
+        payload.get("kind") != cell.kind
+        or payload.get("cell") != cell.config
+        or not isinstance(payload.get("data"), dict)
+    ):
+        cache.evict(key)
+        return None
     if collect_metrics and payload.get("metrics") is None:
-        return False
-    return True
+        return None
+    return payload
 
 
 def _served_form(
@@ -208,11 +219,13 @@ def run_sweep(
     pending: typing.List[typing.Tuple[SweepCell, str]] = []
     serve_hits = cache is not None and not force and not collect_profile
     for cell, key in keyed:
-        payload = cache.load(key) if serve_hits else None
-        if _usable_hit(payload, collect_metrics):
-            hits[cell] = typing.cast(typing.Dict[str, typing.Any], payload)
-        else:
+        payload = (
+            _usable_hit(cache, cell, key, collect_metrics) if serve_hits else None
+        )
+        if payload is None:
             pending.append((cell, key))
+        else:
+            hits[cell] = payload
 
     journal_path: typing.Optional[str] = None
     journal_fh: typing.Optional[typing.TextIO] = None

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.core.policies import DYN_AFF, DYNAMIC, EQUIPARTITION
-from repro.measure.runner import (
-    comparison_from_replications,
-    relative_response_times,
-    run_mix,
-)
+from repro.measure.runner import relative_response_times, run_mix
 from repro.measure.workloads import WorkloadMix
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.cells import mix_comparison
@@ -75,10 +71,6 @@ class TestComparePolicies:
         assert mean == pytest.approx(
             (jobs["MVA"].response_time.mean + jobs["MVA-1"].response_time.mean) / 2
         )
-
-    def test_invalid_replications(self):
-        with pytest.raises(ValueError):
-            comparison_from_replications(1, [])
 
     def test_job_summary_app_property(self, comparison):
         assert comparison.summaries["Dynamic"]["MVA-1"].app == "MVA"

@@ -36,6 +36,20 @@ def _bytes(result):
     return [canonical_json(o.payload) for o in result.outcomes]
 
 
+def _check_cold_then_warm(spec, tmp_path):
+    """A rerun is all hits, and its payloads equal the cold run's both as
+    canonical bytes and as Python objects (fresh payloads are JSON-plain)."""
+    cache = ResultCache(str(tmp_path))
+    first = run_sweep(spec, cache=cache)
+    second = run_sweep(spec, cache=cache)
+    n = len(spec.expand())
+    assert first.n_computed == n and first.n_hits == 0
+    assert second.n_computed == 0 and second.n_hits == n
+    assert all(o.cached for o in second.outcomes)
+    assert _bytes(first) == _bytes(second)
+    assert first.payloads == second.payloads
+
+
 class TestRunSweep:
     def test_no_cache_runs_everything(self):
         result = run_sweep(_spec())
@@ -47,13 +61,47 @@ class TestRunSweep:
             assert outcome.payload["data"]["opensys"]["n_jobs"] > 0
 
     def test_second_run_is_all_hits_and_byte_identical(self, tmp_path):
+        _check_cold_then_warm(_spec(), tmp_path)
+
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(name="m", kind="mix", mixes=(1,),
+                  policies=("Equipartition", "Dynamic"), seeds=(0, 1)),
+        SweepSpec(name="q", kind="table1", apps=("MVA", "MATRIX"),
+                  quanta=(0.025,), scale=64),
+    ], ids=["mix", "table1"])
+    def test_second_run_of_other_kinds_is_all_hits(self, tmp_path, spec):
+        _check_cold_then_warm(spec, tmp_path)
+
+    def test_entry_under_another_cells_key_is_recomputed(self, tmp_path):
+        """A result.json copied over another cell's entry names the wrong
+        cell: it is evicted and recomputed, never served."""
+        spec = SweepSpec(name="m", kind="mix", mixes=(1,),
+                         policies=("Equipartition", "Dynamic"))
         cache = ResultCache(str(tmp_path))
-        first = run_sweep(_spec(), cache=cache)
-        second = run_sweep(_spec(), cache=cache)
-        assert first.n_computed == 4 and first.n_hits == 0
-        assert second.n_computed == 0 and second.n_hits == 4
-        assert all(o.cached for o in second.outcomes)
-        assert _bytes(first) == _bytes(second)
+        cold = run_sweep(spec, cache=cache)
+        source, target = (
+            os.path.join(cache.cell_dir(o.key), "result.json")
+            for o in cold.outcomes
+        )
+        with open(source, "rb") as src, open(target, "wb") as dst:
+            dst.write(src.read())
+        rerun = run_sweep(spec, cache=cache)
+        assert rerun.n_hits == 1 and rerun.n_computed == 1
+        assert _bytes(rerun) == _bytes(cold)
+        assert run_sweep(spec, cache=cache).n_hits == 2  # re-cached
+
+    def test_entry_without_data_dict_is_recomputed(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cold = run_sweep(_spec(seeds=(0,)), cache=cache)
+        path = os.path.join(cache.cell_dir(cold.outcomes[0].key), "result.json")
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["data"] = ["not", "a", "dict"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        rerun = run_sweep(_spec(seeds=(0,)), cache=cache)
+        assert rerun.n_hits == 1 and rerun.n_computed == 1
+        assert _bytes(rerun) == _bytes(cold)
 
     def test_cached_run_matches_uncached_byte_for_byte(self, tmp_path):
         cached = run_sweep(_spec(), cache=ResultCache(str(tmp_path)))

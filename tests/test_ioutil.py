@@ -122,3 +122,17 @@ def test_sigkill_mid_write_leaves_destination_untouched(tmp_path):
     debris = [name for name in os.listdir(tmp_path)
               if name not in ("artifact.json", "ready")]
     assert all(name.startswith(TMP_PREFIX) for name in debris)
+
+
+@pytest.mark.parametrize(
+    "umask, expected", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+)
+def test_new_file_mode_follows_umask(tmp_path, umask, expected):
+    """An artifact gets the mode open() would give it, not mkstemp's 0600."""
+    path = tmp_path / "artifact.txt"
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(str(path), "x")
+    finally:
+        os.umask(previous)
+    assert path.stat().st_mode & 0o777 == expected
