@@ -5,7 +5,9 @@ artifacts are refused with a clear error naming the file, at both the
 reader (``stream_trace``) and the CLI, which exits non-zero.
 """
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -197,6 +199,60 @@ class TestDiffCommand:
         assert payload["schema"] == DIFF_SCHEMA
         assert payload["label_a"] == "Equi"
         assert payload["first_divergence"] is not None
+
+
+#: sha256 of each export file in :class:`TestExportGoldens`.
+EXPORT_DIGESTS = os.path.join(
+    os.path.dirname(__file__), os.pardir, "data", "export_digests.json"
+)
+
+
+@pytest.fixture(scope="module")
+def mix5_traces(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mix5")
+    paths = {}
+    for policy in ("Dyn-Aff", "Equipartition"):
+        paths[policy] = root / f"{policy}.jsonl"
+        assert main(["trace", "--mix", "5", "--policy", policy,
+                     "--out", str(paths[policy])]) == 0
+    return paths
+
+
+class TestExportGoldens:
+    """The bytes ``analyze --json/--intervals-json`` and ``diff --json``
+    write for the seed-0 mix 5 traces under Dyn-Aff and Equipartition."""
+
+    @pytest.fixture(scope="class")
+    def digests(self):
+        with open(EXPORT_DIGESTS, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @staticmethod
+    def _sha256(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("policy", ["Dyn-Aff", "Equipartition"])
+    def test_analyze_exports(self, policy, mix5_traces, digests, tmp_path, capsys):
+        attribution = tmp_path / "attr.json"
+        intervals = tmp_path / "intervals.json"
+        assert main([
+            "analyze", str(mix5_traces[policy]), "--window", "5",
+            "--json", str(attribution), "--intervals-json", str(intervals),
+        ]) == 0
+        capsys.readouterr()
+        assert self._sha256(attribution) == digests[f"analyze_{policy}.json"]
+        assert (self._sha256(intervals)
+                == digests[f"analyze_{policy}.intervals.json"])
+
+    def test_diff_export(self, mix5_traces, digests, tmp_path, capsys):
+        out = tmp_path / "diff.json"
+        assert main([
+            "diff", str(mix5_traces["Equipartition"]),
+            str(mix5_traces["Dyn-Aff"]),
+            "--label-a", "Equi", "--label-b", "Dyn-Aff", "--json", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert self._sha256(out) == digests["diff_Equipartition_Dyn-Aff.json"]
 
 
 class TestProfileFlag:
