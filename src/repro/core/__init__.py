@@ -2,7 +2,7 @@
 
 This package is the Minos analogue: an allocator framework
 (:mod:`~repro.core.allocator`), the adaptive priority scheme of
-[McCann et al. 91] (:mod:`~repro.core.priority`), processor/task histories
+[McCann et al. 91] (:mod:`~repro.core.priority`), processor histories
 (:mod:`~repro.core.history`), the five space-sharing policies of Section 5
 and Section 8's time-sharing contrast (:mod:`~repro.core.policies`), and
 the discrete-event scheduling system (:mod:`~repro.core.system`) that
@@ -10,7 +10,7 @@ runs workload mixes under any of them.
 """
 
 from repro.core.allocator import Allocator
-from repro.core.history import ProcessorHistory, TaskHistory
+from repro.core.history import ProcessorHistory
 from repro.core.policies import (
     DYN_AFF,
     DYN_AFF_DELAY,
@@ -41,6 +41,5 @@ __all__ = [
     "SystemResult",
     "TIME_SHARING",
     "TIME_SHARING_AFFINITY",
-    "TaskHistory",
     "equipartition_allocation",
 ]

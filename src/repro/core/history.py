@@ -1,13 +1,14 @@
-"""Processor and task histories ([Squillante & Lazowska 89], Section 5.3).
+"""Processor histories ([Squillante & Lazowska 89], Section 5.3).
 
 "For a processor, its history is an ordered list of the last T tasks to
 have run on it.  For a task, its history is an ordered list of the last P
 processors on which it has run.  In the work that follows, we remember
 only the last task or processor (T = P = 1)."
 
-The classes support arbitrary depth; the policies use depth 1 like the
-paper, but the generalization is exercised by tests and available for
-experimentation.
+A task's history is :attr:`repro.threads.workers.WorkerTask.processor_history`.
+Both support depths above the paper's 1 (``Policy.history_depth``); the
+policies use depth 1 like the paper, and the generalization is exercised
+by tests and the history ablation.
 """
 
 from __future__ import annotations
@@ -15,33 +16,34 @@ from __future__ import annotations
 import collections
 import typing
 
-K = typing.TypeVar("K")
+#: A task's identity: (job name, worker index).
+TaskKey = typing.Tuple[str, int]
 
 
-class _BoundedHistory(typing.Generic[K]):
-    """Most-recent-first bounded history of hashable items."""
+class ProcessorHistory:
+    """The last T task keys to have run on one processor, most recent first."""
 
     def __init__(self, depth: int = 1) -> None:
         if depth < 1:
             raise ValueError("history depth must be at least 1")
         self.depth = depth
-        self._items: typing.Deque[K] = collections.deque(maxlen=depth)
+        self._items: typing.Deque[TaskKey] = collections.deque(maxlen=depth)
 
-    def record(self, item: K) -> None:
+    def record(self, item: TaskKey) -> None:
         """Push ``item`` as the most recent entry (deduplicating the head)."""
         if self._items and self._items[0] == item:
             return
         self._items.appendleft(item)
 
     @property
-    def most_recent(self) -> typing.Optional[K]:
-        """The latest entry, or None if empty."""
+    def last_task(self) -> typing.Optional[TaskKey]:
+        """The most recent task key (rule A.1's *last-task*), or None."""
         return self._items[0] if self._items else None
 
-    def __contains__(self, item: K) -> bool:
+    def __contains__(self, item: TaskKey) -> bool:
         return item in self._items
 
-    def __iter__(self) -> typing.Iterator[K]:
+    def __iter__(self) -> typing.Iterator[TaskKey]:
         return iter(self._items)
 
     def __len__(self) -> int:
@@ -50,25 +52,3 @@ class _BoundedHistory(typing.Generic[K]):
     def clear(self) -> None:
         """Forget everything."""
         self._items.clear()
-
-
-class ProcessorHistory(_BoundedHistory[typing.Tuple[str, int]]):
-    """The last T task keys to have run on one processor."""
-
-    @property
-    def last_task(self) -> typing.Optional[typing.Tuple[str, int]]:
-        """The most recent task key (rule A.1's *last-task*)."""
-        return self.most_recent
-
-
-class TaskHistory(_BoundedHistory[int]):
-    """The last P processors one task has run on."""
-
-    @property
-    def last_processor(self) -> typing.Optional[int]:
-        """The most recent processor (rule A.2's *desired-processor*)."""
-        return self.most_recent
-
-    def has_affinity_for(self, processor: int) -> bool:
-        """True when ``processor`` appears anywhere in the remembered window."""
-        return processor in self

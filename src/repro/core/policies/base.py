@@ -19,6 +19,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.threads.workers import MAX_HISTORY_DEPTH
+
 
 @dataclasses.dataclass(frozen=True)
 class Policy:
@@ -29,8 +31,9 @@ class Policy:
     use_affinity: bool
     respect_priority: bool
     yield_delay_s: float = 0.0
-    #: depth of the processor/task histories consulted by rules A.1/A.2;
-    #: the paper uses 1 ("we remember only the last task or processor")
+    #: depth of the processor/task histories consulted by rules A.1/A.2,
+    #: from 1 (the paper: "we remember only the last task or processor")
+    #: to the ``MAX_HISTORY_DEPTH`` processors a worker remembers
     history_depth: int = 1
     description: str = ""
 
@@ -39,8 +42,11 @@ class Policy:
             raise ValueError(f"unknown space_sharing mode {self.space_sharing!r}")
         if self.yield_delay_s < 0:
             raise ValueError("yield_delay_s must be non-negative")
-        if self.history_depth < 1:
-            raise ValueError("history_depth must be at least 1")
+        if not 1 <= self.history_depth <= MAX_HISTORY_DEPTH:
+            raise ValueError(
+                f"history_depth must be in 1..{MAX_HISTORY_DEPTH}, "
+                f"got {self.history_depth}"
+            )
 
     @property
     def is_equipartition(self) -> bool:

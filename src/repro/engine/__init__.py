@@ -15,11 +15,7 @@ from repro.engine.parallel import map_items
 from repro.engine.queue import EventQueue
 from repro.engine.rng import RngRegistry
 from repro.engine.simulator import Simulator
-from repro.engine.stats import (
-    ConfidenceInterval,
-    SampleStats,
-    mean_confidence_interval,
-)
+from repro.engine.stats import ConfidenceInterval, SampleStats
 
 __all__ = [
     "ConfidenceInterval",
@@ -30,5 +26,4 @@ __all__ = [
     "SampleStats",
     "Simulator",
     "map_items",
-    "mean_confidence_interval",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import typing
 
 #: Two-sided Student-t critical values at 95% confidence, indexed by degrees
 #: of freedom.  Entries beyond the table fall back to the normal quantile.
@@ -47,16 +46,6 @@ class ConfidenceInterval:
     confidence: float = 0.95
     n: int = 0
 
-    @property
-    def low(self) -> float:
-        """Lower bound of the interval."""
-        return self.mean - self.half_width
-
-    @property
-    def high(self) -> float:
-        """Upper bound of the interval."""
-        return self.mean + self.half_width
-
     def __str__(self) -> str:
         return f"{self.mean:.4g} ± {self.half_width:.2g} (n={self.n})"
 
@@ -68,8 +57,6 @@ class SampleStats:
         self._n = 0
         self._mean = 0.0
         self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
 
     def add(self, value: float) -> None:
         """Incorporate one observation."""
@@ -77,47 +64,6 @@ class SampleStats:
         delta = value - self._mean
         self._mean += delta / self._n
         self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-
-    def extend(self, values: typing.Iterable[float]) -> None:
-        """Incorporate several observations."""
-        for value in values:
-            self.add(value)
-
-    def merge(self, other: "SampleStats") -> None:
-        """Fold ``other``'s observations into this accumulator in O(1).
-
-        Uses the pairwise update of Chan, Golub & LeVeque (1979), the
-        standard numerically-stable way to combine two Welford states, so
-        partial statistics computed in parallel workers can be reduced
-        without replaying the raw samples.
-        """
-        if other._n == 0:
-            return
-        if self._n == 0:
-            self._n = other._n
-            self._mean = other._mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
-            return
-        n_a, n_b = self._n, other._n
-        n = n_a + n_b
-        delta = other._mean - self._mean
-        self._mean += delta * n_b / n
-        self._m2 += other._m2 + delta * delta * n_a * n_b / n
-        self._n = n
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-
-    @classmethod
-    def merged(cls, parts: typing.Iterable["SampleStats"]) -> "SampleStats":
-        """Combine several partial accumulators into a fresh one."""
-        total = cls()
-        for part in parts:
-            total.merge(part)
-        return total
 
     @property
     def n(self) -> int:
@@ -128,16 +74,6 @@ class SampleStats:
     def mean(self) -> float:
         """Sample mean (0.0 when empty)."""
         return self._mean
-
-    @property
-    def minimum(self) -> float:
-        """Smallest observation (inf when empty)."""
-        return self._min
-
-    @property
-    def maximum(self) -> float:
-        """Largest observation (-inf when empty)."""
-        return self._max
 
     @property
     def variance(self) -> float:
@@ -160,9 +96,3 @@ class SampleStats:
         half = t_critical_95(self._n - 1) * self.stddev / math.sqrt(self._n)
         return ConfidenceInterval(self._mean, half, n=self._n)
 
-
-def mean_confidence_interval(values: typing.Sequence[float]) -> ConfidenceInterval:
-    """Convenience: 95% CI for the mean of ``values``."""
-    stats = SampleStats()
-    stats.extend(values)
-    return stats.confidence_interval()

@@ -38,9 +38,6 @@ class Divergence:
     a: typing.Optional[typing.Dict[str, typing.Any]]
     b: typing.Optional[typing.Dict[str, typing.Any]]
 
-    def to_dict(self) -> typing.Dict[str, typing.Any]:
-        return {"index": self.index, "a": self.a, "b": self.b}
-
 
 @dataclasses.dataclass(frozen=True)
 class TraceDiff:
@@ -68,35 +65,6 @@ class TraceDiff:
     ]
     decision_rule_counts_a: typing.Dict[str, int]
     decision_rule_counts_b: typing.Dict[str, int]
-
-    def to_dict(self) -> typing.Dict[str, typing.Any]:
-        """The schema-tagged plain-dict form the exporters serialize."""
-        return {
-            "schema": DIFF_SCHEMA,
-            "label_a": self.label_a,
-            "label_b": self.label_b,
-            "identical": self.identical,
-            "job_deltas": {j: dict(d) for j, d in self.job_deltas.items()},
-            "jobs_only_a": list(self.jobs_only_a),
-            "jobs_only_b": list(self.jobs_only_b),
-            "mean_response_delta": self.mean_response_delta,
-            "makespan_delta": self.makespan_delta,
-            "totals_a": dict(self.totals_a),
-            "totals_b": dict(self.totals_b),
-            "first_divergence": (
-                self.first_divergence.to_dict() if self.first_divergence else None
-            ),
-            "first_divergent_decision": (
-                self.first_divergent_decision.to_dict()
-                if self.first_divergent_decision
-                else None
-            ),
-            "credit_differences": {
-                job: list(pair) for job, pair in self.credit_differences.items()
-            },
-            "decision_rule_counts_a": dict(self.decision_rule_counts_a),
-            "decision_rule_counts_b": dict(self.decision_rule_counts_b),
-        }
 
 
 def _first_divergence(

@@ -67,19 +67,6 @@ class IntervalSeries:
     makespan: float
     windows: typing.Tuple[typing.Dict[str, float], ...]
 
-    def to_dict(self) -> typing.Dict[str, typing.Any]:
-        """The schema-tagged plain-dict form the exporters serialize."""
-        return {
-            "schema": INTERVALS_SCHEMA,
-            "policy": self.policy,
-            "seed": self.seed,
-            "n_processors": self.n_processors,
-            "window_s": self.window_s,
-            "t0": self.t0,
-            "makespan": self.makespan,
-            "windows": [dict(w) for w in self.windows],
-        }
-
 
 class _Window:
     __slots__ = (

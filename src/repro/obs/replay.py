@@ -3,11 +3,11 @@
 A trace is only trustworthy as an oracle if it is *complete*: the
 aggregates the untraced run reports must be derivable from the records
 alone.  :func:`replay` does that derivation — per-job response times from
-arrival/departure timestamps, reallocation counts from non-cheap
-dispatches, penalty totals from the charged costs — and
-:func:`verify_replay` checks the result against a
-:class:`~repro.core.system.SystemResult` exactly (response times are
-computed by the identical subtraction, so equality is bit-for-bit).
+arrival/departure timestamps, reallocation and affine-reallocation counts
+from non-cheap dispatches — and :func:`verify_replay` checks the result
+against a :class:`~repro.core.system.SystemResult` exactly (every
+replayed number is computed by the run's own operations on the same
+values, so equality is bit-for-bit).
 """
 
 from __future__ import annotations
@@ -34,8 +34,13 @@ class ReplayedJob:
     response_time: float
     n_reallocations: int
     n_affine: int
-    cache_penalty_total: float
-    switch_overhead_total: float
+
+    @property
+    def pct_affinity(self) -> float:
+        """Table 3's %affinity, by the run's own formula."""
+        if not self.n_reallocations:
+            return 0.0
+        return 100.0 * self.n_affine / self.n_reallocations
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,8 +65,6 @@ def replay(records: typing.Iterable[TraceRecord]) -> ReplaySummary:
     departures: typing.Dict[str, float] = {}
     reallocations: typing.Dict[str, int] = {}
     affine: typing.Dict[str, int] = {}
-    penalties: typing.Dict[str, float] = {}
-    switches: typing.Dict[str, float] = {}
     cancelled: typing.Dict[str, float] = {}
     makespan: typing.Optional[float] = None
     for record in records:
@@ -76,8 +79,6 @@ def replay(records: typing.Iterable[TraceRecord]) -> ReplaySummary:
                 reallocations[record.job] = reallocations.get(record.job, 0) + 1
                 if record.affine:
                     affine[record.job] = affine.get(record.job, 0) + 1
-                penalties[record.job] = penalties.get(record.job, 0.0) + record.penalty_s
-                switches[record.job] = switches.get(record.job, 0.0) + record.switch_s
         elif isinstance(record, RunEnd):
             makespan = record.makespan
     jobs = {
@@ -86,8 +87,6 @@ def replay(records: typing.Iterable[TraceRecord]) -> ReplaySummary:
             response_time=departures[name] - arrivals[name],
             n_reallocations=reallocations.get(name, 0),
             n_affine=affine.get(name, 0),
-            cache_penalty_total=penalties.get(name, 0.0),
-            switch_overhead_total=switches.get(name, 0.0),
         )
         for name in departures
         if name in arrivals
@@ -100,11 +99,12 @@ def verify_replay(
 ) -> typing.List[str]:
     """Compare a replayed trace against the run's own result.
 
-    Response times and reallocation counts must match *exactly* (they are
-    computed by identical operations on identical values); penalty totals
-    are compared within float-summation slack, since the run accumulates
-    them in a different order than the replay and may refund a partially
-    consumed charge on preemption.
+    Response times, reallocation counts and Table 3's %affinity must
+    match *exactly* (they are computed by identical operations on
+    identical values).  Cache-penalty and context-switch totals are not
+    compared: a ``dispatch`` record carries the full charge, but a worker
+    preempted before its charge was consumed is refunded the rest, which
+    no record states, so a sum over dispatches overstates the run's total.
 
     Returns:
         A list of mismatch descriptions (empty = the trace is complete).
@@ -125,6 +125,11 @@ def verify_replay(
             problems.append(
                 f"job {name!r}: replayed {replayed.n_reallocations} reallocations "
                 f"!= reported {metrics.n_reallocations}"
+            )
+        if replayed.pct_affinity != metrics.pct_affinity:
+            problems.append(
+                f"job {name!r}: replayed {replayed.pct_affinity!r}% affinity "
+                f"!= reported {metrics.pct_affinity!r}%"
             )
     extra = set(summary.jobs) - set(result.jobs)
     if extra:

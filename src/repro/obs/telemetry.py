@@ -24,7 +24,7 @@ import threading
 import time
 import typing
 
-#: Telemetry snapshot schema identifier.
+#: Schema identifier of :meth:`TelemetryCollector.summary`.
 TELEMETRY_SCHEMA = "repro.telemetry/1"
 
 #: Default wall-clock spacing between heartbeats of one emitter.
@@ -51,32 +51,6 @@ class TelemetrySnapshot:
     def events_per_s(self) -> float:
         """Fired events per wall-clock second so far."""
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def records_per_s(self) -> float:
-        """Trace records per wall-clock second so far."""
-        return self.records / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def sim_rate(self) -> float:
-        """Simulated seconds per wall-clock second."""
-        return self.sim_s / self.wall_s if self.wall_s > 0 else 0.0
-
-    def to_dict(self) -> typing.Dict[str, typing.Any]:
-        """Schema-tagged plain dict (rates included, for export)."""
-        return {
-            "schema": TELEMETRY_SCHEMA,
-            "label": self.label,
-            "seq": self.seq,
-            "wall_s": self.wall_s,
-            "sim_s": self.sim_s,
-            "events": self.events,
-            "records": self.records,
-            "events_per_s": self.events_per_s,
-            "records_per_s": self.records_per_s,
-            "sim_rate": self.sim_rate,
-            "final": self.final,
-        }
 
 
 def progress_line(snapshot: TelemetrySnapshot) -> str:

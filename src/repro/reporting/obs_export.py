@@ -29,12 +29,16 @@ import json
 import typing
 
 from repro.obs.analysis.attribution import BUCKETS, TimeAttribution
-from repro.obs.analysis.diff import TraceDiff
-from repro.obs.analysis.intervals import WINDOW_FIELDS, IntervalSeries
+from repro.obs.analysis.diff import DIFF_SCHEMA, TraceDiff
+from repro.obs.analysis.intervals import (
+    INTERVALS_SCHEMA,
+    WINDOW_FIELDS,
+    IntervalSeries,
+)
 from repro.obs.metrics import validate_snapshot
 from repro.obs.records import RunConfig, RunEnd, TraceRecord
 from repro.obs.store import TraceFormatError, iter_trace_file
-from repro.reporting.export import rows_to_csv
+from repro.reporting.export import rows_to_csv, to_plain
 
 #: Time-attribution export schema identifier.
 ATTRIBUTION_SCHEMA = "repro.analysis.attribution/1"
@@ -199,7 +203,8 @@ def attribution_to_csv(attribution: TimeAttribution) -> str:
 
 def intervals_to_json(series: IntervalSeries) -> str:
     """An interval series as key-sorted, newline-terminated JSON."""
-    return json.dumps(series.to_dict(), sort_keys=True, indent=2) + "\n"
+    plain = {"schema": INTERVALS_SCHEMA, **to_plain(series)}
+    return json.dumps(plain, sort_keys=True, indent=2) + "\n"
 
 
 def intervals_to_csv(series: IntervalSeries) -> str:
@@ -212,4 +217,5 @@ def intervals_to_csv(series: IntervalSeries) -> str:
 
 def diff_to_json(diff: TraceDiff) -> str:
     """A trace diff as key-sorted, newline-terminated JSON."""
-    return json.dumps(diff.to_dict(), sort_keys=True, indent=2) + "\n"
+    plain = {"schema": DIFF_SCHEMA, **to_plain(diff)}
+    return json.dumps(plain, sort_keys=True, indent=2) + "\n"

@@ -128,13 +128,19 @@ class ResultCache:
 
     # -- read side ----------------------------------------------------- #
 
-    def load(self, key: str) -> typing.Optional[typing.Dict[str, typing.Any]]:
-        """The cached payload for ``key``, or ``None`` on a miss.
+    def load(
+        self, key: str, cell: SweepCell
+    ) -> typing.Optional[typing.Dict[str, typing.Any]]:
+        """``cell``'s cached payload under ``key``, or ``None`` on a miss.
 
-        ``result.json`` is only ever published by an atomic rename, so a
-        readable-but-malformed file means external damage (disk fault,
-        manual edit); the entry is evicted and treated as a miss so the
-        sweep recomputes instead of crashing or trusting garbage.
+        The one rule for whether an entry serves a cell: ``result.json``
+        parses, carries :data:`RESULT_SCHEMA`, names ``cell``'s kind and
+        config, and has a dict ``data``.  ``result.json`` is only ever
+        published by an atomic rename, so any other entry means damage
+        (a disk fault, a manual edit, an entry copied under another
+        cell's key).  It is evicted and reported as a miss, so the cell
+        is recomputed instead of crashing or serving garbage; whichever
+        caller reads it first evicts it, ``sweep status`` included.
         """
         path = os.path.join(self.cell_dir(key), _RESULT_FILE)
         try:
@@ -142,16 +148,18 @@ class ResultCache:
                 payload = json.load(fh)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError):
-            self.evict(key)
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != RESULT_SCHEMA:
+        except (OSError, ValueError):
+            payload = None
+        if (
+            not isinstance(payload, dict)
+            or payload.get("schema") != RESULT_SCHEMA
+            or payload.get("kind") != cell.kind
+            or payload.get("cell") != cell.config
+            or not isinstance(payload.get("data"), dict)
+        ):
             self.evict(key)
             return None
         return payload
-
-    def has(self, key: str) -> bool:
-        return os.path.exists(os.path.join(self.cell_dir(key), _RESULT_FILE))
 
     # -- write side ---------------------------------------------------- #
 
@@ -165,7 +173,7 @@ class ResultCache:
         """Persist a computed cell: provenance first, result last.
 
         Each file is written atomically, and ``result.json`` goes last:
-        until it lands, :meth:`load`/:meth:`has` report a miss, so an
+        until it lands, :meth:`load` reports a miss, so an
         interrupted store is indistinguishable from never having run.
         """
         if payload.get("schema") != RESULT_SCHEMA:

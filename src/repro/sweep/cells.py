@@ -12,16 +12,15 @@ from the seed inside the run), so a cell computes the same payload
 whichever worker, shard, or session runs it.
 
 A payload's ``data`` is the driver's result dataclass through
-:func:`result_to_dict`; the ``*_from_dict`` inverses rebuild it
-bit-for-bit (JSON floats round-trip exactly), and the ``*_comparison``
-assemblers regroup a sweep's payloads into the exact aggregate objects
-the report renderers already consume — byte-identical to what the
-pre-sweep per-figure loops produced.
+:func:`~repro.reporting.export.to_plain`; the ``*_from_dict`` inverses
+rebuild it bit-for-bit (JSON floats round-trip exactly), and the
+``*_comparison`` assemblers regroup a sweep's payloads into the exact
+aggregate objects the report renderers already consume — byte-identical
+to what the pre-sweep per-figure loops produced.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 from repro.apps import APPLICATIONS
@@ -31,6 +30,7 @@ from repro.measure.runner import JobSummary, MixComparison, run_mix
 from repro.measure.workloads import MIXES
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import SpanProfiler
+from repro.reporting.export import to_plain
 from repro.sweep.cache import RESULT_SCHEMA
 from repro.sweep.spec import (
     CELL_KINDS,
@@ -54,22 +54,7 @@ PayloadMap = typing.Mapping[SweepCell, typing.Dict[str, typing.Any]]
 
 
 # ---------------------------------------------------------------------- #
-# result <-> plain dict
-
-
-def _plain(
-    fields: typing.List[typing.Tuple[str, typing.Any]]
-) -> typing.Dict[str, typing.Any]:
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in fields}
-
-
-def result_to_dict(result: typing.Any) -> typing.Dict[str, typing.Any]:
-    """A result dataclass as a payload's plain ``data`` entry.
-
-    :func:`dataclasses.asdict` in field order, with tuple fields as lists
-    so the dict is JSON-plain: a fresh payload equals its cache hit.
-    """
-    return dataclasses.asdict(result, dict_factory=_plain)
+# plain dict -> result
 
 
 def system_result_from_dict(
@@ -139,9 +124,7 @@ def run_cell(
             config["q_s"],
             partners=[APPLICATIONS[name] for name in config["partners"]],
         )
-        data: typing.Dict[str, typing.Any] = {
-            "penalty": result_to_dict(result)
-        }
+        data: typing.Dict[str, typing.Any] = {"penalty": to_plain(result)}
     else:
         policy = policy_named(config["policy"], cell.kind)
         run = dict(
@@ -149,9 +132,7 @@ def run_cell(
             heartbeat=heartbeat, **observers,
         )
         if cell.kind == "mix":
-            data = {"system": result_to_dict(
-                run_mix(config["mix"], policy, **run)
-            )}
+            data = {"system": to_plain(run_mix(config["mix"], policy, **run))}
         else:
             if cell.kind == "opensys":
                 scenario: typing.Any = built_in_scenarios(
@@ -167,9 +148,7 @@ def run_cell(
                     max_jobs=config["max_jobs"],
                     sha256=config["sha256"],
                 )
-            data = {"opensys": result_to_dict(
-                run_scenario(scenario, policy, **run)
-            )}
+            data = {"opensys": to_plain(run_scenario(scenario, policy, **run))}
     payload: typing.Dict[str, typing.Any] = {
         "schema": RESULT_SCHEMA,
         "kind": cell.kind,

@@ -129,35 +129,6 @@ def _run_shard(
     return out
 
 
-def _usable_hit(
-    cache: ResultCache, cell: SweepCell, key: str, collect_metrics: bool
-) -> typing.Optional[typing.Dict[str, typing.Any]]:
-    """The cached payload of ``cell``, if it can serve this run.
-
-    A payload whose ``kind``/``cell`` header names another cell, or
-    whose ``data`` is not a dict, is damage (an entry copied or edited
-    under the wrong key): it is evicted and the cell recomputed, never
-    served as this cell's result.  A cell cached without metrics cannot
-    serve a ``--metrics`` run; it is recomputed (and re-cached, now with
-    its snapshot).  Profiles are wall-clock and never cached, so a
-    profiling run recomputes everything by construction (handled by the
-    caller).
-    """
-    payload = cache.load(key)
-    if payload is None:
-        return None
-    if (
-        payload.get("kind") != cell.kind
-        or payload.get("cell") != cell.config
-        or not isinstance(payload.get("data"), dict)
-    ):
-        cache.evict(key)
-        return None
-    if collect_metrics and payload.get("metrics") is None:
-        return None
-    return payload
-
-
 def _served_form(
     payload: typing.Dict[str, typing.Any], collect_metrics: bool
 ) -> typing.Dict[str, typing.Any]:
@@ -219,10 +190,10 @@ def run_sweep(
     pending: typing.List[typing.Tuple[SweepCell, str]] = []
     serve_hits = cache is not None and not force and not collect_profile
     for cell, key in keyed:
-        payload = (
-            _usable_hit(cache, cell, key, collect_metrics) if serve_hits else None
-        )
-        if payload is None:
+        payload = cache.load(key, cell) if serve_hits else None
+        # A cell cached without metrics cannot serve a metrics run: it is
+        # recomputed, and re-cached with its snapshot.
+        if payload is None or (collect_metrics and payload.get("metrics") is None):
             pending.append((cell, key))
         else:
             hits[cell] = payload
@@ -342,10 +313,17 @@ def run_sweep(
 
 
 def sweep_status(spec: SweepSpec, cache: ResultCache) -> SweepStatus:
-    """How much of ``spec`` the cache already holds (runs nothing)."""
+    """How much of ``spec`` the cache already holds (runs nothing).
+
+    A cell counts as cached when :meth:`ResultCache.load` would serve
+    it, so a damaged entry counts as pending (and is evicted here).
+    """
     fingerprint = code_fingerprint()
     cells = spec.expand()
-    cached = sum(1 for cell in cells if cache.has(cell_key(cell, fingerprint)))
+    cached = sum(
+        1 for cell in cells
+        if cache.load(cell_key(cell, fingerprint), cell) is not None
+    )
     _, journal_path = _journal_paths(cache, spec.name)
     return SweepStatus(
         spec=spec,

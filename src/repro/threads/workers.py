@@ -14,6 +14,10 @@ import typing
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.threads.job import Job
 
+#: Processors a worker's history remembers: the deepest task history a
+#: policy may consult (``Policy.history_depth``).
+MAX_HISTORY_DEPTH = 8
+
 
 class WorkerState(enum.Enum):
     """Lifecycle of a worker task."""
@@ -63,9 +67,6 @@ class WorkerTask:
         self.completion_handle: typing.Optional[object] = None
         #: label of this worker's thread-completion events
         self.completion_label = f"complete:{job.name}#{index}"
-        #: lifetime dispatch statistics
-        self.dispatches = 0
-        self.affine_dispatches = 0
 
     @property
     def state(self) -> WorkerState:
@@ -91,28 +92,18 @@ class WorkerTask:
         """Stable hashable identity: (job name, worker index)."""
         return (self.job.name, self.index)
 
-    @property
-    def has_affinity_for(self) -> typing.Optional[int]:
-        """The single processor this task has affinity for (or None)."""
-        return self.last_processor
-
     def affinity_within(self, processor: int, depth: int = 1) -> bool:
         """True if ``processor`` is among the last ``depth`` this task used."""
         if depth < 1:
             raise ValueError("depth must be at least 1")
         return processor in self.processor_history[:depth]
 
-    def note_dispatch(self, processor: int, now: float) -> bool:
-        """Record a dispatch onto ``processor``; returns affinity hit/miss."""
-        affine = self.last_processor == processor
-        self.dispatches += 1
-        if affine:
-            self.affine_dispatches += 1
+    def note_dispatch(self, processor: int, now: float) -> None:
+        """Record a dispatch onto ``processor``."""
         self._enter(WorkerState.RUNNING)
         self.processor = processor
         self.started_at = now
         self.segment_start = now
-        return affine
 
     def note_departure(self, now: float, suspended: bool) -> float:
         """Record leaving the processor; returns the stint duration.
@@ -128,7 +119,7 @@ class WorkerTask:
         if self.processor is not None:
             if not self.processor_history or self.processor_history[0] != self.processor:
                 self.processor_history.insert(0, self.processor)
-                del self.processor_history[8:]
+                del self.processor_history[MAX_HISTORY_DEPTH:]
         self.processor = None
         self._enter(WorkerState.SUSPENDED if suspended else WorkerState.IDLE)
         if not suspended:

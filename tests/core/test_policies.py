@@ -13,6 +13,7 @@ from repro.core.policies import (
     Policy,
     equipartition_allocation,
 )
+from repro.threads.workers import MAX_HISTORY_DEPTH
 
 
 class TestPolicyDefinitions:
@@ -55,6 +56,14 @@ class TestPolicyDefinitions:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Policy("bad", "dynamic", False, False, yield_delay_s=-1.0)
+
+    def test_history_depth_bounded_by_worker_history(self):
+        """A worker remembers MAX_HISTORY_DEPTH processors, so a deeper
+        policy would silently act as that depth."""
+        Policy("ok", "dynamic", True, True, history_depth=MAX_HISTORY_DEPTH)
+        for depth in (0, MAX_HISTORY_DEPTH + 1):
+            with pytest.raises(ValueError, match="history_depth"):
+                Policy("bad", "dynamic", True, True, history_depth=depth)
 
 
 class TestEquipartitionAllocation:

@@ -1,7 +1,7 @@
 """Pinned sha256 digests of Section 8 time-sharing runs.
 
 Each entry of ``tests/data/timesharing_digests.json`` is the sha256 of
-``canonical_json(result_to_dict(result))`` with ``seed`` removed,
+``canonical_json(to_plain(result))`` with ``seed`` removed,
 for one run under ``TimeSharing`` or ``TimeSharing-Aff``.  Two sets are
 pinned:
 
@@ -30,7 +30,7 @@ import pytest
 from repro.core.policies import TIME_SHARING, TIME_SHARING_AFFINITY
 from repro.core.system import SchedulingSystem
 from repro.measure.runner import run_mix
-from repro.sweep.cells import result_to_dict
+from repro.reporting.export import to_plain
 from repro.sweep.spec import canonical_json
 from tests.core.helpers import chain_job, flat_job, phased_job
 
@@ -76,7 +76,7 @@ SCENARIOS = {
 
 def result_digest(result) -> str:
     """sha256 of a result's canonical JSON form, ``seed`` left out."""
-    payload = result_to_dict(result)
+    payload = to_plain(result)
     del payload["seed"]
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 

@@ -44,6 +44,28 @@ class TestReplayExactness:
         assert verify_replay(truncated, result)
 
 
+    def test_verify_replay_catches_a_flipped_affine_flag(self):
+        """Table 3's %affinity is checked: one non-cheap dispatch that
+        claims the wrong affinity is a mismatch naming its job."""
+        import dataclasses
+
+        from repro.obs.records import Dispatch
+
+        tracer = Tracer()
+        result = run_mix(5, DYN_AFF, seed=0, tracer=tracer)
+        records = list(tracer.records)
+        index = next(
+            i for i, r in enumerate(records)
+            if isinstance(r, Dispatch) and not r.cheap
+        )
+        flipped = records[index]
+        records[index] = dataclasses.replace(flipped, affine=not flipped.affine)
+        problems = verify_replay(records, result)
+        assert len(problems) == 1
+        assert f"job {flipped.job!r}" in problems[0]
+        assert "affinity" in problems[0]
+
+
 class TestSerialParallelDifferential:
     """ISSUE satellite: workers=2 must produce identical metrics snapshots."""
 

@@ -26,8 +26,9 @@ def _cell(seed=0, **extra):
     return SweepCell.make("opensys", config)
 
 
-def _payload(value=1.5):
-    return {"schema": RESULT_SCHEMA, "kind": "opensys",
+def _payload(value=1.5, cell=None):
+    cell = cell or _cell()
+    return {"schema": RESULT_SCHEMA, "kind": cell.kind, "cell": cell.config,
             "data": {"makespan": value, "jobs": {"a": [1, 2]}}}
 
 
@@ -62,21 +63,20 @@ class TestCodeFingerprint:
 
 class TestStoreLoad:
     def test_miss_is_none(self, tmp_path):
-        assert ResultCache(str(tmp_path)).load("ab" * 32) is None
+        assert ResultCache(str(tmp_path)).load("ab" * 32, _cell()) is None
 
     def test_roundtrip(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         key = cell_key(_cell(), FP)
         cache.store(_cell(), key, _payload(), FP)
-        assert cache.has(key)
-        assert cache.load(key) == _payload()
+        assert cache.load(key, _cell()) == _payload()
 
     def test_floats_roundtrip_exactly(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         key = cell_key(_cell(), FP)
         value = 0.1 + 0.2  # 0.30000000000000004 — repr round-trips exactly
         cache.store(_cell(), key, _payload(value), FP)
-        assert cache.load(key)["data"]["makespan"] == value
+        assert cache.load(key, _cell())["data"]["makespan"] == value
 
     def test_store_refuses_unschemad_payload(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -100,8 +100,7 @@ class TestStoreLoad:
         os.makedirs(cache.cell_dir(key))
         with open(os.path.join(cache.cell_dir(key), "cell.json"), "w") as fh:
             fh.write("{}")
-        assert not cache.has(key)
-        assert cache.load(key) is None
+        assert cache.load(key, _cell()) is None
 
 
 #: JSON values whose dicts carry keys in whatever order hypothesis drew.
@@ -121,20 +120,19 @@ class TestKeyOrder:
     @settings(max_examples=60, deadline=None)
     @given(data=st.dictionaries(st.text(max_size=6), _json_values, max_size=6))
     def test_store_load_preserves_key_order(self, data):
-        payload = {"schema": RESULT_SCHEMA, "kind": "mix", "data": data}
+        payload = {**_payload(), "data": data}
         with tempfile.TemporaryDirectory() as root:
             cache = ResultCache(root)
             key = cell_key(_cell(), FP)
             cache.store(_cell(), key, payload, FP)
-            assert json.dumps(cache.load(key)) == json.dumps(payload)
+            assert json.dumps(cache.load(key, _cell())) == json.dumps(payload)
 
     def test_unsorted_jobs_survive(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         key = cell_key(_cell(), FP)
-        payload = {"schema": RESULT_SCHEMA, "kind": "mix",
-                   "data": {"jobs": {"MVA": 1.0, "MATRIX": 2.0}}}
+        payload = {**_payload(), "data": {"jobs": {"MVA": 1.0, "MATRIX": 2.0}}}
         cache.store(_cell(), key, payload, FP)
-        assert list(cache.load(key)["data"]["jobs"]) == ["MVA", "MATRIX"]
+        assert list(cache.load(key, _cell())["data"]["jobs"]) == ["MVA", "MATRIX"]
 
 
 class TestDamage:
@@ -145,7 +143,7 @@ class TestDamage:
         cache.store(_cell(), key, _payload(), FP)
         with open(os.path.join(cache.cell_dir(key), "result.json"), "w") as fh:
             fh.write(damage)
-        assert cache.load(key) is None
+        assert cache.load(key, _cell()) is None
         assert not os.path.exists(cache.cell_dir(key))  # evicted
 
     def test_wrong_result_schema_evicted(self, tmp_path):
@@ -155,8 +153,29 @@ class TestDamage:
         path = os.path.join(cache.cell_dir(key), "result.json")
         with open(path, "w") as fh:
             json.dump({"schema": "something/else"}, fh)
-        assert cache.load(key) is None
-        assert not cache.has(key)
+        assert cache.load(key, _cell()) is None
+        assert not os.path.exists(cache.cell_dir(key))
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"kind": "mix"}, id="kind"),
+        pytest.param({"cell": _cell(seed=1).config}, id="cell"),
+        pytest.param({"data": [1, 2]}, id="data"),
+    ])
+    def test_entry_for_another_cell_evicted(self, tmp_path, change):
+        cache = ResultCache(str(tmp_path))
+        key = cell_key(_cell(), FP)
+        cache.store(_cell(), key, {**_payload(), **change}, FP)
+        assert cache.load(key, _cell()) is None
+        assert not os.path.exists(cache.cell_dir(key))
+
+    def test_undecodable_entry_evicted(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        key = cell_key(_cell(), FP)
+        cache.store(_cell(), key, _payload(), FP)
+        with open(os.path.join(cache.cell_dir(key), "result.json"), "wb") as fh:
+            fh.write(b'{"schema": "\xff"}')
+        assert cache.load(key, _cell()) is None
+        assert not os.path.exists(cache.cell_dir(key))
 
 
 class TestEvict:
@@ -178,9 +197,10 @@ class TestEvict:
             if k[:2] == key_a[:2]
         )
         cache.store(_cell(seed=0), key_a, _payload(), FP)
-        cache.store(_cell(seed=seed), key_b, _payload(), FP)
+        sibling = _payload(cell=_cell(seed=seed))
+        cache.store(_cell(seed=seed), key_b, sibling, FP)
         assert cache.evict(key_a)
-        assert cache.has(key_b)
+        assert cache.load(key_b, _cell(seed=seed)) == sibling
 
     def test_evict_missing_is_false(self, tmp_path):
         assert not ResultCache(str(tmp_path)).evict("ab" * 32)

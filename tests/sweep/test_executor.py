@@ -269,6 +269,24 @@ class TestStatusAndClean:
         resumed = run_sweep(_spec(), cache=cache)
         assert resumed.n_computed == 1 and resumed.n_hits == 3
 
+    def test_status_counts_only_entries_a_run_would_serve(self, tmp_path):
+        """An entry copied over another cell's is pending, not cached:
+        status evicts it, and the next run computes exactly that cell."""
+        cache = ResultCache(str(tmp_path))
+        cold = run_sweep(_spec(), cache=cache)
+        source, target = (
+            os.path.join(cache.cell_dir(o.key), "result.json")
+            for o in cold.outcomes[:2]
+        )
+        with open(source, "rb") as src, open(target, "wb") as dst:
+            dst.write(src.read())
+        status = sweep_status(_spec(), cache)
+        assert status.n_cached == 3 and status.n_pending == 1
+        assert not os.path.exists(target)
+        rerun = run_sweep(_spec(), cache=cache)
+        assert rerun.n_hits == 3 and rerun.n_computed == 1
+        assert _bytes(rerun) == _bytes(cold)
+
     def test_clean_evicts_only_this_spec(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         run_sweep(_spec(), cache=cache)

@@ -2,9 +2,9 @@
 
 For every cell kind, the result a cell returns survives its plain form
 going through ``json.dumps``/``json.loads``: the ``*_from_dict`` inverse
-of :func:`result_to_dict` rebuilds an equal result, which renders the
-same text.  Cache hits and
-traced CLI runs both read their results back this way.
+of :func:`~repro.reporting.export.to_plain` rebuilds an equal result,
+which renders the same text.  Cache hits and traced CLI runs both read
+their results back this way.
 """
 
 import json
@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from repro.core.system import JobMetrics, SystemResult
 from repro.measure.penalty import PenaltyResult, PenaltyTable, RegimeRun
+from repro.reporting.export import to_plain
 from repro.reporting.opensys_report import render_matrix_table
 from repro.reporting.tables import render_section8, render_table1
 from repro.sweep.cells import (
     opensys_result_from_dict,
     penalty_result_from_dict,
-    result_to_dict,
     system_result_from_dict,
 )
 from repro.workloads.opensys.scenario import (
@@ -76,7 +76,7 @@ penalty_results = st.builds(
 
 
 def _through_json(from_dict, result):
-    plain = result_to_dict(result)
+    plain = to_plain(result)
     # JSON-plain already: loading the dump changes nothing.
     assert json.loads(json.dumps(plain)) == plain
     return from_dict(json.loads(json.dumps(plain)))

@@ -396,7 +396,7 @@ def mix_grid():
         for cell, payload in fresh.items():
             key = cell_key(cell)
             cache.store(cell, key, payload)
-            served[cell] = cache.load(key)
+            served[cell] = cache.load(key, cell)
     return fresh, served
 
 

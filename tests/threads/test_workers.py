@@ -5,7 +5,7 @@ import pytest
 from repro.machine.footprint import FootprintCurve
 from repro.threads.graph import ThreadGraph
 from repro.threads.job import Job
-from repro.threads.workers import WorkerState, WorkerTask
+from repro.threads.workers import MAX_HISTORY_DEPTH, WorkerState, WorkerTask
 
 
 def make_worker() -> WorkerTask:
@@ -24,7 +24,8 @@ class TestDispatchDeparture:
 
     def test_first_dispatch_has_no_affinity(self):
         w = make_worker()
-        assert w.note_dispatch(3, 0.0) is False
+        assert not w.affinity_within(3)
+        w.note_dispatch(3, 0.0)
         assert w.state == WorkerState.RUNNING
         assert w.processor == 3
 
@@ -32,13 +33,13 @@ class TestDispatchDeparture:
         w = make_worker()
         w.note_dispatch(3, 0.0)
         w.note_departure(1.0, suspended=False)
-        assert w.note_dispatch(3, 2.0) is True
+        assert w.affinity_within(3)
 
     def test_redispatch_elsewhere_has_no_affinity(self):
         w = make_worker()
         w.note_dispatch(3, 0.0)
         w.note_departure(1.0, suspended=False)
-        assert w.note_dispatch(4, 2.0) is False
+        assert not w.affinity_within(4)
 
     def test_departure_returns_stint_duration(self):
         w = make_worker()
@@ -74,15 +75,14 @@ class TestDispatchDeparture:
 
 
 class TestAffinityStats:
-    def test_affine_dispatch_counts(self):
+    def test_history_remembers_max_depth_processors(self):
         w = make_worker()
-        w.note_dispatch(0, 0.0)
-        w.note_departure(1.0, suspended=False)
-        w.note_dispatch(0, 1.0)   # affine
-        w.note_departure(2.0, suspended=False)
-        w.note_dispatch(1, 2.0)   # not affine
-        assert w.dispatches == 3
-        assert w.affine_dispatches == 1
+        for cpu in range(MAX_HISTORY_DEPTH + 2):
+            w.note_dispatch(cpu, float(cpu))
+            w.note_departure(cpu + 0.5, suspended=False)
+        newest = MAX_HISTORY_DEPTH + 1
+        assert w.processor_history == list(range(newest, 1, -1))
+        assert w.affinity_within(2, depth=MAX_HISTORY_DEPTH)
 
     def test_key_is_stable(self):
         w = make_worker()
