@@ -43,6 +43,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 import typing
 
@@ -89,6 +90,10 @@ ANALYSIS_MARKER = "=== analysis ==="
 PROFILE_MARKER = "=== profile ==="
 #: Marker line preceding the live-run telemetry summary (--progress).
 TELEMETRY_MARKER = "=== telemetry ==="
+
+#: Exit status when stdout's reader hangs up before the output is all
+#: written: the output is incomplete, so the command did not succeed.
+EXIT_BROKEN_PIPE = 1
 
 
 def _print_snapshot(snapshot: typing.Mapping[str, typing.Any], label: str = "") -> None:
@@ -498,32 +503,30 @@ def _write_checked_trace(records, result, path: str, fmt: str, what: str) -> boo
     return not (violations or replay_errors)
 
 
-def _progress_hooks(enabled: bool):
-    """``--progress``: a telemetry collector, plus a sink and a shard-commit
-    callback that stream heartbeats to stderr (three ``None``s when off)."""
-    if not enabled:
-        return None, None, None
-    from repro.obs.telemetry import TelemetryCollector, progress_line
+def _shard_progress(progress: bool):
+    """``--progress``'s shard-commit callback, a line on stderr per shard
+    (``None`` when off)."""
+    if not progress:
+        return None
+    from repro.obs.telemetry import ProgressWriter
 
-    collector = TelemetryCollector()
-
-    def sink(snapshot) -> None:
-        collector(snapshot)
-        print(progress_line(snapshot), file=sys.stderr)
+    writer = ProgressWriter()
 
     def on_commit(index: int, payloads: typing.List[dict]) -> None:
-        print(
-            f"[sweep] shard {index + 1} committed ({len(payloads)} cells)",
-            file=sys.stderr,
-        )
+        writer.write(f"[sweep] shard {index + 1} committed ({len(payloads)} cells)")
 
-    return collector, sink, on_commit
+    return on_commit
 
 
-def _print_telemetry(collector) -> None:
-    if collector is not None:
+def _print_telemetry(progress: bool, sweep) -> None:
+    """``--progress``'s summary over the computed cells' final snapshots."""
+    if progress:
+        from repro.obs.telemetry import render_telemetry
+
         print(TELEMETRY_MARKER)
-        print(collector.render_summary(), end="")
+        print(render_telemetry([
+            o.payload["telemetry"] for o in sweep.outcomes if not o.cached
+        ]), end="")
 
 
 def cmd_trace(args: argparse.Namespace) -> None:
@@ -566,9 +569,9 @@ def cmd_opensys(args: argparse.Namespace) -> None:
     additionally runs one fully traced cell (first scenario, first
     policy, base seed), self-checks the trace against the invariant and
     replay oracles, and writes it — exiting non-zero if either oracle
-    objects, exactly like ``repro trace``.  ``--progress`` streams live
-    per-cell heartbeats to stderr while the sweep runs and prints a
-    ``=== telemetry ===`` summary after the table.
+    objects, exactly like ``repro trace``.  ``--progress`` has each
+    running cell print live heartbeats to stderr, and prints a
+    ``=== telemetry ===`` summary of the computed cells after the table.
     """
     from repro.ioutil import atomic_write_text
     from repro.reporting.opensys_report import matrix_to_json, render_matrix_table
@@ -579,7 +582,6 @@ def cmd_opensys(args: argparse.Namespace) -> None:
     seed_values = normalize_seeds(args.seeds, args.seed)
     policy_names = args.policy or sorted(POLICIES)
     collect_metrics = args.metrics or bool(args.metrics_csv)
-    collector, telemetry_sink, on_commit = _progress_hooks(args.progress)
     if args.swf:
         spec = SweepSpec(
             name="opensys-swf",
@@ -611,12 +613,12 @@ def cmd_opensys(args: argparse.Namespace) -> None:
         cache=_sweep_cache(args),
         workers=args.workers,
         collect_metrics=collect_metrics,
-        telemetry=telemetry_sink,
-        on_commit=on_commit,
+        progress=args.progress,
+        on_commit=_shard_progress(args.progress),
     )
     comparison = matrix_comparison(spec, sweep.payloads)
     print(render_matrix_table(comparison))
-    _print_telemetry(collector)
+    _print_telemetry(args.progress, sweep)
     if args.json:
         atomic_write_text(args.json, matrix_to_json(comparison))
         print(f"wrote matrix JSON to {args.json}")
@@ -817,15 +819,14 @@ def cmd_sweep(args: argparse.Namespace) -> None:
               f"from {cache.root}")
         return
 
-    collector, telemetry_sink, on_commit = _progress_hooks(args.progress)
     sweep = run_sweep(
         spec,
         cache=cache,
         workers=args.workers,
         force=args.force,
         collect_metrics=args.metrics,
-        telemetry=telemetry_sink,
-        on_commit=on_commit,
+        progress=args.progress,
+        on_commit=_shard_progress(args.progress),
     )
     print(f"sweep '{spec.name}' ({spec.kind}): "
           f"{len(sweep.outcomes)} cells, {sweep.n_hits} cache hits, "
@@ -854,7 +855,7 @@ def cmd_sweep(args: argparse.Namespace) -> None:
                 print(f"  {policy:16s} "
                       f"{comparison.mean_response_time(policy):9.2f} s")
     _print_merged(spec, payloads)
-    _print_telemetry(collector)
+    _print_telemetry(args.progress, sweep)
 
 
 def cmd_all(args: argparse.Namespace) -> None:
@@ -1152,10 +1153,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
-    """Entry point."""
+    """Entry point: 0 on success.
+
+    A reader that closes stdout early (``repro sweep run SPEC | head -1``)
+    ends the command quietly with :data:`EXIT_BROKEN_PIPE` instead of a
+    ``BrokenPipeError`` traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The Python docs recipe: point stdout at the null device, so the
+        # interpreter's own flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return 0
 
 

@@ -40,11 +40,10 @@ def resolve_workers(workers: typing.Optional[int]) -> int:
 def exit_with_parent() -> None:
     """Process initializer: exit this process once its parent is gone.
 
-    A parent killed by SIGKILL cannot shut down its pool or its telemetry
-    manager.  Reparented, the pool's workers would compute the cells
-    already queued to them and then wait forever, and the manager would
-    wait forever.  The cache commits each cell atomically, so exiting
-    mid-cell just leaves that cell pending.
+    A parent killed by SIGKILL cannot shut down its pool.  Reparented,
+    each pool worker would compute the cells already queued to it and
+    then wait forever.  The cache commits each cell atomically, so
+    exiting mid-cell just leaves that cell pending.
     """
     parent = os.getppid()
 
@@ -66,8 +65,9 @@ def map_items(
 
     Result ``i`` is always ``fn(items[i])``, and ``on_commit(i, result)``
     fires per result in item order whatever the worker count — the
-    progress signal the sweep journal and telemetry build on.  It
-    observes results; it must not mutate them.
+    progress signal the sweep journal builds on.  The results are the
+    only way anything travels from a worker back to the caller.
+    ``on_commit`` observes them; it must not mutate them.
     """
     item_tuple = tuple(items)
     n_workers = resolve_workers(workers)

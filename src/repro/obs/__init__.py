@@ -17,7 +17,8 @@ The subsystem has four pieces, layered so each consumes the one below:
   (``write_jsonl``, ``write_columnar``) and the one reader of both
   (:func:`repro.obs.store.iter_trace_file`);
 * :mod:`repro.obs.telemetry` — heartbeat snapshots from live runs
-  (progress, rates) flowing from workers to the matrix parent;
+  (progress, rates), printed to stderr by the process running each
+  cell, and the summary folded from each cell's final snapshot;
 * :mod:`repro.obs.profiling` — wall-clock self-profiling of the
   simulator itself (:class:`SpanProfiler`, null fast path like the
   tracer).

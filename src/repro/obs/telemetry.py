@@ -1,30 +1,33 @@
-"""Run telemetry: heartbeat snapshots from live runs to a watching parent.
+"""Run telemetry: heartbeat snapshots from live runs.
 
 A matrix sweep fans (scenario × policy × seed) cells out over worker
-processes; until a cell finishes, the parent knows nothing.  This module
-adds the missing live signal without touching determinism: a
+processes; until a cell finishes, nothing shows how far it has got.
+This module adds the missing live signal without touching determinism: a
 :class:`HeartbeatEmitter` rides a run's engine trace hook, counts fired
-events, and every so often (wall-clock throttled) pushes a
-:class:`TelemetrySnapshot` — progress only, never results — into a
-*sink*.  Sinks are plain callables; :class:`TelemetryChannel` provides
-the cross-process one (a managed queue drained by a parent thread) and
-:class:`TelemetryCollector` folds whatever arrives into a summary.
+events, and every so often (wall-clock throttled) hands a
+:class:`TelemetrySnapshot` — progress only, never results — to a *sink*,
+a plain callable.  The sweep's sink is :meth:`ProgressWriter.snapshot`,
+which prints a progress line to stderr from whichever process runs the
+cell.
+The emitter keeps its terminal snapshot (:attr:`HeartbeatEmitter.final`),
+which travels home inside the cell's payload like any result, and
+:func:`telemetry_summary` folds those finals into the sweep summary.
 
 Telemetry is strictly observational: snapshots carry wall-clock rates,
 so their *values* vary run to run, but nothing downstream of a sink
 feeds back into scheduling — a run with heartbeats attached commits the
-same results, bit for bit, as one without.
+same results, bit for bit, as one without — and a failed progress write
+never fails a run (:class:`ProgressWriter`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import threading
+import sys
 import time
 import typing
 
-#: Schema identifier of :meth:`TelemetryCollector.summary`.
+#: Schema identifier of :func:`telemetry_summary`.
 TELEMETRY_SCHEMA = "repro.telemetry/1"
 
 #: Default wall-clock spacing between heartbeats of one emitter.
@@ -63,7 +66,8 @@ def progress_line(snapshot: TelemetrySnapshot) -> str:
     )
 
 
-#: Anything that accepts a snapshot (collector, queue sink, print shim).
+#: Anything that accepts a snapshot (:meth:`ProgressWriter.snapshot`, a
+#: list's ``append``).
 TelemetrySink = typing.Callable[[TelemetrySnapshot], None]
 
 
@@ -72,11 +76,11 @@ class HeartbeatEmitter:
 
     Attach with ``system.sim.add_trace_hook(emitter.engine_hook)`` (the
     hook fires once per discrete event, whether or not tracing is on)
-    and call :meth:`finish` when the run completes so the parent always
-    sees a terminal snapshot.  Between heartbeats the per-event cost is
-    one increment and one modulo — the wall clock is consulted only
-    every ``check_every`` events, and a heartbeat goes out at most every
-    ``min_interval_s`` wall seconds.
+    and call :meth:`finish` when the run completes: it emits the terminal
+    snapshot and keeps it as :attr:`final`.  Between heartbeats the
+    per-event cost is one increment and one modulo — the wall clock is
+    consulted only every ``check_every`` events, and a heartbeat goes out
+    at most every ``min_interval_s`` wall seconds.
 
     ``records_fn`` (e.g. ``lambda: len(tracer)``) reports how many trace
     records the run has produced; omitted, records read 0.
@@ -105,7 +109,8 @@ class HeartbeatEmitter:
         self._events = 0
         self._seq = 0
         self._last_beat_wall = 0.0
-        self._finished = False
+        #: The terminal snapshot, once :meth:`finish` has run.
+        self.final: typing.Optional[TelemetrySnapshot] = None
 
     def engine_hook(self, now: float, label: str) -> None:
         """Per-event hook: count, and heartbeat when due."""
@@ -117,14 +122,18 @@ class HeartbeatEmitter:
             return
         self._beat(sim_s=now, wall_s=wall, final=False)
 
-    def finish(self, sim_s: float) -> None:
-        """Emit the terminal snapshot (idempotent)."""
-        if self._finished:
-            return
-        self._finished = True
-        self._beat(sim_s=sim_s, wall_s=self._clock() - self._t0, final=True)
+    def finish(self, sim_s: float = 0.0) -> None:
+        """Emit the terminal snapshot and keep it as :attr:`final`
+        (idempotent).  A run with no simulated clock (a Table 1 cell)
+        finishes at ``sim_s`` 0."""
+        if self.final is None:
+            self.final = self._beat(
+                sim_s=sim_s, wall_s=self._clock() - self._t0, final=True
+            )
 
-    def _beat(self, sim_s: float, wall_s: float, final: bool) -> None:
+    def _beat(
+        self, sim_s: float, wall_s: float, final: bool
+    ) -> TelemetrySnapshot:
         self._last_beat_wall = wall_s
         snapshot = TelemetrySnapshot(
             label=self.label,
@@ -137,142 +146,81 @@ class HeartbeatEmitter:
         )
         self._seq += 1
         self._sink(snapshot)
+        return snapshot
 
 
-class TelemetryCollector:
-    """Thread-safe accumulator for heartbeats from any number of cells.
+class ProgressWriter:
+    """Writes progress lines to stderr; a failed write never fails a run.
 
-    Keeps the latest snapshot per label plus whole-sweep totals folded
-    from *final* snapshots only (so a cell is counted exactly once no
-    matter how many heartbeats it sent).  ``__call__`` makes it usable
-    directly as a sink.
+    Pool workers share the parent's stderr, so each line goes out as one
+    write (``print`` writes the text and the newline separately, and two
+    workers' lines would interleave).  Progress is observational, so the
+    first ``OSError`` (a reader that hung up, a closed descriptor)
+    silences this writer instead of propagating into the cell or the
+    sweep.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.latest: typing.Dict[str, TelemetrySnapshot] = {}
-        self.n_finished = 0
-        self.total_events = 0
-        self.total_records = 0
-        self.total_wall_s = 0.0
+        self.silenced = False
 
-    def __call__(self, snapshot: TelemetrySnapshot) -> None:
-        with self._lock:
-            self.latest[snapshot.label] = snapshot
-            if snapshot.final:
-                self.n_finished += 1
-                self.total_events += snapshot.events
-                self.total_records += snapshot.records
-                self.total_wall_s += snapshot.wall_s
+    def write(self, line: str) -> None:
+        if self.silenced:
+            return
+        try:
+            sys.stderr.write(line + "\n")
+            sys.stderr.flush()
+        except OSError:
+            self.silenced = True
 
-    def summary(self) -> typing.Dict[str, typing.Any]:
-        """Whole-sweep totals and the slowest finished cell."""
-        with self._lock:
-            finished = [s for s in self.latest.values() if s.final]
-            slowest = max(finished, key=lambda s: s.wall_s) if finished else None
-            return {
-                "schema": TELEMETRY_SCHEMA,
-                "cells_seen": len(self.latest),
-                "cells_finished": self.n_finished,
-                "total_events": self.total_events,
-                "total_records": self.total_records,
-                "total_cell_wall_s": self.total_wall_s,
-                "aggregate_events_per_s": (
-                    self.total_events / self.total_wall_s
-                    if self.total_wall_s > 0
-                    else 0.0
-                ),
-                "slowest_cell": slowest.label if slowest else None,
-                "slowest_cell_wall_s": slowest.wall_s if slowest else 0.0,
-            }
-
-    def render_summary(self) -> str:
-        """The ``=== telemetry ===`` block body the CLI prints."""
-        info = self.summary()
-        lines = [
-            f"cells: {info['cells_seen']} seen, "
-            f"{info['cells_finished']} finished",
-            f"events: {info['total_events']} total, "
-            f"{info['aggregate_events_per_s']:,.0f}/s per-cell aggregate",
-            f"records: {info['total_records']} total",
-            f"cell wall time: {info['total_cell_wall_s']:.2f}s summed",
-        ]
-        if info["slowest_cell"] is not None:
-            lines.append(
-                f"slowest cell: {info['slowest_cell']} "
-                f"({info['slowest_cell_wall_s']:.2f}s wall)"
-            )
-        return "\n".join(lines) + "\n"
+    def snapshot(self, snapshot: TelemetrySnapshot) -> None:
+        """A :data:`TelemetrySink`: the snapshot's :func:`progress_line`."""
+        self.write(progress_line(snapshot))
 
 
-class _QueueSink:
-    """A picklable sink that forwards snapshots into a managed queue.
+def telemetry_summary(
+    finals: typing.Sequence[TelemetrySnapshot],
+) -> typing.Dict[str, typing.Any]:
+    """Whole-sweep totals and the slowest cell, from final snapshots.
 
-    The queue proxy from ``multiprocessing.Manager`` survives pickling
-    into ``ProcessPoolExecutor`` workers, which is what lets worker-side
-    emitters reach the parent's collector.
+    Each computed cell contributes exactly one final snapshot, so every
+    cell counts once however many heartbeats it sent; ``cells_seen``
+    counts distinct labels.
     """
+    total_wall_s = sum(s.wall_s for s in finals)
+    total_events = sum(s.events for s in finals)
+    slowest = max(finals, key=lambda s: s.wall_s, default=None)
+    return {
+        "schema": TELEMETRY_SCHEMA,
+        "cells_seen": len({s.label for s in finals}),
+        "cells_finished": len(finals),
+        "total_events": total_events,
+        "total_records": sum(s.records for s in finals),
+        "total_cell_wall_s": total_wall_s,
+        "aggregate_events_per_s": (
+            total_events / total_wall_s if total_wall_s > 0 else 0.0
+        ),
+        "slowest_cell": slowest.label if slowest else None,
+        "slowest_cell_wall_s": slowest.wall_s if slowest else 0.0,
+    }
 
-    def __init__(self, queue: typing.Any) -> None:
-        self._queue = queue
 
-    def __call__(self, snapshot: TelemetrySnapshot) -> None:
-        self._queue.put(snapshot)
+def render_telemetry(finals: typing.Sequence[TelemetrySnapshot]) -> str:
+    """The ``=== telemetry ===`` block body the CLI prints."""
+    info = telemetry_summary(finals)
+    lines = [
+        f"cells: {info['cells_seen']} seen, "
+        f"{info['cells_finished']} finished",
+        f"events: {info['total_events']} total, "
+        f"{info['aggregate_events_per_s']:,.0f}/s per-cell aggregate",
+        f"records: {info['total_records']} total",
+        f"cell wall time: {info['total_cell_wall_s']:.2f}s summed",
+    ]
+    if info["slowest_cell"] is not None:
+        lines.append(
+            f"slowest cell: {info['slowest_cell']} "
+            f"({info['slowest_cell_wall_s']:.2f}s wall)"
+        )
+    return "\n".join(lines) + "\n"
 
 
-class TelemetryChannel:
-    """Parent-side plumbing from worker heartbeats to one ``on_snapshot``.
 
-    Serial (``workers <= 1``): :attr:`sink` is the callback itself — no
-    queue, no thread, heartbeats are delivered synchronously.  Parallel:
-    :attr:`sink` is a picklable queue sink, and a daemon thread drains
-    the queue into the callback until :meth:`close` (which also joins
-    the thread and shuts the manager down, delivering everything the
-    workers sent first).  Use as a context manager around the fan-out.
-    """
-
-    def __init__(self, workers: int, on_snapshot: TelemetrySink) -> None:
-        self.on_snapshot = on_snapshot
-        self._manager: typing.Optional[typing.Any] = None
-        self._queue: typing.Optional[typing.Any] = None
-        self._thread: typing.Optional[threading.Thread] = None
-        if workers > 1:
-            import multiprocessing.managers
-
-            from repro.engine.parallel import exit_with_parent
-
-            self._manager = multiprocessing.managers.SyncManager()
-            self._manager.start(exit_with_parent)
-            self._queue = self._manager.Queue()
-            self.sink: TelemetrySink = _QueueSink(self._queue)
-            self._thread = threading.Thread(
-                target=self._drain, name="telemetry-drain", daemon=True
-            )
-            self._thread.start()
-        else:
-            self.sink = on_snapshot
-
-    def _drain(self) -> None:
-        assert self._queue is not None
-        while True:
-            item = self._queue.get()
-            if item is None:  # close() sentinel
-                return
-            self.on_snapshot(item)
-
-    def close(self) -> None:
-        """Flush and tear down (no-op for the serial direct path)."""
-        if self._thread is not None:
-            assert self._queue is not None and self._manager is not None
-            self._queue.put(None)
-            self._thread.join()
-            self._manager.shutdown()
-            self._thread = None
-            self._manager = None
-            self._queue = None
-
-    def __enter__(self) -> "TelemetryChannel":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

@@ -167,10 +167,14 @@ def strip_transient(
 ) -> typing.Dict[str, typing.Any]:
     """The cacheable subset of a payload: everything but wall-clock data.
 
-    Profiles time the *simulator*, not the simulated system — caching
-    one would replay this machine's timings as if they were results.
+    Profiles (``profile``) and the executor's final telemetry snapshots
+    (``telemetry``) time the *simulator*, not the simulated system —
+    caching one would replay this machine's timings as if they were
+    results.
     """
-    return {k: v for k, v in payload.items() if k != "profile"}
+    return {
+        k: v for k, v in payload.items() if k not in ("profile", "telemetry")
+    }
 
 
 # ---------------------------------------------------------------------- #

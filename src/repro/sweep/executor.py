@@ -20,9 +20,11 @@ landed, never the source of truth for *what* they contain (the cache
 is; a cell cached after a crash but before its journal line is simply a
 hit on resume).
 
-Telemetry: pass a :class:`~repro.obs.telemetry.TelemetrySink` and every
-running cell streams heartbeats home (across process boundaries when
-``workers > 1``), labelled by cell.
+Progress: with ``progress=True`` every computed cell prints labelled
+heartbeats to stderr from the process that runs it, and its final
+:class:`~repro.obs.telemetry.TelemetrySnapshot` comes home in its
+payload under the transient ``"telemetry"`` key — through the same
+ordered results as everything else a worker returns.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import typing
 
 from repro.engine.parallel import map_items, resolve_workers
 from repro.obs import Tracer
-from repro.obs.telemetry import HeartbeatEmitter, TelemetryChannel, TelemetrySink
+from repro.obs.telemetry import HeartbeatEmitter, ProgressWriter
 from repro.sweep.cache import ResultCache, cell_key, code_fingerprint
 from repro.sweep.cells import run_cell, strip_transient
 from repro.sweep.spec import SweepCell, SweepSpec
@@ -91,24 +93,27 @@ def _run_shard(
     collect_profile: bool,
     cache_root: typing.Optional[str],
     fingerprint: str,
-    telemetry_sink: typing.Optional[TelemetrySink] = None,
+    progress: bool = False,
 ) -> typing.List[typing.Dict[str, typing.Any]]:
     """Compute one shard's cells; persist each into the cache as it lands.
 
     ``shard`` entries are ``(kind, config_json, key, store_trace)`` —
     plain strings and a flag, so the task pickles cheaply into pool
     workers.  Each cell is cached the moment it finishes (not at shard
-    end): a crash mid-shard loses at most the cell in flight.
+    end): a crash mid-shard loses at most the cell in flight.  With
+    ``progress`` each cell prints heartbeats to stderr and its payload
+    carries its final snapshot under ``"telemetry"`` (never cached).
     """
     cache = ResultCache(cache_root) if cache_root is not None else None
+    writer = ProgressWriter() if progress else None
     out: typing.List[typing.Dict[str, typing.Any]] = []
     for kind, config_json, key, store_trace in shard:
         cell = SweepCell(kind=kind, config_json=config_json)
         tracer = Tracer() if cache is not None and store_trace else None
         heartbeat = None
-        if telemetry_sink is not None:
+        if writer is not None:
             heartbeat = HeartbeatEmitter(
-                telemetry_sink, label=cell.label,
+                writer.snapshot, label=cell.label,
                 records_fn=tracer.__len__ if tracer is not None else None,
             )
         payload = run_cell(
@@ -118,6 +123,9 @@ def _run_shard(
             tracer=tracer,
             heartbeat=heartbeat,
         )
+        if heartbeat is not None:
+            heartbeat.finish()  # no-op unless the driver never finished it
+            payload["telemetry"] = heartbeat.final
         if cache is not None:
             if tracer is not None:
                 from repro.obs.store.format import write_columnar
@@ -150,7 +158,7 @@ def run_sweep(
     force: bool = False,
     collect_metrics: bool = False,
     collect_profile: bool = False,
-    telemetry: typing.Optional[TelemetrySink] = None,
+    progress: bool = False,
     on_commit: typing.Optional[
         typing.Callable[[int, typing.List[typing.Dict[str, typing.Any]]], None]
     ] = None,
@@ -170,6 +178,8 @@ def run_sweep(
     committing its results to the cache cell-by-cell.  ``force=True``
     recomputes everything; ``collect_profile=True`` also bypasses hits,
     because profiles are wall-clock measurements that are never cached.
+    ``progress=True`` prints each computed cell's heartbeats to stderr
+    and puts its final snapshot in its payload under ``"telemetry"``.
 
     ``on_commit(shard_index, payloads)`` fires per shard in shard order,
     after the shard's cells are journaled.  Outcomes are returned in
@@ -247,11 +257,6 @@ def run_sweep(
                 )
                 for shard in shards
             ]
-            channel = (
-                TelemetryChannel(n_workers, telemetry)
-                if telemetry is not None
-                else None
-            )
 
             def commit(index: int, payloads: typing.List[dict]) -> None:
                 for (cell, key), payload in zip(shards[index], payloads):
@@ -265,21 +270,17 @@ def run_sweep(
                 if on_commit is not None:
                     on_commit(index, payloads)
 
-            try:
-                run_shard = functools.partial(
-                    _run_shard,
-                    collect_metrics=collect_metrics,
-                    collect_profile=collect_profile,
-                    cache_root=cache.root if cache is not None else None,
-                    fingerprint=fingerprint,
-                    telemetry_sink=channel.sink if channel is not None else None,
-                )
-                shard_results = map_items(
-                    run_shard, tasks, workers=workers, on_commit=commit
-                )
-            finally:
-                if channel is not None:
-                    channel.close()
+            run_shard = functools.partial(
+                _run_shard,
+                collect_metrics=collect_metrics,
+                collect_profile=collect_profile,
+                cache_root=cache.root if cache is not None else None,
+                fingerprint=fingerprint,
+                progress=progress,
+            )
+            shard_results = map_items(
+                run_shard, tasks, workers=workers, on_commit=commit
+            )
             for shard, payloads in zip(shards, shard_results):
                 for (cell, _), payload in zip(shard, payloads):
                     computed[cell] = payload

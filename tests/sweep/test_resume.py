@@ -61,7 +61,7 @@ def kill_only_the_parent(index, payloads):
     os.kill(os.getpid(), signal.SIGKILL)
 
 run_sweep(spec, cache=ResultCache(sys.argv[2]), workers=2, shard_size=1,
-          on_commit=kill_only_the_parent, telemetry=lambda snapshot: None)
+          on_commit=kill_only_the_parent, progress=True)
 raise SystemExit("unreachable: the sweep should have been killed")
 """
 
@@ -163,7 +163,7 @@ def test_workers_exit_when_only_their_parent_is_killed(tmp_path):
     )
     assert proc.returncode == -signal.SIGKILL
     children = [int(pid) for pid in pids_file.read_text().split()]
-    assert len(children) == 3  # two pool workers and the telemetry manager
+    assert len(children) == 2  # the two pool workers
     deadline = time.monotonic() + 10
     try:
         while any(map(_running, children)) and time.monotonic() < deadline:

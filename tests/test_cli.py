@@ -3,10 +3,12 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_BROKEN_PIPE, TELEMETRY_MARKER, build_parser, main
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 SAMPLE_SWF = os.path.join(DATA_DIR, "sample.swf")
@@ -425,3 +427,51 @@ class TestFigureRenderersFromCache:
             outputs.append((capsys.readouterr().out, written))
         assert outputs[0] == outputs[1]
         assert outputs[0][0]
+
+
+class TestClosedPipes:
+    """A reader that hangs up early never turns into a failed run or a
+    traceback.  Each command runs in a subprocess whose pipe is closed
+    before it writes anything, so every write to it fails."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+    def _popen(self, argv, **streams):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv], env=env, **streams
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_closed_stderr_keeps_progress_runs_whole(
+        self, workers, tmp_path, capsys
+    ):
+        out = tmp_path / "out.txt"
+        with open(out, "wb") as fh:
+            proc = self._popen(
+                ["opensys", "--lite", "--progress", "--workers", str(workers)],
+                stdout=fh, stderr=subprocess.PIPE,
+            )
+            proc.stderr.close()
+            assert proc.wait(timeout=300) == 0
+        table, summary = out.read_text(encoding="utf-8").split(
+            TELEMETRY_MARKER + "\n"
+        )
+        assert summary.startswith("cells: 60 seen, 60 finished\n")
+        assert main(["opensys", "--lite"]) == 0
+        assert table == capsys.readouterr().out
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        spec = os.path.join(
+            os.path.dirname(os.path.dirname(__file__)),
+            "examples", "sweep_lite.json",
+        )
+        proc = self._popen(
+            ["sweep", "run", spec, "--cache-dir", str(tmp_path / "cache")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == EXIT_BROKEN_PIPE
+        assert "Traceback" not in err
