@@ -416,7 +416,7 @@ FIGURES: typing.Dict[str, Figure] = {
     ),
     "future": Figure(
         "Figures 8-13: future machines",
-        ("--mix", "-r", "--workers", "--metrics"),
+        ("--mix", "-r", "--workers", "--metrics", "--cache-dir"),
         lambda args: _mix_spec(args, "future", _FIG5_POLICIES),
         _render_future,
     ),
@@ -1146,7 +1146,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_all = sub.add_parser("all", help="run every experiment (slow)")
     _add_flags(
-        p_all, ("--mix", "-r", "--processors", "--scale", "--csv", "--workers")
+        p_all,
+        ("--mix", "-r", "--processors", "--scale", "--csv", "--workers", "--cache-dir"),
     )
     p_all.set_defaults(func=cmd_all)
     return parser

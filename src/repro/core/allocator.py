@@ -98,7 +98,8 @@ class Allocator:
         if n_processors <= 0:
             raise ValueError("need at least one processor")
         self.policy = policy
-        self.system = system
+        #: the owning system; None once its run is over (SchedulingSystem._close)
+        self.system: typing.Optional["SchedulingSystem"] = system
         self.procs = [
             ProcessorRecord(i, history_depth=policy.history_depth)
             for i in range(n_processors)

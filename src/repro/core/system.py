@@ -203,7 +203,43 @@ class SchedulingSystem:
         return self.sim.now
 
     def run(self, until: typing.Optional[float] = None) -> SystemResult:
-        """Execute the workload to completion and return per-job metrics."""
+        """Execute the workload to completion and return per-job metrics.
+
+        A run that is over (every job finished or cancelled, or ``run``
+        raised) ends in :meth:`_close`, so its objects are freed by
+        reference count.  A run paused at ``until`` with jobs outstanding
+        keeps its state, to be inspected or driven further.
+        """
+        if self.allocator.system is None:
+            raise RuntimeError("this run is over; build a new SchedulingSystem")
+        try:
+            result = self._run(until)
+        except BaseException:
+            self._close()
+            raise
+        if self._finished_jobs == len(self.jobs):
+            self._close()
+        return result
+
+    def _close(self) -> None:
+        """Cut the four back-edges that would leave the run in cycles.
+
+        ``Allocator.system`` points back at the system; each
+        ``WorkerTask.job`` points at the job that lists the worker;
+        ``_arrival_handles`` keeps fired events whose actions close over
+        the system; and every event left in ``sim.queue`` (cancelled
+        ones included) points back at the queue through ``_queue`` and
+        at the system through its action.  Results, job, worker and
+        processor fields, ``repr`` and ``WorkerTask.key`` stay readable.
+        """
+        self.allocator.system = None
+        for job in self.jobs:
+            for worker in job.workers:
+                worker.job = None
+        self._arrival_handles.clear()
+        self.sim.queue.clear()
+
+    def _run(self, until: typing.Optional[float]) -> SystemResult:
         tr = self.tracer
         if tr is not None and tr.enabled:
             tr.emit(

@@ -88,9 +88,13 @@ class EventQueue:
 
         Marking survivors ``CANCELLED`` (rather than merely forgetting them)
         keeps every event a caller still holds truthful: it will never fire.
+        So each dropped event also lets go of its action, which may close
+        over whatever holds the event.
         """
         for entry in self._heap:
-            if entry[3].pending:
-                entry[3].state = EventState.CANCELLED
+            event = entry[3]
+            if event.pending:
+                event.state = EventState.CANCELLED
+            event.action = None  # type: ignore[assignment]
         self._heap.clear()
         self._live = 0

@@ -36,11 +36,17 @@ class WorkerTask:
     The worker remembers the last processor it ran on (the paper's task
     history with P = 1) and, when suspended, the thread it was executing
     with the service time still remaining.
+
+    ``job`` points back at the job that lists this worker; a run that is
+    over sets it to None (see ``SchedulingSystem._close``), and ``key``
+    and ``repr`` stay readable.
     """
 
     def __init__(self, job: "Job", index: int) -> None:
-        self.job = job
+        self.job: typing.Optional["Job"] = job
         self.index = index
+        #: stable hashable identity: (job name, worker index)
+        self.key = (job.name, index)
         self._state = WorkerState.IDLE
         self.processor: typing.Optional[int] = None
         self.last_processor: typing.Optional[int] = None
@@ -86,11 +92,6 @@ class WorkerTask:
         elif state is WorkerState.SUSPENDED:
             job.n_suspended += 1
         self._state = state
-
-    @property
-    def key(self) -> typing.Tuple[str, int]:
-        """Stable hashable identity: (job name, worker index)."""
-        return (self.job.name, self.index)
 
     def affinity_within(self, processor: int, depth: int = 1) -> bool:
         """True if ``processor`` is among the last ``depth`` this task used."""
@@ -141,6 +142,6 @@ class WorkerTask:
 
     def __repr__(self) -> str:
         return (
-            f"WorkerTask({self.job.name}#{self.index}, {self._state.value}, "
+            f"WorkerTask({self.key[0]}#{self.index}, {self._state.value}, "
             f"cpu={self.processor}, last={self.last_processor})"
         )

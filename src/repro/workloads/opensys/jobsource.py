@@ -24,6 +24,7 @@ pickle cleanly into the parallel runner's worker processes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import typing
 
@@ -159,7 +160,9 @@ class AppJobSource(JobSource):
     Holds only app *names* so instances pickle; specs are looked up in
     :data:`repro.apps.APPLICATIONS` at build time.  ``mean_work_s`` is
     calibrated by building a few sample graphs per app with fixed seeds
-    (deterministic, recomputed identically in any process).
+    (deterministic, recomputed identically in any process), once per
+    distinct source in a process: every full open-system cell builds an
+    equal source, so later cells reuse the first one's calibration.
     """
 
     weights: typing.Tuple[typing.Tuple[str, float], ...]
@@ -204,6 +207,7 @@ class AppJobSource(JobSource):
             rng, instance=index, n_processors=n_processors, machine=machine
         )
 
+    @functools.lru_cache(maxsize=None)
     def mean_work_s(self) -> float:
         from repro.apps import APPLICATIONS
 

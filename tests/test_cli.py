@@ -376,6 +376,26 @@ class TestMixCache:
         assert runs == dict.fromkeys(runs, uncached)
         assert len(_result_files(cache)) == 2
 
+    def test_future_warm_run_is_served_from_cache(self, tmp_path, capsys, monkeypatch):
+        import repro.sweep.executor as executor
+
+        argv = ["future", "--mix", "1", "-r", "1", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        stored = _result_files(tmp_path)
+        assert len(stored) == 4  # fig5's four policies on mix 1
+
+        computed = []
+        run_cell = executor.run_cell
+        monkeypatch.setattr(
+            executor, "run_cell",
+            lambda cell, **kwargs: computed.append(cell) or run_cell(cell, **kwargs),
+        )
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert computed == []
+        assert _result_files(tmp_path) == stored
+
 
 @pytest.fixture(scope="module")
 def mix_grid():
