@@ -277,7 +277,7 @@ class BlockReader:
         self._unread = total
         self._run = draw(0)
         self._pos = 0
-        if profiler is not None and profiler.enabled:  # type: ignore[attr-defined]
+        if profiler is not None:
             draw = _in_span(draw, profiler)
         self._draw = draw
 

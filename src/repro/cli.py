@@ -28,13 +28,14 @@ cells as ONE sweep, each distinct (mix, policy, seed) cell once, and
 ``gantt``, ``--analyze``, ``opensys --trace``) is one ``run_cell`` call
 on the cell its command names, read back like a sweep payload.
 
-The replication-based experiments accept ``--metrics``: the run is
-instrumented with a metrics registry and the merged snapshot is printed
-as key-sorted JSON after the experiment's own output, preceded by a
-``=== metrics`` marker line.  ``--analyze`` additionally runs one traced
-replication per policy and prints its exact time-attribution tables
-(after ``=== analysis ===``); ``--profile`` collects a wall-clock
-self-profile of the simulator and prints it after ``=== profile ===``.
+The replication-based experiments accept ``--metrics``: each cell
+collects its metrics (a scheduling cell folds them from its trace) and
+the merged snapshot is printed as key-sorted JSON after the
+experiment's own output, preceded by a ``=== metrics`` marker line.
+``--analyze`` additionally runs one traced replication per policy and
+prints its exact time-attribution tables (after ``=== analysis ===``);
+``--profile`` collects a wall-clock self-profile of the simulator and
+prints it after ``=== profile ===``.
 """
 
 from __future__ import annotations

@@ -178,44 +178,40 @@ class Allocator:
         job: typing.Optional[Job],
         cpu: typing.Optional[int],
         reason: str,
-        credits: typing.Optional[typing.Mapping[str, float]] = None,
+        compared: typing.Sequence[Job] = (),
         allocations: typing.Optional[typing.Mapping[str, int]] = None,
     ) -> None:
         """Record one allocation decision, with the evidence it weighed.
 
-        The credit snapshot is exactly what the rule compared, so the
-        invariant layer can re-derive the choice mechanically.
+        The credits of ``compared`` are exactly what the rule compared,
+        so the invariant layer can re-derive the choice mechanically.
+        They are read only when a tracer is attached.
         """
         tracer = self.system.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.emit(
-                PolicyDecision(
-                    time=self.system.now,
-                    rule=rule,
-                    job=job.name if job is not None else None,
-                    cpu=cpu,
-                    reason=reason,
-                    credits=dict(credits) if credits else {},
-                    allocations=dict(allocations) if allocations else {},
-                )
+        if tracer is None:
+            return
+        tracer.emit(
+            PolicyDecision(
+                time=self.system.now,
+                rule=rule,
+                job=job.name if job is not None else None,
+                cpu=cpu,
+                reason=reason,
+                credits={j.name: self.credit.credit(j) for j in compared},
+                allocations=dict(allocations) if allocations else {},
             )
-        metrics = self.system.metrics
-        if metrics is not None:
-            metrics.counter(f"policy/decisions/{rule}").inc()
-
-    def _credit_snapshot(self, jobs: typing.Iterable[Job]) -> typing.Dict[str, float]:
-        return {job.name: self.credit.credit(job) for job in jobs}
+        )
 
     def _profiled(
         self, span: str, call: typing.Callable[..., None], *args: object
     ) -> None:
         """Run one decision entry point under a ``policy/*`` span.
 
-        Mirrors the tracer guard: without an enabled profiler the cost is
+        Mirrors the tracer guard: without a profiler the cost is
         one attribute load and branch per decision, no clock reads.
         """
         prof = self.system.profiler
-        if prof is None or not prof.enabled:  # type: ignore[attr-defined]
+        if prof is None:
             call(*args)
             return
         prof.push(span)  # type: ignore[attr-defined]
@@ -338,17 +334,18 @@ class Allocator:
                     or self.credit.at_least_as_deserving(worker.job, requesting)
                 )
                 if priority_ok:
-                    # Snapshot the credits the gate actually compared
-                    # (empty for NoPri, which never ran the gate).
-                    credits: typing.Dict[str, float] = {}
-                    if self.policy.respect_priority:
-                        credits = self._credit_snapshot([worker.job] + requesting)
+                    # The credits the gate actually compared (none for
+                    # NoPri, which never ran the gate).
                     self._emit_decision(
                         "A.1",
                         worker.job,
                         proc.cpu_id,
                         "affinity offer to the last task that ran here",
-                        credits=credits,
+                        compared=(
+                            [worker.job] + requesting
+                            if self.policy.respect_priority
+                            else ()
+                        ),
                     )
                     self.system.grant_processor(proc, worker.job, worker=worker)
                     return
@@ -370,7 +367,7 @@ class Allocator:
                 job,
                 proc.cpu_id,
                 "highest-credit requester wins the free processor",
-                credits=self._credit_snapshot(requesting),
+                compared=requesting,
             )
         else:
             self._emit_decision(
@@ -491,7 +488,7 @@ class Allocator:
             job,
             proc.cpu_id,
             f"preempt {victim.name} (largest allocation) for equity",
-            credits=self._credit_snapshot([job, victim]),
+            compared=(job, victim),
             allocations={job.name: my_alloc, victim.name: victim_alloc},
         )
         self.system.preempt_processor(proc)

@@ -41,7 +41,6 @@ from repro.core.policies.base import Policy
 from repro.core.policies.timesharing import DYNIX_QUANTUM_S
 from repro.engine.rng import RngRegistry
 from repro.engine.simulator import Simulator
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.records import (
     AllocationChange,
     CacheFlush,
@@ -145,7 +144,6 @@ class SchedulingSystem:
         arrival_times: typing.Optional[typing.Sequence[float]] = None,
         footprint_model: typing.Optional[object] = None,
         tracer: typing.Optional[Tracer] = None,
-        metrics: typing.Optional[MetricsRegistry] = None,
         profiler: typing.Optional[object] = None,
     ) -> None:
         if not jobs:
@@ -182,11 +180,10 @@ class SchedulingSystem:
         self._alloc_mark: typing.Dict[str, float] = {}
         self._arrival_handles: typing.Dict[str, object] = {}
         self._finished_jobs = 0
-        #: optional structured tracer and metrics registry (see repro.obs);
-        #: both default to None, which keeps every emission site at a
-        #: single attribute load and branch.
+        #: optional structured tracer (see repro.obs), the run's one
+        #: observer: metrics are folded from its records after the run.
+        #: None keeps every emission site at one attribute load and branch.
         self.tracer = tracer
-        self.metrics = metrics
         #: optional wall-clock span profiler (see repro.obs.profiling);
         #: the allocator reads it for policy/* spans, the simulator for
         #: the engine/* spans.
@@ -241,7 +238,7 @@ class SchedulingSystem:
 
     def _run(self, until: typing.Optional[float]) -> SystemResult:
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.emit(
                 RunConfig(
                     time=self.sim.now,
@@ -267,7 +264,7 @@ class SchedulingSystem:
                 label=f"arrive:{job.name}",
             )
         self.sim.run(until=until)
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.emit(
                 RunEnd(
                     time=self.sim.now,
@@ -275,9 +272,6 @@ class SchedulingSystem:
                     events_fired=self.sim.events_fired,
                 )
             )
-        if self.metrics is not None:
-            self.metrics.gauge("run/makespan_s").set(self.sim.now)
-            self.metrics.counter("run/events_fired").inc(self.sim.events_fired)
         unfinished = [
             job.name for job in self.jobs if not job.finished and not job.cancelled
         ]
@@ -306,17 +300,15 @@ class SchedulingSystem:
         job.start(self.sim.now)
         self._alloc_mark[job.name] = self.sim.now
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.emit(JobArrival(time=self.sim.now, job=job.name))
-        if self.metrics is not None:
-            self.metrics.counter("jobs/arrived").inc()
         self.allocator.job_arrived(job)
 
     def _complete_job(self, job: Job) -> None:
         job.completion_time = self.sim.now
         self._touch_allocation(job)
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.emit(
                 JobDeparture(
                     time=self.sim.now,
@@ -325,9 +317,6 @@ class SchedulingSystem:
                     n_reallocations=job.n_reallocations,
                 )
             )
-        if self.metrics is not None:
-            self.metrics.counter("jobs/completed").inc()
-            self.metrics.histogram("jobs/response_s").observe(job.response_time)
         self.allocator.job_departed(job)
         self._finished_jobs += 1
         if self._finished_jobs == len(self.jobs):
@@ -359,13 +348,10 @@ class SchedulingSystem:
                 self.sim.cancel(handle)
         job.cancelled_time = self.sim.now
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.emit(
                 JobCancelled(time=self.sim.now, job=job.name, work_done=job.work_done)
             )
-        if self.metrics is not None:
-            self.metrics.counter("jobs/cancelled").inc()
-            self.metrics.counter("jobs/cancelled_work_s").inc(job.work_done)
         if arrived:
             self.allocator.job_departed(job)
         self._finished_jobs += 1
@@ -394,12 +380,9 @@ class SchedulingSystem:
         flush = getattr(self.footprint, "flush_processor", None)
         lost = float(flush(cpu_id)) if flush is not None else 0.0
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.emit(CpuFailure(time=self.sim.now, cpu=cpu_id))
             tr.emit(CacheFlush(time=self.sim.now, cpu=cpu_id, lines=int(lost)))
-        if self.metrics is not None:
-            self.metrics.counter("cpu/failures").inc()
-            self.metrics.counter("cpu/flushed_lines").inc(int(lost))
         if self.policy.is_equipartition:
             self.allocator.rebalance_equipartition()
         elif victim is not None and not victim.finished and not victim.cancelled:
@@ -412,10 +395,8 @@ class SchedulingSystem:
             raise RuntimeError(f"processor {cpu_id} is already online")
         self._set_online(proc, True)
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.emit(CpuRecovery(time=self.sim.now, cpu=cpu_id))
-        if self.metrics is not None:
-            self.metrics.counter("cpu/recoveries").inc()
         if self.policy.is_equipartition:
             self.allocator.rebalance_equipartition()
         else:
@@ -459,7 +440,7 @@ class SchedulingSystem:
             self.allocator.free_mask |= bit
         proc.job = job
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.emit(
                 AllocationChange(
                     time=self.sim.now,
@@ -468,8 +449,6 @@ class SchedulingSystem:
                     prev=old.name if old else None,
                 )
             )
-        if self.metrics is not None:
-            self.metrics.counter("alloc/changes").inc()
 
     def _set_worker(
         self, proc: ProcessorRecord, job: Job, worker: typing.Optional[WorkerTask]
@@ -573,7 +552,7 @@ class SchedulingSystem:
         proc.history.record(worker.key)
         self._set_worker(proc, job, worker)
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.emit(
                 Dispatch(
                     time=self.sim.now,
@@ -587,17 +566,6 @@ class SchedulingSystem:
                     ready_depth=ready_depth,
                 )
             )
-        if self.metrics is not None:
-            metrics = self.metrics
-            metrics.counter("dispatch/total").inc()
-            metrics.histogram("dispatch/ready_depth").observe(ready_depth)
-            if not cheap:
-                metrics.counter("dispatch/reallocations").inc()
-                if affine:
-                    metrics.counter("dispatch/affine").inc()
-                metrics.counter("dispatch/cache_penalty_s").inc(penalty_charged)
-                metrics.counter("dispatch/switch_overhead_s").inc(switch_charged)
-                metrics.histogram("dispatch/penalty_s").observe(penalty_charged)
         if worker.current_thread is None:
             tid = job.take_ready_thread(worker)
             if tid is None:
@@ -640,7 +608,7 @@ class SchedulingSystem:
         self.footprint.note_run(worker.key, proc.cpu_id, duration, job.curve)
         self._set_worker(proc, job, None)
         tr = self.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.emit(
                 Undispatch(
                     time=self.sim.now,
@@ -679,8 +647,6 @@ class SchedulingSystem:
         worker.stint_switch_charged = 0.0
         worker.stint_penalty_charged = 0.0
         self._depart(proc, worker, job, "preempt")
-        if self.metrics is not None:
-            self.metrics.counter("dispatch/preemptions").inc()
 
     def release_processor(self, proc: ProcessorRecord) -> None:
         """Return ``proc`` to the free pool (it must not be running)."""

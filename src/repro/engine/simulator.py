@@ -50,27 +50,22 @@ class Simulator:
     def attach_tracer(self, tracer: typing.Optional[object]) -> None:
         """Wire a :class:`repro.obs.tracer.Tracer` into the run loop.
 
-        Only a tracer that is enabled *and* asked for engine events
-        (``capture_engine_events``) installs a hook; otherwise this is a
-        no-op, so the run loop's hook list stays empty and the disabled
-        path costs nothing per event.
+        Only a tracer asked for engine events (``capture_engine_events``)
+        installs a hook; otherwise this is a no-op, so the run loop's hook
+        list stays empty and costs nothing per event.
         """
-        if (
-            tracer is not None
-            and getattr(tracer, "enabled", False)
-            and getattr(tracer, "capture_engine_events", False)
-        ):
+        if tracer is not None and tracer.capture_engine_events:  # type: ignore[attr-defined]
             self.add_trace_hook(tracer.engine_hook)  # type: ignore[attr-defined]
 
     def attach_profiler(self, profiler: typing.Optional[object]) -> None:
         """Wire a :class:`repro.obs.profiling.SpanProfiler` into the loop.
 
-        When an enabled profiler is attached, :meth:`run` wraps the whole
+        When a profiler is attached, :meth:`run` wraps the whole
         loop in an ``engine/run`` span and each fired event in an
         ``engine/<label-prefix>`` span (the label up to the first ``:``,
         so ``slice:GRAVITY`` aggregates under ``engine/slice``).  With no
-        profiler — or a :class:`~repro.obs.profiling.NullSpanProfiler` —
-        the run loop's only extra cost is one check per :meth:`run` call.
+        profiler the run loop's only extra cost is one check per
+        :meth:`run` call.
         """
         self._profiler = profiler
 
@@ -164,7 +159,7 @@ class Simulator:
         queue = self.queue
         hooks = self._trace_hooks
         prof = self._profiler
-        profiling = prof is not None and prof.enabled  # type: ignore[attr-defined]
+        profiling = prof is not None
         if profiling:
             prof.push("engine/run")  # type: ignore[attr-defined]
         try:

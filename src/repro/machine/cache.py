@@ -195,7 +195,7 @@ class SetAssociativeCache:
                 against the whole chunk before any state changes).
         """
         prof = self._profiler
-        profiling = prof is not None and prof.enabled  # type: ignore[attr-defined]
+        profiling = prof is not None
         if profiling:
             prof.push("cache/access_batch")  # type: ignore[attr-defined]
         oid = self._owner_ids.get(owner)
@@ -223,7 +223,7 @@ class SetAssociativeCache:
         if len(self._owner_ids) > self._owner_gc_limit:
             self._rebuild_index()
         tracer = self._tracer
-        if tracer is not None and tracer.enabled:  # type: ignore[attr-defined]
+        if tracer is not None:
             self._emit_batch(owner, n, hits)
 
     def _emit_batch(self, owner: typing.Hashable, n: int, hits: int) -> None:
@@ -258,7 +258,7 @@ class SetAssociativeCache:
         writes back without classifying them again.
         """
         prof = self._profiler
-        profiling = prof is not None and prof.enabled  # type: ignore[attr-defined]
+        profiling = prof is not None
         if profiling:
             prof.push("cache/access_batch")  # type: ignore[attr-defined]
         oid = self._owner_ids.get(owner)
@@ -333,7 +333,7 @@ class SetAssociativeCache:
         self._owner_tags = {}
         self._index_dirty = False
         tracer = self._tracer
-        if tracer is not None and tracer.enabled:  # type: ignore[attr-defined]
+        if tracer is not None:
             tracer.emit(  # type: ignore[attr-defined]
                 CacheFlush(time=self._trace_now(), cpu=self._trace_cpu, lines=dropped)
             )

@@ -193,7 +193,7 @@ class PenaltyExperiment:
 
         proc = Processor(0, self.machine, tracer=self.tracer, backend=self.backend)
         prof = self.profiler
-        profiling = prof is not None and prof.enabled  # type: ignore[attr-defined]
+        profiling = prof is not None
         if profiling:
             proc.attach_profiler(prof)
             prof.push(f"penalty/{regime}")  # type: ignore[attr-defined]
@@ -232,7 +232,7 @@ class PenaltyExperiment:
             app.reference.reduced(self.scale), rng.stream("app"), backend=self.backend
         )
         prof = self.profiler
-        profiling = prof is not None and prof.enabled  # type: ignore[attr-defined]
+        profiling = prof is not None
         if profiling:
             prof.push("generator")  # type: ignore[attr-defined]
         stream = read_stream(gen, n_touches)

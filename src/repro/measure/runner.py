@@ -20,7 +20,6 @@ from repro.engine.rng import RngRegistry
 from repro.engine.stats import ConfidenceInterval, SampleStats
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
 from repro.measure.workloads import WorkloadMix, make_jobs
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import HeartbeatEmitter
 
 #: Default processor count: the paper profiles and schedules on 16 of the
@@ -35,7 +34,6 @@ def run_mix(
     n_processors: int = DEFAULT_PROCESSORS,
     machine: MachineSpec = SEQUENT_SYMMETRY,
     tracer: typing.Optional[object] = None,
-    metrics: typing.Optional[MetricsRegistry] = None,
     profiler: typing.Optional[object] = None,
     heartbeat: typing.Optional[HeartbeatEmitter] = None,
 ) -> SystemResult:
@@ -44,10 +42,10 @@ def run_mix(
     The workload RNG stream is derived from ``seed`` but *not* from the
     policy, so different policies scheduling the same seed see the same
     jobs — the common-random-numbers pairing the paper's relative response
-    times rely on.  ``tracer``/``metrics``/``profiler`` attach the
-    observability layer to the run; all default to off (the null fast
-    path).  ``heartbeat`` streams live progress snapshots (observation
-    only — results are unchanged).
+    times rely on.  ``tracer``/``profiler`` attach the observability
+    layer to the run; both default to off (the null fast path).
+    ``heartbeat`` streams live progress snapshots (observation only —
+    results are unchanged).
     """
     rng = RngRegistry(seed)
     jobs = make_jobs(mix, rng.spawn("workload"), n_processors=n_processors, machine=machine)
@@ -59,7 +57,6 @@ def run_mix(
         seed=seed,
         rng=rng.spawn(f"system/{policy.name}"),
         tracer=tracer,
-        metrics=metrics,
         profiler=profiler,
     )
     if heartbeat is not None:

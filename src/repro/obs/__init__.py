@@ -4,10 +4,11 @@ The subsystem has four pieces, layered so each consumes the one below:
 
 * :mod:`repro.obs.records` — typed, timestamped trace records;
 * :mod:`repro.obs.tracer` — collection (:class:`Tracer`) with a null
-  fast path (``tracer is None`` / :class:`NullTracer`) cheap enough to
-  leave compiled into every hot path;
+  fast path (``tracer is None``) cheap enough to leave compiled into
+  every hot path;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with
-  deterministic, order-stable snapshots and merges;
+  deterministic, order-stable snapshots and merges, and the scheduling
+  catalog folded from a run's records (:func:`metrics_from_records`);
 * :mod:`repro.obs.invariants` / :mod:`repro.obs.replay` — the payoff:
   the trace replayed as a correctness oracle (simulator-wide invariants,
   and aggregate reconstruction that must match the untraced run);
@@ -32,6 +33,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    metrics_from_records,
     validate_snapshot,
 )
 from repro.obs.records import (
@@ -56,11 +58,10 @@ from repro.obs.records import (
 )
 from repro.obs.profiling import (
     PROFILE_SCHEMA,
-    NullSpanProfiler,
     SpanProfiler,
     validate_profile,
 )
-from repro.obs.tracer import NullTracer, Tracer
+from repro.obs.tracer import Tracer
 
 __all__ = [
     "AllocationChange",
@@ -77,8 +78,6 @@ __all__ = [
     "JobCancelled",
     "JobDeparture",
     "MetricsRegistry",
-    "NullSpanProfiler",
-    "NullTracer",
     "PROFILE_SCHEMA",
     "PolicyDecision",
     "RECORD_KINDS",
@@ -92,6 +91,7 @@ __all__ = [
     "Undispatch",
     "assert_trace_ok",
     "check_trace",
+    "metrics_from_records",
     "record_from_dict",
     "record_to_dict",
     "validate_profile",

@@ -2,8 +2,10 @@
 
 A :class:`MetricsRegistry` is the aggregate-shaped side of observability:
 where the tracer records *what happened*, the registry accumulates *how
-much*.  Snapshots are plain dicts with a schema tag, fully ordered (keys
-sorted at serialization time) and mergeable: merging the per-replication
+much*.  A scheduling run's registry is folded from its trace records by
+:func:`metrics_from_records`, the one place its catalog is written.
+Snapshots are plain dicts with a schema tag, fully ordered (keys sorted
+at serialization time) and mergeable: merging the per-replication
 snapshots of a parallel run **in replication commit order** produces
 bit-identical results to a serial run, extending the engine's
 determinism contract to metrics (see ``repro.measure.runner``).
@@ -18,6 +20,21 @@ Merge semantics per instrument:
 from __future__ import annotations
 
 import typing
+
+from repro.obs.records import (
+    AllocationChange,
+    CacheFlush,
+    CpuFailure,
+    CpuRecovery,
+    Dispatch,
+    JobArrival,
+    JobCancelled,
+    JobDeparture,
+    PolicyDecision,
+    RunEnd,
+    TraceRecord,
+    Undispatch,
+)
 
 #: Snapshot schema identifier, bumped on incompatible layout changes.
 #: v2: histogram snapshots carry a derived ``mean`` (= sum/count, 0.0 when
@@ -205,6 +222,55 @@ class MetricsRegistry:
         for snapshot in snapshots:
             registry.merge_snapshot(snapshot)
         return registry.snapshot()
+
+
+def metrics_from_records(records: typing.Iterable[TraceRecord]) -> MetricsRegistry:
+    """The scheduling-run metric catalog, folded from a run's records.
+
+    Each metric is the value a record carries, applied in record order,
+    so every float sum runs in the order the run emitted it.  Records
+    with no metric (``RunConfig``, ``CacheBatch``, ``EngineEvent``) are
+    skipped; the ``penalty/*`` instruments of the Section 4 harness have
+    no records and are fed live by
+    :class:`~repro.measure.penalty.PenaltyExperiment`.
+    """
+    metrics = MetricsRegistry()
+    for record in records:
+        if isinstance(record, Dispatch):
+            metrics.counter("dispatch/total").inc()
+            metrics.histogram("dispatch/ready_depth").observe(record.ready_depth)
+            if not record.cheap:
+                metrics.counter("dispatch/reallocations").inc()
+                if record.affine:
+                    metrics.counter("dispatch/affine").inc()
+                metrics.counter("dispatch/cache_penalty_s").inc(record.penalty_s)
+                metrics.counter("dispatch/switch_overhead_s").inc(record.switch_s)
+                metrics.histogram("dispatch/penalty_s").observe(record.penalty_s)
+        elif isinstance(record, Undispatch):
+            if record.reason == "preempt":
+                metrics.counter("dispatch/preemptions").inc()
+        elif isinstance(record, PolicyDecision):
+            metrics.counter(f"policy/decisions/{record.rule}").inc()
+        elif isinstance(record, AllocationChange):
+            metrics.counter("alloc/changes").inc()
+        elif isinstance(record, JobArrival):
+            metrics.counter("jobs/arrived").inc()
+        elif isinstance(record, JobDeparture):
+            metrics.counter("jobs/completed").inc()
+            metrics.histogram("jobs/response_s").observe(record.response_time)
+        elif isinstance(record, JobCancelled):
+            metrics.counter("jobs/cancelled").inc()
+            metrics.counter("jobs/cancelled_work_s").inc(record.work_done)
+        elif isinstance(record, CpuFailure):
+            metrics.counter("cpu/failures").inc()
+        elif isinstance(record, CacheFlush):
+            metrics.counter("cpu/flushed_lines").inc(record.lines)
+        elif isinstance(record, CpuRecovery):
+            metrics.counter("cpu/recoveries").inc()
+        elif isinstance(record, RunEnd):
+            metrics.gauge("run/makespan_s").set(record.makespan)
+            metrics.counter("run/events_fired").inc(record.events_fired)
+    return metrics
 
 
 def validate_snapshot(snapshot: typing.Mapping[str, typing.Any]) -> None:

@@ -1,20 +1,18 @@
 """Self-profiling: a wall-clock span timer with a null fast path.
 
-Where the tracer and metrics registry observe the *simulated* machine,
-the span profiler observes the *simulator*: real (monotonic) seconds
-spent inside the run loop, the cache batch path, policy decisions, and
-replication workers.  The design copies the Tracer's cost discipline —
-instrumented code holds an optional profiler and guards with::
+Where the tracer and metrics observe the *simulated* machine, the span
+profiler observes the *simulator*: real (monotonic) seconds spent inside
+the run loop, the cache batch path, policy decisions, and replication
+workers.  The design copies the Tracer's cost discipline — instrumented
+code holds an optional profiler (``None`` is off) and guards with::
 
     prof = self.profiler
-    if prof is not None and prof.enabled:
+    if prof is not None:
         prof.push("cache/access_batch")
         ...
         prof.pop()
 
-so the disabled path is one attribute load and branch per operation
-(benchmarked by ``test_profiler_disabled_overhead`` in
-``benchmarks/bench_simulator_performance.py``, CI guard at 5%).
+so the disabled path is one attribute load and branch per operation.
 
 Spans nest: ``pop`` charges the elapsed time to the span's name
 *inclusively* and to its *exclusive* time net of child spans, so the
@@ -42,9 +40,6 @@ class SpanProfiler:
         clock: a monotonic ``() -> float`` seconds source; injectable for
             deterministic tests (defaults to :func:`time.perf_counter`).
     """
-
-    #: guard checked by instrumented code before doing any timing work
-    enabled: bool = True
 
     def __init__(self, clock: typing.Callable[[], float] = time.perf_counter) -> None:
         self._clock = clock
@@ -129,23 +124,6 @@ class SpanProfiler:
         for snapshot in snapshots:
             profiler.merge_snapshot(snapshot)
         return profiler.snapshot()
-
-
-class NullSpanProfiler(SpanProfiler):
-    """A profiler that measures nothing and costs (almost) nothing.
-
-    ``enabled`` is False so guarded call sites skip the clock reads
-    entirely; ``push``/``pop`` are no-ops for anything that calls them
-    unconditionally.
-    """
-
-    enabled = False
-
-    def push(self, name: str) -> None:
-        pass
-
-    def pop(self) -> None:
-        pass
 
 
 def validate_profile(snapshot: typing.Mapping[str, typing.Any]) -> None:

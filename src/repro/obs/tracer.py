@@ -1,19 +1,15 @@
 """Trace collection with a null fast path.
 
-Instrumented code holds an optional tracer and guards every emission with
-the two-step check::
+Instrumented code holds an optional tracer (``None`` is off) and guards
+every emission::
 
     tr = self.tracer
-    if tr is not None and tr.enabled:
+    if tr is not None:
         tr.emit(SomeRecord(...))
 
-so that when tracing is off (``tracer is None``, the default everywhere)
-the cost is a single attribute load and branch — and, crucially, the
-record is *never constructed*.  :class:`NullTracer` exists for call sites
-that want an always-present tracer object (``enabled`` is False, so the
-same guard skips construction); attaching it must stay within the
-benchmarked overhead budget (see ``test_tracer_disabled_overhead`` in
-``benchmarks/bench_simulator_performance.py``).
+so that when tracing is off (the default everywhere) the cost is a
+single attribute load and branch — and, crucially, the record is *never
+constructed*.
 """
 
 from __future__ import annotations
@@ -31,9 +27,6 @@ class Tracer:
             (one :class:`~repro.obs.records.EngineEvent` per event —
             verbose; useful for debugging event-ordering questions).
     """
-
-    #: guard checked by instrumented code before constructing a record
-    enabled: bool = True
 
     def __init__(self, capture_engine_events: bool = False) -> None:
         self.capture_engine_events = capture_engine_events
@@ -55,25 +48,3 @@ class Tracer:
 
     def __repr__(self) -> str:
         return f"Tracer(records={len(self.records)})"
-
-
-class NullTracer(Tracer):
-    """A tracer that records nothing and costs (almost) nothing.
-
-    ``enabled`` is False, so guarded call sites skip record construction;
-    ``emit`` is a no-op for anything that calls it unconditionally.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(capture_engine_events=False)
-
-    def emit(self, record: TraceRecord) -> None:
-        pass
-
-    def engine_hook(self, time: float, label: str) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "NullTracer()"

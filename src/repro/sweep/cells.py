@@ -28,8 +28,9 @@ from repro.core.system import JobMetrics, SystemResult
 from repro.measure.penalty import PenaltyExperiment, PenaltyResult, PenaltyTable, RegimeRun
 from repro.measure.runner import JobSummary, MixComparison, run_mix
 from repro.measure.workloads import MIXES
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, metrics_from_records
 from repro.obs.profiling import SpanProfiler
+from repro.obs.tracer import Tracer
 from repro.reporting.export import to_plain
 from repro.sweep.cache import RESULT_SCHEMA
 from repro.sweep.spec import (
@@ -104,20 +105,23 @@ def run_cell(
     ``swf`` cell re-hashes its trace file and raises ``ValueError`` if
     the bytes no longer match the digest it was keyed under.
     ``metrics`` snapshots ride inside the payload and are cacheable
-    (order-stable merges reassemble the aggregate views); a ``profile``
-    snapshot is wall-clock measurement and therefore *transient* — the
-    executor strips it before caching (see :func:`strip_transient`).
+    (order-stable merges reassemble the aggregate views).  A scheduling
+    cell folds its snapshot from the run's records (in ``tracer``, or in
+    a tracer of its own when none is given); a ``table1`` cell feeds its
+    ``penalty/*`` instruments live.  A ``profile`` snapshot is
+    wall-clock measurement and therefore *transient* — the executor
+    strips it before caching (see :func:`strip_transient`).
     """
     if cell.kind not in CELL_KINDS:
         raise ValueError(f"unknown cell kind {cell.kind!r}")
     config = cell.config
-    registry = MetricsRegistry() if collect_metrics else None
+    registry = None
     profiler = SpanProfiler() if collect_profile else None
-    observers = dict(tracer=tracer, metrics=registry, profiler=profiler)
     if cell.kind == "table1":
+        registry = MetricsRegistry() if collect_metrics else None
         experiment = PenaltyExperiment(
-            scale=config["scale"], seed=config["seed"],
-            backend=config["backend"], **observers,
+            scale=config["scale"], seed=config["seed"], backend=config["backend"],
+            tracer=tracer, metrics=registry, profiler=profiler,
         )
         result = experiment.measure(
             APPLICATIONS[config["app"]],
@@ -127,9 +131,11 @@ def run_cell(
         data: typing.Dict[str, typing.Any] = {"penalty": to_plain(result)}
     else:
         policy = policy_named(config["policy"], cell.kind)
+        if collect_metrics and tracer is None:
+            tracer = Tracer()
         run = dict(
             seed=config["seed"], n_processors=config["n_processors"],
-            heartbeat=heartbeat, **observers,
+            tracer=tracer, profiler=profiler, heartbeat=heartbeat,
         )
         if cell.kind == "mix":
             data = {"system": to_plain(run_mix(config["mix"], policy, **run))}
@@ -149,6 +155,8 @@ def run_cell(
                     sha256=config["sha256"],
                 )
             data = {"opensys": to_plain(run_scenario(scenario, policy, **run))}
+        if collect_metrics:
+            registry = metrics_from_records(tracer.records)
     payload: typing.Dict[str, typing.Any] = {
         "schema": RESULT_SCHEMA,
         "kind": cell.kind,

@@ -30,7 +30,6 @@ from repro.core.policies.base import Policy
 from repro.core.system import SchedulingSystem, SystemResult
 from repro.engine.rng import RngRegistry
 from repro.machine.params import SEQUENT_SYMMETRY, MachineSpec
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import HeartbeatEmitter
 from repro.threads.job import Job
 from repro.workloads.opensys.arrivals import (
@@ -192,7 +191,6 @@ def run_scenario(
     n_processors: int = 16,
     machine: MachineSpec = SEQUENT_SYMMETRY,
     tracer: typing.Optional[object] = None,
-    metrics: typing.Optional[MetricsRegistry] = None,
     profiler: typing.Optional[object] = None,
     heartbeat: typing.Optional[HeartbeatEmitter] = None,
 ) -> OpenSystemResult:
@@ -215,7 +213,6 @@ def run_scenario(
         rng=registry.spawn(f"system/{policy.name}"),
         arrival_times=list(instance.arrival_times),
         tracer=tracer,
-        metrics=metrics,
         profiler=profiler,
     )
     for index, when in instance.cancellations:

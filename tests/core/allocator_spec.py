@@ -176,15 +176,16 @@ class SpecAllocator(Allocator):
                     or self.credit.at_least_as_deserving(worker.job, requesting)
                 )
                 if priority_ok:
-                    credits: typing.Dict[str, float] = {}
-                    if self.policy.respect_priority:
-                        credits = self._credit_snapshot([worker.job] + requesting)
                     self._emit_decision(
                         "A.1",
                         worker.job,
                         proc.cpu_id,
                         "affinity offer to the last task that ran here",
-                        credits=credits,
+                        compared=(
+                            [worker.job] + requesting
+                            if self.policy.respect_priority
+                            else ()
+                        ),
                     )
                     self.system.grant_processor(proc, worker.job, worker=worker)
                     return
@@ -206,7 +207,7 @@ class SpecAllocator(Allocator):
                 job,
                 proc.cpu_id,
                 "highest-credit requester wins the free processor",
-                credits=self._credit_snapshot(requesting),
+                compared=requesting,
             )
         else:
             self._emit_decision(
@@ -290,7 +291,7 @@ class SpecAllocator(Allocator):
             job,
             proc.cpu_id,
             f"preempt {victim.name} (largest allocation) for equity",
-            credits=self._credit_snapshot([job, victim]),
+            compared=(job, victim),
             allocations={job.name: my_alloc, victim.name: victim_alloc},
         )
         self.system.preempt_processor(proc)

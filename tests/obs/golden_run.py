@@ -10,19 +10,16 @@ golden trace stays reviewable in a diff.
 
 from repro.core.policies import DYN_AFF
 from repro.core.system import SchedulingSystem
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer, metrics_from_records
 from tests.core.helpers import chain_job, flat_job
 
 
 def golden_run():
     """Returns (trace records, metrics snapshot) of the canonical tiny run."""
     tracer = Tracer()
-    metrics = MetricsRegistry()
     jobs = [flat_job("A", 2, 0.5, 2), chain_job("B", 2, 0.5)]
-    SchedulingSystem(
-        jobs, DYN_AFF, n_processors=2, seed=0, tracer=tracer, metrics=metrics
-    ).run()
-    return tracer.records, metrics.snapshot()
+    SchedulingSystem(jobs, DYN_AFF, n_processors=2, seed=0, tracer=tracer).run()
+    return tracer.records, metrics_from_records(tracer.records).snapshot()
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.policies import DYN_AFF, EQUIPARTITION
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer, metrics_from_records
 from repro.obs.analysis import WINDOW_FIELDS, interval_series
 from repro.obs.records import CacheBatch, Dispatch
 from repro.core.system import SchedulingSystem
@@ -13,13 +13,8 @@ from tests.obs.test_invariant_properties import random_mix
 @pytest.fixture(scope="module")
 def traced():
     tracer = Tracer()
-    metrics = MetricsRegistry()
-    system = SchedulingSystem(
-        random_mix(11), DYN_AFF, n_processors=8, seed=0,
-        tracer=tracer, metrics=metrics,
-    )
-    system.run()
-    return tracer.records, metrics.snapshot()
+    SchedulingSystem(random_mix(11), DYN_AFF, n_processors=8, seed=0, tracer=tracer).run()
+    return tracer.records, metrics_from_records(tracer.records).snapshot()
 
 
 class TestWindowGeometry:

@@ -21,7 +21,7 @@ from repro.core.policies import (
     TIME_SHARING_AFFINITY,
 )
 from repro.core.system import SchedulingSystem
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer, metrics_from_records
 from repro.obs.invariants import check_trace
 from repro.obs.replay import verify_replay
 from tests.core.helpers import chain_job, flat_job, phased_job
@@ -56,10 +56,8 @@ def random_mix(seed: int):
 @pytest.mark.parametrize("run_seed", [0, 1, 2])
 def test_policy_trace_honors_all_invariants(policy, mix_seed, run_seed):
     tracer = Tracer()
-    metrics = MetricsRegistry()
     system = SchedulingSystem(
-        random_mix(mix_seed), policy, n_processors=8, seed=run_seed,
-        tracer=tracer, metrics=metrics,
+        random_mix(mix_seed), policy, n_processors=8, seed=run_seed, tracer=tracer,
     )
     result = system.run()
 
@@ -70,7 +68,7 @@ def test_policy_trace_honors_all_invariants(policy, mix_seed, run_seed):
     assert replay_errors == [], replay_errors[:3]
 
     # The metrics agree with the aggregates, not just the trace.
-    snapshot = metrics.snapshot()
+    snapshot = metrics_from_records(tracer.records).snapshot()
     assert snapshot["counters"]["jobs/completed"] == len(result.jobs)
     total_reallocs = sum(m.n_reallocations for m in result.jobs.values())
     assert snapshot["counters"]["dispatch/reallocations"] == total_reallocs

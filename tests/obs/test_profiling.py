@@ -8,12 +8,12 @@ from repro.measure.penalty import PenaltyExperiment
 from repro.measure.runner import run_mix
 from repro.obs.profiling import (
     PROFILE_SCHEMA,
-    NullSpanProfiler,
     SpanProfiler,
     validate_profile,
 )
 from repro.sweep import SweepSpec, run_sweep
-from repro.sweep.cells import mix_comparison
+from repro.sweep.cells import mix_comparison, run_cell
+from repro.sweep.spec import mix_cell
 
 
 def _profiled_comparison(policies, workers=None):
@@ -126,15 +126,6 @@ class TestSnapshotsAndMerging:
                                 "exclusive_s": 0.0, "max_s": 0.0}},
             })
 
-    def test_null_profiler_measures_nothing(self):
-        prof = NullSpanProfiler()
-        assert prof.enabled is False
-        prof.push("ignored")
-        prof.pop()
-        snapshot = prof.snapshot()  # no open spans: push was a no-op
-        assert snapshot["spans"] == {}
-        validate_profile(snapshot)
-
 
 class TestLiveWiring:
     """The instrumented call sites actually produce their spans."""
@@ -207,6 +198,10 @@ class TestLiveWiring:
                 data["calls"]
 
     def test_disabled_profiler_collects_no_spans(self):
-        prof = NullSpanProfiler()
-        run_mix(1, DYN_AFF, seed=0, profiler=prof)
-        assert prof.snapshot()["spans"] == {}
+        """``None`` is the off profiler: no snapshot, the same result."""
+        cell = mix_cell(1, DYN_AFF.name, 0)
+        plain = run_cell(cell)
+        profiled = run_cell(cell, collect_profile=True)
+        assert "profile" not in plain
+        assert profiled["profile"]["spans"]
+        assert plain["data"] == profiled["data"]

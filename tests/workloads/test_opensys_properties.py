@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.policies import DYN_AFF, EQUIPARTITION
 from repro.engine.rng import RngRegistry
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.sweep import SweepSpec, normalize_seeds, run_sweep
 from repro.sweep.cells import matrix_comparison
 from repro.workloads.opensys import (
@@ -47,24 +47,17 @@ def _scenario(name):
 )
 @settings(max_examples=15, deadline=None)
 def test_repeated_runs_are_bit_identical(scenario_name, seed):
-    """Same (scenario, seed): identical trace records and metrics."""
+    """Same (scenario, seed): identical trace records (and so metrics)."""
     def run():
         tracer = Tracer()
-        registry = MetricsRegistry()
         result = run_scenario(
-            _scenario(scenario_name),
-            DYN_AFF,
-            seed=seed,
-            n_processors=P,
-            tracer=tracer,
-            metrics=registry,
+            _scenario(scenario_name), DYN_AFF, seed=seed, n_processors=P, tracer=tracer,
         )
-        return tracer.records, registry.snapshot(), result
+        return tracer.records, result
 
-    records_a, metrics_a, result_a = run()
-    records_b, metrics_b, result_b = run()
+    records_a, result_a = run()
+    records_b, result_b = run()
     assert records_a == records_b
-    assert metrics_a == metrics_b
     assert result_a.response_times == result_b.response_times
     assert result_a.system.cancelled == result_b.system.cancelled
 
