@@ -41,6 +41,7 @@ prints it after ``=== profile ===``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -559,6 +560,19 @@ def cmd_trace(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
+@contextlib.contextmanager
+def _swf_errors() -> typing.Iterator[None]:
+    """A malformed SWF trace ends the command with one ``error: FILE:LINE:``
+    line and exit status 1, from a pool worker as from a serial run."""
+    from repro.workloads.opensys.swf import SwfFormatError
+
+    try:
+        yield
+    except SwfFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+
+
 def cmd_opensys(args: argparse.Namespace) -> None:
     """Open-system (scenario x policy x seed) matrix, or an SWF replay.
 
@@ -609,14 +623,15 @@ def cmd_opensys(args: argparse.Namespace) -> None:
             n_processors=args.processors,
             lite=args.lite,
         )
-    sweep = run_sweep(
-        spec,
-        cache=_sweep_cache(args),
-        workers=args.workers,
-        collect_metrics=collect_metrics,
-        progress=args.progress,
-        on_commit=_shard_progress(args.progress),
-    )
+    with _swf_errors():
+        sweep = run_sweep(
+            spec,
+            cache=_sweep_cache(args),
+            workers=args.workers,
+            collect_metrics=collect_metrics,
+            progress=args.progress,
+            on_commit=_shard_progress(args.progress),
+        )
     comparison = matrix_comparison(spec, sweep.payloads)
     print(render_matrix_table(comparison))
     _print_telemetry(args.progress, sweep)
@@ -820,15 +835,16 @@ def cmd_sweep(args: argparse.Namespace) -> None:
               f"from {cache.root}")
         return
 
-    sweep = run_sweep(
-        spec,
-        cache=cache,
-        workers=args.workers,
-        force=args.force,
-        collect_metrics=args.metrics,
-        progress=args.progress,
-        on_commit=_shard_progress(args.progress),
-    )
+    with _swf_errors():
+        sweep = run_sweep(
+            spec,
+            cache=cache,
+            workers=args.workers,
+            force=args.force,
+            collect_metrics=args.metrics,
+            progress=args.progress,
+            on_commit=_shard_progress(args.progress),
+        )
     print(f"sweep '{spec.name}' ({spec.kind}): "
           f"{len(sweep.outcomes)} cells, {sweep.n_hits} cache hits, "
           f"{sweep.n_computed} computed")

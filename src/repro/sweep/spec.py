@@ -502,6 +502,8 @@ def load_spec(path: str) -> SweepSpec:
                 data = tomllib.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read sweep spec {path!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
         except tomllib.TOMLDecodeError as exc:
             raise ValueError(f"{path}: not valid TOML ({exc})") from exc
     else:
@@ -510,6 +512,8 @@ def load_spec(path: str) -> SweepSpec:
                 data = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read sweep spec {path!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return spec_from_dict(data, source=path)

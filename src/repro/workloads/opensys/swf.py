@@ -17,11 +17,13 @@ field SWF name                mapped to
                               replayed as a mid-run cancellation
 ===== ======================= ==========================================
 
-Parsing is strict where silence would corrupt an experiment: negative
-runtimes, out-of-order submit times, truncated lines, and non-numeric or
-non-finite (``nan``, ``inf``, overflowing) fields all raise :class:`SwfFormatError` carrying the 1-based line number.  (Real
-archives use ``-1`` for *unknown* runtimes; an unknown runtime cannot be
-simulated, so it is an error here rather than a silent skip.)
+Parsing is strict where silence would corrupt an experiment: bytes that
+are not UTF-8, negative runtimes, out-of-order submit times, truncated
+lines, and non-numeric or non-finite (``nan``, ``inf``, overflowing)
+fields all raise :class:`SwfFormatError` carrying the file and the
+1-based line number.  (Real archives use ``-1`` for *unknown* runtimes;
+an unknown runtime cannot be simulated, so it is an error here rather
+than a silent skip.)
 
 :class:`SwfScenario` adapts a parsed trace to the scenario interface:
 each job becomes a flat graph of ``p`` threads of the scaled runtime run
@@ -62,7 +64,12 @@ class SwfFormatError(ValueError):
     def __init__(self, source: str, line_no: int, message: str) -> None:
         self.source = source
         self.line_no = line_no
+        self.message = message
         super().__init__(f"{source}:{line_no}: {message}")
+
+    def __reduce__(self) -> typing.Tuple[typing.Any, ...]:
+        # A sweep's pool worker sends the error to the parent by pickle.
+        return type(self), (self.source, self.line_no, self.message)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,10 +160,23 @@ def parse_swf(text: str, source: str = "<swf>") -> typing.List[SwfJob]:
     return jobs
 
 
+def _decode_swf(raw: bytes, source: str) -> str:
+    """``raw`` as UTF-8 text, or a :class:`SwfFormatError` naming the line
+    of the first undecodable byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SwfFormatError(
+            source,
+            raw.count(b"\n", 0, exc.start) + 1,
+            f"byte 0x{raw[exc.start]:02x} is not UTF-8 text",
+        ) from None
+
+
 def load_swf(path: str) -> typing.List[SwfJob]:
     """Parse the SWF file at ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_swf(handle.read(), source=path)
+    with open(path, "rb") as handle:
+        return parse_swf(_decode_swf(handle.read(), path), source=path)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,7 +228,7 @@ class SwfScenario:
                 )
         return cls(
             name=f"swf:{os.path.basename(path)}",
-            jobs=tuple(parse_swf(raw.decode("utf-8"), source=path)),
+            jobs=tuple(parse_swf(_decode_swf(raw, path), source=path)),
             time_scale=time_scale,
             work_scale=work_scale,
             max_jobs=max_jobs,

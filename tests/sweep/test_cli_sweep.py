@@ -79,6 +79,32 @@ class TestSweepCommand:
         assert excinfo.value.code == 1
         assert "cannot read sweep spec" in capsys.readouterr().err
 
+    def test_non_utf8_spec_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "status", str(path)])
+        assert excinfo.value.code == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_malformed_swf_is_one_error_line(self, tmp_path, capsys, workers):
+        swf = tmp_path / "bad.swf"
+        with open(SAMPLE_SWF, "rb") as fh:
+            swf.write_bytes(fh.read() + b"  99 100 0 4.0\n")
+        spec = _write_spec(
+            tmp_path, name="bad-swf", kind="swf", swf=str(swf), scenarios=(),
+            lite=False, seeds=(0, 1),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "run", spec, "--cache-dir", str(tmp_path / "cache"),
+                  "--workers", workers])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {swf}:")
+        assert err.endswith(": truncated record: expected 18 fields, got 4\n")
+        assert err.count("\n") == 1
+
     def test_metrics_flag_renders_snapshot(self, tmp_path, capsys):
         spec = _write_spec(tmp_path)
         assert main(["sweep", "run", spec, "--cache-dir",

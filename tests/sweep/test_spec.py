@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import sys
 
 import pytest
@@ -375,6 +376,15 @@ class TestLoadSpec:
         path = tmp_path / "spec.json"
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(ValueError, match="not valid JSON"):
+            load_spec(str(path))
+
+    @pytest.mark.parametrize("name", ["spec.json", "spec.toml"])
+    def test_non_utf8_names_path(self, tmp_path, name):
+        path = tmp_path / name
+        if name.endswith(".toml"):
+            pytest.importorskip("tomllib")
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
             load_spec(str(path))
 
     def test_toml_gated_or_loaded(self, tmp_path):

@@ -11,9 +11,11 @@ on it.
 import dataclasses
 import json
 import os
+import pickle
 
 import pytest
 
+from repro.cli import main
 from repro.core.policies import DYN_AFF
 from repro.obs import Tracer
 from repro.obs.invariants import check_trace
@@ -74,6 +76,27 @@ class TestMalformed:
         assert exc.value.line_no == 2
         assert "bad.swf:2:" in str(exc.value)
         assert "truncated" in str(exc.value)
+
+    def test_error_survives_pickling(self):
+        """A pool worker hands the error to the parent by pickle."""
+        with pytest.raises(SwfFormatError) as exc:
+            parse_swf(_line() + "\n  1 2 3 4 5\n", source="bad.swf")
+        copy = pickle.loads(pickle.dumps(exc.value))
+        assert type(copy) is SwfFormatError
+        assert (copy.source, copy.line_no) == ("bad.swf", 2)
+        assert str(copy) == str(exc.value)
+
+    @pytest.mark.parametrize("load", [load_swf, SwfScenario.from_file])
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, load):
+        path = tmp_path / "bin.swf"
+        path.write_bytes(
+            ("; header\n" + _line() + "\n").encode("utf-8")
+            + _line(job_id=2, submit="5").encode("utf-8") + b" \xff\n"
+        )
+        with pytest.raises(SwfFormatError) as exc:
+            load(str(path))
+        assert exc.value.line_no == 3
+        assert str(exc.value).startswith(f"{path}:3: byte 0xff")
 
     def test_negative_runtime(self):
         text = _line(job_id=1) + "\n" + _line(job_id=2, submit="5", run="-1")
@@ -169,3 +192,22 @@ class TestScenario:
         assert result.n_completed == 8
         assert check_trace(tracer.records) == []
         assert verify_replay(tracer.records, result.system) == []
+
+
+class TestCliErrors:
+    """A malformed trace ends ``repro opensys --swf`` with one line."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("tail,message", [
+        (b"  2 3 1 6.5 4\n", "truncated record: expected 18 fields, got 5"),
+        (b"\xff\n", "byte 0xff is not UTF-8 text"),
+    ], ids=["truncated", "undecodable"])
+    def test_error_names_file_and_line(self, tmp_path, capsys, workers, tail, message):
+        path = tmp_path / "bad.swf"
+        path.write_bytes((_line() + "\n").encode("utf-8") + tail)
+        with pytest.raises(SystemExit) as exc:
+            main(["opensys", "--swf", str(path), "--seeds", "2",
+                  "--workers", workers])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:2: {message}\n"
