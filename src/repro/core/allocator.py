@@ -391,9 +391,13 @@ class Allocator:
         if self._time_sharing:
             self._enqueue(job)
             return
+        workers = len(job.workers)
         while True:
-            want = job.additional_request(job.n_owned)
-            if want <= 0:
+            # Job.additional_request(job.n_owned) > 0, inline
+            demand = len(job.ready) + job.n_suspended + job.n_running
+            if demand > workers:
+                demand = workers
+            if demand <= job.n_owned:
                 return
             # Each rule is tried only when its candidate set is non-empty,
             # and a non-empty set always yields a processor.
@@ -460,11 +464,11 @@ class Allocator:
         """Rule D.3: preempt from the job(s) with the largest allocation."""
         if not self.policy.respect_priority:
             return None  # Dyn-Aff-NoPri ignores D.3 entirely
-        # The live job minimizing (-n_owned, name): largest allocation,
-        # then lowest name.
+        # The job minimizing (-n_owned, name): largest allocation, then
+        # lowest name.  ``jobs`` holds live jobs only.
         victim: typing.Optional[Job] = None
         for other in self.jobs:
-            if other is job or other.finished:
+            if other is job:
                 continue
             if victim is None or other.n_owned > victim.n_owned or (
                 other.n_owned == victim.n_owned and other.name < victim.name

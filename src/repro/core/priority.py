@@ -26,6 +26,17 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.threads.job import Job
 
 
+class _Account:
+    """One tracked job's credit, integrated up to ``last_update``."""
+
+    __slots__ = ("credit", "last_update", "allocation")
+
+    def __init__(self, now: float) -> None:
+        self.credit = 0.0
+        self.last_update = now
+        self.allocation = 0
+
+
 class CreditScheduler:
     """Tracks per-job credits and answers the policy's priority questions."""
 
@@ -40,9 +51,8 @@ class CreditScheduler:
         if n_processors <= 0:
             raise ValueError("need at least one processor")
         self.n_processors = n_processors
-        self._credit: typing.Dict[str, float] = {}
-        self._last_update: typing.Dict[str, float] = {}
-        self._allocation: typing.Dict[str, int] = {}
+        #: job name -> its account, for every tracked (live) job
+        self._accounts: typing.Dict[str, _Account] = {}
         self._live_jobs = 0
 
     # ------------------------------------------------------------------ #
@@ -50,17 +60,13 @@ class CreditScheduler:
 
     def job_arrived(self, job: "Job", now: float) -> None:
         """Begin tracking ``job`` with zero credit."""
-        self._credit[job.name] = 0.0
-        self._last_update[job.name] = now
-        self._allocation[job.name] = 0
+        self._accounts[job.name] = _Account(now)
         self._live_jobs += 1
 
     def job_departed(self, job: "Job", now: float) -> None:
         """Stop tracking a completed job."""
         self.refresh(job, now)
-        self._credit.pop(job.name, None)
-        self._last_update.pop(job.name, None)
-        self._allocation.pop(job.name, None)
+        self._accounts.pop(job.name, None)
         self._live_jobs -= 1
 
     def equal_share(self) -> float:
@@ -71,34 +77,36 @@ class CreditScheduler:
 
     def refresh(self, job: "Job", now: float) -> None:
         """Integrate the credit of ``job`` up to ``now``."""
-        name = job.name
-        credit = self._credit.get(name)
-        if credit is None:
+        account = self._accounts.get(job.name)
+        if account is None:
             return
-        elapsed = now - self._last_update[name]
+        elapsed = now - account.last_update
         if elapsed > 0:
             # equal_share() and the clamp to the credit window, inline
             live = self._live_jobs
             share = self.n_processors / live if live else float(self.n_processors)
-            credit += (share - self._allocation[name]) * elapsed
+            credit = account.credit + (share - account.allocation) * elapsed
             cap = self.CREDIT_CAP
             if credit > cap:
                 credit = cap
             elif credit < -cap:
                 credit = -cap
-            self._credit[name] = credit
-        self._last_update[name] = now
+            account.credit = credit
+        account.last_update = now
 
     def set_allocation(self, job: "Job", allocation: int, now: float) -> None:
         """Record an allocation change (after integrating up to ``now``)."""
         if allocation < 0:
             raise ValueError("allocation cannot be negative")
         self.refresh(job, now)
-        self._allocation[job.name] = allocation
+        account = self._accounts.get(job.name)
+        if account is not None:
+            account.allocation = allocation
 
     def credit(self, job: "Job") -> float:
         """Current banked credit of ``job`` (0.0 if untracked)."""
-        return self._credit.get(job.name, 0.0)
+        account = self._accounts.get(job.name)
+        return 0.0 if account is None else account.credit
 
     # ------------------------------------------------------------------ #
     # policy questions

@@ -33,6 +33,7 @@ queue stays empty and the quantum is infinite.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import typing
 
@@ -190,6 +191,13 @@ class SchedulingSystem:
         self.profiler = profiler
         self.sim.attach_tracer(tracer)
         self.sim.attach_profiler(profiler)
+        #: rules D.1-D.3 for a job with new work: the allocator's rule loop
+        #: itself, unless its profiler span applies; equipartition has none
+        self._new_work: typing.Optional[typing.Callable[[Job], None]] = (
+            None if policy.is_equipartition
+            else self.allocator.new_work if profiler is not None
+            else self.allocator._new_work_impl
+        )
 
     # ------------------------------------------------------------------ #
     # public API
@@ -219,20 +227,23 @@ class SchedulingSystem:
         return result
 
     def _close(self) -> None:
-        """Cut the four back-edges that would leave the run in cycles.
+        """Cut the five back-edges that would leave the run in cycles.
 
         ``Allocator.system`` points back at the system; each
-        ``WorkerTask.job`` points at the job that lists the worker;
-        ``_arrival_handles`` keeps fired events whose actions close over
-        the system; and every event left in ``sim.queue`` (cancelled
-        ones included) points back at the queue through ``_queue`` and
-        at the system through its action.  Results, job, worker and
-        processor fields, ``repr`` and ``WorkerTask.key`` stay readable.
+        ``WorkerTask.job`` points at the job that lists the worker; each
+        ``WorkerTask.completion_action`` closes over the system and the
+        worker; ``_arrival_handles`` keeps fired events whose actions
+        close over the system; and every event left in ``sim.queue``
+        (cancelled ones included) points back at the queue through
+        ``_queue`` and at the system through its action.  Results, job,
+        worker and processor fields, ``repr`` and ``WorkerTask.key``
+        stay readable.
         """
         self.allocator.system = None
         for job in self.jobs:
             for worker in job.workers:
                 worker.job = None
+                worker.completion_action = None
         self._arrival_handles.clear()
         self.sim.queue.clear()
 
@@ -578,11 +589,12 @@ class SchedulingSystem:
         worker.stint_switch_charged = switch_charged
         worker.stint_penalty_charged = penalty_charged
         run = overhead + worker.remaining_service
+        worker.completion_action = functools.partial(
+            self._on_thread_complete, proc, worker
+        )
         if run <= self.quantum_s:
             worker.completion_handle = self.sim.schedule(
-                run,
-                lambda: self._on_thread_complete(proc, worker),
-                label=worker.completion_label,
+                run, worker.completion_action, label=worker.completion_label
             )
         else:
             self._schedule_quantum_expiry(proc, worker)
@@ -664,26 +676,41 @@ class SchedulingSystem:
     # event handlers
 
     def _on_thread_complete(self, proc: ProcessorRecord, worker: WorkerTask) -> None:
+        """``worker`` finished its thread on ``proc``: take the next one.
+
+        The common case (the next thread continues on the same processor
+        and the job asks for no processor it can get) is a few field
+        reads: the graph's counters, the ready deque and, for a job
+        without a data-affinity spec, the thread's service time and data
+        group (see :func:`~repro.threads.data_affinity.effective_service`).
+        """
         job = worker.job
         worker.completion_handle = None
         job.work_done += worker.remaining_service
-        tid = worker.current_thread
-        worker.current_thread = None
-        worker.remaining_service = 0.0
-        assert tid is not None
-        job.on_thread_complete(tid)
-
-        if job.finished:
+        graph = job.graph
+        ready = job.ready
+        ready.extend(graph.complete(worker.current_thread))
+        if graph.n_completed == len(graph.service_times):
             self._depart(proc, worker, job, "done")
             self._complete_job(job)
             return
 
-        next_tid = job.take_ready_thread(worker)
+        if job.data_affinity is not None:
+            next_tid = job.take_ready_thread(worker)
+            if next_tid is not None:
+                service = job.thread_service_for(worker, next_tid)
+        elif ready:
+            # Job.take_ready_thread and effective_service without a spec
+            next_tid = ready.popleft()
+            worker.last_data_group = graph.data_groups[next_tid]
+            service = graph.service_times[next_tid]
+        else:
+            next_tid = None
         if next_tid is None:
             self._worker_idle(proc, worker, job)
         else:
             worker.current_thread = next_tid
-            worker.remaining_service = job.thread_service_for(worker, next_tid)
+            worker.remaining_service = service
             if self.run_queue:
                 # Time sharing with workers waiting: yield the processor at
                 # the thread boundary, keeping the thread (a voluntary switch).
@@ -696,16 +723,14 @@ class SchedulingSystem:
                 worker.stint_overhead = 0.0
                 worker.stint_switch_charged = 0.0
                 worker.stint_penalty_charged = 0.0
-                if worker.remaining_service <= self.quantum_s:
+                if service <= self.quantum_s:
                     worker.completion_handle = self.sim.schedule(
-                        worker.remaining_service,
-                        lambda: self._on_thread_complete(proc, worker),
-                        label=worker.completion_label,
+                        service, worker.completion_action, label=worker.completion_label
                     )
                 else:
                     self._schedule_quantum_expiry(proc, worker)
 
-        if job.ready or job.n_suspended:
+        if ready or job.n_suspended:
             self._place_new_work(job)
 
     def _on_quantum_expiry(self, proc: ProcessorRecord, worker: WorkerTask) -> None:
@@ -763,4 +788,5 @@ class SchedulingSystem:
                 if worker is None:
                     break
                 self.grant_processor(proc, job, worker=worker)
-        allocator.new_work(job)
+        if self._new_work is not None:
+            self._new_work(job)

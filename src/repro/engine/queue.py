@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.engine.events import DEFAULT_PRIORITY, Event, EventState
+from repro.engine.events import _CANCELLED, _FIRED, DEFAULT_PRIORITY, Event
 
 
 #: A heap entry.  ``seq`` is unique, so ordering never reaches the
@@ -67,9 +67,9 @@ class EventQueue:
         heap = self._heap
         while heap:
             event = heapq.heappop(heap)[3]
-            if event.state is EventState.CANCELLED:
+            if event.state is _CANCELLED:
                 continue
-            event.state = EventState.FIRED
+            event.state = _FIRED
             self._live -= 1
             return event
         raise IndexError("pop from empty EventQueue")
@@ -77,7 +77,7 @@ class EventQueue:
     def peek_time(self) -> typing.Optional[float]:
         """Time of the earliest live event, or None if the queue is empty."""
         heap = self._heap
-        while heap and heap[0][3].state is EventState.CANCELLED:
+        while heap and heap[0][3].state is _CANCELLED:
             heapq.heappop(heap)
         if not heap:
             return None
@@ -94,7 +94,7 @@ class EventQueue:
         for entry in self._heap:
             event = entry[3]
             if event.pending:
-                event.state = EventState.CANCELLED
+                event.state = _CANCELLED
             event.action = None  # type: ignore[assignment]
         self._heap.clear()
         self._live = 0

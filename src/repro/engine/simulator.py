@@ -157,25 +157,33 @@ class Simulator:
         fired_this_run = 0
         limited = False
         queue = self.queue
+        pop = queue.pop
         hooks = self._trace_hooks
         prof = self._profiler
         profiling = prof is not None
         if profiling:
             prof.push("engine/run")  # type: ignore[attr-defined]
         try:
-            while queue and not self._stopped:
-                if until is not None and queue.peek_time() > until:  # type: ignore[operator]
-                    self._advance(until)
-                    return self.now
-                event = queue.pop()
+            while not self._stopped:
+                if until is not None:
+                    next_time = queue.peek_time()
+                    if next_time is None:
+                        break
+                    if next_time > until:
+                        self._advance(until)
+                        return self.now
+                try:
+                    event = pop()
+                except IndexError:
+                    break  # no live event left
                 time = event.time
                 if time < self.now:
                     self._advance(time)  # raises: the clock cannot run backwards
                 self.now = time
                 self._events_fired += 1
-                fired_this_run += 1
-                for hook in hooks:
-                    hook(time, event.label)
+                if hooks:
+                    for hook in hooks:
+                        hook(time, event.label)
                 if profiling:
                     # Aggregate per label family: "slice:GRAVITY" and
                     # "slice:MATRIX" both land in "engine/slice".
@@ -186,9 +194,11 @@ class Simulator:
                         prof.pop()  # type: ignore[attr-defined]
                 else:
                     event.action()
-                if max_events is not None and fired_this_run >= max_events:
-                    limited = True
-                    break
+                if max_events is not None:
+                    fired_this_run += 1
+                    if fired_this_run >= max_events:
+                        limited = True
+                        break
             # Advance to `until` only when the queue truly has nothing left
             # before it.  After a max_events or stop() break there may still
             # be events at t <= until; jumping the clock over them would make

@@ -8,7 +8,8 @@ The subsystem has four pieces, layered so each consumes the one below:
   every hot path;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms with
   deterministic, order-stable snapshots and merges, and the scheduling
-  catalog folded from a run's records (:func:`metrics_from_records`);
+  catalog folded from a run's records as they are emitted
+  (:class:`MetricsFold`) or afterwards (:func:`metrics_from_records`);
 * :mod:`repro.obs.invariants` / :mod:`repro.obs.replay` — the payoff:
   the trace replayed as a correctness oracle (simulator-wide invariants,
   and aggregate reconstruction that must match the untraced run);
@@ -32,6 +33,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricsFold,
     MetricsRegistry,
     metrics_from_records,
     validate_snapshot,
@@ -77,6 +79,7 @@ __all__ = [
     "JobArrival",
     "JobCancelled",
     "JobDeparture",
+    "MetricsFold",
     "MetricsRegistry",
     "PROFILE_SCHEMA",
     "PolicyDecision",

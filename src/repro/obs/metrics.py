@@ -3,7 +3,8 @@
 A :class:`MetricsRegistry` is the aggregate-shaped side of observability:
 where the tracer records *what happened*, the registry accumulates *how
 much*.  A scheduling run's registry is folded from its trace records by
-:func:`metrics_from_records`, the one place its catalog is written.
+:class:`MetricsFold`, the one place its catalog is written: live, as the
+run's tracer, or afterwards through :func:`metrics_from_records`.
 Snapshots are plain dicts with a schema tag, fully ordered (keys sorted
 at serialization time) and mergeable: merging the per-replication
 snapshots of a parallel run **in replication commit order** produces
@@ -224,18 +225,29 @@ class MetricsRegistry:
         return registry.snapshot()
 
 
-def metrics_from_records(records: typing.Iterable[TraceRecord]) -> MetricsRegistry:
-    """The scheduling-run metric catalog, folded from a run's records.
+class MetricsFold:
+    """A tracer that keeps no records: it folds each one into ``metrics``.
 
-    Each metric is the value a record carries, applied in record order,
-    so every float sum runs in the order the run emitted it.  Records
-    with no metric (``RunConfig``, ``CacheBatch``, ``EngineEvent``) are
-    skipped; the ``penalty/*`` instruments of the Section 4 harness have
-    no records and are fed live by
+    :meth:`emit` is the scheduling-run metric catalog, applied one record
+    at a time, so every float sum runs in the order the run emitted it.
+    A run that wants only its metrics passes a fold as its ``tracer``
+    and holds about twenty numbers instead of every record; one with a
+    stored trace folds it afterwards with :func:`metrics_from_records`.
+    Records with no metric (``RunConfig``, ``CacheBatch``,
+    ``EngineEvent``) are skipped; the ``penalty/*`` instruments of the
+    Section 4 harness have no records and are fed live by
     :class:`~repro.measure.penalty.PenaltyExperiment`.
     """
-    metrics = MetricsRegistry()
-    for record in records:
+
+    #: the simulator's tracer hook reads this: a fold takes no engine events
+    capture_engine_events = False
+
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
+
+    def emit(self, record: TraceRecord) -> None:
+        """Fold one record into :attr:`metrics`."""
+        metrics = self.metrics
         if isinstance(record, Dispatch):
             metrics.counter("dispatch/total").inc()
             metrics.histogram("dispatch/ready_depth").observe(record.ready_depth)
@@ -270,7 +282,17 @@ def metrics_from_records(records: typing.Iterable[TraceRecord]) -> MetricsRegist
         elif isinstance(record, RunEnd):
             metrics.gauge("run/makespan_s").set(record.makespan)
             metrics.counter("run/events_fired").inc(record.events_fired)
-    return metrics
+
+
+def metrics_from_records(records: typing.Iterable[TraceRecord]) -> MetricsRegistry:
+    """The scheduling-run metric catalog, folded from a run's records.
+
+    The same fold a :class:`MetricsFold` applies as records are emitted.
+    """
+    fold = MetricsFold()
+    for record in records:
+        fold.emit(record)
+    return fold.metrics
 
 
 def validate_snapshot(snapshot: typing.Mapping[str, typing.Any]) -> None:

@@ -28,9 +28,8 @@ from repro.core.system import JobMetrics, SystemResult
 from repro.measure.penalty import PenaltyExperiment, PenaltyResult, PenaltyTable, RegimeRun
 from repro.measure.runner import JobSummary, MixComparison, run_mix
 from repro.measure.workloads import MIXES
-from repro.obs.metrics import MetricsRegistry, metrics_from_records
+from repro.obs.metrics import MetricsFold, MetricsRegistry, metrics_from_records
 from repro.obs.profiling import SpanProfiler
-from repro.obs.tracer import Tracer
 from repro.reporting.export import to_plain
 from repro.sweep.cache import RESULT_SCHEMA
 from repro.sweep.spec import (
@@ -106,11 +105,13 @@ def run_cell(
     the bytes no longer match the digest it was keyed under.
     ``metrics`` snapshots ride inside the payload and are cacheable
     (order-stable merges reassemble the aggregate views).  A scheduling
-    cell folds its snapshot from the run's records (in ``tracer``, or in
-    a tracer of its own when none is given); a ``table1`` cell feeds its
-    ``penalty/*`` instruments live.  A ``profile`` snapshot is
-    wall-clock measurement and therefore *transient* — the executor
-    strips it before caching (see :func:`strip_transient`).
+    cell folds its snapshot from the run's records: those ``tracer``
+    holds after the run or, with no ``tracer``, each one as it is
+    emitted, into a :class:`~repro.obs.metrics.MetricsFold` that keeps
+    none.  A ``table1`` cell feeds its ``penalty/*`` instruments live.
+    A ``profile`` snapshot is wall-clock measurement and therefore
+    *transient* — the executor strips it before caching (see
+    :func:`strip_transient`).
     """
     if cell.kind not in CELL_KINDS:
         raise ValueError(f"unknown cell kind {cell.kind!r}")
@@ -131,8 +132,9 @@ def run_cell(
         data: typing.Dict[str, typing.Any] = {"penalty": to_plain(result)}
     else:
         policy = policy_named(config["policy"], cell.kind)
+        fold = None
         if collect_metrics and tracer is None:
-            tracer = Tracer()
+            tracer = fold = MetricsFold()
         run = dict(
             seed=config["seed"], n_processors=config["n_processors"],
             tracer=tracer, profiler=profiler, heartbeat=heartbeat,
@@ -155,7 +157,9 @@ def run_cell(
                     sha256=config["sha256"],
                 )
             data = {"opensys": to_plain(run_scenario(scenario, policy, **run))}
-        if collect_metrics:
+        if fold is not None:
+            registry = fold.metrics
+        elif collect_metrics:
             registry = metrics_from_records(tracer.records)
     payload: typing.Dict[str, typing.Any] = {
         "schema": RESULT_SCHEMA,

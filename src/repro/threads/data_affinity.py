@@ -103,8 +103,11 @@ def effective_service(
 ) -> float:
     """Service time of ``tid`` on ``worker``, with the warm-data discount.
 
-    Also pushes the thread's group onto the worker's recent-group window,
-    so group reuse within the memory horizon chains its warmth.
+    Records the thread's group as the worker's ``last_data_group``.
+    Under a spec it also pushes the group onto the worker's recent-group
+    window, so group reuse within the memory horizon chains its warmth;
+    without one no thread runs warm and the window, read only by the
+    spec's warm-group test, is left alone.
     """
     if tid < 0:
         raise IndexError(f"no such thread: {tid}")
@@ -112,11 +115,10 @@ def effective_service(
     service = graph.service_times[tid]
     group = graph.data_groups[tid]
     spec = job.data_affinity
-    warm = (
-        spec is not None
-        and group is not None
-        and group in _warm_groups(worker, spec)
-    )
+    if spec is None:
+        worker.last_data_group = group
+        return service
+    warm = group is not None and group in _warm_groups(worker, spec)
     worker.last_data_group = group
     if group is not None:
         recent = worker.recent_data_groups
@@ -125,6 +127,5 @@ def effective_service(
         recent.insert(0, group)
         del recent[8:]
     if warm:
-        assert spec is not None
         return service * (1.0 - spec.warm_discount)
     return service

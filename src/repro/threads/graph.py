@@ -49,10 +49,13 @@ class ThreadGraph:
       on; threads sharing a group benefit from running consecutively on
       one worker (see :mod:`repro.threads.data_affinity`).
 
-    The lists are read-only outside this class.  :meth:`add_thread` and
-    :meth:`add_dependency` build any shape; :meth:`add_fan` and
+    The lists are read-only outside this class, and so is
+    ``n_completed``, the count of completed threads.  :meth:`add_thread`
+    and :meth:`add_dependency` build any shape; :meth:`add_fan` and
     :meth:`add_join` build the fork and join steps of barrier-phased
-    graphs in bulk.
+    graphs in bulk.  ``forward`` records whether every edge so far runs
+    from a lower thread id to a higher one: such a graph is acyclic by
+    construction, thread ids being a topological order.
     """
 
     def __init__(self, name: str = "") -> None:
@@ -65,7 +68,9 @@ class ThreadGraph:
         # readiness state, restored by reset()
         self._blocked_count: typing.List[int] = []
         self._completed: typing.List[bool] = []
-        self._n_completed = 0
+        self.n_completed = 0
+        #: every edge runs from a lower id to a higher one (see above)
+        self.forward = True
 
     def add_thread(
         self,
@@ -91,6 +96,8 @@ class ThreadGraph:
             raise ValueError("a thread cannot depend on itself")
         self._check_tid(before)
         self._check_tid(after)
+        if before > after:
+            self.forward = False
         self.successors[before].append(after)
         self.n_predecessors[after] += 1
         self._blocked_count[after] += 1
@@ -167,14 +174,9 @@ class ThreadGraph:
         return len(self.service_times)
 
     @property
-    def n_completed(self) -> int:
-        """Number of threads already completed."""
-        return self._n_completed
-
-    @property
     def all_done(self) -> bool:
         """True once every thread has completed."""
-        return self._n_completed == len(self.service_times)
+        return self.n_completed == len(self.service_times)
 
     def total_work(self) -> float:
         """Sum of all service times (processor-seconds)."""
@@ -197,7 +199,7 @@ class ThreadGraph:
         if completed[tid]:
             raise RuntimeError(f"thread {tid} completed twice")
         completed[tid] = True
-        self._n_completed += 1
+        self.n_completed += 1
         blocked = self._blocked_count
         newly_ready = []
         for succ in self.successors[tid]:
@@ -209,13 +211,18 @@ class ThreadGraph:
 
     def reset(self) -> None:
         """Return the graph to its initial (nothing completed) state."""
-        self._n_completed = 0
+        self.n_completed = 0
         self._completed = [False] * len(self.service_times)
         self._blocked_count = list(self.n_predecessors)
 
     def validate_acyclic(self) -> None:
-        """Raise ValueError if the dependence graph has a cycle."""
-        self._topological_order()
+        """Raise ValueError if the dependence graph has a cycle.
+
+        A ``forward`` graph needs no check; any other takes the full
+        O(V + E) pass.
+        """
+        if not self.forward:
+            self._topological_order()
 
     def _topological_order(self) -> typing.List[int]:
         in_degree = list(self.n_predecessors)

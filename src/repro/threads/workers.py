@@ -30,6 +30,13 @@ class WorkerState(enum.Enum):
     SUSPENDED = "suspended"
 
 
+# The members as module globals: reading one through its class goes
+# through the enum metaclass, several times slower on the dispatch path.
+_IDLE = WorkerState.IDLE
+_RUNNING = WorkerState.RUNNING
+_SUSPENDED = WorkerState.SUSPENDED
+
+
 class WorkerTask:
     """One kernel thread of a job.
 
@@ -37,9 +44,10 @@ class WorkerTask:
     history with P = 1) and, when suspended, the thread it was executing
     with the service time still remaining.
 
-    ``job`` points back at the job that lists this worker; a run that is
-    over sets it to None (see ``SchedulingSystem._close``), and ``key``
-    and ``repr`` stay readable.
+    ``job`` points back at the job that lists this worker, and
+    ``completion_action`` at the system that runs it; a run that is over
+    sets both to None (see ``SchedulingSystem._close``), and ``key`` and
+    ``repr`` stay readable.
     """
 
     def __init__(self, job: "Job", index: int) -> None:
@@ -47,7 +55,7 @@ class WorkerTask:
         self.index = index
         #: stable hashable identity: (job name, worker index)
         self.key = (job.name, index)
-        self._state = WorkerState.IDLE
+        self._state = _IDLE
         self.processor: typing.Optional[int] = None
         self.last_processor: typing.Optional[int] = None
         #: most-recent-first window of processors this task has run on
@@ -71,6 +79,9 @@ class WorkerTask:
         self.stint_penalty_charged = 0.0
         #: the pending thread-completion event, owned by the system
         self.completion_handle: typing.Optional[object] = None
+        #: the action of its thread-completion events on the current
+        #: processor: set at dispatch, reused by every continuation there
+        self.completion_action: typing.Optional[typing.Callable[[], None]] = None
         #: label of this worker's thread-completion events
         self.completion_label = f"complete:{job.name}#{index}"
 
@@ -83,13 +94,13 @@ class WorkerTask:
         """Move to ``state``, keeping the job's per-state worker counts."""
         job = self.job
         old = self._state
-        if old is WorkerState.RUNNING:
+        if old is _RUNNING:
             job.n_running -= 1
-        elif old is WorkerState.SUSPENDED:
+        elif old is _SUSPENDED:
             job.n_suspended -= 1
-        if state is WorkerState.RUNNING:
+        if state is _RUNNING:
             job.n_running += 1
-        elif state is WorkerState.SUSPENDED:
+        elif state is _SUSPENDED:
             job.n_suspended += 1
         self._state = state
 
@@ -101,7 +112,7 @@ class WorkerTask:
 
     def note_dispatch(self, processor: int, now: float) -> None:
         """Record a dispatch onto ``processor``."""
-        self._enter(WorkerState.RUNNING)
+        self._enter(_RUNNING)
         self.processor = processor
         self.started_at = now
         self.segment_start = now
@@ -122,7 +133,7 @@ class WorkerTask:
                 self.processor_history.insert(0, self.processor)
                 del self.processor_history[MAX_HISTORY_DEPTH:]
         self.processor = None
-        self._enter(WorkerState.SUSPENDED if suspended else WorkerState.IDLE)
+        self._enter(_SUSPENDED if suspended else _IDLE)
         if not suspended:
             self.current_thread = None
             self.remaining_service = 0.0
@@ -134,11 +145,11 @@ class WorkerTask:
         The worker waits SUSPENDED, holding the whole thread, until a
         processor picks it up (the time-sharing run queue's entry step).
         """
-        if self._state is not WorkerState.IDLE:
+        if self._state is not _IDLE:
             raise RuntimeError(f"worker {self.key} is {self._state.value}, not idle")
         self.current_thread = tid
         self.remaining_service = service
-        self._enter(WorkerState.SUSPENDED)
+        self._enter(_SUSPENDED)
 
     def __repr__(self) -> str:
         return (

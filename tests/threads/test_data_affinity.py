@@ -145,3 +145,27 @@ class TestEndToEnd:
         fifo = self.run_job(DataAffinitySpec(warm_discount=0.2, scheduler="fifo"))
         affine = self.run_job(DataAffinitySpec(warm_discount=0.2, scheduler="affine"))
         assert affine.response_time > (1 - 0.2) * fifo.response_time - 1e-9
+
+
+class TestWithoutSpec:
+    """A job without a spec skips the warm-group window, not the group."""
+
+    def test_service_is_the_base_time_and_sets_last_data_group(self):
+        job = grouped_job([5, 6], service=2.0)
+        worker = job.workers[0]
+        assert job.thread_service_for(worker, 1) == 2.0
+        assert worker.last_data_group == 6
+        assert job.thread_service_for(worker, 0) == 2.0
+        assert worker.last_data_group == 5
+
+    def test_negative_thread_rejected(self):
+        job = grouped_job([5, 6])
+        with pytest.raises(IndexError):
+            job.thread_service_for(job.workers[0], -1)
+
+    def test_run_sets_last_data_group_of_the_last_thread(self):
+        """One worker runs every thread FIFO, continuing on its processor."""
+        job = grouped_job([7, 8, 9], workers=1)
+        result = SchedulingSystem([job], DYN_AFF, n_processors=2, seed=0).run()
+        assert result.jobs["G"].work == pytest.approx(3.0)
+        assert job.workers[0].last_data_group == 9

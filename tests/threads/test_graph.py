@@ -1,5 +1,7 @@
 """Thread dependence graphs: readiness, profiles, invariants."""
 
+import typing
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -355,3 +357,80 @@ def test_property_bulk_builders_equal_single_builders(steps):
         ready_bulk.extend(bulk.complete(tid))
         ready_single.extend(single.complete(tid))
     assert bulk.all_done and single.all_done
+
+
+class TestForwardFlag:
+    """``forward`` lets ``validate_acyclic`` skip its pass; only when safe."""
+
+    @staticmethod
+    def spy_on_full_pass(monkeypatch) -> typing.List[ThreadGraph]:
+        calls: typing.List[ThreadGraph] = []
+        full_pass = ThreadGraph._topological_order
+
+        def spy(graph):
+            calls.append(graph)
+            return full_pass(graph)
+
+        monkeypatch.setattr(ThreadGraph, "_topological_order", spy)
+        return calls
+
+    def test_bulk_builders_keep_the_graph_forward(self, monkeypatch):
+        g = ThreadGraph()
+        fan = g.add_fan(None, [1.0, 1.0])
+        g.add_fan(g.add_join(fan), [1.0])
+        calls = self.spy_on_full_pass(monkeypatch)
+        assert g.forward
+        g.validate_acyclic()
+        assert calls == []
+
+    def test_back_edge_closing_a_cycle_still_raises(self):
+        g = ThreadGraph("cyclic")
+        fan = g.add_fan(None, [1.0, 1.0])
+        join = g.add_join(fan)
+        g.add_dependency(join, fan[0])  # fan[0] -> join -> fan[0]
+        assert not g.forward
+        with pytest.raises(ValueError, match="cycle"):
+            g.validate_acyclic()
+
+    def test_backward_acyclic_edge_takes_the_full_pass(self, monkeypatch):
+        g = ThreadGraph()
+        first = g.add_thread(1.0)
+        second = g.add_thread(1.0)
+        g.add_dependency(second, first)
+        calls = self.spy_on_full_pass(monkeypatch)
+        assert not g.forward
+        g.validate_acyclic()
+        assert calls == [g]
+        assert g.initially_ready() == [second]
+
+
+@st.composite
+def graphs_with_extra_edges(draw):
+    """Fan/join steps, then any edges between distinct existing threads."""
+    g = build_bulk(draw(fan_join_shapes()))
+    tids = st.integers(0, g.n_threads - 1)
+    edges = draw(st.lists(st.tuples(tids, tids).filter(lambda e: e[0] != e[1]), max_size=12))
+    for before, after in edges:
+        g.add_dependency(before, after)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_extra_edges())
+def test_property_forward_flag_agrees_with_topological_order(graph):
+    """``forward`` is exactly "every edge runs to a higher id", and never
+    hides a cycle the full pass finds."""
+    edges = [(u, v) for u, succs in enumerate(graph.successors) for v in succs]
+    assert graph.forward == all(u < v for u, v in edges)
+    try:
+        graph._topological_order()
+    except ValueError:
+        acyclic = False
+    else:
+        acyclic = True
+    assert acyclic or not graph.forward
+    if acyclic:
+        graph.validate_acyclic()
+    else:
+        with pytest.raises(ValueError):
+            graph.validate_acyclic()
