@@ -40,8 +40,8 @@ class TestLifecycle:
         job = make_job(2, max_workers=1)
         job.start(0.0)
         assert not job.finished
-        job.on_thread_complete(job.take_ready_thread())
-        job.on_thread_complete(job.take_ready_thread())
+        job.graph.complete(job.take_ready_thread())
+        job.graph.complete(job.take_ready_thread())
         assert job.finished
 
     def test_needs_at_least_one_worker(self):
