@@ -257,7 +257,6 @@ class BlockReader:
     the scalar one.  ``total`` is the stream's known length: the reader
     never pulls past it, and asking for more raises :class:`ValueError`.
     Without it, the generator may run up to one run ahead of the reads.
-    With an enabled ``profiler`` every draw is a ``generator`` span.
     :meth:`over` reads a stream stored by :func:`read_stream` instead.
     """
 
@@ -265,7 +264,6 @@ class BlockReader:
         self,
         gen: ReferenceGenerator,
         total: typing.Optional[int] = None,
-        profiler: typing.Optional[object] = None,
     ) -> None:
         if gen._engine.array_native:
             draw = gen.next_blocks_array
@@ -277,8 +275,6 @@ class BlockReader:
         self._unread = total
         self._run = draw(0)
         self._pos = 0
-        if profiler is not None:
-            draw = _in_span(draw, profiler)
         self._draw = draw
 
     @classmethod
@@ -347,19 +343,6 @@ def read_stream(gen: ReferenceGenerator, total: int) -> typing.Sequence[int]:
     for done in range(0, total, READ_AHEAD):
         stored.extend(reader.take(min(READ_AHEAD, total - done)))
     return stored
-
-
-def _in_span(draw: typing.Callable, profiler: typing.Any) -> typing.Callable:
-    """``draw``, timed as a ``generator`` span of ``profiler``."""
-
-    def timed(n: int):
-        profiler.push("generator")
-        try:
-            return draw(n)
-        finally:
-            profiler.pop()
-
-    return timed
 
 
 def _join_arrays(head, tail):

@@ -202,24 +202,6 @@ class Allocator:
             )
         )
 
-    def _profiled(
-        self, span: str, call: typing.Callable[..., None], *args: object
-    ) -> None:
-        """Run one decision entry point under a ``policy/*`` span.
-
-        Mirrors the tracer guard: without a profiler the cost is
-        one attribute load and branch per decision, no clock reads.
-        """
-        prof = self.system.profiler
-        if prof is None:
-            call(*args)
-            return
-        prof.push(span)  # type: ignore[attr-defined]
-        try:
-            call(*args)
-        finally:
-            prof.pop()  # type: ignore[attr-defined]
-
     # ------------------------------------------------------------------ #
     # job lifecycle
 
@@ -273,9 +255,6 @@ class Allocator:
         arrival and completion, so in the workload mixes (simultaneous
         arrival at t = 0) it runs a handful of times per experiment.
         """
-        self._profiled("policy/rebalance", self._rebalance_impl)
-
-    def _rebalance_impl(self) -> None:
         targets = self.equipartition_targets()
         self._emit_decision(
             "EQ",
@@ -308,12 +287,11 @@ class Allocator:
     # dynamic policies (Sections 5.2-5.4)
 
     def processor_available(self, proc: ProcessorRecord) -> None:
-        """A processor became free: apply rule A.1, then priority dispatch."""
-        if self._equipartition:
-            return  # equipartition never reacts to availability mid-run
-        self._profiled("policy/processor_available", self._processor_available_impl, proc)
+        """A processor became free: apply rule A.1, then priority dispatch.
 
-    def _processor_available_impl(self, proc: ProcessorRecord) -> None:
+        Never called under equipartition, which does not react to
+        availability mid-run.
+        """
         if not proc.is_free:
             raise RuntimeError(f"processor {proc.cpu_id} is not free")
         if self._time_sharing:
@@ -379,15 +357,11 @@ class Allocator:
         self.system.grant_processor(proc, job, worker=worker)
 
     def new_work(self, job: Job) -> None:
-        """``job`` has new runnable work: apply rules D.1, D.2, D.3 / A.2."""
-        if self._equipartition:
-            return  # its processors were already used by the system
-        if self.system.profiler is None:
-            self._new_work_impl(job)
-        else:
-            self._profiled("policy/new_work", self._new_work_impl, job)
+        """``job`` has new runnable work: apply rules D.1, D.2, D.3 / A.2.
 
-    def _new_work_impl(self, job: Job) -> None:
+        Never called under equipartition, whose processors the system
+        has already put to use.
+        """
         if self._time_sharing:
             self._enqueue(job)
             return

@@ -145,7 +145,6 @@ class SchedulingSystem:
         arrival_times: typing.Optional[typing.Sequence[float]] = None,
         footprint_model: typing.Optional[object] = None,
         tracer: typing.Optional[Tracer] = None,
-        profiler: typing.Optional[object] = None,
     ) -> None:
         if not jobs:
             raise ValueError("need at least one job")
@@ -181,22 +180,16 @@ class SchedulingSystem:
         self._alloc_mark: typing.Dict[str, float] = {}
         self._arrival_handles: typing.Dict[str, object] = {}
         self._finished_jobs = 0
+        #: set by the first run() call, which schedules the arrivals
+        self._started = False
         #: optional structured tracer (see repro.obs), the run's one
         #: observer: metrics are folded from its records after the run.
         #: None keeps every emission site at one attribute load and branch.
         self.tracer = tracer
-        #: optional wall-clock span profiler (see repro.obs.profiling);
-        #: the allocator reads it for policy/* spans, the simulator for
-        #: the engine/* spans.
-        self.profiler = profiler
         self.sim.attach_tracer(tracer)
-        self.sim.attach_profiler(profiler)
-        #: rules D.1-D.3 for a job with new work: the allocator's rule loop
-        #: itself, unless its profiler span applies; equipartition has none
+        #: rules D.1-D.3 for a job with new work; equipartition has none
         self._new_work: typing.Optional[typing.Callable[[Job], None]] = (
-            None if policy.is_equipartition
-            else self.allocator.new_work if profiler is not None
-            else self.allocator._new_work_impl
+            None if policy.is_equipartition else self.allocator.new_work
         )
 
     # ------------------------------------------------------------------ #
@@ -213,7 +206,9 @@ class SchedulingSystem:
         A run that is over (every job finished or cancelled, or ``run``
         raised) ends in :meth:`_close`, so its objects are freed by
         reference count.  A run paused at ``until`` with jobs outstanding
-        keeps its state, to be inspected or driven further.
+        keeps its state, to be inspected or driven further by another
+        ``run`` call; the paused and resumed run emits the same records
+        and returns the same result as one uninterrupted run.
         """
         if self.allocator.system is None:
             raise RuntimeError("this run is over; build a new SchedulingSystem")
@@ -249,6 +244,42 @@ class SchedulingSystem:
 
     def _run(self, until: typing.Optional[float]) -> SystemResult:
         tr = self.tracer
+        if not self._started:
+            self._start()
+        self.sim.run(until=until)
+        unfinished = [
+            job.name for job in self.jobs if not job.finished and not job.cancelled
+        ]
+        if tr is not None and (until is None or not unfinished):
+            tr.emit(
+                RunEnd(
+                    time=self.sim.now,
+                    makespan=self.sim.now,
+                    events_fired=self.sim.events_fired,
+                )
+            )
+        if unfinished and until is None:
+            raise RuntimeError(
+                f"simulation stalled with unfinished jobs: {unfinished}"
+            )
+        metrics = {job.name: JobMetrics.of(job) for job in self.jobs if job.finished}
+        return SystemResult(
+            policy=self.policy.name,
+            n_processors=len(self.allocator.procs),
+            seed=self.seed,
+            makespan=self.sim.now,
+            jobs=metrics,
+            cancelled={
+                job.name: job.cancelled_time
+                for job in self.jobs
+                if job.cancelled_time is not None
+            },
+        )
+
+    def _start(self) -> None:
+        """Emit the run's configuration and schedule every arrival."""
+        self._started = True
+        tr = self.tracer
         if tr is not None:
             tr.emit(
                 RunConfig(
@@ -274,35 +305,6 @@ class SchedulingSystem:
                 priority=_ARRIVAL_PRIORITY,
                 label=f"arrive:{job.name}",
             )
-        self.sim.run(until=until)
-        if tr is not None:
-            tr.emit(
-                RunEnd(
-                    time=self.sim.now,
-                    makespan=self.sim.now,
-                    events_fired=self.sim.events_fired,
-                )
-            )
-        unfinished = [
-            job.name for job in self.jobs if not job.finished and not job.cancelled
-        ]
-        if unfinished and until is None:
-            raise RuntimeError(
-                f"simulation stalled with unfinished jobs: {unfinished}"
-            )
-        metrics = {job.name: JobMetrics.of(job) for job in self.jobs if job.finished}
-        return SystemResult(
-            policy=self.policy.name,
-            n_processors=len(self.allocator.procs),
-            seed=self.seed,
-            makespan=self.sim.now,
-            jobs=metrics,
-            cancelled={
-                job.name: job.cancelled_time
-                for job in self.jobs
-                if job.cancelled_time is not None
-            },
-        )
 
     # ------------------------------------------------------------------ #
     # arrival / completion

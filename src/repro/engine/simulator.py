@@ -36,7 +36,6 @@ class Simulator:
         self._events_fired = 0
         self._running = False
         self._stopped = False
-        self._profiler: typing.Optional[object] = None
 
     @property
     def events_fired(self) -> int:
@@ -56,18 +55,6 @@ class Simulator:
         """
         if tracer is not None and tracer.capture_engine_events:  # type: ignore[attr-defined]
             self.add_trace_hook(tracer.engine_hook)  # type: ignore[attr-defined]
-
-    def attach_profiler(self, profiler: typing.Optional[object]) -> None:
-        """Wire a :class:`repro.obs.profiling.SpanProfiler` into the loop.
-
-        When a profiler is attached, :meth:`run` wraps the whole
-        loop in an ``engine/run`` span and each fired event in an
-        ``engine/<label-prefix>`` span (the label up to the first ``:``,
-        so ``slice:GRAVITY`` aggregates under ``engine/slice``).  With no
-        profiler the run loop's only extra cost is one check per
-        :meth:`run` call.
-        """
-        self._profiler = profiler
 
     def schedule(
         self,
@@ -159,10 +146,6 @@ class Simulator:
         queue = self.queue
         pop = queue.pop
         hooks = self._trace_hooks
-        prof = self._profiler
-        profiling = prof is not None
-        if profiling:
-            prof.push("engine/run")  # type: ignore[attr-defined]
         try:
             while not self._stopped:
                 if until is not None:
@@ -184,16 +167,7 @@ class Simulator:
                 if hooks:
                     for hook in hooks:
                         hook(time, event.label)
-                if profiling:
-                    # Aggregate per label family: "slice:GRAVITY" and
-                    # "slice:MATRIX" both land in "engine/slice".
-                    prof.push("engine/" + (event.label.split(":", 1)[0] or "event"))  # type: ignore[attr-defined]
-                    try:
-                        event.action()
-                    finally:
-                        prof.pop()  # type: ignore[attr-defined]
-                else:
-                    event.action()
+                event.action()
                 if max_events is not None:
                     fired_this_run += 1
                     if fired_this_run >= max_events:
@@ -207,8 +181,6 @@ class Simulator:
                 self._advance(until)
             return self.now
         finally:
-            if profiling:
-                prof.pop()  # type: ignore[attr-defined]
             self._running = False
 
     def _advance(self, time: float) -> None:

@@ -129,17 +129,6 @@ class SetAssociativeCache:
         self._tracer: typing.Optional[object] = None
         self._trace_cpu = 0
         self._trace_clock: typing.Optional[typing.Callable[[], float]] = None
-        # Self-profiling: same cost discipline as the tracer — one
-        # attribute load + branch per batch when no profiler is attached.
-        self._profiler: typing.Optional[object] = None
-
-    def attach_profiler(self, profiler: typing.Optional[object]) -> None:
-        """Time every engine call with a span profiler (None detaches).
-
-        The span is ``cache/access_batch``; see
-        :mod:`repro.obs.profiling`.
-        """
-        self._profiler = profiler
 
     def attach_tracer(
         self,
@@ -194,18 +183,12 @@ class SetAssociativeCache:
             ValueError: if any block is negative or >= 2**40 (checked
                 against the whole chunk before any state changes).
         """
-        prof = self._profiler
-        profiling = prof is not None
-        if profiling:
-            prof.push("cache/access_batch")  # type: ignore[attr-defined]
         oid = self._owner_ids.get(owner)
         if oid is None:
             oid = self._intern(owner)
         hits = self._backend.access_batch(oid << OWNER_SHIFT, blocks)
         if account:
             self.note_batch(owner, len(blocks), hits)
-        if profiling:
-            prof.pop()  # type: ignore[attr-defined]
         return hits
 
     def note_batch(self, owner: typing.Hashable, n: int, hits: int) -> None:
@@ -257,18 +240,11 @@ class SetAssociativeCache:
         an :meth:`access_batch` of a prefix of the same blocks, next,
         writes back without classifying them again.
         """
-        prof = self._profiler
-        profiling = prof is not None
-        if profiling:
-            prof.push("cache/access_batch")  # type: ignore[attr-defined]
         oid = self._owner_ids.get(owner)
         if oid is None:
             oid = self._intern(owner)
         flags = self._backend.access_flags  # type: ignore[attr-defined]
-        result = flags(oid << OWNER_SHIFT, blocks)
-        if profiling:
-            prof.pop()  # type: ignore[attr-defined]
-        return result
+        return flags(oid << OWNER_SHIFT, blocks)
 
     # -- queries -------------------------------------------------------- #
 

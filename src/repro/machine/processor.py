@@ -50,10 +50,6 @@ class Processor:
             tracer, cpu_id=self.cpu_id, clock=lambda: self.busy_time
         )
 
-    def attach_profiler(self, profiler: typing.Optional[object]) -> None:
-        """Route this processor's cache batch timing to ``profiler``."""
-        self.cache.attach_profiler(profiler)
-
     def touch(self, owner: typing.Hashable, block: int, refs_per_touch: int = 1) -> float:
         """Access ``block`` for ``owner``; returns the time cost in seconds.
 

@@ -138,7 +138,6 @@ class PenaltyExperiment:
         seed: int = 0,
         tracer: typing.Optional[object] = None,
         metrics: typing.Optional[object] = None,
-        profiler: typing.Optional[object] = None,
         backend: typing.Optional[str] = None,
     ) -> None:
         if n_switches_target < 2:
@@ -150,7 +149,6 @@ class PenaltyExperiment:
         self.seed = seed
         self.tracer = tracer
         self.metrics = metrics
-        self.profiler = profiler
         #: engine for the regime processors' caches *and* the reference
         #: generators (None = numpy when it imports, else scalar)
         self.backend = backend
@@ -187,16 +185,10 @@ class PenaltyExperiment:
             partner_reader = BlockReader(
                 ReferenceGenerator(
                     partner_ref, rng.stream("partner"), backend=self.backend
-                ),
-                profiler=self.profiler,
+                )
             )
 
         proc = Processor(0, self.machine, tracer=self.tracer, backend=self.backend)
-        prof = self.profiler
-        profiling = prof is not None
-        if profiling:
-            proc.attach_profiler(prof)
-            prof.push(f"penalty/{regime}")  # type: ignore[attr-defined]
 
         def on_switch() -> None:
             if regime == "migrating":
@@ -207,8 +199,6 @@ class PenaltyExperiment:
         response_time, switches = play_slices(
             proc, reader, q_s, app_ref.refs_per_touch, n_touches, on_switch
         )
-        if profiling:
-            prof.pop()  # type: ignore[attr-defined]
         if self.metrics is not None:
             metrics = self.metrics
             stats = proc.cache.stats
@@ -231,14 +221,7 @@ class PenaltyExperiment:
         gen = ReferenceGenerator(
             app.reference.reduced(self.scale), rng.stream("app"), backend=self.backend
         )
-        prof = self.profiler
-        profiling = prof is not None
-        if profiling:
-            prof.push("generator")  # type: ignore[attr-defined]
-        stream = read_stream(gen, n_touches)
-        if profiling:
-            prof.pop()  # type: ignore[attr-defined]
-        return stream
+        return read_stream(gen, n_touches)
 
     def measure(
         self,

@@ -34,7 +34,6 @@ def run_mix(
     n_processors: int = DEFAULT_PROCESSORS,
     machine: MachineSpec = SEQUENT_SYMMETRY,
     tracer: typing.Optional[object] = None,
-    profiler: typing.Optional[object] = None,
     heartbeat: typing.Optional[HeartbeatEmitter] = None,
 ) -> SystemResult:
     """Run one mix once under one policy; returns per-job metrics.
@@ -42,8 +41,8 @@ def run_mix(
     The workload RNG stream is derived from ``seed`` but *not* from the
     policy, so different policies scheduling the same seed see the same
     jobs — the common-random-numbers pairing the paper's relative response
-    times rely on.  ``tracer``/``profiler`` attach the observability
-    layer to the run; both default to off (the null fast path).
+    times rely on.  ``tracer`` attaches the observability layer to the
+    run; it defaults to off (the null fast path).
     ``heartbeat`` streams live progress snapshots (observation only —
     results are unchanged).
     """
@@ -57,7 +56,6 @@ def run_mix(
         seed=seed,
         rng=rng.spawn(f"system/{policy.name}"),
         tracer=tracer,
-        profiler=profiler,
     )
     if heartbeat is not None:
         system.sim.add_trace_hook(heartbeat.engine_hook)

@@ -1,6 +1,6 @@
 """Observability: structured tracing, metrics, and trace-derived oracles.
 
-The subsystem has four pieces, layered so each consumes the one below:
+The subsystem has eight pieces:
 
 * :mod:`repro.obs.records` — typed, timestamped trace records;
 * :mod:`repro.obs.tracer` — collection (:class:`Tracer`) with a null
@@ -22,8 +22,8 @@ The subsystem has four pieces, layered so each consumes the one below:
   (progress, rates), printed to stderr by the process running each
   cell, and the summary folded from each cell's final snapshot;
 * :mod:`repro.obs.profiling` — wall-clock self-profiling of the
-  simulator itself (:class:`SpanProfiler`, null fast path like the
-  tracer).
+  simulator itself: a cell run under cProfile, folded into one row per
+  ``repro`` module.
 """
 
 from repro.obs.invariants import StreamingChecker, assert_trace_ok, check_trace
@@ -58,11 +58,7 @@ from repro.obs.records import (
     record_from_dict,
     record_to_dict,
 )
-from repro.obs.profiling import (
-    PROFILE_SCHEMA,
-    SpanProfiler,
-    validate_profile,
-)
+from repro.obs.profiling import PROFILE_SCHEMA, validate_profile
 from repro.obs.tracer import Tracer
 
 __all__ = [
@@ -84,7 +80,6 @@ __all__ = [
     "PROFILE_SCHEMA",
     "PolicyDecision",
     "RECORD_KINDS",
-    "SpanProfiler",
     "RunConfig",
     "RunEnd",
     "SNAPSHOT_SCHEMA",

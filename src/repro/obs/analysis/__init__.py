@@ -13,7 +13,7 @@ Four consumers of the trace, one shared replay substrate
   bucket-attributed response-time deltas and the first divergent
   decision;
 * :mod:`repro.obs.profiling` — the simulator's own wall-clock profile
-  (lives one level up because it instruments *running* code, while this
+  (lives one level up because it profiles *running* code, while this
   package only reads finished traces).
 """
 

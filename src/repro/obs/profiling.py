@@ -1,129 +1,127 @@
-"""Self-profiling: a wall-clock span timer with a null fast path.
+"""Self-profiling: a cell's wall clock, folded by ``repro`` module.
 
-Where the tracer and metrics observe the *simulated* machine, the span
-profiler observes the *simulator*: real (monotonic) seconds spent inside
-the run loop, the cache batch path, policy decisions, and replication
-workers.  The design copies the Tracer's cost discipline — instrumented
-code holds an optional profiler (``None`` is off) and guards with::
+Where the tracer and metrics observe the *simulated* machine, the
+profile observes the *simulator*.  :func:`profile_call` runs one call
+under :class:`cProfile.Profile` and folds its per-function statistics
+into one row per ``repro`` module (``core.allocator``, ``engine.queue``,
+``machine.cache``, ...) and one :data:`EXTERNAL` row for all code
+outside the package: the standard library, C builtins and numpy, even
+when ``repro`` code calls them.  A row holds the primitive call count
+and the self seconds of its module's functions, so the rows of a
+snapshot sum to its profiled time (``wall_s``) and no code carries
+hand-placed timers.
 
-    prof = self.profiler
-    if prof is not None:
-        prof.push("cache/access_batch")
-        ...
-        prof.pop()
-
-so the disabled path is one attribute load and branch per operation.
-
-Spans nest: ``pop`` charges the elapsed time to the span's name
-*inclusively* and to its *exclusive* time net of child spans, so the
-aggregate table answers "where does the wall clock actually go" at both
-granularities.  Snapshots are schema-tagged plain dicts that merge like
-metrics snapshots (calls/times add, max combines) — per-replication
-profiles from worker processes travel home the same way metrics do.
-Unlike metrics, profile *values* are wall-clock measurements and are
-inherently nondeterministic; only the snapshot *shape* is stable.
+Snapshots are schema-tagged plain dicts that merge like metrics
+snapshots (calls and seconds add), so per-cell profiles from worker
+processes travel home the same way metrics do.  Seconds are wall-clock
+measurements, inflated by cProfile's per-call cost and never
+reproducible; call counts are deterministic.  ``cProfile`` is imported
+only when a call is profiled.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import time
 import typing
 
 #: Profile snapshot schema identifier, bumped on incompatible changes.
-PROFILE_SCHEMA = "repro.profile/1"
+PROFILE_SCHEMA = "repro.profile/2"
+
+#: The row of every function outside the ``repro`` package.
+EXTERNAL = "<external>"
+
+#: The package directory, with a trailing separator.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + os.sep
+
+T = typing.TypeVar("T")
 
 
-class SpanProfiler:
-    """Aggregates named wall-clock spans into inclusive/exclusive totals.
+def profile_call(
+    fn: typing.Callable[..., T], *args: typing.Any
+) -> typing.Tuple[T, typing.Dict[str, typing.Any]]:
+    """``fn(*args)`` and the profile snapshot of that call.
 
-    Args:
-        clock: a monotonic ``() -> float`` seconds source; injectable for
-            deterministic tests (defaults to :func:`time.perf_counter`).
+    Garbage left by earlier work is collected first, so none of its
+    finalizers runs, and counts, inside the profile.
     """
+    import cProfile
 
-    def __init__(self, clock: typing.Callable[[], float] = time.perf_counter) -> None:
-        self._clock = clock
-        #: open spans: [name, start, child_inclusive_seconds]
-        self._stack: typing.List[typing.List[typing.Any]] = []
-        #: name -> [calls, inclusive_s, exclusive_s, max_s]
-        self._spans: typing.Dict[str, typing.List[float]] = {}
+    gc.collect()
+    profile = cProfile.Profile()
+    start = time.perf_counter()
+    profile.enable()
+    try:
+        result = fn(*args)
+    finally:
+        profile.disable()
+        wall_s = time.perf_counter() - start
+    return result, fold_stats(profile.getstats(), wall_s)
 
-    # -- recording ------------------------------------------------------- #
 
-    def push(self, name: str) -> None:
-        """Open a span called ``name`` at the current clock reading."""
-        self._stack.append([name, self._clock(), 0.0])
+def fold_stats(
+    entries: typing.Iterable[typing.Any], wall_s: float
+) -> typing.Dict[str, typing.Any]:
+    """Fold ``cProfile.Profile.getstats()`` entries into a snapshot."""
+    rows: typing.Dict[str, typing.List[float]] = {}
+    for entry in entries:
+        code = entry.code
+        module = module_of(code if isinstance(code, str) else code.co_filename)
+        row = rows.get(module)
+        if row is None:
+            row = rows[module] = [0, 0.0]
+        row[0] += entry.callcount - entry.reccallcount
+        row[1] += entry.inlinetime
+    return _snapshot(rows, wall_s)
 
-    def pop(self) -> None:
-        """Close the innermost open span and charge its elapsed time.
 
-        A directly recursive span double-counts inclusive time (each
-        level charges its full duration); exclusive time stays exact.
-        """
-        name, start, child = self._stack.pop()
-        duration = self._clock() - start
-        if self._stack:
-            self._stack[-1][2] += duration
-        agg = self._spans.get(name)
-        if agg is None:
-            agg = self._spans[name] = [0, 0.0, 0.0, 0.0]
-        agg[0] += 1
-        agg[1] += duration
-        agg[2] += duration - child
-        if duration > agg[3]:
-            agg[3] = duration
+def module_of(filename: str) -> str:
+    """The row of code in ``filename``: its dotted module path below
+    ``repro`` (``repro`` itself for the package's ``__init__``), or
+    :data:`EXTERNAL`."""
+    path = os.path.abspath(filename)
+    if not (path.startswith(_PACKAGE_DIR) and path.endswith(".py")):
+        return EXTERNAL
+    parts = path[len(_PACKAGE_DIR):-3].split(os.sep)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts) or "repro"
 
-    # -- snapshots ------------------------------------------------------- #
 
-    def snapshot(self) -> typing.Dict[str, typing.Any]:
-        """The aggregate table as a plain, schema-tagged, mergeable dict.
+def merge_profiles(
+    snapshots: typing.Iterable[typing.Mapping[str, typing.Any]]
+) -> typing.Dict[str, typing.Any]:
+    """Add ``snapshots`` up, in the order given, into one snapshot.
 
-        Raises:
-            RuntimeError: if spans are still open (the table would be
-                missing their time and could never merge consistently).
-        """
-        if self._stack:
-            open_names = [frame[0] for frame in self._stack]
-            raise RuntimeError(f"snapshot with open spans: {open_names}")
-        return {
-            "schema": PROFILE_SCHEMA,
-            "spans": {
-                name: {
-                    "calls": int(agg[0]),
-                    "inclusive_s": agg[1],
-                    "exclusive_s": agg[2],
-                    "max_s": agg[3],
-                }
-                for name, agg in sorted(self._spans.items())
-            },
-        }
-
-    def merge_snapshot(self, snapshot: typing.Mapping[str, typing.Any]) -> None:
-        """Fold another profiler's snapshot into this one.
-
-        Raises:
-            ValueError: on a schema mismatch or malformed snapshot.
-        """
+    Raises:
+        ValueError: on a schema mismatch or malformed snapshot.
+    """
+    rows: typing.Dict[str, typing.List[float]] = {}
+    wall_s = 0.0
+    for snapshot in snapshots:
         validate_profile(snapshot)
-        for name, data in snapshot["spans"].items():
-            agg = self._spans.get(name)
-            if agg is None:
-                agg = self._spans[name] = [0, 0.0, 0.0, 0.0]
-            agg[0] += data["calls"]
-            agg[1] += data["inclusive_s"]
-            agg[2] += data["exclusive_s"]
-            if data["max_s"] > agg[3]:
-                agg[3] = data["max_s"]
+        wall_s += snapshot["wall_s"]
+        for module, data in snapshot["modules"].items():
+            row = rows.get(module)
+            if row is None:
+                row = rows[module] = [0, 0.0]
+            row[0] += data["calls"]
+            row[1] += data["self_s"]
+    return _snapshot(rows, wall_s)
 
-    @classmethod
-    def merged(
-        cls, snapshots: typing.Iterable[typing.Mapping[str, typing.Any]]
-    ) -> typing.Dict[str, typing.Any]:
-        """Merge ``snapshots`` into one snapshot dict."""
-        profiler = cls()
-        for snapshot in snapshots:
-            profiler.merge_snapshot(snapshot)
-        return profiler.snapshot()
+
+def _snapshot(
+    rows: typing.Mapping[str, typing.Sequence[float]], wall_s: float
+) -> typing.Dict[str, typing.Any]:
+    return {
+        "schema": PROFILE_SCHEMA,
+        "wall_s": wall_s,
+        "modules": {
+            module: {"calls": int(row[0]), "self_s": row[1]}
+            for module, row in sorted(rows.items())
+        },
+    }
 
 
 def validate_profile(snapshot: typing.Mapping[str, typing.Any]) -> None:
@@ -139,14 +137,17 @@ def validate_profile(snapshot: typing.Mapping[str, typing.Any]) -> None:
             f"unknown profile schema {snapshot.get('schema')!r}; "
             f"expected {PROFILE_SCHEMA!r}"
         )
-    spans = snapshot.get("spans")
-    if not isinstance(spans, typing.Mapping):
-        raise ValueError("profile section 'spans' missing or not a mapping")
-    for name, data in spans.items():
+    wall_s = snapshot.get("wall_s")
+    if not isinstance(wall_s, (int, float)) or wall_s < 0:
+        raise ValueError("profile 'wall_s' missing or negative")
+    modules = snapshot.get("modules")
+    if not isinstance(modules, typing.Mapping):
+        raise ValueError("profile section 'modules' missing or not a mapping")
+    for name, data in modules.items():
         if not isinstance(data, typing.Mapping):
-            raise ValueError(f"span {name!r} is not a mapping")
-        for key in ("calls", "inclusive_s", "exclusive_s", "max_s"):
+            raise ValueError(f"module row {name!r} is not a mapping")
+        for key in ("calls", "self_s"):
             if key not in data:
-                raise ValueError(f"span {name!r} is missing {key!r}")
-        if data["calls"] < 0 or data["inclusive_s"] < 0 or data["max_s"] < 0:
-            raise ValueError(f"span {name!r} has negative totals")
+                raise ValueError(f"module row {name!r} is missing {key!r}")
+        if data["calls"] < 0 or data["self_s"] < 0:
+            raise ValueError(f"module row {name!r} has negative totals")

@@ -151,24 +151,24 @@ def render_diff_report(diff: TraceDiff) -> str:
 
 
 def render_profile_table(snapshot: typing.Mapping[str, typing.Any]) -> str:
-    """A :meth:`SpanProfiler.snapshot` as an inclusive-time-sorted table."""
-    spans = snapshot.get("spans", {})
+    """A profile snapshot (:mod:`repro.obs.profiling`) as one row per
+    module, sorted by self time."""
+    wall_s = snapshot["wall_s"]
     ordered = sorted(
-        spans.items(), key=lambda kv: kv[1]["inclusive_s"], reverse=True
+        snapshot["modules"].items(), key=lambda kv: (-kv[1]["self_s"], kv[0])
     )
     rows = [
         [
             name,
             data["calls"],
-            data["inclusive_s"],
-            data["exclusive_s"],
-            data["max_s"],
-            (data["inclusive_s"] / data["calls"]) if data["calls"] else 0.0,
+            data["self_s"],
+            f"{100.0 * data['self_s'] / wall_s:.1f}%" if wall_s else "-",
         ]
         for name, data in ordered
     ]
     return format_table(
-        ["span", "calls", "inclusive s", "exclusive s", "max s", "s/call"],
+        ["module", "calls", "self s", "share"],
         rows,
-        title="simulator self-profile (wall clock, sorted by inclusive time)",
+        title=f"simulator self-profile (cProfile self time by module, "
+        f"{wall_s:.3f} s profiled)",
     )

@@ -29,7 +29,7 @@ from repro.measure.penalty import PenaltyExperiment, PenaltyResult, PenaltyTable
 from repro.measure.runner import JobSummary, MixComparison, run_mix
 from repro.measure.workloads import MIXES
 from repro.obs.metrics import MetricsFold, MetricsRegistry, metrics_from_records
-from repro.obs.profiling import SpanProfiler
+from repro.obs.profiling import merge_profiles, profile_call
 from repro.reporting.export import to_plain
 from repro.sweep.cache import RESULT_SCHEMA
 from repro.sweep.spec import (
@@ -109,20 +109,36 @@ def run_cell(
     holds after the run or, with no ``tracer``, each one as it is
     emitted, into a :class:`~repro.obs.metrics.MetricsFold` that keeps
     none.  A ``table1`` cell feeds its ``penalty/*`` instruments live.
-    A ``profile`` snapshot is wall-clock measurement and therefore
-    *transient* — the executor strips it before caching (see
-    :func:`strip_transient`).
+    ``collect_profile`` runs the driver under cProfile and adds its
+    ``profile`` snapshot (see :mod:`repro.obs.profiling`), a wall-clock
+    measurement and therefore *transient* — the executor strips it
+    before caching (see :func:`strip_transient`).
     """
     if cell.kind not in CELL_KINDS:
         raise ValueError(f"unknown cell kind {cell.kind!r}")
+    if not collect_profile:
+        return _compute(cell, collect_metrics, tracer, heartbeat)
+    payload, profile = profile_call(
+        _compute, cell, collect_metrics, tracer, heartbeat
+    )
+    payload["profile"] = profile
+    return payload
+
+
+def _compute(
+    cell: SweepCell,
+    collect_metrics: bool,
+    tracer: typing.Optional[object],
+    heartbeat: typing.Optional[object],
+) -> typing.Dict[str, typing.Any]:
+    """Run ``cell``'s driver and pack its payload (see :func:`run_cell`)."""
     config = cell.config
     registry = None
-    profiler = SpanProfiler() if collect_profile else None
     if cell.kind == "table1":
         registry = MetricsRegistry() if collect_metrics else None
         experiment = PenaltyExperiment(
             scale=config["scale"], seed=config["seed"], backend=config["backend"],
-            tracer=tracer, metrics=registry, profiler=profiler,
+            tracer=tracer, metrics=registry,
         )
         result = experiment.measure(
             APPLICATIONS[config["app"]],
@@ -137,7 +153,7 @@ def run_cell(
             tracer = fold = MetricsFold()
         run = dict(
             seed=config["seed"], n_processors=config["n_processors"],
-            tracer=tracer, profiler=profiler, heartbeat=heartbeat,
+            tracer=tracer, heartbeat=heartbeat,
         )
         if cell.kind == "mix":
             data = {"system": to_plain(run_mix(config["mix"], policy, **run))}
@@ -169,8 +185,6 @@ def run_cell(
     }
     if registry is not None:
         payload["metrics"] = registry.snapshot()
-    if profiler is not None:
-        payload["profile"] = profiler.snapshot()
     return payload
 
 
@@ -317,7 +331,7 @@ def penalty_table(
 #: payload field -> the order-stable merge of its snapshots
 _MERGES: typing.Dict[str, typing.Callable[..., typing.Dict[str, typing.Any]]] = {
     "metrics": MetricsRegistry.merged,
-    "profile": SpanProfiler.merged,
+    "profile": merge_profiles,
 }
 
 

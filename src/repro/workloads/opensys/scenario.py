@@ -191,7 +191,6 @@ def run_scenario(
     n_processors: int = 16,
     machine: MachineSpec = SEQUENT_SYMMETRY,
     tracer: typing.Optional[object] = None,
-    profiler: typing.Optional[object] = None,
     heartbeat: typing.Optional[HeartbeatEmitter] = None,
 ) -> OpenSystemResult:
     """Instantiate ``scenario`` for ``seed`` and run it under ``policy``.
@@ -213,7 +212,6 @@ def run_scenario(
         rng=registry.spawn(f"system/{policy.name}"),
         arrival_times=list(instance.arrival_times),
         tracer=tracer,
-        profiler=profiler,
     )
     for index, when in instance.cancellations:
         job = system.jobs[index]

@@ -12,8 +12,8 @@ at every step.  Nothing under ``src/`` imports this module.
 The spec reads only :class:`ProcessorRecord` fields (``job``,
 ``worker``, ``yield_handle``, ``online``) and worker states, never a
 counter or mask, so a drifted counter shows up as a different decision.
-The decision-independent plumbing (tracing, profiling spans, the credit
-scheduler, equipartition targets) is inherited unchanged.
+The decision-independent plumbing (tracing, the credit scheduler,
+equipartition targets) is inherited unchanged.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class SpecAllocator(Allocator):
 
     # -- equipartition -------------------------------------------------------- #
 
-    def _rebalance_impl(self) -> None:
+    def rebalance_equipartition(self) -> None:
         targets = self.equipartition_targets()
         self._emit_decision(
             "EQ",
@@ -161,7 +161,7 @@ class SpecAllocator(Allocator):
 
     # -- dynamic policies ------------------------------------------------------ #
 
-    def _processor_available_impl(self, proc: ProcessorRecord) -> None:
+    def processor_available(self, proc: ProcessorRecord) -> None:
         if not proc.is_free:
             raise RuntimeError(f"processor {proc.cpu_id} is not free")
         requesting = self.requesters()
@@ -218,7 +218,7 @@ class SpecAllocator(Allocator):
             )
         self.system.grant_processor(proc, job, worker=worker)
 
-    def _new_work_impl(self, job: Job) -> None:
+    def new_work(self, job: Job) -> None:
         while True:
             if spec_additional_request(job, self.allocation(job)) <= 0:
                 return

@@ -6,7 +6,7 @@ from repro.core.policies import DYN_AFF, DYNAMIC, EQUIPARTITION
 from repro.core.system import SchedulingSystem
 from repro.obs import Tracer
 from repro.obs.invariants import check_trace
-from repro.obs.records import CacheFlush, Dispatch, JobArrival, JobCancelled
+from repro.obs.records import CacheFlush, Dispatch, JobArrival, JobCancelled, RunEnd
 from tests.core.helpers import chain_job, flat_job, phased_job
 
 
@@ -159,6 +159,36 @@ class TestValidationAndDeterminism:
         result = system.run(until=5.0)
         assert "SLOW" not in result.jobs
         assert result.makespan == pytest.approx(5.0)
+
+    @pytest.mark.parametrize(
+        "make_jobs, policy, n_processors, pauses",
+        [
+            (lambda: [chain_job("SLOW", 100, 1.0)], DYNAMIC, 1, (5.0,)),
+            (
+                lambda: [flat_job("A", 10, 1.0, 4), phased_job("B", 3, 4, 0.5, 4)],
+                DYN_AFF, 4, (0.5, 1.25, 2.0),
+            ),
+        ],
+        ids=["chain", "two-jobs"],
+    )
+    def test_resumed_run_matches_an_uninterrupted_one(
+        self, make_jobs, policy, n_processors, pauses
+    ):
+        def traced_system():
+            tracer = Tracer()
+            system = SchedulingSystem(
+                make_jobs(), policy, n_processors=n_processors, seed=3, tracer=tracer
+            )
+            return system, tracer
+
+        whole, whole_trace = traced_system()
+        expected = whole.run()
+        paused, paused_trace = traced_system()
+        for until in pauses:
+            assert paused.run(until=until).makespan == pytest.approx(until)
+            assert not any(isinstance(r, RunEnd) for r in paused_trace.records)
+        assert paused.run() == expected
+        assert paused_trace.records == whole_trace.records
 
 
 class TestAccountingIdentities:

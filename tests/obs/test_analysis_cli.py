@@ -256,13 +256,13 @@ class TestExportGoldens:
 
 
 class TestProfileFlag:
-    def test_table1_profile_prints_span_table(self, capsys):
+    def test_table1_profile_prints_module_table(self, capsys):
         assert main(["table1", "--scale", "16", "--profile"]) == 0
         stdout = capsys.readouterr().out
         assert PROFILE_MARKER in stdout
         assert "simulator self-profile" in stdout
-        assert "cache/access_batch" in stdout
-        assert "penalty/" in stdout
+        assert " machine.cache " in stdout
+        assert " measure.penalty " in stdout
 
     def test_fig6_analyze_prints_attribution(self, capsys):
         assert main(["fig6", "--replications", "1", "--analyze",
@@ -271,4 +271,4 @@ class TestProfileFlag:
         assert ANALYSIS_MARKER in stdout
         assert "conservation: exact" in stdout
         assert PROFILE_MARKER in stdout
-        assert "engine/run" in stdout
+        assert " engine.simulator " in stdout
