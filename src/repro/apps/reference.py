@@ -225,14 +225,6 @@ class ReferenceGenerator:
             raise ValueError(f"touch count must be non-negative, got {n}")
         return self._engine.next_blocks_array(self, n)
 
-    def reset(self) -> None:
-        """Forget the hot set (e.g. at an application phase change)."""
-        # Engine state (mirrored rng, normalized ring history) must be
-        # materialized back onto this object before we mutate the ring.
-        self._engine.invalidate(self)
-        self._recent_start = 0
-        self._recent_len = 0
-
 
 #: Touches a :class:`BlockReader` pulls from its generator at a time,
 #: far above the numpy engine's ``MIN_VEC`` scalar fallback.  Scale-16

@@ -80,14 +80,6 @@ class GeneratorBackend(typing.Protocol):
         list.  Requires numpy (the scalar engine converts on demand).
         """
 
-    def invalidate(self, gen: "ReferenceGenerator") -> None:
-        """Materialize all engine-side state back onto ``gen``.
-
-        Called before external mutation of generator state (``reset``),
-        so the Python-visible ring buffer and rng are authoritative
-        again.  A no-op for engines that keep no private state.
-        """
-
 
 def generator_vectorizable(spec: "ReferenceSpec", rng: random.Random) -> bool:
     """True when the numpy engine can reproduce this stream bit-exactly.

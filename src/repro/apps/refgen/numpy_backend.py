@@ -291,10 +291,6 @@ class NumpyGeneratorBackend:
     def next_blocks_array(self, gen: "ReferenceGenerator", n: int) -> np.ndarray:
         return self._draw(gen, n)
 
-    def invalidate(self, gen: "ReferenceGenerator") -> None:
-        if self._state.valid:
-            self._state.flush(gen)
-
     def _draw(self, gen: "ReferenceGenerator", n: int) -> np.ndarray:
         """``n`` touches of ``gen``, vectorized with internal segmentation."""
         spec = gen.spec

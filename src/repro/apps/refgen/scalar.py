@@ -117,6 +117,3 @@ class ScalarGeneratorBackend:
         import numpy
 
         return numpy.asarray(next_blocks_spec(gen, n), dtype=numpy.int64)
-
-    def invalidate(self, gen: "ReferenceGenerator") -> None:
-        """No engine-side state: the generator is always authoritative."""

@@ -76,11 +76,6 @@ class ProcessorRecord:
         """Running a worker."""
         return self.worker is not None
 
-    @property
-    def is_held_idle(self) -> bool:
-        """Owned by a job but running nothing."""
-        return self.job is not None and self.worker is None
-
     def __repr__(self) -> str:
         owner = self.job.name if self.job else None
         return f"ProcessorRecord(cpu={self.cpu_id}, job={owner!r}, busy={self.is_busy})"

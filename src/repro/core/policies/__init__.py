@@ -6,11 +6,11 @@ system but are kept out of it, so every five-policy set stays the paper's.
 """
 
 from repro.core.policies.base import Policy, equipartition_allocation
-from repro.core.policies.dyn_aff import DYN_AFF, DynAff
-from repro.core.policies.dyn_aff_delay import DYN_AFF_DELAY, DynAffDelay
-from repro.core.policies.dyn_aff_nopri import DYN_AFF_NOPRI, DynAffNoPri
-from repro.core.policies.dynamic import DYNAMIC, Dynamic
-from repro.core.policies.equipartition import EQUIPARTITION, Equipartition
+from repro.core.policies.dyn_aff import DYN_AFF
+from repro.core.policies.dyn_aff_delay import DYN_AFF_DELAY
+from repro.core.policies.dyn_aff_nopri import DYN_AFF_NOPRI
+from repro.core.policies.dynamic import DYNAMIC
+from repro.core.policies.equipartition import EQUIPARTITION
 from repro.core.policies.timesharing import TIME_SHARING, TIME_SHARING_AFFINITY
 
 #: All policies by display name, in the paper's presentation order.
@@ -24,12 +24,7 @@ __all__ = [
     "DYN_AFF",
     "DYN_AFF_DELAY",
     "DYN_AFF_NOPRI",
-    "Dynamic",
-    "DynAff",
-    "DynAffDelay",
-    "DynAffNoPri",
     "EQUIPARTITION",
-    "Equipartition",
     "POLICIES",
     "Policy",
     "TIME_SHARING",

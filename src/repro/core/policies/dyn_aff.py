@@ -20,11 +20,7 @@ from __future__ import annotations
 from repro.core.policies.base import Policy
 
 
-class DynAff(Policy):
-    """Frozen policy instance; see module docstring."""
-
-
-DYN_AFF = DynAff(
+DYN_AFF = Policy(
     name="Dyn-Aff",
     space_sharing="dynamic",
     use_affinity=True,

@@ -21,15 +21,11 @@ from __future__ import annotations
 from repro.core.policies.base import Policy
 
 
-class DynAffDelay(Policy):
-    """Frozen policy instance; see module docstring."""
-
-
 #: Delay before an idle processor is actually handed back.
 DEFAULT_YIELD_DELAY_S = 0.025
 
 
-DYN_AFF_DELAY = DynAffDelay(
+DYN_AFF_DELAY = Policy(
     name="Dyn-Aff-Delay",
     space_sharing="dynamic",
     use_affinity=True,

@@ -18,11 +18,7 @@ from __future__ import annotations
 from repro.core.policies.base import Policy
 
 
-class DynAffNoPri(Policy):
-    """Frozen policy instance; see module docstring."""
-
-
-DYN_AFF_NOPRI = DynAffNoPri(
+DYN_AFF_NOPRI = Policy(
     name="Dyn-Aff-NoPri",
     space_sharing="dynamic",
     use_affinity=True,

@@ -20,11 +20,7 @@ from __future__ import annotations
 from repro.core.policies.base import Policy
 
 
-class Dynamic(Policy):
-    """Frozen policy instance; see module docstring."""
-
-
-DYNAMIC = Dynamic(
+DYNAMIC = Policy(
     name="Dynamic",
     space_sharing="dynamic",
     use_affinity=False,

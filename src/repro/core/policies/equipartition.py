@@ -13,11 +13,7 @@ from __future__ import annotations
 from repro.core.policies.base import Policy
 
 
-class Equipartition(Policy):
-    """Frozen policy instance; see module docstring."""
-
-
-EQUIPARTITION = Equipartition(
+EQUIPARTITION = Policy(
     name="Equipartition",
     space_sharing="equipartition",
     use_affinity=False,

@@ -85,21 +85,6 @@ class Event:
         self.state = _PENDING
         self._queue = queue
 
-    @property
-    def pending(self) -> bool:
-        """True while the event is queued and may still fire."""
-        return self.state is _PENDING
-
-    @property
-    def fired(self) -> bool:
-        """True once the event has been popped for execution."""
-        return self.state is _FIRED
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the event has been cancelled (and will never fire)."""
-        return self.state is _CANCELLED
-
     def cancel(self) -> bool:
         """Prevent the event from firing, if it has not fired already.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import typing
 
-from repro.engine.events import _CANCELLED, _FIRED, DEFAULT_PRIORITY, Event
+from repro.engine.events import _CANCELLED, _FIRED, _PENDING, DEFAULT_PRIORITY, Event
 
 
 #: A heap entry.  ``seq`` is unique, so ordering never reaches the
@@ -36,9 +36,6 @@ class EventQueue:
     def __len__(self) -> int:
         """Number of live (pending) events still queued."""
         return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
 
     def push(
         self,
@@ -93,7 +90,7 @@ class EventQueue:
         """
         for entry in self._heap:
             event = entry[3]
-            if event.pending:
+            if event.state is _PENDING:
                 event.state = _CANCELLED
             event.action = None  # type: ignore[assignment]
         self._heap.clear()

@@ -18,10 +18,10 @@ class Simulator:
     calling :meth:`run`.  Components receive the simulator instance and use
     ``sim.now`` for the current time and ``sim.schedule`` for future work.
 
-    ``now`` is a plain attribute, in seconds, that only the run loop and
-    :meth:`reset` write.  The clock is monotonic: an event or an ``until``
-    that lies before ``now`` is a programming error and raises
-    ``ValueError`` rather than silently corrupting causality.
+    ``now`` is a plain attribute, in seconds, that only the run loop
+    writes.  The clock is monotonic: an event or an ``until`` that lies
+    before ``now`` is a programming error and raises ``ValueError``
+    rather than silently corrupting causality.
 
     Trace hooks receive ``(time, label)`` for every fired event; they exist
     for tests and debugging and are never required for correctness.
@@ -103,33 +103,12 @@ class Simulator:
         """Request the run loop to stop after the current event."""
         self._stopped = True
 
-    def reset(self, seed: typing.Optional[int] = None) -> None:
-        """Return the simulator to a pristine state for reuse.
-
-        Cancels everything still queued, rewinds the clock to zero, and
-        zeroes the fired-event counter.  Trace hooks are kept (they are
-        observers, not simulation state).  Pass ``seed`` to also replace
-        the RNG registry; otherwise the existing registry is kept as-is.
-
-        Raises:
-            RuntimeError: if called from within a running event.
-        """
-        if self._running:
-            raise RuntimeError("cannot reset a running simulator")
-        self.queue.clear()
-        self.now = 0.0
-        self._events_fired = 0
-        self._stopped = False
-        if seed is not None:
-            self.rng = RngRegistry(seed)
-
-    def run(self, until: typing.Optional[float] = None, max_events: typing.Optional[int] = None) -> float:
+    def run(self, until: typing.Optional[float] = None) -> float:
         """Execute events in order until exhaustion, ``until``, or ``stop()``.
 
         Args:
             until: if given, stop once the next event would fire after this
                 time; the clock is advanced to ``until`` in that case.
-            max_events: optional safety valve for tests.
 
         Returns:
             The virtual time at which the run loop stopped.
@@ -141,8 +120,6 @@ class Simulator:
             raise RuntimeError("Simulator.run is not re-entrant")
         self._running = True
         self._stopped = False
-        fired_this_run = 0
-        limited = False
         queue = self.queue
         pop = queue.pop
         hooks = self._trace_hooks
@@ -168,16 +145,11 @@ class Simulator:
                     for hook in hooks:
                         hook(time, event.label)
                 event.action()
-                if max_events is not None:
-                    fired_this_run += 1
-                    if fired_this_run >= max_events:
-                        limited = True
-                        break
             # Advance to `until` only when the queue truly has nothing left
-            # before it.  After a max_events or stop() break there may still
-            # be events at t <= until; jumping the clock over them would make
-            # the next run() raise "clock cannot run backwards".
-            if until is not None and not self._stopped and not limited and self.now < until:
+            # before it.  After a stop() break there may still be events at
+            # t <= until; jumping the clock over them would make the next
+            # run() raise "clock cannot run backwards".
+            if until is not None and not self._stopped and self.now < until:
                 self._advance(until)
             return self.now
         finally:

@@ -78,11 +78,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.accesses
 
-    def reset(self) -> None:
-        """Zero the counters."""
-        self.hits = 0
-        self.misses = 0
-
 
 class SetAssociativeCache:
     """An N-way set-associative cache with per-set LRU replacement.

@@ -7,10 +7,11 @@ real set-associative cache per processor and *plays each task's actual
 reference stream* through it for the duration of every stint.  Reload
 penalties then come from counted lines rather than survival formulas.
 
-It exposes the same ``note_run`` / ``reload_penalty`` / ``reset`` surface
-as the analytic model, so a :class:`~repro.core.system.SchedulingSystem`
-can run against either — which is how the repository cross-validates its
-central approximation end to end
+It exposes the same ``note_run`` / ``reload_penalty`` /
+``flush_processor`` surface as the analytic model, so a
+:class:`~repro.core.system.SchedulingSystem` can run against either —
+which is how the repository cross-validates its central approximation
+end to end
 (``tests/core/test_oracle_validation.py`` and
 ``benchmarks/bench_oracle_validation.py``).
 
@@ -148,13 +149,6 @@ class SimulatedCacheFootprint:
         if proc is None:
             return 0.0
         return float(proc.flush_cache())
-
-    def reset(self) -> None:
-        """Clear all state (between replications)."""
-        self._processors.clear()
-        self._readers.clear()
-        self._tasks.clear()
-        self.touches_simulated = 0
 
     # ------------------------------------------------------------------ #
 

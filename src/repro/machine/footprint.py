@@ -229,8 +229,3 @@ class FootprintModel:
                 lost += self.surviving_footprint(task, processor)
                 del state.residues[processor]
         return min(lost, self._lines)
-
-    def reset(self) -> None:
-        """Clear all state (between replications)."""
-        self._usage.clear()
-        self._tasks.clear()

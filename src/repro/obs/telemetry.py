@@ -30,12 +30,12 @@ import typing
 #: Schema identifier of :func:`telemetry_summary`.
 TELEMETRY_SCHEMA = "repro.telemetry/1"
 
-#: Default wall-clock spacing between heartbeats of one emitter.
-DEFAULT_MIN_INTERVAL_S = 0.5
+#: Wall-clock spacing between heartbeats of one emitter.
+MIN_INTERVAL_S = 0.5
 
 #: Events between wall-clock checks: the per-event hook cost must stay
 #: negligible, so the clock is only consulted every this many events.
-DEFAULT_CHECK_EVERY = 1024
+CHECK_EVERY = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,7 +43,6 @@ class TelemetrySnapshot:
     """One heartbeat: where a labelled run is and how fast it is moving."""
 
     label: str
-    seq: int
     wall_s: float
     sim_s: float
     events: int
@@ -79,8 +78,8 @@ class HeartbeatEmitter:
     and call :meth:`finish` when the run completes: it emits the terminal
     snapshot and keeps it as :attr:`final`.  Between heartbeats the
     per-event cost is one increment and one modulo — the wall clock is
-    consulted only every ``check_every`` events, and a heartbeat goes out
-    at most every ``min_interval_s`` wall seconds.
+    consulted only every :data:`CHECK_EVERY` events, and a heartbeat goes
+    out at most every :data:`MIN_INTERVAL_S` wall seconds.
 
     ``records_fn`` (e.g. ``lambda: len(tracer)``) reports how many trace
     records the run has produced; omitted, records read 0.
@@ -90,24 +89,15 @@ class HeartbeatEmitter:
         self,
         sink: TelemetrySink,
         label: str,
-        min_interval_s: float = DEFAULT_MIN_INTERVAL_S,
-        check_every: int = DEFAULT_CHECK_EVERY,
         records_fn: typing.Optional[typing.Callable[[], int]] = None,
         clock: typing.Callable[[], float] = time.monotonic,
     ) -> None:
-        if min_interval_s < 0:
-            raise ValueError("min_interval_s must be non-negative")
-        if check_every < 1:
-            raise ValueError("check_every must be positive")
         self._sink = sink
         self.label = label
-        self._min_interval_s = min_interval_s
-        self._check_every = check_every
         self._records_fn = records_fn
         self._clock = clock
         self._t0 = clock()
         self._events = 0
-        self._seq = 0
         self._last_beat_wall = 0.0
         #: The terminal snapshot, once :meth:`finish` has run.
         self.final: typing.Optional[TelemetrySnapshot] = None
@@ -115,10 +105,10 @@ class HeartbeatEmitter:
     def engine_hook(self, now: float, label: str) -> None:
         """Per-event hook: count, and heartbeat when due."""
         self._events += 1
-        if self._events % self._check_every:
+        if self._events % CHECK_EVERY:
             return
         wall = self._clock() - self._t0
-        if wall - self._last_beat_wall < self._min_interval_s:
+        if wall - self._last_beat_wall < MIN_INTERVAL_S:
             return
         self._beat(sim_s=now, wall_s=wall, final=False)
 
@@ -137,14 +127,12 @@ class HeartbeatEmitter:
         self._last_beat_wall = wall_s
         snapshot = TelemetrySnapshot(
             label=self.label,
-            seq=self._seq,
             wall_s=wall_s,
             sim_s=sim_s,
             events=self._events,
             records=self._records_fn() if self._records_fn is not None else 0,
             final=final,
         )
-        self._seq += 1
         self._sink(snapshot)
         return snapshot
 

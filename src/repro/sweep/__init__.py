@@ -5,10 +5,13 @@ Layers: :mod:`repro.sweep.spec` (what to run), :mod:`repro.sweep.cache`
 (how one cell runs and serializes), :mod:`repro.sweep.executor` (the
 resumable sharded driver).
 
-Only the leaf ``spec``/``cache`` symbols are imported eagerly; the
-executor and cell runner pull in the full experiment stack, so they
-load lazily (PEP 562) and parsing a spec or a ``--seeds`` flag never
-imports the simulator.
+Only the leaf ``spec``/``cache`` symbols are imported eagerly.
+:mod:`repro.sweep.cells` (the cell runner and every cell kind's
+drivers) and :mod:`repro.sweep.executor` (the sharded driver, which
+imports the cell runner) load lazily (PEP 562), on first use of a name
+they define (``run_cell``, ``run_sweep``, ...).  That is all the
+deferral saves: ``import repro`` already loads the scheduling simulator,
+so importing this package to parse a spec does too.
 """
 
 from __future__ import annotations

@@ -37,6 +37,8 @@ from repro.threads.job import Job
 _SHAPES = ("flat", "chain", "phased")
 #: symmetric service jitter: mean stays at the template's service_s
 _JITTER = 0.2
+#: sample graphs per application behind :meth:`AppJobSource.mean_work_s`
+CALIBRATION_SAMPLES = 3
 
 
 class JobSource:
@@ -166,7 +168,6 @@ class AppJobSource(JobSource):
     """
 
     weights: typing.Tuple[typing.Tuple[str, float], ...]
-    calibration_samples: int = 3
 
     def __post_init__(self) -> None:
         from repro.apps import APPLICATIONS
@@ -180,8 +181,6 @@ class AppJobSource(JobSource):
                 )
             if weight <= 0:
                 raise ValueError(f"weight for {name!r} must be positive")
-        if self.calibration_samples <= 0:
-            raise ValueError("calibration_samples must be positive")
 
     @classmethod
     def uniform(cls) -> "AppJobSource":
@@ -217,7 +216,7 @@ class AppJobSource(JobSource):
             spec = APPLICATIONS[name]
             works = [
                 spec.build_graph(random.Random(f"calibrate/{name}/{k}")).total_work()
-                for k in range(self.calibration_samples)
+                for k in range(CALIBRATION_SAMPLES)
             ]
             mean += weight * (sum(works) / len(works))
         return mean / total_weight

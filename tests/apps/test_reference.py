@@ -165,15 +165,6 @@ class TestGenerator:
         assert all(0 <= b < 25 for b in first)
         assert all(25 <= b < 50 for b in second)
 
-    def test_reset_clears_hot_set(self):
-        gen = ReferenceGenerator(spec(p_reuse=0.99), random.Random(1))
-        for _ in range(100):
-            gen.next_block()
-        gen.reset()
-        # After reset the next touch must be a cold pick (no hot set).
-        block = gen.next_block()
-        assert 0 <= block < 1000
-
 
 class _DequeReference:
     """The pre-batching formulation: deque hot set, rng.choice picks.
@@ -251,15 +242,6 @@ class TestBatchStreamEquivalence:
         a = ReferenceGenerator(spec(), random.Random(5))
         b = ReferenceGenerator(spec(), random.Random(5))
         assert [a.next_block() for _ in range(500)] == b.next_blocks(500)
-
-    def test_reset_between_chunks(self):
-        a = ReferenceGenerator(spec(p_reuse=0.95), random.Random(3))
-        b = ReferenceGenerator(spec(p_reuse=0.95), random.Random(3))
-        sa = a.next_blocks(400)
-        sb = [b.next_block() for _ in range(400)]
-        a.reset()
-        b.reset()
-        assert sa + a.next_blocks(400) == sb + [b.next_block() for _ in range(400)]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

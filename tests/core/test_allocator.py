@@ -14,7 +14,7 @@ class TestProcessorRecord:
         from repro.core.allocator import ProcessorRecord
 
         proc = ProcessorRecord(0)
-        assert proc.is_free and not proc.is_busy and not proc.is_held_idle
+        assert proc.is_free and not proc.is_busy
 
 
 class TestRuleD1FreeProcessors:

@@ -44,7 +44,7 @@ def audit(system: SchedulingSystem) -> None:
     assert allocator.willing_mask == _mask(p for p in procs if p.yield_handle is not None)
     for job in system.jobs:
         owned = [p for p in procs if p.job is job]
-        held = [p for p in owned if p.is_held_idle]
+        held = [p for p in owned if p.worker is None]
         assert job.n_owned == len(owned) == allocator.allocation(job)
         assert job.owned_mask == _mask(owned)
         assert job.n_busy == sum(1 for p in owned if p.is_busy)

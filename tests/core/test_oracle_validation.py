@@ -145,10 +145,3 @@ class TestOracleBehaviour:
         oracle = make_oracle()
         with pytest.raises(KeyError):
             oracle.note_run(("NOPE", 0), 0, 0.05, None)
-
-    def test_reset_clears_state(self):
-        oracle = make_oracle()
-        oracle.note_run(("MVA", 0), 0, 0.05, None)
-        oracle.reset()
-        assert oracle.touches_simulated == 0
-        assert oracle.reload_penalty(("MVA", 0), 0) == (0.0, False)

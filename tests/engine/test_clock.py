@@ -46,17 +46,10 @@ class TestVirtualClock:
         sim = Simulator()
         sim.at(10.0, _noop)
         sim.at(20.0, _noop)
-        sim.run(max_events=1)
+        sim.run(until=10.0)
         with pytest.raises(ValueError, match="backwards"):
             sim.run(until=9.0)
         assert sim.now == 10.0
-
-    def test_reset_returns_to_start(self):
-        sim = Simulator()
-        sim.at(100.0, _noop)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
 
     def test_repr_contains_time(self):
         sim = Simulator()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.engine.events import Event
+from repro.engine.events import Event, EventState
 from repro.engine.queue import EventQueue
 
 
@@ -44,12 +44,6 @@ class TestPushPop:
         q.pop()
         assert len(q) == 1
 
-    def test_bool_reflects_liveness(self):
-        q = EventQueue()
-        assert not q
-        q.push(1.0, _noop)
-        assert q
-
     def test_nan_time_rejected(self):
         q = EventQueue()
         with pytest.raises(ValueError):
@@ -70,7 +64,7 @@ class TestCancellation:
         handle = q.push(1.0, _noop)
         assert handle.cancel() is True
         assert handle.cancel() is False
-        assert handle.cancelled
+        assert handle.state is EventState.CANCELLED
         assert len(q) == 0
 
     def test_cancel_after_fire_is_a_noop(self):
@@ -79,10 +73,9 @@ class TestCancellation:
         handle = q.push(1.0, _noop)
         q.push(2.0, _noop, label="still-live")
         fired = q.pop()
-        assert fired.fired
+        assert fired.state is EventState.FIRED
         assert handle.cancel() is False
-        assert not handle.cancelled
-        assert handle.fired
+        assert handle.state is EventState.FIRED
         assert len(q) == 1  # the t=2.0 event must stay visible
         assert q.pop().label == "still-live"
 
@@ -108,7 +101,7 @@ class TestCancellation:
         q = EventQueue()
         handle = q.push(1.0, _noop)
         q.clear()
-        assert handle.cancelled
+        assert handle.state is EventState.CANCELLED
         assert handle.cancel() is False  # already cancelled; count stays 0
         assert len(q) == 0
 
@@ -163,7 +156,7 @@ def test_property_cancellation_preserves_rest(times, data):
 
 def _pending_events(q: EventQueue) -> int:
     """Pending events counted by walking the heap: the live counter's referee."""
-    return sum(1 for entry in q._heap if entry[3].pending)
+    return sum(1 for entry in q._heap if entry[3].state is EventState.PENDING)
 
 
 @given(
@@ -186,16 +179,15 @@ def test_property_live_count_matches_pending(ops, data):
     for op, time in ops:
         if op == "push":
             handles.append(q.push(time, _noop))
-        elif op == "pop" and q:
+        elif op == "pop" and len(q):
             q.pop()
         elif op == "cancel" and handles:
             index = data.draw(st.integers(min_value=0, max_value=len(handles) - 1))
             handles[index].cancel()
         elif op == "cancel_fired":
-            fired = [h for h in handles if h.fired]
+            fired = [h for h in handles if h.state is EventState.FIRED]
             if fired:
                 index = data.draw(st.integers(min_value=0, max_value=len(fired) - 1))
                 assert fired[index].cancel() is False
         assert len(q) == _pending_events(q)
-        assert bool(q) == (_pending_events(q) > 0)
     assert len(q) == _pending_events(q)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.events import EventState
 from repro.engine.simulator import Simulator
 
 
@@ -108,17 +109,9 @@ class TestRunControl:
         assert fired == []
         assert len(sim.queue) == 0
 
-    def test_max_events_limits_run(self):
-        sim = Simulator()
-        fired = []
-        for i in range(10):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(max_events=3)
-        assert fired == [0, 1, 2]
-
     def test_cancel_after_fire_does_not_drop_live_events(self):
-        """Regression: a late cancel of a fired event made ``bool(queue)``
-        go False early, ending the run at t=1.5 with a live t=2.0 event
+        """Regression: a late cancel of a fired event made the queue look
+        empty early, ending the run at t=1.5 with a live t=2.0 event
         still queued (and the next cancel could underflow the count)."""
         sim = Simulator()
         fired = []
@@ -135,18 +128,18 @@ class TestRunControl:
         handle = sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.cancel(handle) is False
-        assert handle.fired
-        assert not handle.cancelled
+        assert handle.state is EventState.FIRED
 
-    def test_max_events_with_until_does_not_jump_clock(self):
-        """Regression: breaking on ``max_events`` with events still queued
-        before ``until`` advanced the clock to ``until`` anyway, so the next
-        run() raised "clock cannot run backwards"."""
+    def test_stop_with_until_does_not_jump_clock(self):
+        """A ``stop()`` with events still queued before ``until`` leaves
+        the clock where it stopped: jumping it to ``until`` would make the
+        next run() raise "clock cannot run backwards"."""
         sim = Simulator()
         fired = []
-        for t in (1.0, 2.0, 3.0):
+        sim.schedule(1.0, lambda: (fired.append(1.0), sim.stop()))
+        for t in (2.0, 3.0):
             sim.schedule(t, lambda t=t: fired.append(t))
-        end = sim.run(until=10.0, max_events=1)
+        end = sim.run(until=10.0)
         assert fired == [1.0]
         assert end == 1.0  # not jumped to until=10
         sim.run()  # must not raise ValueError
@@ -155,7 +148,7 @@ class TestRunControl:
     def test_until_still_advances_clock_when_queue_drains(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        assert sim.run(until=5.0, max_events=10) == 5.0
+        assert sim.run(until=5.0) == 5.0
 
     def test_events_fired_counter(self):
         sim = Simulator()
@@ -163,58 +156,6 @@ class TestRunControl:
             sim.schedule(float(i), lambda: None)
         sim.run()
         assert sim.events_fired == 5
-
-
-class TestReset:
-    def test_reset_restores_pristine_state(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.run(until=1.5)
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.events_fired == 0
-        assert len(sim.queue) == 0
-
-    def test_reset_cancels_outstanding_handles(self):
-        sim = Simulator()
-        handle = sim.schedule(5.0, lambda: None)
-        sim.reset()
-        assert handle.cancelled
-
-    def test_reset_allows_reuse_across_replications(self):
-        sim = Simulator()
-        totals = []
-        for replication in range(3):
-            sim.reset(seed=replication)
-            fired = []
-            sim.schedule(1.0, lambda: fired.append(sim.rng.stream("x").random()))
-            sim.run()
-            totals.append(fired[0])
-        assert sim.events_fired == 1  # per-replication counter, not cumulative
-        assert len(set(totals)) == 3  # distinct seeds give distinct draws
-
-    def test_reset_is_deterministic_in_seed(self):
-        draws = []
-        sim = Simulator()
-        for _ in range(2):
-            sim.reset(seed=42)
-            draws.append(sim.rng.stream("x").random())
-        assert draws[0] == draws[1]
-
-    def test_reset_inside_event_rejected(self):
-        sim = Simulator()
-        errors = []
-
-        def resetter():
-            try:
-                sim.reset()
-            except RuntimeError as exc:
-                errors.append(exc)
-
-        sim.schedule(1.0, resetter)
-        sim.run()
-        assert len(errors) == 1
 
 
 class TestTraceHooks:

@@ -129,12 +129,6 @@ class TestFootprintModel:
         penalty, affine = self.model.reload_penalty("t", 0)
         assert penalty == 0.0 and affine is False
 
-    def test_reset_clears_everything(self):
-        self.model.note_run("t", 0, 0.1, self.curve)
-        self.model.reset()
-        assert self.model.processor_usage(0) == 0.0
-        assert self.model.state_of("t").processor is None
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             self.model.note_run("t", 0, -1.0, self.curve)

@@ -1,8 +1,8 @@
 """Run telemetry: throttled heartbeats, final snapshots, and non-interference.
 
 The contract under test: emitters beat on the engine hook with bounded
-per-event cost (wall clock consulted only every ``check_every`` events,
-beats spaced ``min_interval_s`` apart), every computed cell of every
+per-event cost (wall clock consulted only every ``CHECK_EVERY`` events,
+beats spaced ``MIN_INTERVAL_S`` apart), every computed cell of every
 kind lands exactly one final snapshot in its payload, the summary folds
 totals from those finals, a broken stderr never fails a run, and — the
 load-bearing property — a sweep with progress on commits results
@@ -16,6 +16,8 @@ import pytest
 from repro.cli import main
 from repro.core.policies import DYN_AFF, EQUIPARTITION
 from repro.obs.telemetry import (
+    CHECK_EVERY,
+    MIN_INTERVAL_S,
     HeartbeatEmitter,
     ProgressWriter,
     TelemetrySnapshot,
@@ -28,11 +30,10 @@ from repro.sweep.cells import strip_transient
 from repro.sweep.spec import canonical_json
 
 
-def snap(label="cell", seq=0, wall_s=2.0, sim_s=4.0, events=1000,
-         records=500, final=False):
-    return TelemetrySnapshot(label=label, seq=seq, wall_s=wall_s,
-                             sim_s=sim_s, events=events, records=records,
-                             final=final)
+def snap(label="cell", wall_s=2.0, sim_s=4.0, events=1000, records=500,
+         final=False):
+    return TelemetrySnapshot(label=label, wall_s=wall_s, sim_s=sim_s,
+                             events=events, records=records, final=final)
 
 
 class TestSnapshot:
@@ -53,22 +54,24 @@ class TestSnapshot:
 class TestHeartbeatEmitter:
     def test_throttling_by_count_and_wall_clock(self):
         beats = []
-        clock = iter(float(i) for i in range(1000))
+        step = 0.6 * MIN_INTERVAL_S
+        clock = iter(step * i for i in range(1000))
         emitter = HeartbeatEmitter(
-            beats.append, "cell", min_interval_s=2.0, check_every=10,
-            clock=lambda: next(clock),
+            beats.append, "cell", clock=lambda: next(clock),
         )
-        for i in range(100):
+        for i in range(10 * CHECK_EVERY):
             emitter.engine_hook(now=float(i), label="e")
-        # clock ticks once at init then once per modulo hit (every 10
-        # events); with min_interval_s=2 every other check beats.
-        assert 0 < len(beats) < 10
+        # The clock ticks once at init, then once per CHECK_EVERY events;
+        # each check is 0.6 MIN_INTERVAL_S after the last, so every other
+        # check beats.
+        assert [b.events for b in beats] == [
+            k * 2 * CHECK_EVERY for k in range(1, 6)
+        ]
         assert all(not b.final for b in beats)
-        assert [b.seq for b in beats] == list(range(len(beats)))
 
     def test_finish_is_terminal_and_idempotent(self):
         beats = []
-        emitter = HeartbeatEmitter(beats.append, "cell", check_every=10**9)
+        emitter = HeartbeatEmitter(beats.append, "cell")
         for _ in range(5):
             emitter.engine_hook(now=1.0, label="e")
         assert emitter.final is None
@@ -87,19 +90,13 @@ class TestHeartbeatEmitter:
         emitter.finish(sim_s=1.0)
         assert beats[0].records == 42
 
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            HeartbeatEmitter(lambda s: None, "x", min_interval_s=-1)
-        with pytest.raises(ValueError):
-            HeartbeatEmitter(lambda s: None, "x", check_every=0)
-
 
 class TestTelemetryCollector:
     """:func:`telemetry_summary` folds a sweep's final snapshots."""
 
     def test_totals_fold_finals_only(self):
         info = telemetry_summary([
-            snap(label="a", seq=1, events=20, wall_s=2.0, final=True),
+            snap(label="a", events=20, wall_s=2.0, final=True),
             snap(label="b", events=5, wall_s=1.0, records=3, final=True),
         ])
         assert info["cells_seen"] == 2

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import pathlib
 import pickle
 import re
+import subprocess
 import sys
 
 import pytest
@@ -413,3 +415,35 @@ class TestLoadSpec:
         path.write_text("= broken", encoding="utf-8")
         with pytest.raises(ValueError, match="not valid TOML"):
             load_spec(str(path))
+
+
+_LAZY_PROBE = """
+import sys
+import repro.sweep
+
+def loaded():
+    return [m in sys.modules for m in ("repro.sweep.cells", "repro.sweep.executor")]
+
+print(loaded())
+repro.sweep.run_cell
+print(loaded())
+repro.sweep.run_sweep
+print(loaded())
+"""
+
+
+def test_package_import_defers_cells_and_executor():
+    """``import repro.sweep`` loads neither the cell runner nor the
+    executor; each loads on first use of a name it defines."""
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_PROBE],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert proc.stdout.splitlines() == [
+        "[False, False]",
+        "[True, False]",
+        "[True, True]",
+    ]

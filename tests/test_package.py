@@ -1,6 +1,17 @@
 """Top-level package surface."""
 
+import importlib
+import pkgutil
+
 import repro
+
+
+def _packages():
+    """``repro`` and every subpackage under it, imported."""
+    yield repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.ispkg:
+            yield importlib.import_module(info.name)
 
 
 class TestPublicApi:
@@ -8,8 +19,11 @@ class TestPublicApi:
         assert repro.__version__ == "1.0.0"
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+        """Every name in any package's ``__all__`` resolves, so a deleted
+        name left in an export list fails here."""
+        for package in _packages():
+            for name in getattr(package, "__all__", ()):
+                assert getattr(package, name) is not None, (package.__name__, name)
 
     def test_policies_exported(self):
         assert repro.POLICIES["Dynamic"] is repro.DYNAMIC
