@@ -284,6 +284,35 @@ class TestGoldens:
         written = (tmp_path / "T.jsonl").read_bytes()
         assert hashlib.sha256(written).hexdigest() == self.TRACE_SHA256[name]
 
+    #: One ``sweep run`` spec per cell kind: ``None`` runs the example
+    #: spec, a dict is written to the run's directory as ``spec.json``.
+    SWEEP_SPECS = {
+        "mix": dict(kind="mix", mixes=[1], policies=["Equipartition", "Dyn-Aff"]),
+        "table1": dict(kind="table1", backend="numpy", scale=32, seeds=[0, 1]),
+        "opensys": None,
+        "swf": dict(kind="swf", swf=SAMPLE_SWF,
+                    policies=["Equipartition", "Dyn-Aff"], seeds=[0, 1]),
+    }
+
+    @pytest.mark.parametrize("kind, flags", [
+        ("mix", ["--metrics"]), ("table1", []), ("opensys", []), ("swf", []),
+    ])
+    def test_sweep_run_stdout(self, kind, flags, tmp_path, monkeypatch, capsys):
+        if kind == "table1":
+            pytest.importorskip("numpy")
+        # A relative cache directory keeps the journal line stable.
+        monkeypatch.chdir(tmp_path)
+        document = self.SWEEP_SPECS[kind]
+        if document is None:
+            spec = os.path.join(DATA_DIR, os.pardir, os.pardir,
+                                "examples", "sweep_lite.json")
+        else:
+            spec = "spec.json"
+            with open(spec, "w", encoding="utf-8") as fh:
+                json.dump(dict(document, name=f"golden-{kind}"), fh)
+        assert main(["sweep", "run", spec, "--cache-dir", "cache"] + flags) == 0
+        assert capsys.readouterr().out == _data(f"sweep_run_{kind}.stdout")
+
 
 def _result_files(root):
     return sorted(
