@@ -133,11 +133,6 @@ class SimulatedCacheFootprint:
         """Reduced lines of ``task`` still resident on ``processor``."""
         return float(self._footprint(task, processor))
 
-    def forget(self, task: typing.Hashable) -> None:
-        """Drop a finished task's stream and residency records."""
-        self._tasks.pop(task, None)
-        self._readers.pop(task, None)
-
     def flush_processor(self, processor: int) -> float:
         """Invalidate ``processor``'s cache (a CPU failure).
 

@@ -208,10 +208,6 @@ class FootprintModel:
             )
             del state.residues[stalest]
 
-    def forget(self, task: typing.Hashable) -> None:
-        """Drop a finished task's record."""
-        self._tasks.pop(task, None)
-
     def flush_processor(self, processor: int) -> float:
         """Invalidate every residue on ``processor`` (a CPU failure).
 

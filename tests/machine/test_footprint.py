@@ -123,12 +123,6 @@ class TestFootprintModel:
         self.model.note_run("b", 1, 0.2, self.curve)
         assert self.model.state_of("b").footprint > self.model.state_of("a").footprint
 
-    def test_forget_removes_state(self):
-        self.model.note_run("t", 0, 0.1, self.curve)
-        self.model.forget("t")
-        penalty, affine = self.model.reload_penalty("t", 0)
-        assert penalty == 0.0 and affine is False
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             self.model.note_run("t", 0, -1.0, self.curve)
