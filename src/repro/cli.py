@@ -13,20 +13,24 @@ Usage::
     python -m repro hierarchy               # Section 7.2 sqrt-memory law
     python -m repro trace [--mix K] [--policy P] [--out F]  # JSONL trace
     python -m repro opensys [--scenario S] [--swf F]    # open-system matrix
+    python -m repro sweep run|status|clean SPEC # declarative sweeps
     python -m repro analyze TRACE [--window S]  # attribution + interval series
     python -m repro diff TRACE_A TRACE_B        # why do two runs differ?
     python -m repro all                     # everything (slow)
 
 The paper's figure commands (``table1``, ``fig5``, ``fig6``, ``table4``,
-``future``, ``section8``) are entries of one table, :data:`FIGURES`:
-each pairs a function from the parsed arguments to the command's
-``SweepSpec`` with a renderer of the finished payloads.  One driver,
-:func:`run_figures`, builds the specs, runs them through ``run_sweep``
-and renders them, so ``repro all`` runs the union of every figure's
-cells as ONE sweep, each distinct (mix, policy, seed) cell once, and
-``--workers`` spreads over all of them.  A traced single run (``trace``,
-``gantt``, ``--analyze``, ``opensys --trace``) is one ``run_cell`` call
-on the cell its command names, read back like a sweep payload.
+``future``, ``section8``) and ``opensys`` are entries of one table,
+:data:`FIGURES`: each pairs a function from the parsed arguments to the
+command's ``SweepSpec`` with a renderer of the finished sweep.
+``sweep run`` is one more such entry, :data:`SWEEP_RUN`, whose spec
+comes from its file.  One driver, :func:`run_figures`, builds the
+specs, runs them through ``run_sweep`` (the only call in this module,
+so every sweep flag is read in one place) and renders them, so ``repro
+all`` runs the union of the six figures' cells as ONE sweep, each
+distinct (mix, policy, seed) cell once, and ``--workers`` spreads over
+all of them.  A traced single run (``trace``, ``gantt``, ``--analyze``,
+``opensys --trace``) is one ``run_cell`` call on the cell its command
+names, read back like a sweep payload.
 
 The replication-based experiments accept ``--metrics``: each cell
 collects its metrics (a scheduling cell folds them from its trace) and
@@ -41,7 +45,6 @@ prints it after ``=== profile ===``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import math
@@ -105,22 +108,18 @@ def _print_snapshot(snapshot: typing.Mapping[str, typing.Any], label: str = "") 
     print(snapshot_to_json(snapshot), end="")
 
 
-def _print_profile(snapshot: typing.Mapping[str, typing.Any], label: str = "") -> None:
-    from repro.reporting.analysis_report import render_profile_table
-
-    print(PROFILE_MARKER + (f" {label}" if label else ""))
-    print(render_profile_table(snapshot))
-
-
 def _print_snapshots(
     metrics: typing.Mapping[str, typing.Any],
     profiles: typing.Mapping[str, typing.Any],
 ) -> None:
     """Merged metrics, then merged profiles, each sorted by label."""
+    from repro.reporting.analysis_report import render_profile_table
+
     for label in sorted(metrics):
         _print_snapshot(metrics[label], label=label)
     for label in sorted(profiles):
-        _print_profile(profiles[label], label=label)
+        print(PROFILE_MARKER + (f" {label}" if label else ""))
+        print(render_profile_table(profiles[label]))
 
 
 def _print_attribution(records):
@@ -218,16 +217,6 @@ def _seeds_arg(value: str) -> typing.Union[int, typing.Tuple[int, ...]]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _sweep_cache(args: argparse.Namespace):
-    """The command's result cache, or ``None`` when no ``--cache-dir``."""
-    cache_dir = getattr(args, "cache_dir", None)
-    if not cache_dir:
-        return None
-    from repro.sweep import ResultCache
-
-    return ResultCache(cache_dir)
-
-
 def cmd_apps(args: argparse.Namespace) -> None:
     """Figures 2-4: per-application parallelism profiles."""
     rng = RngRegistry(args.seed)
@@ -255,16 +244,6 @@ def _mix_spec(
     )
 
 
-def _table1_spec(args: argparse.Namespace) -> SweepSpec:
-    return SweepSpec(
-        name="table1",
-        kind="table1",
-        seeds=(args.seed,),
-        scale=args.scale,
-        backend=getattr(args, "backend", None),
-    )
-
-
 def _print_merged(spec: SweepSpec, payloads) -> None:
     """The sweep's merged metrics and profile snapshots, when collected."""
     from repro.sweep.cells import merged_snapshots
@@ -275,21 +254,27 @@ def _print_merged(spec: SweepSpec, payloads) -> None:
     )
 
 
-def _render_table1(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
-    """Table 1: cache penalties per application per Q."""
+def _render_table1(args: argparse.Namespace, spec: SweepSpec, sweep) -> None:
+    """Table 1, cache penalties per application per Q, once per seed
+    (headed by the seed when there are several); then the snapshots."""
     from repro.sweep.cells import penalty_table
 
-    print(render_table1(penalty_table(spec, payloads)))
+    payloads = sweep.payloads
+    for seed in spec.seeds:
+        if len(spec.seeds) > 1:
+            print(f"--- seed {seed} ---")
+        print(render_table1(penalty_table(spec, payloads, seed=seed)))
     _print_merged(spec, payloads)
 
 
 def _render_relative_rt(
-    args: argparse.Namespace, spec: SweepSpec, payloads, table3: bool = False
+    args: argparse.Namespace, spec: SweepSpec, sweep, table3: bool = False
 ) -> None:
     """Figure 5 (+ Table 3 and ``--csv``) or Figure 6: each policy's
     response times relative to Equipartition, mix by mix."""
     from repro.sweep.cells import mix_comparison
 
+    payloads = sweep.payloads
     csv_rows: typing.List[typing.Sequence[object]] = []
     for mix_id in spec.mixes:
         comparison = mix_comparison(spec, payloads, mix_id)
@@ -321,32 +306,32 @@ def _render_relative_rt(
         print(f"wrote {len(csv_rows)} rows to {args.csv}")
 
 
-def _render_table4(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
+def _render_table4(args: argparse.Namespace, spec: SweepSpec, sweep) -> None:
     """Table 4: homogeneous workloads, Dyn-Aff vs Dyn-Aff-NoPri."""
     from repro.sweep.cells import mean_response_table
 
-    print(render_table4(mean_response_table(spec, payloads)))
-    _print_merged(spec, payloads)
+    print(render_table4(mean_response_table(spec, sweep.payloads)))
+    _print_merged(spec, sweep.payloads)
     if getattr(args, "analyze", False):
         _print_analysis(spec, spec.mixes, args.seed)
 
 
-def _render_future(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
+def _render_future(args: argparse.Namespace, spec: SweepSpec, sweep) -> None:
     """Figures 8-13: the extended model on future machines (fig5's cells)."""
     from repro.sweep.cells import mix_comparison
 
     model = FutureMachineModel(DEFAULT_PENALTIES)
     for mix_id in spec.mixes:
-        comparison = mix_comparison(spec, payloads, mix_id)
+        comparison = mix_comparison(spec, sweep.payloads, mix_id)
         _print_snapshots(comparison.metrics, comparison.profiles)
         observations = observations_from_comparison(comparison)
         for job in comparison.job_names():
             series = {}
             for policy in ("Dynamic", "Dyn-Aff", "Dyn-Aff-Delay"):
-                sweep = sweep_relative(
+                relative = sweep_relative(
                     model, observations[policy][job], observations["Equipartition"][job]
                 )
-                series[policy] = list(zip(sweep.products, sweep.ratios))
+                series[policy] = list(zip(relative.products, relative.ratios))
             print(
                 ascii_chart(
                     series,
@@ -361,11 +346,12 @@ def _render_future(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
             print()
 
 
-def _render_section8(args: argparse.Namespace, spec: SweepSpec, payloads) -> None:
+def _render_section8(args: argparse.Namespace, spec: SweepSpec, sweep) -> None:
     """Section 8: time sharing against space sharing on one mix."""
     from repro.sweep.cells import system_result_from_dict
 
     (mix_id,), (seed,) = spec.mixes, spec.seeds
+    payloads = sweep.payloads
     results = {}
     for policy in spec.policies:
         cell = mix_cell(mix_id, policy, seed, spec.n_processors)
@@ -373,8 +359,127 @@ def _render_section8(args: argparse.Namespace, spec: SweepSpec, payloads) -> Non
     print(render_section8(mix_id, results))
 
 
+def _opensys_spec(args: argparse.Namespace) -> SweepSpec:
+    """The open-system (scenario x policy x seed) matrix, or with ``--swf``
+    the replay of a trace (policy x seed)."""
+    from repro.sweep import normalize_seeds
+    from repro.sweep.spec import OPENSYS_SCENARIOS
+
+    axes = dict(
+        policies=tuple(args.policy or sorted(POLICIES)),
+        seeds=normalize_seeds(args.seeds, args.seed),
+        n_processors=args.processors,
+    )
+    if args.swf:
+        return SweepSpec(
+            name="opensys-swf", kind="swf", swf=args.swf,
+            time_scale=args.time_scale, work_scale=args.work_scale,
+            max_jobs=args.max_jobs, **axes,
+        )
+    return SweepSpec(
+        name="opensys", kind="opensys",
+        scenarios=(
+            OPENSYS_SCENARIOS if args.scenario == "all" else (args.scenario,)
+        ),
+        lite=args.lite, **axes,
+    )
+
+
+def _print_matrix(spec: SweepSpec, payloads):
+    """The seed-aggregated open-system table; returns its comparison."""
+    from repro.reporting.opensys_report import render_matrix_table
+    from repro.sweep.cells import matrix_comparison
+
+    comparison = matrix_comparison(spec, payloads)
+    print(render_matrix_table(comparison))
+    return comparison
+
+
+def _render_opensys(args: argparse.Namespace, spec: SweepSpec, sweep) -> None:
+    """The open-system matrix, then what its flags ask for, in order:
+    ``--progress``'s telemetry summary, ``--json``, per-cell merged
+    ``--metrics`` snapshots (``--metrics-csv``: one wide CSV under a
+    stable union header), and ``--trace``: one traced cell (first
+    scenario and policy, base seed), self-checked like ``repro trace``."""
+    from repro.ioutil import atomic_write_text
+    from repro.reporting.opensys_report import matrix_to_json
+
+    comparison = _print_matrix(spec, sweep.payloads)
+    _print_telemetry(args, sweep)
+    if args.json:
+        atomic_write_text(args.json, matrix_to_json(comparison))
+        print(f"wrote matrix JSON to {args.json}")
+    snapshots = [comparison.metrics[key] for key in sorted(comparison.metrics)]
+    labels = ["/".join(key) for key in sorted(comparison.metrics)]
+    if args.metrics:
+        for snapshot, label in zip(snapshots, labels):
+            _print_snapshot(snapshot, label=label)
+    if args.metrics_csv:
+        from repro.reporting.obs_export import snapshots_to_csv
+
+        csv_text = snapshots_to_csv(snapshots, labels=labels)
+        atomic_write_text(args.metrics_csv, csv_text)
+        print(f"wrote per-cell metrics CSV to {args.metrics_csv}")
+
+    if args.trace:
+        from repro.obs import Tracer
+        from repro.sweep.cells import opensys_result_from_dict, run_cell
+
+        (cell,) = dataclasses.replace(
+            spec, scenarios=spec.scenarios[:1], policies=spec.policies[:1],
+            seeds=(args.seed,),
+        ).expand()
+        tracer = Tracer()
+        result = opensys_result_from_dict(
+            run_cell(cell, tracer=tracer)["data"]["opensys"]
+        )
+        if not _write_checked_trace(
+            tracer.records, result.system, args.trace, args.trace_format,
+            f"scenario {result.scenario!r} under {result.policy}",
+        ):
+            raise SystemExit(1)
+
+
+def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
+    """``sweep``'s spec file; an unreadable or invalid one ends the
+    command with one ``error:`` line and exit status 1."""
+    from repro.sweep import load_spec
+
+    try:
+        return load_spec(args.spec)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _render_sweep_run(args: argparse.Namespace, spec: SweepSpec, sweep) -> None:
+    """``sweep run``: the hit counts, the report of the spec's kind with
+    its merged snapshots, then the telemetry summary."""
+    from repro.sweep.cells import mix_comparison
+
+    print(f"sweep '{spec.name}' ({spec.kind}): "
+          f"{len(sweep.outcomes)} cells, {sweep.n_hits} cache hits, "
+          f"{sweep.n_computed} computed")
+    print(f"journal: {sweep.journal_path}")
+    payloads = sweep.payloads
+    if spec.kind == "table1":
+        _render_table1(args, spec, sweep)
+    elif spec.kind in ("opensys", "swf"):
+        _print_matrix(spec, payloads)
+        _print_merged(spec, payloads)
+    else:  # mix: each policy's mean response time
+        for mix_id in spec.mixes:
+            comparison = mix_comparison(spec, payloads, mix_id)
+            print(f"workload #{mix_id}: mean response time per policy")
+            for policy in spec.policies:
+                print(f"  {policy:16s} "
+                      f"{comparison.mean_response_time(policy):9.2f} s")
+        _print_merged(spec, payloads)
+    _print_telemetry(args, sweep)
+
+
 class Figure(typing.NamedTuple):
-    """One paper figure command: its flags, its sweep, and its printout."""
+    """One command that runs cells: its flags, its sweep, its printout."""
 
     help: str
     flags: typing.Tuple[str, ...]
@@ -382,8 +487,10 @@ class Figure(typing.NamedTuple):
     render: typing.Callable[..., None]
 
 
-#: The figure commands in paper order.  Each is a function from ``args``
-#: to its ``SweepSpec`` plus a renderer of ``(args, spec, payloads)``;
+#: The commands that run cells, the paper's figures in paper order and
+#: then ``opensys``.  Each is a function from ``args`` to its
+#: ``SweepSpec`` plus a renderer of ``(args, spec, sweep)``, ``sweep``
+#: being the finished :class:`~repro.sweep.SweepResult`;
 #: :func:`run_figures` runs any subset as one sweep, so ``repro all``
 #: computes each (mix, policy, seed) cell once however many figures
 #: show it.
@@ -391,7 +498,10 @@ FIGURES: typing.Dict[str, Figure] = {
     "table1": Figure(
         "Table 1: cache penalties",
         ("--scale", "--metrics", "--profile", "--backend", "--cache-dir"),
-        _table1_spec,
+        lambda args: SweepSpec(
+            name="table1", kind="table1", seeds=(args.seed,),
+            scale=args.scale, backend=getattr(args, "backend", None),
+        ),
         _render_table1,
     ),
     "fig5": Figure(
@@ -431,29 +541,63 @@ FIGURES: typing.Dict[str, Figure] = {
         ),
         _render_section8,
     ),
+    "opensys": Figure(
+        "open-system scenarios: arrivals, disruptions, SWF replay",
+        ("--scenario", "--policy", "--seeds", "--workers", "--processors",
+         "--lite", "--swf", "--time-scale", "--work-scale", "--max-jobs",
+         "--json", "--metrics", "--trace", "--trace-format", "--metrics-csv",
+         "--progress", "--cache-dir"),
+        _opensys_spec,
+        _render_opensys,
+    ),
 }
 
+#: The paper's figures, in paper order: what ``repro all`` runs.
+PAPER_FIGURES = ("table1", "fig5", "fig6", "table4", "future", "section8")
 
-def run_figures(args: argparse.Namespace, names: typing.Sequence[str]) -> None:
-    """Build the named figures' specs, run their cells as ONE sweep (each
-    distinct cell once), then render each figure in ``names`` order."""
-    from repro.sweep import run_sweep
-
-    specs = [FIGURES[name].spec(args) for name in names]
-    payloads = run_sweep(
-        specs,
-        cache=_sweep_cache(args),
-        workers=getattr(args, "workers", None),
-        collect_metrics=getattr(args, "metrics", False),
-        collect_profile=getattr(args, "profile", False),
-    ).payloads
-    for name, spec in zip(names, specs):
-        FIGURES[name].render(args, spec, payloads)
+#: ``repro sweep run SPEC``: any spec file, reported by its kind.
+SWEEP_RUN = Figure(
+    "expand the spec, serve cached cells, compute the rest",
+    ("--workers", "--force", "--metrics", "--progress"),
+    _load_sweep_spec,
+    _render_sweep_run,
+)
 
 
-def cmd_figure(args: argparse.Namespace) -> None:
-    """One figure command (``table1``, ``fig5``, ...): one sweep, one render."""
-    run_figures(args, [args.command])
+def run_figures(args: argparse.Namespace, figures: typing.Sequence[Figure]) -> None:
+    """Build the figures' specs, run their cells as ONE sweep (each
+    distinct cell once), then render each figure in order.
+
+    The command line's one way to ``run_sweep``: every sweep flag a
+    command has is read here, and a command without it gets the default.
+    A malformed SWF trace or a lost pool worker ends the command with one
+    ``error:`` line and exit status 1, at any worker count.
+    """
+    from repro.sweep import ResultCache, WorkerLostError, run_sweep
+    from repro.workloads.opensys.swf import SwfFormatError
+
+    specs = [figure.spec(args) for figure in figures]
+    cache_dir = getattr(args, "cache_dir", None)
+    progress = getattr(args, "progress", False)
+    try:
+        sweep = run_sweep(
+            specs,
+            cache=ResultCache(cache_dir) if cache_dir else None,
+            workers=getattr(args, "workers", None),
+            force=getattr(args, "force", False),
+            collect_metrics=(
+                getattr(args, "metrics", False)
+                or bool(getattr(args, "metrics_csv", None))
+            ),
+            collect_profile=getattr(args, "profile", False),
+            progress=progress,
+            on_commit=_shard_progress(progress),
+        )
+    except (SwfFormatError, WorkerLostError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1)
+    for figure, spec in zip(figures, specs):
+        figure.render(args, spec, sweep)
 
 
 def cmd_gantt(args: argparse.Namespace) -> None:
@@ -520,9 +664,9 @@ def _shard_progress(progress: bool):
     return on_commit
 
 
-def _print_telemetry(progress: bool, sweep) -> None:
+def _print_telemetry(args: argparse.Namespace, sweep) -> None:
     """``--progress``'s summary over the computed cells' final snapshots."""
-    if progress:
+    if args.progress:
         from repro.obs.telemetry import render_telemetry
 
         print(TELEMETRY_MARKER)
@@ -558,117 +702,6 @@ def cmd_trace(args: argparse.Namespace) -> None:
         _print_snapshot(payload["metrics"])
     if not ok:
         raise SystemExit(1)
-
-
-@contextlib.contextmanager
-def _swf_errors() -> typing.Iterator[None]:
-    """A malformed SWF trace ends the command with one ``error: FILE:LINE:``
-    line and exit status 1, from a pool worker as from a serial run."""
-    from repro.workloads.opensys.swf import SwfFormatError
-
-    try:
-        yield
-    except SwfFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
-
-
-def cmd_opensys(args: argparse.Namespace) -> None:
-    """Open-system (scenario x policy x seed) matrix, or an SWF replay.
-
-    Either runs as one sweep (kind ``opensys`` or ``swf``), so
-    ``--cache-dir`` serves both from the result cache.  Renders the
-    seed-aggregated cell table; ``--json`` exports it, ``--metrics``
-    prints per-cell merged snapshots (``--metrics-csv`` writes them as
-    one wide CSV under a stable union header), and ``--trace``
-    additionally runs one fully traced cell (first scenario, first
-    policy, base seed), self-checks the trace against the invariant and
-    replay oracles, and writes it — exiting non-zero if either oracle
-    objects, exactly like ``repro trace``.  ``--progress`` has each
-    running cell print live heartbeats to stderr, and prints a
-    ``=== telemetry ===`` summary of the computed cells after the table.
-    """
-    from repro.ioutil import atomic_write_text
-    from repro.reporting.opensys_report import matrix_to_json, render_matrix_table
-    from repro.sweep import normalize_seeds, run_sweep
-    from repro.sweep.cells import matrix_comparison
-    from repro.sweep.spec import OPENSYS_SCENARIOS
-
-    seed_values = normalize_seeds(args.seeds, args.seed)
-    policy_names = args.policy or sorted(POLICIES)
-    collect_metrics = args.metrics or bool(args.metrics_csv)
-    if args.swf:
-        spec = SweepSpec(
-            name="opensys-swf",
-            kind="swf",
-            swf=args.swf,
-            time_scale=args.time_scale,
-            work_scale=args.work_scale,
-            max_jobs=args.max_jobs,
-            policies=tuple(policy_names),
-            seeds=seed_values,
-            n_processors=args.processors,
-        )
-    else:
-        spec = SweepSpec(
-            name="opensys",
-            kind="opensys",
-            scenarios=(
-                OPENSYS_SCENARIOS
-                if args.scenario == "all"
-                else (args.scenario,)
-            ),
-            policies=tuple(policy_names),
-            seeds=seed_values,
-            n_processors=args.processors,
-            lite=args.lite,
-        )
-    with _swf_errors():
-        sweep = run_sweep(
-            spec,
-            cache=_sweep_cache(args),
-            workers=args.workers,
-            collect_metrics=collect_metrics,
-            progress=args.progress,
-            on_commit=_shard_progress(args.progress),
-        )
-    comparison = matrix_comparison(spec, sweep.payloads)
-    print(render_matrix_table(comparison))
-    _print_telemetry(args.progress, sweep)
-    if args.json:
-        atomic_write_text(args.json, matrix_to_json(comparison))
-        print(f"wrote matrix JSON to {args.json}")
-    if args.metrics:
-        for key in sorted(comparison.metrics):
-            _print_snapshot(comparison.metrics[key], label="/".join(key))
-    if args.metrics_csv:
-        from repro.reporting.obs_export import snapshots_to_csv
-
-        keys = sorted(comparison.metrics)
-        csv_text = snapshots_to_csv(
-            [comparison.metrics[key] for key in keys],
-            labels=["/".join(key) for key in keys],
-        )
-        atomic_write_text(args.metrics_csv, csv_text)
-        print(f"wrote per-cell metrics CSV to {args.metrics_csv}")
-
-    if args.trace:
-        from repro.obs import Tracer
-        from repro.sweep.cells import opensys_result_from_dict, run_cell
-
-        (cell,) = dataclasses.replace(
-            spec, scenarios=spec.scenarios[:1], policies=spec.policies[:1],
-            seeds=(args.seed,),
-        ).expand()
-        tracer = Tracer()
-        result = opensys_result_from_dict(
-            run_cell(cell, tracer=tracer)["data"]["opensys"]
-        )
-        if not _write_checked_trace(
-            tracer.records, result.system, args.trace, args.trace_format,
-            f"scenario {result.scenario!r} under {result.policy}",
-        ):
-            raise SystemExit(1)
 
 
 def cmd_analyze(args: argparse.Namespace) -> None:
@@ -805,22 +838,21 @@ def cmd_bench_report(args: argparse.Namespace) -> None:
 def cmd_sweep(args: argparse.Namespace) -> None:
     """Declarative sweeps: ``repro sweep run|status|clean spec.{toml,json}``.
 
-    ``run`` expands the spec, serves cached cells, computes the rest in
-    resumable shards (kill it, run it again: only missing cells
-    recompute), and renders the kind-appropriate report.  ``status``
-    reports cache occupancy without running anything; ``clean`` evicts
-    the spec's cells for the current code fingerprint.
+    ``run`` is :data:`SWEEP_RUN` through :func:`run_figures`: it expands
+    the spec, serves cached cells, computes the rest in resumable shards
+    (kill it, run it again: only missing cells recompute), and renders
+    the kind-appropriate report.  ``status`` reports cache occupancy
+    without running anything; ``clean`` evicts the spec's cells for the
+    current code fingerprint.
     """
-    from repro.sweep import ResultCache, load_spec, run_sweep
+    from repro.sweep import ResultCache
     from repro.sweep.executor import sweep_clean, sweep_status
 
-    try:
-        spec = load_spec(args.spec)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(1)
+    if args.sweep_command == "run":
+        run_figures(args, [SWEEP_RUN])
+        return
+    spec = _load_sweep_spec(args)
     cache = ResultCache(args.cache_dir)
-
     if args.sweep_command == "status":
         status = sweep_status(spec, cache)
         print(f"sweep '{spec.name}' ({spec.kind}): "
@@ -829,61 +861,21 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         print(f"cache: {cache.root}")
         print(f"journal: {status.journal_path or '(none yet)'}")
         return
-    if args.sweep_command == "clean":
-        removed = sweep_clean(spec, cache)
-        print(f"sweep '{spec.name}': evicted {removed} cached cell(s) "
-              f"from {cache.root}")
-        return
-
-    with _swf_errors():
-        sweep = run_sweep(
-            spec,
-            cache=cache,
-            workers=args.workers,
-            force=args.force,
-            collect_metrics=args.metrics,
-            progress=args.progress,
-            on_commit=_shard_progress(args.progress),
-        )
-    print(f"sweep '{spec.name}' ({spec.kind}): "
-          f"{len(sweep.outcomes)} cells, {sweep.n_hits} cache hits, "
-          f"{sweep.n_computed} computed")
-    print(f"journal: {sweep.journal_path}")
-    payloads = sweep.payloads
-    if spec.kind in ("opensys", "swf"):
-        from repro.reporting.opensys_report import render_matrix_table
-        from repro.sweep.cells import matrix_comparison
-
-        print(render_matrix_table(matrix_comparison(spec, payloads)))
-    elif spec.kind == "table1":
-        from repro.sweep.cells import penalty_table
-
-        for seed in spec.seeds:
-            if len(spec.seeds) > 1:
-                print(f"--- seed {seed} ---")
-            print(render_table1(penalty_table(spec, payloads, seed=seed)))
-    else:  # mix
-        from repro.sweep.cells import mix_comparison
-
-        for mix_id in spec.mixes:
-            comparison = mix_comparison(spec, payloads, mix_id)
-            print(f"workload #{mix_id}: mean response time per policy")
-            for policy in spec.policies:
-                print(f"  {policy:16s} "
-                      f"{comparison.mean_response_time(policy):9.2f} s")
-    _print_merged(spec, payloads)
-    _print_telemetry(args.progress, sweep)
+    removed = sweep_clean(spec, cache)
+    print(f"sweep '{spec.name}': evicted {removed} cached cell(s) "
+          f"from {cache.root}")
 
 
 def cmd_all(args: argparse.Namespace) -> None:
     """Every experiment in paper order; the figures run as one sweep."""
     cmd_apps(args)
-    run_figures(args, list(FIGURES))
+    run_figures(args, [FIGURES[name] for name in PAPER_FIGURES])
     cmd_hierarchy(args)
 
 
-#: Flags several commands share, each defined once: first option string
-#: -> ``add_argument`` keywords (``flags`` lists every option string).
+#: The flags of the commands that run cells, each defined once (most are
+#: shared): first option string -> ``add_argument`` keywords (``flags``
+#: lists every option string).
 _FLAGS: typing.Dict[str, typing.Dict[str, typing.Any]] = {
     "--mix": dict(type=int, choices=sorted(MIXES), default=None),
     "-r": dict(
@@ -928,6 +920,69 @@ _FLAGS: typing.Dict[str, typing.Dict[str, typing.Any]] = {
         "(default: numpy when it imports, else scalar)",
     ),
     "--processors": dict(type=_positive_int_arg, default=16),
+    "--progress": dict(
+        action="store_true",
+        help="stream live per-cell heartbeats to stderr and print a "
+        "telemetry summary after the report",
+    ),
+    "--force": dict(
+        action="store_true",
+        help="recompute every cell even if cached (results are re-stored)",
+    ),
+    "--scenario": dict(
+        choices=("steady", "bursty", "cancellations", "failures", "all"),
+        default="all",
+        help="built-in scenario to run (default: all four)",
+    ),
+    "--policy": dict(
+        action="append", choices=sorted(POLICIES), default=None,
+        metavar="NAME",
+        help="policy to include, repeatable (default: all five)",
+    ),
+    "--seeds": dict(
+        type=_seeds_arg, default=3, metavar="N|A,B,...",
+        help="seeds per cell: a count starting at --seed (default: 3) or "
+        "an explicit comma-separated list; duplicates are rejected",
+    ),
+    "--lite": dict(
+        action="store_true",
+        help="fast synthetic job templates instead of the real app specs",
+    ),
+    "--swf": dict(
+        type=str, default=None, metavar="FILE",
+        help="replay this Standard Workload Format trace instead of a "
+        "built-in scenario",
+    ),
+    "--time-scale": dict(
+        type=_positive_float_arg, default=1.0, metavar="X",
+        help="divide SWF submit times by X (default: 1)",
+    ),
+    "--work-scale": dict(
+        type=_positive_float_arg, default=1.0, metavar="X",
+        help="divide SWF runtimes by X (default: 1)",
+    ),
+    "--max-jobs": dict(
+        type=_nonnegative_int_arg, default=0, metavar="N",
+        help="truncate the SWF trace to its first N jobs (default: all)",
+    ),
+    "--json": dict(
+        type=str, default=None, metavar="FILE",
+        help="write the per-cell matrix summary as JSON to this file",
+    ),
+    "--trace": dict(
+        type=str, default=None, metavar="FILE",
+        help="also run one traced cell (first scenario/policy, base seed), "
+        "self-check it, and write the trace here",
+    ),
+    "--trace-format": dict(
+        choices=("jsonl", "columnar"), default="jsonl",
+        help="container format for --trace output (default: jsonl)",
+    ),
+    "--metrics-csv": dict(
+        type=str, default=None, metavar="FILE",
+        help="write per-cell merged metrics as one wide CSV (stable "
+        "union header across cells) to this file",
+    ),
 }
 
 
@@ -935,6 +990,15 @@ def _add_flags(parser: argparse.ArgumentParser, flags: typing.Iterable[str]) -> 
     for flag in flags:
         kwargs = dict(_FLAGS[flag])
         parser.add_argument(*kwargs.pop("flags", (flag,)), **kwargs)
+
+
+def _add_figure(sub, name: str) -> None:
+    """The subcommand of :data:`FIGURES` entry ``name``: one sweep, one
+    render."""
+    figure = FIGURES[name]
+    p = sub.add_parser(name, help=figure.help)
+    _add_flags(p, figure.flags)
+    p.set_defaults(func=functools.partial(run_figures, figures=[figure]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -953,10 +1017,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p_apps, ("--processors",))
     p_apps.set_defaults(func=cmd_apps)
 
-    for name, figure in FIGURES.items():
-        p = sub.add_parser(name, help=figure.help)
-        _add_flags(p, figure.flags)
-        p.set_defaults(func=cmd_figure)
+    for name in PAPER_FIGURES:
+        _add_figure(sub, name)
 
     p_gantt = sub.add_parser("gantt", help="ASCII allocation timelines")
     _add_flags(p_gantt, ("--mix",))
@@ -987,83 +1049,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_trace.set_defaults(func=cmd_trace)
 
-    p_os = sub.add_parser(
-        "opensys",
-        help="open-system scenarios: arrivals, disruptions, SWF replay",
-    )
-    p_os.add_argument(
-        "--scenario",
-        choices=("steady", "bursty", "cancellations", "failures", "all"),
-        default="all",
-        help="built-in scenario to run (default: all four)",
-    )
-    p_os.add_argument(
-        "--policy", action="append", choices=sorted(POLICIES),
-        default=None, metavar="NAME",
-        help="policy to include, repeatable (default: all five)",
-    )
-    p_os.add_argument(
-        "--seeds", type=_seeds_arg, default=3, metavar="N|A,B,...",
-        help="seeds per cell: a count starting at --seed (default: 3) or "
-        "an explicit comma-separated list; duplicates are rejected",
-    )
-    _add_flags(p_os, ("--workers", "--processors"))
-    p_os.add_argument(
-        "--lite", action="store_true",
-        help="fast synthetic job templates instead of the real app specs",
-    )
-    p_os.add_argument(
-        "--swf", type=str, default=None, metavar="FILE",
-        help="replay this Standard Workload Format trace instead of a "
-        "built-in scenario",
-    )
-    p_os.add_argument(
-        "--time-scale", type=_positive_float_arg, default=1.0, metavar="X",
-        help="divide SWF submit times by X (default: 1)",
-    )
-    p_os.add_argument(
-        "--work-scale", type=_positive_float_arg, default=1.0, metavar="X",
-        help="divide SWF runtimes by X (default: 1)",
-    )
-    p_os.add_argument(
-        "--max-jobs", type=_nonnegative_int_arg, default=0, metavar="N",
-        help="truncate the SWF trace to its first N jobs (default: all)",
-    )
-    p_os.add_argument(
-        "--json", type=str, default=None, metavar="FILE",
-        help="write the per-cell matrix summary as JSON to this file",
-    )
-    _add_flags(p_os, ("--metrics",))
-    p_os.add_argument(
-        "--trace", type=str, default=None, metavar="FILE",
-        help="also run one traced cell (first scenario/policy, base seed), "
-        "self-check it, and write the trace here",
-    )
-    p_os.add_argument(
-        "--trace-format", choices=("jsonl", "columnar"), default="jsonl",
-        help="container format for --trace output (default: jsonl)",
-    )
-    p_os.add_argument(
-        "--metrics-csv", type=str, default=None, metavar="FILE",
-        help="write per-cell merged metrics as one wide CSV (stable "
-        "union header across cells) to this file",
-    )
-    p_os.add_argument(
-        "--progress", action="store_true",
-        help="stream live per-cell heartbeats to stderr and print a "
-        "telemetry summary after the table",
-    )
-    _add_flags(p_os, ("--cache-dir",))
-    p_os.set_defaults(func=cmd_opensys)
+    _add_figure(sub, "opensys")
 
     p_sw = sub.add_parser(
         "sweep",
         help="declarative sweeps over a content-addressed result cache",
     )
     sw_sub = p_sw.add_subparsers(dest="sweep_command", required=True)
-    sw_common = []
     for sw_name, sw_help in (
-        ("run", "expand the spec, serve cached cells, compute the rest"),
+        ("run", SWEEP_RUN.help),
         ("status", "report cache occupancy for the spec without running"),
         ("clean", "evict the spec's cached cells (current code only)"),
     ):
@@ -1073,20 +1067,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-dir", type=str, default=".repro-cache", metavar="DIR",
             help="result cache root (default: .repro-cache)",
         )
+        _add_flags(p, SWEEP_RUN.flags if sw_name == "run" else ())
         p.set_defaults(func=cmd_sweep)
-        sw_common.append(p)
-    p_sw_run = sw_common[0]
-    _add_flags(p_sw_run, ("--workers",))
-    p_sw_run.add_argument(
-        "--force", action="store_true",
-        help="recompute every cell even if cached (results are re-stored)",
-    )
-    _add_flags(p_sw_run, ("--metrics",))
-    p_sw_run.add_argument(
-        "--progress", action="store_true",
-        help="stream live per-cell heartbeats to stderr and print a "
-        "telemetry summary",
-    )
 
     p_an = sub.add_parser(
         "analyze",

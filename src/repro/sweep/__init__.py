@@ -51,6 +51,7 @@ _LAZY = {
     "CellOutcome": "repro.sweep.executor",
     "SweepResult": "repro.sweep.executor",
     "SweepStatus": "repro.sweep.executor",
+    "WorkerLostError": "repro.sweep.executor",
     "run_cell": "repro.sweep.cells",
 }
 

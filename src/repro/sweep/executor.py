@@ -29,6 +29,7 @@ ordered results as everything else a worker returns.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -45,6 +46,11 @@ from repro.sweep.spec import SweepCell, SweepSpec
 
 #: Journal line schema (every line is one JSON object tagged with this).
 JOURNAL_SCHEMA = "repro.sweep.journal/1"
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker died (killed, out of memory, ``os._exit``) before its
+    shard's results came back.  The message names the shard's cells."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -258,7 +264,11 @@ def run_sweep(
                 for shard in shards
             ]
 
+            n_committed = 0
+
             def commit(index: int, payloads: typing.List[dict]) -> None:
+                nonlocal n_committed
+                n_committed = index + 1
                 for (cell, key), payload in zip(shards[index], payloads):
                     journal({
                         "event": "cell_done",
@@ -278,9 +288,23 @@ def run_sweep(
                 fingerprint=fingerprint,
                 progress=progress,
             )
-            shard_results = map_items(
-                run_shard, tasks, workers=workers, on_commit=commit
-            )
+            try:
+                shard_results = map_items(
+                    run_shard, tasks, workers=workers, on_commit=commit
+                )
+            except concurrent.futures.BrokenExecutor as exc:
+                # A BrokenProcessPool, caught by its base class so that a
+                # serial run never imports multiprocessing.  Shards commit
+                # in order: the map broke on the first one not yet journaled.
+                labels = ", ".join(cell.label for cell, _ in shards[n_committed])
+                rerun = (
+                    f"a rerun resumes from the cache in {cache.root}"
+                    if cache is not None else "nothing is cached, a rerun starts over"
+                )
+                raise WorkerLostError(
+                    f"a worker process died before shard {n_committed + 1} of "
+                    f"{len(shards)} came back ({labels}); {rerun}"
+                ) from exc
             for shard, payloads in zip(shards, shard_results):
                 for (cell, _), payload in zip(shard, payloads):
                     computed[cell] = payload

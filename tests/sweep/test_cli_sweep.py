@@ -200,3 +200,32 @@ class TestSeedListAxis:
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError, match="at least one seed"):
             _steady_matrix(0)
+
+
+class TestOneDriver:
+    """``opensys`` and ``sweep run`` run cells through one driver."""
+
+    def test_sweep_run_serves_the_cells_opensys_computed(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        assert main([
+            "opensys", "--lite", "--scenario", "steady", "--policy", "Dyn-Aff",
+            "--seeds", "1", "--processors", "8", "--cache-dir", cache,
+        ]) == 0
+        opensys = capsys.readouterr().out
+        spec = _write_spec(tmp_path, name="shared", policies=("Dyn-Aff",),
+                           n_processors=8)
+        assert main(["sweep", "run", spec, "--cache-dir", cache]) == 0
+        header, journal, *matrix = capsys.readouterr().out.splitlines()
+        assert header.endswith("1 cells, 1 cache hits, 0 computed")
+        assert matrix == opensys.splitlines()
+
+    def test_lost_worker_is_one_error_line(self, tmp_path, capsys, dying_worker):
+        spec = _write_spec(tmp_path, seeds=(0, 1))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "run", spec, "--cache-dir", str(tmp_path / "cache"),
+                  "--workers", "2"])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died before shard 1 ")
+        assert "(steady/Equipartition/seed0)" in err
+        assert err.count("\n") == 1

@@ -332,3 +332,32 @@ class TestSwfCells:
         trace.write_bytes(trace.read_bytes().replace(b"4.0", b"4.5", 1))
         with pytest.raises(ValueError, match=r"edited\.swf: SWF trace changed"):
             run_cell(cell)
+
+
+class TestWorkerLoss:
+    def test_lost_worker_names_its_cells_and_rerun_resumes(
+        self, tmp_path, dying_worker
+    ):
+        cache = ResultCache(str(tmp_path))
+        with pytest.raises(executor.WorkerLostError) as excinfo:
+            run_sweep(_spec(), cache=cache, workers=2, shard_size=2)
+        assert str(excinfo.value) == (
+            "a worker process died before shard 1 of 2 came back "
+            "(steady/Equipartition/seed0, steady/Equipartition/seed1); "
+            f"a rerun resumes from the cache in {tmp_path}"
+        )
+        committed = sum(
+            cache.load(cell_key(cell), cell) is not None for cell in _spec().expand()
+        )
+        assert committed < 4
+
+        dying_worker.undo()
+        resumed = run_sweep(_spec(), cache=cache, workers=2, shard_size=2)
+        assert (resumed.n_hits, resumed.n_computed) == (committed, 4 - committed)
+        assert not resumed.outcomes[0].cached
+        assert _bytes(resumed) == _bytes(run_sweep(_spec()))
+
+    def test_without_cache_the_message_says_so(self, dying_worker):
+        with pytest.raises(executor.WorkerLostError,
+                           match="nothing is cached, a rerun starts over"):
+            run_sweep(_spec(), workers=2, shard_size=1)

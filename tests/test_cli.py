@@ -430,30 +430,26 @@ class TestMixCache:
 def mix_grid():
     """Every Table 2 mix under all five policies at seed 0, with metrics:
     the superset of the cells fig5, fig6, table4 and future read at -r 1,
-    fresh and after a store/load round trip through a ResultCache."""
+    as a fresh sweep and as a rerun served from its ResultCache."""
     import tempfile
 
     from repro.core.policies import POLICIES
-    from repro.sweep import ResultCache, SweepSpec, cell_key, run_sweep
+    from repro.sweep import ResultCache, SweepSpec, run_sweep
 
     spec = SweepSpec(
         name="grid", kind="mix", mixes=(1, 2, 3, 4, 5, 6),
         policies=tuple(POLICIES), seeds=(0,),
     )
-    fresh = run_sweep(spec, collect_metrics=True).payloads
     with tempfile.TemporaryDirectory() as root:
-        cache = ResultCache(root)
-        served = {}
-        for cell, payload in fresh.items():
-            key = cell_key(cell)
-            cache.store(cell, key, payload)
-            served[cell] = cache.load(key, cell)
+        fresh = run_sweep(spec, cache=ResultCache(root), collect_metrics=True)
+        served = run_sweep(spec, cache=ResultCache(root), collect_metrics=True)
+    assert served.n_hits == len(spec.expand())
     return fresh, served
 
 
 class TestFigureRenderersFromCache:
-    """Each figure renderer prints the same from cache-served payloads as
-    from fresh ones, for every mix (2, 3, 5 and 6 list their jobs in a
+    """Each figure renderer prints the same from a cache-served sweep as
+    from a fresh one, for every mix (2, 3, 5 and 6 list their jobs in a
     non-alphabetical order)."""
 
     @pytest.mark.parametrize("argv", [
@@ -470,8 +466,8 @@ class TestFigureRenderersFromCache:
         figure = FIGURES[args.command]
         spec = figure.spec(args)
         outputs = []
-        for payloads in mix_grid:
-            figure.render(args, spec, payloads)
+        for sweep in mix_grid:
+            figure.render(args, spec, sweep)
             written = csv.read_text(encoding="utf-8") if csv.exists() else ""
             outputs.append((capsys.readouterr().out, written))
         assert outputs[0] == outputs[1]
