@@ -310,8 +310,9 @@ def _render_table4(args: argparse.Namespace, spec: SweepSpec, sweep) -> None:
     """Table 4: homogeneous workloads, Dyn-Aff vs Dyn-Aff-NoPri."""
     from repro.sweep.cells import mean_response_table
 
-    print(render_table4(mean_response_table(spec, sweep.payloads)))
-    _print_merged(spec, sweep.payloads)
+    payloads = sweep.payloads
+    print(render_table4(mean_response_table(spec, payloads)))
+    _print_merged(spec, payloads)
     if getattr(args, "analyze", False):
         _print_analysis(spec, spec.mixes, args.seed)
 
@@ -321,8 +322,9 @@ def _render_future(args: argparse.Namespace, spec: SweepSpec, sweep) -> None:
     from repro.sweep.cells import mix_comparison
 
     model = FutureMachineModel(DEFAULT_PENALTIES)
+    payloads = sweep.payloads
     for mix_id in spec.mixes:
-        comparison = mix_comparison(spec, sweep.payloads, mix_id)
+        comparison = mix_comparison(spec, payloads, mix_id)
         _print_snapshots(comparison.metrics, comparison.profiles)
         observations = observations_from_comparison(comparison)
         for job in comparison.job_names():
@@ -591,7 +593,7 @@ def run_figures(args: argparse.Namespace, figures: typing.Sequence[Figure]) -> N
             ),
             collect_profile=getattr(args, "profile", False),
             progress=progress,
-            on_commit=_shard_progress(progress),
+            on_commit=_shard_progress() if progress else None,
         )
     except (SwfFormatError, WorkerLostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -649,11 +651,8 @@ def _write_checked_trace(records, result, path: str, fmt: str, what: str) -> boo
     return not (violations or replay_errors)
 
 
-def _shard_progress(progress: bool):
-    """``--progress``'s shard-commit callback, a line on stderr per shard
-    (``None`` when off)."""
-    if not progress:
-        return None
+def _shard_progress():
+    """``--progress``'s shard-commit callback: a line on stderr per shard."""
     from repro.obs.telemetry import ProgressWriter
 
     writer = ProgressWriter()
