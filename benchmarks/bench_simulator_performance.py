@@ -255,6 +255,61 @@ def test_tracer_enabled_overhead():
     )
 
 
+def test_tracer_scheduling_overhead():
+    """CI guard: an enabled tracer must cost <=20% on the scheduling path.
+
+    Runs the seed-0 lite open-system matrix (4 scenarios x 5 policies on
+    16 processors, every record kind a scheduling run emits) untraced and
+    with a plain :class:`Tracer`, interleaved, min of 7.  The tracer keeps
+    each emission as a field tuple and builds no record: the ratio read
+    1.08-1.20 on a shared 2-vCPU host, against 1.27-1.43 when every
+    emission built a frozen record.
+    """
+    from repro.core.policies import POLICIES
+    from repro.workloads.opensys.scenario import built_in_scenarios, run_scenario
+
+    scenarios = built_in_scenarios(lite=True, n_processors=16)
+
+    def matrix(make_tracer):
+        for scenario in scenarios.values():
+            for policy in POLICIES.values():
+                run_scenario(
+                    scenario, policy, seed=0, n_processors=16, tracer=make_tracer()
+                )
+
+    def attempt():
+        base_s = traced_s = float("inf")
+        for _ in range(7):
+            start = time.perf_counter()
+            matrix(lambda: None)
+            base_s = min(base_s, time.perf_counter() - start)
+            start = time.perf_counter()
+            matrix(Tracer)
+            traced_s = min(traced_s, time.perf_counter() - start)
+        ratio = traced_s / base_s if base_s else float("inf")
+        print(
+            f"\nenabled-tracer overhead on the lite open-system matrix: "
+            f"bare {base_s * 1e3:.1f}ms, Tracer {traced_s * 1e3:.1f}ms, "
+            f"ratio {ratio:.4f}x"
+        )
+        return ratio
+
+    tracer = Tracer()
+    run_scenario(scenarios["failures"], POLICIES["Dyn-Aff"], seed=0,
+                 n_processors=16, tracer=tracer)
+    assert len(tracer), "a traced cell kept no records; guard is vacuous"
+    # As above: one noisy attempt must not fail the build.
+    ratios = []
+    for _ in range(3):
+        ratios.append(attempt())
+        if ratios[-1] <= 1.20:
+            break
+    assert min(ratios) <= 1.20, (
+        f"enabled tracer costs {min(ratios):.4f}x on the scheduling path "
+        f"across {len(ratios)} attempts (budget 1.20x)"
+    )
+
+
 #: The Table 1 measured-application stream the generator benchmarks use.
 _BENCH_REF = ReferenceSpec(
     data_blocks=3500, p_reuse=0.9875, refs_per_touch=20, reuse_window=1100

@@ -186,15 +186,14 @@ class Allocator:
         if tracer is None:
             return
         tracer.emit(
-            PolicyDecision(
-                time=self.system.now,
-                rule=rule,
-                job=job.name if job is not None else None,
-                cpu=cpu,
-                reason=reason,
-                credits={j.name: self.credit.credit(j) for j in compared},
-                allocations=dict(allocations) if allocations else {},
-            )
+            PolicyDecision,
+            self.system.now,
+            rule,
+            job.name if job is not None else None,
+            cpu,
+            reason,
+            {j.name: self.credit.credit(j) for j in compared},
+            dict(allocations) if allocations else {},
         )
 
     # ------------------------------------------------------------------ #

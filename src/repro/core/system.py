@@ -251,13 +251,7 @@ class SchedulingSystem:
             job.name for job in self.jobs if not job.finished and not job.cancelled
         ]
         if tr is not None and (until is None or not unfinished):
-            tr.emit(
-                RunEnd(
-                    time=self.sim.now,
-                    makespan=self.sim.now,
-                    events_fired=self.sim.events_fired,
-                )
-            )
+            tr.emit(RunEnd, self.sim.now, self.sim.now, self.sim.events_fired)
         if unfinished and until is None:
             raise RuntimeError(
                 f"simulation stalled with unfinished jobs: {unfinished}"
@@ -281,20 +275,20 @@ class SchedulingSystem:
         self._started = True
         tr = self.tracer
         if tr is not None:
+            # Fields in KIND_FIELDS order, as every emit takes them.
             tr.emit(
-                RunConfig(
-                    time=self.sim.now,
-                    policy=self.policy.name,
-                    n_processors=len(self.allocator.procs),
-                    seed=self.seed,
-                    jobs=tuple(job.name for job in self.jobs),
-                    machine=self.machine.name,
-                    cache_lines=self.machine.cache_lines,
-                    miss_time_s=self.machine.miss_time_s,
-                    context_switch_s=self.machine.context_switch_s,
-                    respect_priority=self.policy.respect_priority,
-                    use_affinity=self.policy.use_affinity,
-                )
+                RunConfig,
+                self.sim.now,
+                self.policy.name,
+                len(self.allocator.procs),
+                self.seed,
+                tuple(job.name for job in self.jobs),
+                self.machine.name,
+                self.machine.cache_lines,
+                self.machine.miss_time_s,
+                self.machine.context_switch_s,
+                self.policy.respect_priority,
+                self.policy.use_affinity,
             )
         for job, arrival in zip(self.jobs, self._arrivals):
             if job.cancelled:
@@ -314,7 +308,7 @@ class SchedulingSystem:
         self._alloc_mark[job.name] = self.sim.now
         tr = self.tracer
         if tr is not None:
-            tr.emit(JobArrival(time=self.sim.now, job=job.name))
+            tr.emit(JobArrival, self.sim.now, job.name)
         self.allocator.job_arrived(job)
 
     def _complete_job(self, job: Job) -> None:
@@ -323,12 +317,8 @@ class SchedulingSystem:
         tr = self.tracer
         if tr is not None:
             tr.emit(
-                JobDeparture(
-                    time=self.sim.now,
-                    job=job.name,
-                    response_time=job.response_time,
-                    n_reallocations=job.n_reallocations,
-                )
+                JobDeparture, self.sim.now, job.name, job.response_time,
+                job.n_reallocations,
             )
         self.allocator.job_departed(job)
         self._finished_jobs += 1
@@ -362,9 +352,7 @@ class SchedulingSystem:
         job.cancelled_time = self.sim.now
         tr = self.tracer
         if tr is not None:
-            tr.emit(
-                JobCancelled(time=self.sim.now, job=job.name, work_done=job.work_done)
-            )
+            tr.emit(JobCancelled, self.sim.now, job.name, job.work_done)
         if arrived:
             self.allocator.job_departed(job)
         self._finished_jobs += 1
@@ -394,8 +382,8 @@ class SchedulingSystem:
         lost = float(flush(cpu_id)) if flush is not None else 0.0
         tr = self.tracer
         if tr is not None:
-            tr.emit(CpuFailure(time=self.sim.now, cpu=cpu_id))
-            tr.emit(CacheFlush(time=self.sim.now, cpu=cpu_id, lines=int(lost)))
+            tr.emit(CpuFailure, self.sim.now, cpu_id)
+            tr.emit(CacheFlush, self.sim.now, cpu_id, int(lost))
         if self.policy.is_equipartition:
             self.allocator.rebalance_equipartition()
         elif victim is not None and not victim.finished and not victim.cancelled:
@@ -409,7 +397,7 @@ class SchedulingSystem:
         self._set_online(proc, True)
         tr = self.tracer
         if tr is not None:
-            tr.emit(CpuRecovery(time=self.sim.now, cpu=cpu_id))
+            tr.emit(CpuRecovery, self.sim.now, cpu_id)
         if self.policy.is_equipartition:
             self.allocator.rebalance_equipartition()
         else:
@@ -455,12 +443,8 @@ class SchedulingSystem:
         tr = self.tracer
         if tr is not None:
             tr.emit(
-                AllocationChange(
-                    time=self.sim.now,
-                    cpu=proc.cpu_id,
-                    job=job.name if job else None,
-                    prev=old.name if old else None,
-                )
+                AllocationChange, self.sim.now, proc.cpu_id,
+                job.name if job else None, old.name if old else None,
             )
 
     def _set_worker(
@@ -567,17 +551,8 @@ class SchedulingSystem:
         tr = self.tracer
         if tr is not None:
             tr.emit(
-                Dispatch(
-                    time=self.sim.now,
-                    cpu=proc.cpu_id,
-                    job=job.name,
-                    worker=worker.index,
-                    affine=affine,
-                    cheap=cheap,
-                    penalty_s=penalty_charged,
-                    switch_s=switch_charged,
-                    ready_depth=ready_depth,
-                )
+                Dispatch, self.sim.now, proc.cpu_id, job.name, worker.index,
+                affine, cheap, penalty_charged, switch_charged, ready_depth,
             )
         if worker.current_thread is None:
             tid = job.take_ready_thread(worker)
@@ -624,13 +599,7 @@ class SchedulingSystem:
         tr = self.tracer
         if tr is not None:
             tr.emit(
-                Undispatch(
-                    time=self.sim.now,
-                    cpu=proc.cpu_id,
-                    job=job.name,
-                    worker=worker.index,
-                    reason=reason,
-                )
+                Undispatch, self.sim.now, proc.cpu_id, job.name, worker.index, reason
             )
 
     def preempt_processor(self, proc: ProcessorRecord) -> None:

@@ -206,13 +206,7 @@ class SetAssociativeCache:
 
     def _emit_batch(self, owner: typing.Hashable, n: int, hits: int) -> None:
         self._tracer.emit(  # type: ignore[union-attr]
-            CacheBatch(
-                time=self._trace_now(),
-                cpu=self._trace_cpu,
-                owner=str(owner),
-                n=n,
-                hits=hits,
-            )
+            CacheBatch, self._trace_now(), self._trace_cpu, str(owner), n, hits
         )
 
     # -- speculation (engines with a window: max_window > 0) ------------ #
@@ -306,7 +300,7 @@ class SetAssociativeCache:
         tracer = self._tracer
         if tracer is not None:
             tracer.emit(  # type: ignore[attr-defined]
-                CacheFlush(time=self._trace_now(), cpu=self._trace_cpu, lines=dropped)
+                CacheFlush, self._trace_now(), self._trace_cpu, dropped
             )
         return dropped
 

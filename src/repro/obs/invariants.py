@@ -105,63 +105,15 @@ class StreamingChecker:
         violations = self.violations
         found = len(violations)
 
-        if record.time < state.last_time - _EPS:
-            violations.append(
-                f"clock ran backwards ({record.time} < {state.last_time})"
-            )
-        state.last_time = max(state.last_time, record.time)
+        time = record.time
+        if time < state.last_time - _EPS:
+            violations.append(f"clock ran backwards ({time} < {state.last_time})")
+        if time > state.last_time:
+            state.last_time = time
 
-        if isinstance(record, RunConfig):
-            state.config = record
-        elif isinstance(record, JobArrival):
-            state.arrived[record.job] = record.time
-        elif isinstance(record, JobDeparture):
-            _check_departure(state, record, violations)
-        elif isinstance(record, JobCancelled):
-            _check_cancellation(state, record, violations)
-        elif isinstance(record, CpuFailure):
-            _check_cpu_failure(state, record, violations)
-        elif isinstance(record, CpuRecovery):
-            if record.cpu not in state.offline:
-                violations.append(
-                    f"cpu {record.cpu} recovered without having failed"
-                )
-            state.offline.discard(record.cpu)
-        elif isinstance(record, CacheFlush):
-            if state.config is not None and not (
-                0 <= record.lines <= state.config.cache_lines
-            ):
-                violations.append(
-                    f"cache flush of {record.lines} lines outside "
-                    f"[0, {state.config.cache_lines}]"
-                )
-        elif isinstance(record, AllocationChange):
-            _check_alloc(state, record, violations)
-        elif isinstance(record, Dispatch):
-            _check_dispatch(state, record, violations)
-        elif isinstance(record, Undispatch):
-            _check_undispatch(state, record, violations)
-        elif isinstance(record, PolicyDecision):
-            _check_decision(state, record, violations)
-        elif isinstance(record, RunEnd):
-            if state.owner:
-                violations.append(
-                    f"run ended with owned processors {sorted(state.owner)}"
-                )
-            if state.placed:
-                violations.append(
-                    f"run ended with placed workers {sorted(state.placed)}"
-                )
-            lost = sorted(
-                name
-                for name in state.arrived
-                if name not in state.departed and name not in state.cancelled
-            )
-            if lost:
-                violations.append(
-                    f"jobs {lost} arrived but neither departed nor "
-                    "were cancelled (work conservation violated)"
-                )
+        check = _CHECKS.get(type(record))
+        if check is not None:
+            check(state, record, violations)
         if len(violations) != found:
             # Checks append bare messages; only a record that broke one
             # pays for formatting its ``[index] t=time kind`` prefix.
@@ -190,7 +142,57 @@ def assert_trace_ok(records: typing.Iterable[TraceRecord]) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# per-record checks
+# per-record checks: one function per record class, ``(state, record,
+# violations)``, found by :data:`_CHECKS`
+
+
+def _note_config(
+    state: _State, record: RunConfig, violations: typing.List[str]
+) -> None:
+    state.config = record
+
+
+def _note_arrival(
+    state: _State, record: JobArrival, violations: typing.List[str]
+) -> None:
+    state.arrived[record.job] = record.time
+
+
+def _check_cpu_recovery(
+    state: _State, record: CpuRecovery, violations: typing.List[str]
+) -> None:
+    if record.cpu not in state.offline:
+        violations.append(f"cpu {record.cpu} recovered without having failed")
+    state.offline.discard(record.cpu)
+
+
+def _check_cache_flush(
+    state: _State, record: CacheFlush, violations: typing.List[str]
+) -> None:
+    if state.config is not None and not 0 <= record.lines <= state.config.cache_lines:
+        violations.append(
+            f"cache flush of {record.lines} lines outside "
+            f"[0, {state.config.cache_lines}]"
+        )
+
+
+def _check_run_end(
+    state: _State, record: RunEnd, violations: typing.List[str]
+) -> None:
+    if state.owner:
+        violations.append(f"run ended with owned processors {sorted(state.owner)}")
+    if state.placed:
+        violations.append(f"run ended with placed workers {sorted(state.placed)}")
+    lost = sorted(
+        name
+        for name in state.arrived
+        if name not in state.departed and name not in state.cancelled
+    )
+    if lost:
+        violations.append(
+            f"jobs {lost} arrived but neither departed nor "
+            "were cancelled (work conservation violated)"
+        )
 
 
 def _check_departure(
@@ -405,3 +407,21 @@ def _check_decision(
                 f"equipartition targets sum to {total} on a "
                 f"{state.config.n_processors}-processor machine"
             )
+
+
+#: record class -> its check; a class not listed (``CacheBatch``,
+#: ``EngineEvent``) is checked only for the clock.
+_CHECKS: typing.Dict[type, typing.Callable[..., None]] = {
+    RunConfig: _note_config,
+    JobArrival: _note_arrival,
+    JobDeparture: _check_departure,
+    JobCancelled: _check_cancellation,
+    CpuFailure: _check_cpu_failure,
+    CpuRecovery: _check_cpu_recovery,
+    CacheFlush: _check_cache_flush,
+    AllocationChange: _check_alloc,
+    Dispatch: _check_dispatch,
+    Undispatch: _check_undispatch,
+    PolicyDecision: _check_decision,
+    RunEnd: _check_run_end,
+}

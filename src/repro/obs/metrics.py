@@ -20,6 +20,7 @@ Merge semantics per instrument:
 
 from __future__ import annotations
 
+import bisect
 import typing
 
 from repro.obs.records import (
@@ -32,6 +33,7 @@ from repro.obs.records import (
     JobCancelled,
     JobDeparture,
     PolicyDecision,
+    RECORD_ROW,
     RunEnd,
     TraceRecord,
     Undispatch,
@@ -96,11 +98,11 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # The first bound >= value; NaN compares false with every bound,
+        # so it lands in the overflow bucket, as a linear scan puts it.
+        index = (
+            bisect.bisect_left(self.bounds, value) if value == value else len(self.bounds)
+        )
         self.counts[index] += 1
         self.count += 1
         self.sum += value
@@ -230,13 +232,15 @@ class MetricsFold:
 
     :meth:`emit` is the scheduling-run metric catalog, applied one record
     at a time, so every float sum runs in the order the run emitted it.
-    A run that wants only its metrics passes a fold as its ``tracer``
-    and holds about twenty numbers instead of every record; one with a
-    stored trace folds it afterwards with :func:`metrics_from_records`.
-    Records with no metric (``RunConfig``, ``CacheBatch``,
-    ``EngineEvent``) are skipped; the ``penalty/*`` instruments of the
-    Section 4 harness have no records and are fed live by
-    :class:`~repro.measure.penalty.PenaltyExperiment`.
+    It takes what :meth:`repro.obs.tracer.Tracer.emit` takes, a record
+    class and its field values, and builds no record.  A run that wants
+    only its metrics passes a fold as its ``tracer`` and holds about
+    twenty numbers instead of every record; one with a stored trace
+    folds it afterwards, from a tracer's rows (:meth:`emit_rows`) or
+    from records (:func:`metrics_from_records`).  Records with no metric
+    (``RunConfig``, ``CacheBatch``, ``EngineEvent``) are skipped; the
+    ``penalty/*`` instruments of the Section 4 harness have no records
+    and are fed live by :class:`~repro.measure.penalty.PenaltyExperiment`.
     """
 
     #: the simulator's tracer hook reads this: a fold takes no engine events
@@ -245,43 +249,90 @@ class MetricsFold:
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
 
-    def emit(self, record: TraceRecord) -> None:
-        """Fold one record into :attr:`metrics`."""
+    def emit(self, kind: type, *fields: typing.Any) -> None:
+        """Fold one ``kind`` record, given as its field values."""
+        fold = self._FOLDS.get(kind)
+        if fold is not None:
+            fold(self, *fields)
+
+    def emit_rows(self, kind: type, rows: typing.Iterable[tuple]) -> None:
+        """Fold ``kind`` records given as field tuples, in order: one
+        :meth:`emit` each, dispatched once.
+
+        Every instrument is fed by one record kind, so folding a
+        trace's kinds one after another (a tracer's ``rows``) runs each
+        float sum in the order the run emitted it, as :meth:`emit` per
+        record does.
+        """
+        fold = self._FOLDS.get(kind)
+        if fold is not None:
+            for fields in rows:
+                fold(self, *fields)
+
+    # One method per folded kind, taking its fields in KIND_FIELDS order.
+
+    def _dispatch(
+        self, time, cpu, job, worker, affine, cheap, penalty_s, switch_s, ready_depth,
+    ) -> None:
         metrics = self.metrics
-        if isinstance(record, Dispatch):
-            metrics.counter("dispatch/total").inc()
-            metrics.histogram("dispatch/ready_depth").observe(record.ready_depth)
-            if not record.cheap:
-                metrics.counter("dispatch/reallocations").inc()
-                if record.affine:
-                    metrics.counter("dispatch/affine").inc()
-                metrics.counter("dispatch/cache_penalty_s").inc(record.penalty_s)
-                metrics.counter("dispatch/switch_overhead_s").inc(record.switch_s)
-                metrics.histogram("dispatch/penalty_s").observe(record.penalty_s)
-        elif isinstance(record, Undispatch):
-            if record.reason == "preempt":
-                metrics.counter("dispatch/preemptions").inc()
-        elif isinstance(record, PolicyDecision):
-            metrics.counter(f"policy/decisions/{record.rule}").inc()
-        elif isinstance(record, AllocationChange):
-            metrics.counter("alloc/changes").inc()
-        elif isinstance(record, JobArrival):
-            metrics.counter("jobs/arrived").inc()
-        elif isinstance(record, JobDeparture):
-            metrics.counter("jobs/completed").inc()
-            metrics.histogram("jobs/response_s").observe(record.response_time)
-        elif isinstance(record, JobCancelled):
-            metrics.counter("jobs/cancelled").inc()
-            metrics.counter("jobs/cancelled_work_s").inc(record.work_done)
-        elif isinstance(record, CpuFailure):
-            metrics.counter("cpu/failures").inc()
-        elif isinstance(record, CacheFlush):
-            metrics.counter("cpu/flushed_lines").inc(record.lines)
-        elif isinstance(record, CpuRecovery):
-            metrics.counter("cpu/recoveries").inc()
-        elif isinstance(record, RunEnd):
-            metrics.gauge("run/makespan_s").set(record.makespan)
-            metrics.counter("run/events_fired").inc(record.events_fired)
+        metrics.counter("dispatch/total").inc()
+        metrics.histogram("dispatch/ready_depth").observe(ready_depth)
+        if not cheap:
+            metrics.counter("dispatch/reallocations").inc()
+            if affine:
+                metrics.counter("dispatch/affine").inc()
+            metrics.counter("dispatch/cache_penalty_s").inc(penalty_s)
+            metrics.counter("dispatch/switch_overhead_s").inc(switch_s)
+            metrics.histogram("dispatch/penalty_s").observe(penalty_s)
+
+    def _undispatch(self, time, cpu, job, worker, reason) -> None:
+        if reason == "preempt":
+            self.metrics.counter("dispatch/preemptions").inc()
+
+    def _decision(self, time, rule, job, cpu, reason, credits, allocations) -> None:
+        self.metrics.counter(f"policy/decisions/{rule}").inc()
+
+    def _alloc(self, time, cpu, job, prev) -> None:
+        self.metrics.counter("alloc/changes").inc()
+
+    def _arrival(self, time, job) -> None:
+        self.metrics.counter("jobs/arrived").inc()
+
+    def _departure(self, time, job, response_time, n_reallocations) -> None:
+        self.metrics.counter("jobs/completed").inc()
+        self.metrics.histogram("jobs/response_s").observe(response_time)
+
+    def _cancelled(self, time, job, work_done) -> None:
+        self.metrics.counter("jobs/cancelled").inc()
+        self.metrics.counter("jobs/cancelled_work_s").inc(work_done)
+
+    def _cpu_failure(self, time, cpu) -> None:
+        self.metrics.counter("cpu/failures").inc()
+
+    def _cache_flush(self, time, cpu, lines) -> None:
+        self.metrics.counter("cpu/flushed_lines").inc(lines)
+
+    def _cpu_recovery(self, time, cpu) -> None:
+        self.metrics.counter("cpu/recoveries").inc()
+
+    def _run_end(self, time, makespan, events_fired) -> None:
+        self.metrics.gauge("run/makespan_s").set(makespan)
+        self.metrics.counter("run/events_fired").inc(events_fired)
+
+    #: record class -> its fold (a plain function: no bound-method cycle)
+    _FOLDS: typing.Dict[type, typing.Callable[..., None]] = {
+        Dispatch: _dispatch,
+        Undispatch: _undispatch,
+        PolicyDecision: _decision,
+        AllocationChange: _alloc,
+        JobArrival: _arrival,
+        JobDeparture: _departure,
+        JobCancelled: _cancelled,
+        CpuFailure: _cpu_failure,
+        CacheFlush: _cache_flush,
+        CpuRecovery: _cpu_recovery,
+        RunEnd: _run_end,
+    }
 
 
 def metrics_from_records(records: typing.Iterable[TraceRecord]) -> MetricsRegistry:
@@ -291,7 +342,7 @@ def metrics_from_records(records: typing.Iterable[TraceRecord]) -> MetricsRegist
     """
     fold = MetricsFold()
     for record in records:
-        fold.emit(record)
+        fold.emit(type(record), *RECORD_ROW[record.kind](record))
     return fold.metrics
 
 

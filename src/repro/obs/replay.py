@@ -59,39 +59,69 @@ class ReplaySummary:
         return sum(j.response_time for j in self.jobs.values()) / len(self.jobs)
 
 
+class _Replay:
+    """What :func:`replay` accumulates; one step per record class it reads."""
+
+    def __init__(self) -> None:
+        self.arrivals: typing.Dict[str, float] = {}
+        self.departures: typing.Dict[str, float] = {}
+        self.reallocations: typing.Dict[str, int] = {}
+        self.affine: typing.Dict[str, int] = {}
+        self.cancelled: typing.Dict[str, float] = {}
+        self.makespan: typing.Optional[float] = None
+
+    def arrival(self, record: JobArrival) -> None:
+        self.arrivals[record.job] = record.time
+
+    def departure(self, record: JobDeparture) -> None:
+        self.departures[record.job] = record.time
+
+    def cancellation(self, record: JobCancelled) -> None:
+        self.cancelled[record.job] = record.time
+
+    def dispatch(self, record: Dispatch) -> None:
+        if not record.cheap:
+            job = record.job
+            self.reallocations[job] = self.reallocations.get(job, 0) + 1
+            if record.affine:
+                self.affine[job] = self.affine.get(job, 0) + 1
+
+    def run_end(self, record: RunEnd) -> None:
+        self.makespan = record.makespan
+
+
+#: record class -> its :class:`_Replay` step; other records are skipped.
+_STEPS: typing.Dict[type, typing.Callable[[_Replay, typing.Any], None]] = {
+    Dispatch: _Replay.dispatch,
+    JobArrival: _Replay.arrival,
+    JobDeparture: _Replay.departure,
+    JobCancelled: _Replay.cancellation,
+    RunEnd: _Replay.run_end,
+}
+
+
 def replay(records: typing.Iterable[TraceRecord]) -> ReplaySummary:
     """Derive per-job aggregates from ``records`` alone."""
-    arrivals: typing.Dict[str, float] = {}
-    departures: typing.Dict[str, float] = {}
-    reallocations: typing.Dict[str, int] = {}
-    affine: typing.Dict[str, int] = {}
-    cancelled: typing.Dict[str, float] = {}
-    makespan: typing.Optional[float] = None
+    state = _Replay()
+    steps = _STEPS
     for record in records:
-        if isinstance(record, JobArrival):
-            arrivals[record.job] = record.time
-        elif isinstance(record, JobDeparture):
-            departures[record.job] = record.time
-        elif isinstance(record, JobCancelled):
-            cancelled[record.job] = record.time
-        elif isinstance(record, Dispatch):
-            if not record.cheap:
-                reallocations[record.job] = reallocations.get(record.job, 0) + 1
-                if record.affine:
-                    affine[record.job] = affine.get(record.job, 0) + 1
-        elif isinstance(record, RunEnd):
-            makespan = record.makespan
+        step = steps.get(type(record))
+        if step is not None:
+            step(state, record)
+    arrivals, departures = state.arrivals, state.departures
     jobs = {
         name: ReplayedJob(
             name=name,
             response_time=departures[name] - arrivals[name],
-            n_reallocations=reallocations.get(name, 0),
-            n_affine=affine.get(name, 0),
+            n_reallocations=state.reallocations.get(name, 0),
+            n_affine=state.affine.get(name, 0),
         )
         for name in departures
         if name in arrivals
     }
-    return ReplaySummary(jobs=jobs, makespan=makespan, cancelled=cancelled)
+    return ReplaySummary(
+        jobs=jobs, makespan=state.makespan, cancelled=state.cancelled
+    )
 
 
 def verify_replay(

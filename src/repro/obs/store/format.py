@@ -26,10 +26,11 @@ object::
 so the exact interleaving of record kinds is preserved — decoding walks
 ``order`` and pops the next row of the named kind's columns, which makes
 the JSONL -> columnar -> JSONL round trip byte-identical.  Both directions
-work a kind at a time: the writer groups a chunk's records by kind and
-fills each column with one pass over that kind's records; the reader
-rebuilds each kind's records from its columns, then interleaves them by
-``order``.
+work a kind at a time: the writer transposes a chunk's rows of each kind
+(a :class:`~repro.obs.tracer.Tracer` keeps rows, so its records are
+never built; other records are turned into rows a chunk at a time); the
+reader rebuilds each kind's records from its columns, then interleaves
+them by ``order``.
 
 The footer carries the schema version, per-kind field lists (checked
 against :data:`repro.obs.records.RECORD_KINDS` on read, so a file
@@ -39,17 +40,18 @@ kind counts)``.  The trailing sha256 covers every byte before it; a
 flipped bit anywhere — chunk, footer, or index — is a refused load, and
 a truncated file fails the END_MAGIC check before anything is parsed.
 
-Memory bounds: the writer holds at most ``chunk_records`` records plus
-the (small) footer index.  The reader reads the whole compressed file,
+Memory bounds: the writer holds at most ``chunk_records`` records (as
+rows) plus the (small) footer index, beyond what a tracer it is given
+already holds.  The reader reads the whole compressed file,
 to check its digest, and decodes one chunk at a time.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
-import operator
 import struct
 import typing
 import zlib
@@ -58,10 +60,12 @@ from repro import ioutil
 from repro.obs.records import (
     KIND_FIELDS,
     RECORD_KINDS,
+    RECORD_ROW,
     TraceRecord,
     records_from_columns,
-    records_to_columns,
+    rows_to_columns,
 )
+from repro.obs.tracer import Tracer
 
 #: Columnar container schema identifier, bumped on incompatible changes.
 COLUMNAR_SCHEMA = "repro.trace.columnar/1"
@@ -94,7 +98,10 @@ def _expect(value: typing.Any, expected: type, what: str, source: str) -> typing
     return value
 
 
-_TIME = operator.attrgetter("time")
+#: One chunk to encode: the record class of every record, in stream
+#: order, and class -> the rows (field tuples in KIND_FIELDS order) of
+#: its records, in order.
+_Chunk = typing.Tuple[typing.List[type], typing.Dict[type, typing.List[tuple]]]
 
 
 def _canonical_json(payload: typing.Any) -> bytes:
@@ -107,74 +114,97 @@ def _frame(magic: bytes, payload: typing.Any) -> bytes:
     return magic + struct.pack(">I", len(blob)) + blob
 
 
-def _encode_chunk(
-    rows: typing.List[TraceRecord],
-) -> typing.Tuple[bytes, typing.Dict[str, int]]:
-    """One chunk's frame and its per-kind record counts."""
-    # kind -> (its kind_table index, its records), in first-seen order.
-    groups: typing.Dict[str, typing.Tuple[int, typing.List[TraceRecord]]] = {}
-    order: typing.List[int] = []
-    for record in rows:
-        group = groups.get(record.kind)
-        if group is None:
-            if record.kind not in RECORD_KINDS:
+def _tracer_chunks(tracer: Tracer, chunk_records: int) -> typing.Iterator[_Chunk]:
+    """A tracer's rows, ``chunk_records`` records at a time."""
+    taken = dict.fromkeys(tracer.rows, 0)
+    order = tracer.order
+    for start in range(0, len(order), chunk_records):
+        classes = order[start : start + chunk_records]
+        rows = {}
+        for cls, count in collections.Counter(classes).items():
+            at = taken[cls]
+            rows[cls] = tracer.rows[cls][at : at + count]
+            taken[cls] = at + count
+        yield classes, rows
+
+
+def _record_chunks(
+    records: typing.Iterator[TraceRecord], chunk_records: int
+) -> typing.Iterator[_Chunk]:
+    """Records turned into rows, ``chunk_records`` records at a time."""
+    while True:
+        chunk = list(itertools.islice(records, chunk_records))
+        if not chunk:
+            return
+        classes = []
+        rows: typing.Dict[type, typing.List[tuple]] = {}
+        for record in chunk:
+            cls = RECORD_KINDS.get(record.kind)
+            if cls is None:
                 raise TraceFormatError(
                     f"cannot store unregistered record kind {record.kind!r}"
                 )
-            group = groups[record.kind] = (len(groups), [])
-        order.append(group[0])
-        group[1].append(record)
-    frame = _frame(
-        CHUNK_MAGIC,
-        {
-            "kind_table": list(groups),
-            "order": order,
-            "columns": {
-                kind: records_to_columns(kind, members)
-                for kind, (_, members) in groups.items()
-            },
-        },
-    )
-    return frame, {kind: len(members) for kind, (_, members) in groups.items()}
+            classes.append(cls)
+            rows.setdefault(cls, []).append(RECORD_ROW[cls.kind](record))
+        yield classes, rows
+
+
+def _encode_chunk(
+    classes: typing.List[type], rows: typing.Dict[type, typing.List[tuple]]
+) -> typing.Tuple[bytes, typing.Dict[str, typing.Any]]:
+    """One chunk's frame and its footer index entry (offset and length
+    are left to the writer)."""
+    table = list(dict.fromkeys(classes))
+    index = {cls: i for i, cls in enumerate(table)}
+    columns = {cls.kind: rows_to_columns(cls.kind, rows[cls]) for cls in table}
+    frame = _frame(CHUNK_MAGIC, {
+        "kind_table": [cls.kind for cls in table],
+        "order": list(map(index.__getitem__, classes)),
+        "columns": columns,
+    })
+    # Record times in stream order, each kind's time column walked in step.
+    time_columns = {cls: iter(columns[cls.kind]["time"]) for cls in table}
+    times = list(map(next, map(time_columns.__getitem__, classes)))
+    return frame, {
+        "n_records": len(classes),
+        # Seeded like a running min/max: a NaN time is never a bound.
+        "time_min": min(float("inf"), *times),
+        "time_max": max(float("-inf"), *times),
+        "kind_counts": {cls.kind: len(rows[cls]) for cls in table},
+    }
 
 
 def write_columnar(
     path: str,
-    records: typing.Iterable[TraceRecord],
+    records: typing.Union[Tracer, typing.Iterable[TraceRecord]],
     chunk_records: int = DEFAULT_CHUNK_RECORDS,
 ) -> int:
     """Write ``records`` to ``path`` in columnar form; returns the count.
 
-    Holds at most ``chunk_records`` records at a time.  The file is
-    written through :func:`repro.ioutil.atomic_open`: ``path`` gets the
-    whole trace, or keeps its old bytes if anything raises first.
+    ``records`` is a :class:`~repro.obs.tracer.Tracer`, whose rows are
+    chunked as they are, or any iterable of records, turned into the
+    same rows ``chunk_records`` records at a time; both give the same
+    bytes.  The file is written through :func:`repro.ioutil.atomic_open`:
+    ``path`` gets the whole trace, or keeps its old bytes if anything
+    raises first.
     """
     if chunk_records < 1:
         raise ValueError("chunk_records must be positive")
-    records = iter(records)
+    if isinstance(records, Tracer):
+        encoded = _tracer_chunks(records, chunk_records)
+    else:
+        encoded = _record_chunks(iter(records), chunk_records)
     digest = hashlib.sha256(MAGIC)
     offset = len(MAGIC)
     chunks: typing.List[typing.Dict[str, typing.Any]] = []
     kind_counts: typing.Dict[str, int] = {}
     with ioutil.atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
-        while True:
-            rows = list(itertools.islice(records, chunk_records))
-            if not rows:
-                break
-            frame, counts = _encode_chunk(rows)
-            for kind, count in counts.items():
+        for classes, rows in encoded:
+            frame, entry = _encode_chunk(classes, rows)
+            for kind, count in entry["kind_counts"].items():
                 kind_counts[kind] = kind_counts.get(kind, 0) + count
-            times = list(map(_TIME, rows))
-            chunks.append({
-                "offset": offset,
-                "length": len(frame) - 8,
-                "n_records": len(rows),
-                # Seeded like a running min/max: a NaN time is never a bound.
-                "time_min": min(float("inf"), *times),
-                "time_max": max(float("-inf"), *times),
-                "kind_counts": counts,
-            })
+            chunks.append({"offset": offset, "length": len(frame) - 8, **entry})
             fh.write(frame)
             digest.update(frame)
             offset += len(frame)

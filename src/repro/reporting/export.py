@@ -8,6 +8,10 @@ import io
 import typing
 
 
+#: The types :func:`to_plain` returns at once: a result's many floats.
+_LEAVES = frozenset((float, int, str, bool, type(None)))
+
+
 def to_plain(value: typing.Any) -> typing.Any:
     """``value`` as plain data, for a JSON payload or export.
 
@@ -18,6 +22,9 @@ def to_plain(value: typing.Any) -> typing.Any:
     JSON leaves, what it returns equals its own JSON round trip, so a
     fresh sweep payload equals its cache hit.
     """
+    if type(value) in _LEAVES:
+        # Exact types only: a subclass or numpy scalar takes the walk.
+        return value
     if isinstance(value, (list, tuple)):
         return [to_plain(item) for item in value]
     if isinstance(value, dict):

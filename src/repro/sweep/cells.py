@@ -28,7 +28,7 @@ from repro.core.system import JobMetrics, SystemResult
 from repro.measure.penalty import PenaltyExperiment, PenaltyResult, PenaltyTable, RegimeRun
 from repro.measure.runner import JobSummary, MixComparison, run_mix
 from repro.measure.workloads import MIXES
-from repro.obs.metrics import MetricsFold, MetricsRegistry, metrics_from_records
+from repro.obs.metrics import MetricsFold, MetricsRegistry
 from repro.obs.profiling import merge_profiles, profile_call
 from repro.reporting.export import to_plain
 from repro.sweep.cache import RESULT_SCHEMA
@@ -105,10 +105,11 @@ def run_cell(
     the bytes no longer match the digest it was keyed under.
     ``metrics`` snapshots ride inside the payload and are cacheable
     (order-stable merges reassemble the aggregate views).  A scheduling
-    cell folds its snapshot from the run's records: those ``tracer``
-    holds after the run or, with no ``tracer``, each one as it is
-    emitted, into a :class:`~repro.obs.metrics.MetricsFold` that keeps
-    none.  A ``table1`` cell feeds its ``penalty/*`` instruments live.
+    cell folds its snapshot through a
+    :class:`~repro.obs.metrics.MetricsFold`, which builds no records:
+    from the rows ``tracer`` holds after the run, kind by kind, or,
+    with no ``tracer``, as each record is emitted.  A ``table1`` cell feeds its
+    ``penalty/*`` instruments live.
     ``collect_profile`` runs the driver under cProfile and adds its
     ``profile`` snapshot (see :mod:`repro.obs.profiling`), a wall-clock
     measurement and therefore *transient* — the executor strips it
@@ -173,10 +174,12 @@ def _compute(
                     sha256=config["sha256"],
                 )
             data = {"opensys": to_plain(run_scenario(scenario, policy, **run))}
+        if collect_metrics and fold is None:
+            fold = MetricsFold()
+            for kind, rows in tracer.rows.items():
+                fold.emit_rows(kind, rows)
         if fold is not None:
             registry = fold.metrics
-        elif collect_metrics:
-            registry = metrics_from_records(tracer.records)
     payload: typing.Dict[str, typing.Any] = {
         "schema": RESULT_SCHEMA,
         "kind": cell.kind,

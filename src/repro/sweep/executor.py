@@ -8,7 +8,9 @@ ordered-commit process-pool runner
 into the cache as they finish it (result file last, atomically — the
 commit marker); the parent appends one journal line per completed cell
 as each shard commits, in shard order, before acknowledging the shard to
-``on_commit``.
+``on_commit``.  When a worker dies, the parent journals every later
+cell that did land, then a ``run_abort`` line naming the lost shard,
+and raises :class:`WorkerLostError`.
 
 Resume is re-execution: run the same spec again and the expansion is
 identical (specs expand deterministically), cached cells are skipped,
@@ -137,7 +139,7 @@ def _run_shard(
                 from repro.obs.store.format import write_columnar
 
                 os.makedirs(cache.cell_dir(key), exist_ok=True)
-                write_columnar(cache.trace_path(key), tracer.records)
+                write_columnar(cache.trace_path(key), tracer)
             cache.store(cell, key, strip_transient(payload), fingerprint)
         out.append(payload)
     return out
@@ -231,6 +233,15 @@ def run_sweep(
         journal_fh.flush()
         os.fsync(journal_fh.fileno())
 
+    def journal_cell(index: int, cell: SweepCell, key: str) -> None:
+        journal({
+            "event": "cell_done",
+            "shard": index,
+            "key": key,
+            "label": cell.label,
+            "cached": False,
+        })
+
     computed: typing.Dict[SweepCell, typing.Dict[str, typing.Any]] = {}
     shards: typing.List[typing.List[typing.Tuple[SweepCell, str]]] = []
     try:
@@ -269,14 +280,8 @@ def run_sweep(
             def commit(index: int, payloads: typing.List[dict]) -> None:
                 nonlocal n_committed
                 n_committed = index + 1
-                for (cell, key), payload in zip(shards[index], payloads):
-                    journal({
-                        "event": "cell_done",
-                        "shard": index,
-                        "key": key,
-                        "label": cell.label,
-                        "cached": False,
-                    })
+                for cell, key in shards[index]:
+                    journal_cell(index, cell, key)
                 if on_commit is not None:
                     on_commit(index, payloads)
 
@@ -296,7 +301,21 @@ def run_sweep(
                 # A BrokenProcessPool, caught by its base class so that a
                 # serial run never imports multiprocessing.  Shards commit
                 # in order: the map broke on the first one not yet journaled.
-                labels = ", ".join(cell.label for cell, _ in shards[n_committed])
+                # Workers cache each cell as it lands, so any cell from
+                # there on may have committed: journal those that did.
+                if cache is not None:
+                    for index in range(n_committed, len(shards)):
+                        for cell, key in shards[index]:
+                            if cache.load(key, cell) is not None:
+                                journal_cell(index, cell, key)
+                lost = [cell.label for cell, _ in shards[n_committed]]
+                journal({
+                    "event": "run_abort",
+                    "spec": name,
+                    "shard": n_committed,
+                    "labels": lost,
+                })
+                labels = ", ".join(lost)
                 rerun = (
                     f"a rerun resumes from the cache in {cache.root}"
                     if cache is not None else "nothing is cached, a rerun starts over"

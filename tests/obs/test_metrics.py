@@ -1,8 +1,13 @@
 """Counters, gauges, histograms, snapshots, and deterministic merges."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
     SNAPSHOT_SCHEMA,
     Histogram,
     MetricsRegistry,
@@ -42,6 +47,44 @@ class TestInstruments:
         registry.counter("x")
         with pytest.raises(ValueError):
             registry.gauge("x")
+
+
+def _scan_bucket(bounds, value):
+    """The bucket a linear scan of ``bounds`` picks: the referee."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
+
+
+_bound_ladders = st.lists(
+    st.floats(allow_nan=False, min_value=-1e6, max_value=1e6), min_size=1, max_size=8
+).map(sorted)
+
+
+class TestHistogramBuckets:
+    @given(
+        bounds=st.just(DEFAULT_BUCKETS) | _bound_ladders,
+        values=st.lists(
+            st.floats(allow_nan=True, allow_infinity=True)
+            | st.integers(min_value=-10**6, max_value=10**6)
+            | st.sampled_from(DEFAULT_BUCKETS)
+        ),
+    )
+    def test_buckets_match_a_linear_scan(self, bounds, values):
+        values = values + list(bounds) + [math.nan, math.inf, -math.inf]
+        hist = Histogram(bounds)
+        expected = [0] * (len(bounds) + 1)
+        for value in values:
+            hist.observe(value)
+            expected[_scan_bucket(bounds, value)] += 1
+        assert hist.counts == expected
+
+    def test_nan_overflows_and_a_bound_is_inclusive(self):
+        hist = Histogram((1.0, 2.0))
+        for value in (math.nan, 1.0, 2.0):
+            hist.observe(value)
+        assert hist.counts == [1, 1, 1]
 
 
 class TestSnapshot:

@@ -1,7 +1,6 @@
 """Typed trace records: construction, serialization, round-tripping."""
 
 import collections.abc
-import json
 import typing
 
 import pytest
@@ -22,14 +21,15 @@ from repro.obs.records import (
     JobDeparture,
     PolicyDecision,
     RECORD_KINDS,
+    RECORD_ROW,
     RunConfig,
     RunEnd,
     Undispatch,
     record_from_dict,
     record_to_dict,
-    records_from_columns,
-    records_to_columns,
 )
+from repro.obs.store import iter_columnar, write_columnar
+from repro.obs.tracer import Tracer
 
 SAMPLES = [
     RunConfig(
@@ -96,11 +96,22 @@ class TestRoundTrip:
 
 class TestColumns:
     @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: r.kind)
-    def test_column_round_trip_through_json(self, record):
-        rows = [record, record]
-        columns = json.loads(json.dumps(records_to_columns(record.kind, rows)))
-        cells = [columns[name] for name in KIND_FIELDS[record.kind]]
-        assert records_from_columns(record.kind, cells) == rows
+    def test_column_round_trip_through_json(self, tmp_path, record):
+        """A tracer's rows, stored as JSON columns, read back as records."""
+        tracer = Tracer()
+        for _ in range(2):
+            tracer.emit(type(record), *RECORD_ROW[record.kind](record))
+        path = str(tmp_path / "t.rct")
+        write_columnar(path, tracer)
+        assert list(iter_columnar(path)) == [record, record]
+
+    @pytest.mark.parametrize("record", SAMPLES, ids=lambda r: r.kind)
+    def test_emitted_fields_read_back_as_the_record(self, record):
+        """``emit(kind, *fields)`` then ``records`` is ``kind(*fields)``."""
+        fields = RECORD_ROW[record.kind](record)
+        tracer = Tracer()
+        tracer.emit(type(record), *fields)
+        assert tracer.records == [type(record)(*fields)] == [record]
 
     @pytest.mark.parametrize("kind", sorted(RECORD_KINDS))
     def test_container_fields_match_annotations(self, kind):

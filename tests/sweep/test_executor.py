@@ -346,10 +346,27 @@ class TestWorkerLoss:
             "(steady/Equipartition/seed0, steady/Equipartition/seed1); "
             f"a rerun resumes from the cache in {tmp_path}"
         )
-        committed = sum(
-            cache.load(cell_key(cell), cell) is not None for cell in _spec().expand()
-        )
+        landed = [
+            cell.label for cell in _spec().expand()
+            if cache.load(cell_key(cell), cell) is not None
+        ]
+        committed = len(landed)
         assert committed < 4
+        # Every cell that landed is journaled, then the lost shard.
+        with open(executor._journal_paths(cache, "t")[1], encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert [line["event"] for line in lines] == (
+            ["run_start"] + ["cell_done"] * committed + ["run_abort"]
+        )
+        assert [line["label"] for line in lines[1:-1]] == landed
+        assert all(line["shard"] == 1 for line in lines[1:-1])
+        assert lines[-1] == {
+            "schema": "repro.sweep.journal/1",
+            "event": "run_abort",
+            "spec": "t",
+            "shard": 0,
+            "labels": ["steady/Equipartition/seed0", "steady/Equipartition/seed1"],
+        }
 
         dying_worker.undo()
         resumed = run_sweep(_spec(), cache=cache, workers=2, shard_size=2)
